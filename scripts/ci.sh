@@ -60,6 +60,19 @@ PS_FUZZ_ITERS="${PS_FUZZ_ITERS:-1500}" PS_VALIDATE=1 \
 ./build/tools/ps_emit --check
 scrub_pdb_cache
 
+# Pipeline-benchmark smoke stage: psbench/run.py builds ps_bench from this
+# checkout (Release, into .bench_build/) and runs each workload for one
+# second. The last output line is the JSON result; every output check must
+# pass (correct: true, failed: 0).
+for workload in cold-open edit-settle validate-emit; do
+  python3 psbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' ||
+    { echo "ps_bench smoke failed: $workload" >&2; exit 1; }
+done
+
 # ThreadSanitizer stage: rebuild the concurrency-sensitive targets with
 # -fsanitize=thread and run the parallel determinism suites (whole-program
 # batch + incremental edit storm) plus the DepMemo stress test. Any data

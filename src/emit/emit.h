@@ -34,6 +34,10 @@ namespace ps::dep {
 class DependenceGraph;
 }
 
+namespace ps::support {
+class TaskPool;
+}
+
 namespace ps::emit {
 
 enum class ClauseKind {
@@ -101,6 +105,10 @@ struct EmitOptions {
   bool roundTrip = true;
   std::vector<int> roundTripThreads = {1, 2, 4, 8};
   long long maxSteps = 20'000'000;
+  /// Pool the relative-validation runs fan out on; null = a private pool
+  /// of hardware_concurrency workers. The report is the same at any pool
+  /// width.
+  support::TaskPool* pool = nullptr;
 };
 
 /// Result of one Session::emitOpenMP pass.

@@ -45,6 +45,10 @@ struct RunResult {
   /// Execution count per statement id — the "program execution profile"
   /// workshop users relied on to find hot loops.
   std::map<fortran::StmtId, long long> stmtCounts;
+  /// Times each DO loop was entered, however many iterations each entry
+  /// ran (stmtCounts counts the DO statement once per entry plus once per
+  /// iteration advance).
+  std::map<fortran::StmtId, long long> loopActivations;
   /// Races detected in PARALLEL DO loops (empty when none or when race
   /// checking is off).
   std::vector<Race> races;
@@ -78,6 +82,11 @@ struct RunOptions {
   /// Execute PARALLEL DO loops with a shuffled iteration order and the
   /// cross-iteration conflict detector armed.
   bool checkParallel = true;
+  /// When set, this DO loop alone runs as a PARALLEL DO under
+  /// checkParallel, whatever the program's markings say; every other loop
+  /// runs sequentially (relative execution of one loop). The program is
+  /// never modified, so concurrent runs may share it.
+  fortran::StmtId shuffledLoop = fortran::kInvalidStmt;
   /// Deterministic seed for the iteration shuffle.
   unsigned shuffleSeed = 12345;
   /// When set, every named read/write is recorded here with its statement
@@ -90,15 +99,18 @@ struct RunOptions {
   std::map<fortran::StmtId, LoopClauses> parallelClauses;
 };
 
-/// A tree-walking interpreter for the supported Fortran dialect: the
-/// execution substrate that stands in for the paper's Cray/Sun runs. It
-/// validates transformation safety (original vs transformed must agree) and
-/// provides the execution profiles PED's work model starts from.
+/// An interpreter for the supported Fortran dialect: the execution
+/// substrate that stands in for the paper's Cray/Sun runs. It validates
+/// transformation safety (original vs transformed must agree) and provides
+/// the execution profiles PED's work model starts from. Each run first
+/// lowers every unit to flat ops whose variable references are frame slots,
+/// so execution never looks a variable up by name.
 class Machine {
  public:
   explicit Machine(const fortran::Program& program);
 
-  /// Execute the main program unit.
+  /// Execute the main program unit. Only reads the program: runs on one
+  /// program may proceed concurrently from different threads.
   [[nodiscard]] RunResult run(const RunOptions& opts = {});
 
  private:

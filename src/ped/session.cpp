@@ -2241,12 +2241,21 @@ validate::ValidationReport Session::validateDeletions(
         }
       }
     }
-    for (const Candidate& c : cands) {
-      if (rep.relativeChecks >= opts.budget.maxRelativeChecks) break;
-      interp::RunOptions base = opts.run;
-      base.maxSteps = opts.budget.maxSteps;
-      validate::RelativeResult rr = validate::relativeCheck(
-          *program_, c.loop, base, serial, opts.budget.schedules);
+    const auto maxChecks =
+        static_cast<std::size_t>(opts.budget.maxRelativeChecks);
+    if (cands.size() > maxChecks) cands.resize(maxChecks);
+    // Every candidate's schedules run concurrently; the graph updates
+    // below then apply the results in candidate order.
+    interp::RunOptions base = opts.run;
+    base.maxSteps = opts.budget.maxSteps;
+    std::vector<validate::RelativeJob> jobs;
+    for (const Candidate& c : cands) jobs.push_back({c.loop, base});
+    std::vector<validate::RelativeResult> results =
+        validate::relativeCheckAll(*program_, jobs, serial,
+                                   opts.budget.schedules, opts.pool);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const Candidate& c = cands[i];
+      validate::RelativeResult& rr = results[i];
       ++rep.relativeChecks;
       if (rr.diverged) {
         ++rep.relativeDivergences;
@@ -2372,6 +2381,8 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
       interp::Machine m(*program_);
       serial = m.run(so);
     }
+    std::vector<emit::LoopEmission*> checked;
+    std::vector<validate::RelativeJob> jobs;
     for (auto& le : rep.loops) {
       if (!le.emitted) continue;
       if (!serial.ok) {
@@ -2381,13 +2392,23 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
         le.refusal = "serial baseline failed: " + serial.error;
         continue;
       }
-      interp::RunOptions base = opts.run;
-      base.trace = nullptr;
-      base.maxSteps = opts.maxSteps;
-      base.parallelClauses.clear();
-      base.parallelClauses[le.loop] = le.interpClauses;
-      validate::RelativeResult rr = validate::relativeCheck(
-          *program_, le.loop, base, serial, opts.schedules);
+      validate::RelativeJob job;
+      job.loop = le.loop;
+      job.base = opts.run;
+      job.base.trace = nullptr;
+      job.base.maxSteps = opts.maxSteps;
+      job.base.parallelClauses.clear();
+      job.base.parallelClauses[le.loop] = le.interpClauses;
+      checked.push_back(&le);
+      jobs.push_back(std::move(job));
+    }
+    // Every eligible loop's schedules run concurrently; results come back
+    // in loop order.
+    std::vector<validate::RelativeResult> results = validate::relativeCheckAll(
+        *program_, jobs, serial, opts.schedules, opts.pool);
+    for (std::size_t i = 0; i < checked.size(); ++i) {
+      emit::LoopEmission& le = *checked[i];
+      const validate::RelativeResult& rr = results[i];
       le.relativeChecked = rr.ran;
       le.serialExecutions = rr.serialExecutions;
       if (rr.diverged) {

@@ -397,6 +397,10 @@ class Session {
     interp::RunOptions run;
     /// Also relative-execute loops whose deletions make them parallel.
     bool relativeChecks = true;
+    /// Pool the relative-execution runs fan out on; null = a private pool
+    /// of hardware_concurrency workers. The report is the same at any
+    /// pool width.
+    support::TaskPool* pool = nullptr;
   };
 
   /// Replay the program serially under the trace recorder and check every

@@ -121,7 +121,10 @@ ServerSession::SettleReport ServerSession::settle() {
 
 emit::EmissionReport ServerSession::emitOpenMP(const emit::EmitOptions& opts) {
   if (!queue_.empty()) (void)settle();
-  return session_->emitOpenMP(opts);
+  // Relative validation fans out on the server's shared pool.
+  emit::EmitOptions o = opts;
+  if (!o.pool) o.pool = &server_->pool();
+  return session_->emitOpenMP(o);
 }
 
 // ---------------------------------------------------------------------------

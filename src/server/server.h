@@ -89,7 +89,8 @@ class ServerSession {
   /// settles any queued edits first (emission must see the post-edit
   /// graphs), then runs Session::emitOpenMP. Per-session: emission reads
   /// only this session's program and graphs, so concurrent sessions can
-  /// emit independently.
+  /// emit independently. Relative validation runs on the server's shared
+  /// pool unless `opts.pool` names another.
   emit::EmissionReport emitOpenMP(const emit::EmitOptions& opts = {});
 
   /// The underlying session (read panes, query dependences, transform).

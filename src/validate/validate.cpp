@@ -1,9 +1,13 @@
 #include "validate/validate.h"
 
 #include <algorithm>
+#include <atomic>
 #include <climits>
+#include <functional>
 #include <map>
 #include <sstream>
+
+#include "support/taskpool.h"
 
 namespace ps::validate {
 
@@ -166,91 +170,167 @@ bool TraceIndex::findWitness(const EdgeQuery& q,
 // Relative execution
 // ---------------------------------------------------------------------------
 
-RelativeResult relativeCheck(fortran::Program& program, fortran::StmtId loop,
-                             const interp::RunOptions& base,
-                             const interp::RunResult& serial,
-                             int schedules) {
+namespace {
+
+/// What one shuffled schedule of one loop showed against the serial run.
+struct ScheduleOutcome {
+  bool diverged = false;
+  std::string detail;
+  std::vector<std::string> raceVariables;
+};
+
+/// Run schedule `k` of `loop`: the loop alone shuffled with its race
+/// detector armed, every other loop sequential.
+ScheduleOutcome runSchedule(const fortran::Program& program,
+                            fortran::StmtId loop,
+                            const interp::RunOptions& base,
+                            const interp::RunResult& serial, int k) {
+  interp::RunOptions o = base;
+  o.trace = nullptr;
+  o.checkParallel = true;
+  o.shuffledLoop = loop;
+  o.shuffleSeed =
+      base.shuffleSeed + 0x9e3779b9u * static_cast<unsigned>(k + 1);
+  interp::Machine m(program);
+  const interp::RunResult r = m.run(o);
+  ScheduleOutcome out;
+  std::ostringstream os;
+  if (!r.ok) {
+    // The reordered schedule crashed a run the serial order completes:
+    // that IS a divergence (e.g. a deleted dependence guarded an index).
+    out.diverged = true;
+    os << "schedule " << k << " failed at stmt" << r.errorStmt << ": "
+       << r.error;
+    out.detail = os.str();
+    return out;
+  }
+  for (const interp::Race& race : r.races) {
+    if (race.loop != loop) continue;
+    out.diverged = true;
+    out.raceVariables.push_back(race.variable);
+    if (out.detail.empty()) {
+      std::ostringstream ros;
+      ros << "schedule " << k << ": cross-iteration "
+          << (race.outputOnly ? "write-write" : "read-write")
+          << " conflict on " << race.variable << " (iterations "
+          << race.iterationA << "," << race.iterationB << ")";
+      out.detail = ros.str();
+    }
+  }
+  if (!serial.outputEquals(r)) {
+    out.diverged = true;
+    std::size_t at = 0;
+    const std::size_t n = std::min(serial.output.size(), r.output.size());
+    while (at < n && serial.output[at] == r.output[at]) ++at;
+    os << "schedule " << k << ": output diverged at position " << at;
+    if (at < n) {
+      os << " (serial " << serial.output[at] << " vs parallel "
+         << r.output[at] << ")";
+    } else {
+      os << " (lengths " << serial.output.size() << " vs "
+         << r.output.size() << ")";
+    }
+    if (!out.detail.empty()) out.detail += "; ";
+    out.detail += os.str();
+  }
+  return out;
+}
+
+/// The result header for `loop`: ran=false when it names no DO statement.
+RelativeResult startResult(const fortran::Program& program,
+                           fortran::StmtId loop,
+                           const interp::RunResult& serial) {
   RelativeResult rr;
   rr.loop = loop;
-  fortran::Stmt* target = nullptr;
-  std::vector<fortran::Stmt*> parallelFlags;
+  bool found = false;
   for (const auto& u : program.units) {
-    u->forEachStmtMutable([&](fortran::Stmt& s) {
-      if (s.isParallel) parallelFlags.push_back(&s);
-      if (s.id == loop) target = &s;
+    u->forEachStmt([&](const fortran::Stmt& s) {
+      found = found || (s.id == loop && s.kind == fortran::StmtKind::Do);
     });
   }
-  if (!target || target->kind != fortran::StmtKind::Do) {
+  if (!found) {
     rr.detail = "loop statement not found";
     return rr;
   }
-  // Force every OTHER loop sequential so a divergence localizes to the
-  // claimed-parallel loop under test; restore all markings on exit.
-  const bool targetWas = target->isParallel;
-  for (fortran::Stmt* s : parallelFlags) s->isParallel = false;
-  target->isParallel = true;
   rr.ran = true;
-  if (auto it = serial.stmtCounts.find(loop); it != serial.stmtCounts.end()) {
+  if (auto it = serial.loopActivations.find(loop);
+      it != serial.loopActivations.end()) {
     rr.serialExecutions = it->second;
   }
+  return rr;
+}
 
-  for (int k = 0; k < schedules && !rr.diverged; ++k) {
-    interp::RunOptions o = base;
-    o.trace = nullptr;
-    o.checkParallel = true;
-    o.shuffleSeed =
-        base.shuffleSeed + 0x9e3779b9u * static_cast<unsigned>(k + 1);
-    interp::Machine m(program);
-    interp::RunResult r = m.run(o);
-    std::ostringstream os;
-    if (!r.ok) {
-      // The reordered schedule crashed a run the serial order completes:
-      // that IS a divergence (e.g. a deleted dependence guarded an index).
-      rr.diverged = true;
-      os << "schedule " << k << " failed at stmt" << r.errorStmt << ": "
-         << r.error;
-      rr.detail = os.str();
-      break;
-    }
-    for (const interp::Race& race : r.races) {
-      if (race.loop != loop) continue;
-      rr.diverged = true;
-      rr.raceVariables.push_back(race.variable);
-      if (rr.detail.empty()) {
-        std::ostringstream ros;
-        ros << "schedule " << k << ": cross-iteration "
-            << (race.outputOnly ? "write-write" : "read-write")
-            << " conflict on " << race.variable << " (iterations "
-            << race.iterationA << "," << race.iterationB << ")";
-        rr.detail = ros.str();
-      }
-    }
-    if (!serial.outputEquals(r)) {
-      rr.diverged = true;
-      std::size_t at = 0;
-      const std::size_t n =
-          std::min(serial.output.size(), r.output.size());
-      while (at < n && serial.output[at] == r.output[at]) ++at;
-      os << "schedule " << k << ": output diverged at position " << at;
-      if (at < n) {
-        os << " (serial " << serial.output[at] << " vs parallel "
-           << r.output[at] << ")";
-      } else {
-        os << " (lengths " << serial.output.size() << " vs "
-           << r.output.size() << ")";
-      }
-      if (!rr.detail.empty()) rr.detail += "; ";
-      rr.detail += os.str();
-    }
+/// Take schedule outcomes in order up to the first divergence.
+void assemble(RelativeResult& rr, std::vector<ScheduleOutcome>& outcomes) {
+  for (ScheduleOutcome& o : outcomes) {
+    if (!o.diverged) continue;
+    rr.diverged = true;
+    rr.detail = std::move(o.detail);
+    rr.raceVariables = std::move(o.raceVariables);
+    break;
   }
-
-  target->isParallel = targetWas;
-  for (fortran::Stmt* s : parallelFlags) s->isParallel = true;
   std::sort(rr.raceVariables.begin(), rr.raceVariables.end());
   rr.raceVariables.erase(
       std::unique(rr.raceVariables.begin(), rr.raceVariables.end()),
       rr.raceVariables.end());
-  return rr;
+}
+
+}  // namespace
+
+RelativeResult relativeCheck(const fortran::Program& program,
+                             fortran::StmtId loop,
+                             const interp::RunOptions& base,
+                             const interp::RunResult& serial,
+                             int schedules) {
+  support::TaskPool callingThread(1);
+  return relativeCheckAll(program, {{loop, base}}, serial, schedules,
+                          &callingThread)
+      .front();
+}
+
+std::vector<RelativeResult> relativeCheckAll(
+    const fortran::Program& program, const std::vector<RelativeJob>& jobs,
+    const interp::RunResult& serial, int schedules, support::TaskPool* pool) {
+  const std::size_t perJob = static_cast<std::size_t>(std::max(schedules, 0));
+  std::vector<RelativeResult> results;
+  std::vector<std::vector<ScheduleOutcome>> outcomes(jobs.size());
+  // Earliest diverging schedule per job: a later schedule that has not
+  // started yet is skipped, since assembly never looks past it.
+  std::vector<std::atomic<int>> firstDiverged(jobs.size());
+  std::vector<std::function<void()>> thunks;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    results.push_back(startResult(program, jobs[j].loop, serial));
+    if (!results.back().ran) continue;
+    outcomes[j].resize(perJob);
+    firstDiverged[j].store(schedules, std::memory_order_relaxed);
+    for (int k = 0; k < schedules; ++k) {
+      thunks.push_back([&, j, k] {
+        std::atomic<int>& first = firstDiverged[j];
+        if (k > first.load(std::memory_order_relaxed)) return;
+        ScheduleOutcome o =
+            runSchedule(program, jobs[j].loop, jobs[j].base, serial, k);
+        if (o.diverged) {
+          int cur = first.load(std::memory_order_relaxed);
+          while (k < cur && !first.compare_exchange_weak(
+                                cur, k, std::memory_order_relaxed)) {
+          }
+        }
+        outcomes[j][static_cast<std::size_t>(k)] = std::move(o);
+      });
+    }
+  }
+  if (!thunks.empty()) {
+    if (pool) {
+      pool->runAll(std::move(thunks));
+    } else {
+      support::TaskPool own(0);
+      own.runAll(std::move(thunks));
+    }
+  }
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (results[j].ran) assemble(results[j], outcomes[j]);
+  }
+  return results;
 }
 
 // ---------------------------------------------------------------------------

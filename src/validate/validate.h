@@ -43,6 +43,10 @@
 #include "interp/machine.h"
 #include "interp/trace.h"
 
+namespace ps::support {
+class TaskPool;
+}
+
 namespace ps::validate {
 
 /// Work limits for one validation pass. Exhaustion degrades verdicts to
@@ -124,9 +128,9 @@ struct RelativeResult {
   fortran::StmtId loop = fortran::kInvalidStmt;
   bool ran = false;
   bool diverged = false;
-  /// Times the serial baseline executed the DO statement (0 = the loop was
-  /// never reached on this input, so agreement is vacuous — callers that
-  /// treat "passed" as evidence should check this).
+  /// Times the serial baseline entered the loop (0 = the loop was never
+  /// reached on this input, so agreement is vacuous — callers that treat
+  /// "passed" as evidence should check this).
   long long serialExecutions = 0;
   /// First divergence localized: output position and values, race
   /// variables, or the runtime error the parallel schedule triggered.
@@ -136,15 +140,35 @@ struct RelativeResult {
   std::vector<std::string> raceVariables;
 };
 
-/// Run `loopStmt` under `schedules` shuffled parallel schedules (every
-/// other loop forced sequential so divergence localizes to THIS loop) and
-/// diff each run against the serial baseline. The program's parallel
-/// markings are restored before returning.
-[[nodiscard]] RelativeResult relativeCheck(fortran::Program& program,
+/// Run `loop` under `schedules` shuffled parallel schedules (every other
+/// loop sequential, so divergence localizes to THIS loop, whether or not
+/// it is PARALLEL-marked) and diff each run against the serial baseline,
+/// stopping at the first diverging schedule. Schedule k uses shuffle seed
+/// base.shuffleSeed + 0x9e3779b9 * (k + 1). The program is only read, and
+/// the runs execute on the calling thread.
+[[nodiscard]] RelativeResult relativeCheck(const fortran::Program& program,
                                            fortran::StmtId loop,
                                            const interp::RunOptions& base,
                                            const interp::RunResult& serial,
                                            int schedules);
+
+/// One loop of a relative-execution batch and the options its schedules
+/// start from (input, step cap, directive clauses).
+struct RelativeJob {
+  fortran::StmtId loop = fortran::kInvalidStmt;
+  interp::RunOptions base;
+};
+
+/// relativeCheck for every job of a batch, with all (loop, schedule) runs
+/// executed concurrently on `pool` (null = a private pool of
+/// hardware_concurrency workers). Results come back in job order and each
+/// equals what relativeCheck returns for that job alone: every run is
+/// independent with its own seed, and results are assembled per job in
+/// schedule order up to the first divergence, so the batch answers the
+/// same at any pool width.
+[[nodiscard]] std::vector<RelativeResult> relativeCheckAll(
+    const fortran::Program& program, const std::vector<RelativeJob>& jobs,
+    const interp::RunResult& serial, int schedules, support::TaskPool* pool);
 
 /// Aggregate result of one Session::validateDeletions pass.
 struct ValidationReport {

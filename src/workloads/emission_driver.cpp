@@ -55,7 +55,7 @@ MarkCounts markParallelLoops(ped::Session& s, bool forceAllLoops) {
       // exact), so they cannot be deleted, but emission renders the
       // accumulator as REDUCTION(+:acc) and the edges do not block. The
       // mark is a user assertion, so it goes on the flag directly (the
-      // same flag validate.cpp toggles), not through the safety-gated
+      // flag emission reads), not through the safety-gated
       // transformation.
       transform::Workspace& ws = s.workspace();
       ir::Loop* loop = ws.loopOf(row.id);

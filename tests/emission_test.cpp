@@ -23,6 +23,7 @@
 #include "fortran/pretty.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "support/taskpool.h"
 #include "workloads/emission_driver.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
@@ -473,6 +474,108 @@ INSTANTIATE_TEST_SUITE_P(All, EmissionDecks,
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Relative validation fans out on a pool without changing the report
+// ---------------------------------------------------------------------------
+
+/// The report, each loop's validation evidence and every failure record.
+std::string renderEmission(const emit::EmissionReport& rep,
+                           const ped::Session& s) {
+  std::string out = rep.str() + "\n";
+  for (const emit::LoopEmission& le : rep.loops) {
+    out += "stmt" + std::to_string(le.loop) + " x" +
+           std::to_string(le.serialExecutions) + " " + le.evidence + "\n";
+  }
+  for (const ped::FailureReport& f : s.failures()) {
+    out += f.operation + (f.rolledBack ? " [rolled back] " : " ") + f.detail +
+           "\n";
+  }
+  return out;
+}
+
+constexpr int kPoolWidths[] = {1, 2, 4, 8};
+
+TEST_P(EmissionDecks, ReportIdenticalAtEveryPoolWidth) {
+  const std::string deck = GetParam();
+  std::string want;
+  for (int width : kPoolWidths) {
+    auto s = loadDeck(deck);
+    ASSERT_TRUE(s);
+    (void)markParallelLoops(*s, /*forceAllLoops=*/true);
+    support::TaskPool pool(width);
+    emit::EmitOptions opts;
+    opts.roundTrip = false;  // the fan-out is what varies
+    opts.pool = &pool;
+    const emit::EmissionReport rep = s->emitOpenMP(opts);
+    ASSERT_TRUE(rep.ran) << rep.error;
+    const std::string got = renderEmission(rep, *s);
+    if (width == 1) {
+      want = got;
+    } else {
+      EXPECT_EQ(got, want) << deck << " at pool width " << width;
+    }
+  }
+}
+
+TEST(EmissionFanOut, DivergingLoopIdenticalAtEveryPoolWidth) {
+  std::string want;
+  for (int width : kPoolWidths) {
+    auto s = loadSource(kUnsoundDeletion, "udel-fanout");
+    ASSERT_TRUE(s);
+    ASSERT_TRUE(s->selectProcedure("UDEL"));
+    for (const dep::Dependence& d : s->workspace().graph->all()) {
+      if (d.variable == "A" && d.level > 0) {
+        ASSERT_TRUE(s->markDependence(d.id, dep::DepMark::Rejected,
+                                      "user asserts no overlap", "test"));
+      }
+    }
+    fortran::StmtId loopId = fortran::kInvalidStmt;
+    for (const auto& row : s->loops()) loopId = row.id;
+    transform::Target t;
+    t.loop = loopId;
+    std::string err;
+    ASSERT_TRUE(s->applyTransformation("Sequential to Parallel", t, &err))
+        << err;
+    support::TaskPool pool(width);
+    emit::EmitOptions opts;
+    opts.run.input = {1.0};  // the deleted edge is real
+    opts.pool = &pool;
+    const emit::EmissionReport rep = s->emitOpenMP(opts);
+    const emit::LoopEmission* le = rowFor(rep, loopId);
+    ASSERT_NE(le, nullptr);
+    EXPECT_TRUE(le->relativeDiverged);
+    const std::string got = renderEmission(rep, *s);
+    if (width == 1) {
+      want = got;
+    } else {
+      EXPECT_EQ(got, want) << "pool width " << width;
+    }
+  }
+}
+
+// The evidence counts loop entries, not iteration advances: one activation
+// of a 10-trip loop reports 1.
+TEST(EmissionFanOut, SerialExecutionsCountsActivations) {
+  constexpr char kTenTrips[] =
+      "      PROGRAM TEN\n"
+      "      DIMENSION A(10)\n"
+      "      DO 10 I = 1, 10\n"
+      "        A(I) = FLOAT(I)\n"
+      "10    CONTINUE\n"
+      "      PRINT *, A(10)\n"
+      "      END\n";
+  auto s = loadSource(kTenTrips, "ten");
+  ASSERT_TRUE(s);
+  (void)markParallelLoops(*s, false);
+  const emit::EmissionReport rep = s->emitOpenMP();
+  ASSERT_EQ(rep.loops.size(), 1u);
+  const emit::LoopEmission& le = rep.loops.front();
+  ASSERT_TRUE(le.emitted) << le.refusal;
+  EXPECT_EQ(le.serialExecutions, 1);
+  EXPECT_NE(le.evidence.find("loop executed 1x serially"), std::string::npos)
+      << le.evidence;
+}
 
 // ---------------------------------------------------------------------------
 // Emission evidence persists in the program database

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <iostream>
+#include <map>
+#include <sstream>
+
+#include "emit/emit.h"
 #include "fortran/parser.h"
+#include "ped/session.h"
 #include "support/diagnostics.h"
+#include "workloads/emission_driver.h"
+#include "workloads/harness.h"
+#include "workloads/workloads.h"
 
 namespace ps::interp {
 namespace {
@@ -306,6 +317,68 @@ TEST(Machine, ProfileCountsHotLoop) {
   EXPECT_EQ(r.stmtCounts.at(after.id), 1);
 }
 
+TEST(Machine, LoopActivationsCountEntriesNotIterations) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(10)\n"
+      "      DO I = 1, 10\n"
+      "        A(I) = 1.0\n"
+      "      ENDDO\n"
+      "      DO K = 1, 3\n"
+      "        DO J = 1, 4\n"
+      "          A(J) = A(J) + 1.0\n"
+      "        ENDDO\n"
+      "      ENDDO\n"
+      "      END\n");
+  Machine m(*prog);
+  auto r = m.run();
+  ASSERT_TRUE(r.ok) << r.error;
+  const auto& main = *prog->units[0];
+  const auto& first = *main.body[0];
+  const auto& outer = *main.body[1];
+  const auto& inner = *outer.body[0];
+  EXPECT_EQ(r.loopActivations.at(first.id), 1);
+  EXPECT_EQ(r.loopActivations.at(outer.id), 1);
+  EXPECT_EQ(r.loopActivations.at(inner.id), 3);
+  // The profile still counts the DO statement once per entry plus once per
+  // iteration advance.
+  EXPECT_EQ(r.stmtCounts.at(first.id), 11);
+}
+
+TEST(Machine, ShuffledLoopRunsAloneWhateverTheMarkings) {
+  // Only the named loop runs shuffled with the race detector armed: the
+  // PARALLEL marking on the other loop is ignored, and an unmarked loop can
+  // be named.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(50)\n"
+      "      DO I = 1, 50\n"
+      "        A(I) = FLOAT(I)\n"
+      "      ENDDO\n"
+      "      PARALLEL DO I = 2, 50\n"
+      "        A(I) = A(I - 1) + 1.0\n"
+      "      ENDDO\n"
+      "      DO I = 2, 50\n"
+      "        A(I) = A(I - 1) * 0.5\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(50)\n"
+      "      END\n");
+  const auto& main = *prog->units[0];
+  Machine m(*prog);
+  RunOptions o;
+  o.shuffledLoop = main.body[2]->id;
+  auto r = m.run(o);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_FALSE(r.races.empty());
+  for (const Race& race : r.races) EXPECT_EQ(race.loop, main.body[2]->id);
+  o.shuffledLoop = main.body[0]->id;
+  r = m.run(o);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_FALSE(main.body[2]->isParallel);
+  EXPECT_TRUE(main.body[1]->isParallel);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel loops and the race detector
 // ---------------------------------------------------------------------------
@@ -438,6 +511,203 @@ TEST(Parallel, OutputComparisonAcrossSchedules) {
   ASSERT_TRUE(r1.ok && r2.ok);
   EXPECT_TRUE(r1.outputEquals(r2));
   EXPECT_TRUE(r1.races.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests on the eight decks
+// ---------------------------------------------------------------------------
+
+// The interpreter's observable behaviour on every deck, pinned as digests:
+// the serial run, the traced run (default and tight budgets), and three
+// shuffled schedules of every PARALLEL loop run alone with its emission
+// clauses. Storage creation order, trace element ids, iteration contexts,
+// race report order and step counts all feed a digest, so any drift in
+// them fails here.
+
+/// FNV-1a over the fields of interpreter results.
+class Fnv {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void num(long long v) { bytes(&v, sizeof v); }
+  void real(double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    bytes(&b, sizeof b);
+  }
+  void str(const std::string& s) {
+    num(static_cast<long long>(s.size()));
+    bytes(s.data(), s.size());
+  }
+  [[nodiscard]] std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+void hashRun(Fnv& h, const RunResult& r) {
+  h.num(r.ok);
+  h.str(r.error);
+  h.num(r.errorStmt);
+  h.num(r.stopStmt);
+  h.num(static_cast<long long>(r.output.size()));
+  for (double v : r.output) h.real(v);
+  h.num(r.steps);
+  h.num(static_cast<long long>(r.stmtCounts.size()));
+  for (const auto& [id, n] : r.stmtCounts) {
+    h.num(id);
+    h.num(n);
+  }
+  h.num(static_cast<long long>(r.races.size()));
+  for (const Race& race : r.races) {
+    h.num(race.loop);
+    h.str(race.variable);
+    h.num(race.iterationA);
+    h.num(race.iterationB);
+    h.num(race.outputOnly);
+  }
+}
+
+void hashTrace(Fnv& h, const Trace& t) {
+  h.num(static_cast<long long>(t.events.size()));
+  for (const TraceEvent& e : t.events) {
+    h.num(e.stmt);
+    h.num(e.element);
+    h.num(e.ctx);
+    h.num(e.isWrite);
+  }
+  h.num(static_cast<long long>(t.nodes.size()));
+  for (const IterNode& n : t.nodes) {
+    h.num(n.parent);
+    h.num(n.loop);
+    h.num(n.iter);
+  }
+  h.num(static_cast<long long>(t.elementVar.size()));
+  for (const std::string& v : t.elementVar) h.str(v);
+  h.num(static_cast<long long>(t.uninitReads.size()));
+  for (const UninitRead& u : t.uninitReads) {
+    h.num(u.stmt);
+    h.str(u.variable);
+  }
+  h.num(t.uninitReadCount);
+  h.num(t.eventsOverflowed);
+  h.num(t.elementsSaturated);
+  h.num(t.eventsDropped);
+}
+
+struct DeckDigests {
+  std::string serial, trace, traceTight, shuffled;
+  bool operator==(const DeckDigests&) const = default;
+};
+
+std::string tracedDigest(Machine& m, const RunOptions& serial,
+                         TraceLimits limits) {
+  Trace t;
+  t.limits = limits;
+  RunOptions o = serial;
+  o.trace = &t;
+  Fnv h;
+  hashRun(h, m.run(o));
+  hashTrace(h, t);
+  return h.hex();
+}
+
+DeckDigests digestDeck(const std::string& deck) {
+  DeckDigests d;
+  auto s = workloads::loadDeck(deck);
+  if (!s) return d;
+  (void)workloads::markParallelLoops(*s, /*forceAllLoops=*/true);
+  // The clause plan only: no relative runs, no round trip.
+  emit::EmitOptions eo;
+  eo.relativeValidation = false;
+  eo.roundTrip = false;
+  const emit::EmissionReport plan = s->emitOpenMP(eo);
+  Machine m(s->program());
+
+  RunOptions serial;
+  serial.checkParallel = false;
+  Fnv hs;
+  hashRun(hs, m.run(serial));
+  d.serial = hs.hex();
+  d.trace = tracedDigest(m, serial, TraceLimits{});
+  TraceLimits tight;
+  tight.maxEvents = 2000;
+  tight.maxElements = 256;
+  d.traceTight = tracedDigest(m, serial, tight);
+
+  Fnv hp;
+  for (const emit::LoopEmission& le : plan.loops) {
+    for (unsigned k = 0; k < 3; ++k) {
+      RunOptions o;
+      o.maxSteps = 20'000'000;
+      o.shuffleSeed = 12345u + 0x9e3779b9u * (k + 1);
+      o.shuffledLoop = le.loop;
+      o.parallelClauses[le.loop] = le.interpClauses;
+      hp.num(le.loop);
+      hashRun(hp, m.run(o));
+    }
+  }
+  d.shuffled = hp.hex();
+  return d;
+}
+
+// Recorded on the tree-walking interpreter that looked every variable up
+// by name, before slot resolution.
+const std::map<std::string, DeckDigests>& goldenDigests() {
+  static const std::map<std::string, DeckDigests> kGolden = {
+      {"spec77",
+       {"50fe743ef0529261", "007998490deecfd0",
+        "2490a944d3abad2a", "f74a78e8d21b25fd"}},
+      {"neoss",
+       {"e2c19a539a761aad", "6ce27aa38dbb2977",
+        "918681bf0a6d73b2", "39b57ea86f19b0e2"}},
+      {"nxsns",
+       {"5267fe52ae1ae6ac", "85562a53cd6d659c",
+        "85562a53cd6d659c", "55abc60a83521c7f"}},
+      {"dpmin",
+       {"42fa6291e6f25845", "ae39b0c2a6fcc535",
+        "f676c329600bb4f2", "28bed4bc9236ce48"}},
+      {"slab2d",
+       {"73f2f994432e02fc", "24bc634dc630ec70",
+        "ef9b95b319a99e15", "1d22e3e3be00cd6e"}},
+      {"slalom",
+       {"8c221b0b198225c5", "a87f7be4ef156e20",
+        "c60c2e3b5efc191b", "42f67384b6a23e9c"}},
+      {"pueblo3d",
+       {"6d4fe9e1121f8713", "9b616bb5191b04fb",
+        "b0dacd14d8c62f71", "64053f32ca0e967c"}},
+      {"arc3d",
+       {"b2273c7ca85c9762", "9a7b97221e9a53bc",
+        "0deeaa321c2ab1e0", "f7880ac4c2c255be"}},
+  };
+  return kGolden;
+}
+
+TEST(GoldenDigests, EveryDeckMatchesPinnedBehaviour) {
+  std::ostringstream table;
+  bool allMatch = true;
+  for (const workloads::Workload& w : workloads::all()) {
+    const DeckDigests got = digestDeck(w.name);
+    table << "      {\"" << w.name << "\",\n       {\"" << got.serial
+          << "\", \"" << got.trace << "\",\n        \"" << got.traceTight
+          << "\", \"" << got.shuffled << "\"}},\n";
+    auto it = goldenDigests().find(w.name);
+    const bool match = it != goldenDigests().end() && it->second == got;
+    EXPECT_TRUE(match) << w.name << " digests drifted";
+    allMatch = allMatch && match;
+  }
+  EXPECT_EQ(goldenDigests().size(), workloads::all().size());
+  if (!allMatch) std::cout << "computed digests:\n" << table.str();
 }
 
 }  // namespace

@@ -17,10 +17,13 @@
 #include <utility>
 #include <vector>
 
+#include "fortran/pretty.h"
 #include "interp/machine.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "support/taskpool.h"
 #include "validate/validate.h"
+#include "workloads/emission_driver.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
 
@@ -404,6 +407,138 @@ TEST_P(ValidationDecks, UnsoundDeletionsRefutedIdenticallyAcrossThreads) {
 INSTANTIATE_TEST_SUITE_P(All, ValidationDecks, ::testing::Values(
     "spec77", "neoss", "nxsns", "dpmin", "slab2d", "slalom", "pueblo3d",
     "arc3d"));
+
+// ---------------------------------------------------------------------------
+// Relative execution fans out on a pool without changing any answer.
+// ---------------------------------------------------------------------------
+
+/// The report and every failure record, rendered.
+std::string renderValidation(const validate::ValidationReport& rep,
+                             const ped::Session& s) {
+  std::string out = rep.str() + "\n";
+  for (const validate::RelativeResult& r : rep.relative) {
+    out += "stmt" + std::to_string(r.loop) + " x" +
+           std::to_string(r.serialExecutions) + " " + r.detail + "\n";
+  }
+  for (const ped::FailureReport& f : s.failures()) {
+    out += f.operation + (f.rolledBack ? " [rolled back] " : " ") + f.detail +
+           "\n";
+  }
+  return out;
+}
+
+/// Reject every pending edge of every loop: each loop the deletions make
+/// parallelizable becomes a relative-execution candidate.
+void deleteEveryPendingEdge(ped::Session& s) {
+  for (const std::string& proc : s.procedureNames()) {
+    ASSERT_TRUE(s.selectProcedure(proc));
+    for (const auto& row : s.loops()) {
+      ASSERT_TRUE(s.selectLoop(row.id));
+      ped::Session::DependenceFilter f;
+      f.mark = dep::DepMark::Pending;
+      (void)s.markAllMatching(f, dep::DepMark::Rejected, "looks parallel");
+    }
+  }
+}
+
+constexpr int kPoolWidths[] = {1, 2, 4, 8};
+
+TEST_P(ValidationDecks, RelativeFanOutIdenticalAtEveryPoolWidth) {
+  const std::string deck = GetParam();
+  std::string want;
+  for (int width : kPoolWidths) {
+    auto s = loadDeck(deck);
+    ASSERT_NE(s, nullptr);
+    deleteEveryPendingEdge(*s);
+    support::TaskPool pool(width);
+    ped::Session::ValidationOptions opts;
+    opts.pool = &pool;
+    const validate::ValidationReport rep = s->validateDeletions(opts);
+    ASSERT_TRUE(rep.ran) << deck << ": " << rep.error;
+    const std::string got = renderValidation(rep, *s);
+    if (width == 1) {
+      want = got;
+    } else {
+      EXPECT_EQ(got, want) << deck << " at pool width " << width;
+    }
+  }
+}
+
+TEST(RelativeExecution, DivergingCheckIdenticalAtEveryPoolWidth) {
+  std::string want;
+  for (int width : kPoolWidths) {
+    auto s = loadSource(kInterprocRecurrence, "iprec");
+    ASSERT_NE(s, nullptr);
+    deleteEveryPendingEdge(*s);
+    support::TaskPool pool(width);
+    ped::Session::ValidationOptions opts;
+    opts.pool = &pool;
+    const validate::ValidationReport rep = s->validateDeletions(opts);
+    ASSERT_TRUE(rep.ran) << rep.error;
+    EXPECT_GE(rep.relativeDivergences, 1) << rep.str();
+    const std::string got = renderValidation(rep, *s);
+    if (width == 1) {
+      want = got;
+    } else {
+      EXPECT_EQ(got, want) << "pool width " << width;
+    }
+  }
+}
+
+std::string parallelFlags(const fortran::Program& p) {
+  std::string out;
+  for (const auto& u : p.units) {
+    u->forEachStmt([&](const fortran::Stmt& s) {
+      if (s.kind == fortran::StmtKind::Do) {
+        out += std::to_string(s.id) + (s.isParallel ? "P " : "S ");
+      }
+    });
+  }
+  return out;
+}
+
+// Relative execution only reads the program: no marking flips, even on a
+// loop that is not PARALLEL-marked, and the batch answers exactly what
+// one-at-a-time checks answer while its runs share the program.
+TEST(RelativeExecution, ChecksLeaveProgramUntouchedAndBatchMatchesSingle) {
+  for (const std::string deck : {"slab2d", "dpmin"}) {
+    auto s = loadDeck(deck);
+    ASSERT_NE(s, nullptr);
+    (void)markParallelLoops(*s, /*forceAllLoops=*/false);
+    const fortran::Program& prog = s->program();
+    const std::string flags = parallelFlags(prog);
+    const std::string text = fortran::printProgram(prog);
+    ASSERT_NE(flags.find('P'), std::string::npos) << deck;
+    ASSERT_NE(flags.find('S'), std::string::npos) << deck;
+
+    interp::RunOptions serialOpts;
+    serialOpts.checkParallel = false;
+    const interp::RunResult serial = s->profile(serialOpts);
+    ASSERT_TRUE(serial.ok) << serial.error;
+    std::vector<validate::RelativeJob> jobs;
+    for (const auto& u : prog.units) {
+      u->forEachStmt([&](const fortran::Stmt& st) {
+        if (st.kind == fortran::StmtKind::Do) jobs.push_back({st.id, {}});
+      });
+    }
+    support::TaskPool pool(4);
+    const std::vector<validate::RelativeResult> batch =
+        validate::relativeCheckAll(prog, jobs, serial, 3, &pool);
+    ASSERT_EQ(batch.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const validate::RelativeResult one =
+          validate::relativeCheck(prog, jobs[i].loop, {}, serial, 3);
+      EXPECT_EQ(batch[i].loop, one.loop);
+      EXPECT_EQ(batch[i].ran, one.ran);
+      EXPECT_EQ(batch[i].diverged, one.diverged) << deck << " " << one.loop;
+      EXPECT_EQ(batch[i].serialExecutions, one.serialExecutions);
+      EXPECT_EQ(batch[i].detail, one.detail);
+      EXPECT_EQ(batch[i].raceVariables, one.raceVariables);
+    }
+    EXPECT_EQ(parallelFlags(prog), flags) << deck;
+    EXPECT_EQ(fortran::printProgram(prog), text) << deck;
+  }
+}
 
 // At least one deck must actually yield witnessed pending edges, or the
 // whole parameterized suite proves nothing.
