@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 scrub_pdb_cache() {
   rm -rf .pscache
   find . -name '*.pspdb' -not -path './build*' -delete 2>/dev/null || true
-  find build build-tsan -name '*.pspdb' -delete 2>/dev/null || true
+  find build build-tsan build-asan -name '*.pspdb' -delete 2>/dev/null || true
 }
 scrub_pdb_cache
 
@@ -39,6 +39,28 @@ PS_FUZZ_ITERS="${PS_FUZZ_ITERS:-1500}" ./build/tests/fuzz_robustness_test
 # whole-program analysis routed through the task-DAG engine at 4 threads.
 PS_FUZZ_ITERS="${PS_FUZZ_ITERS:-1500}" PS_FUZZ_PARALLEL=4 \
   ./build/tests/fuzz_robustness_test
+
+# Elevated edit storm: 200 fixed-seed edits per deck instead of the ctest
+# default of 6, every one checked for bit-identical analysis state and a
+# live call graph across the sequential, scratch and 1-16 thread sessions.
+PS_STORM_EDITS=200 ./build/tests/edit_storm_test
+
+# AddressSanitizer stage: the suites that mutate the AST through edits,
+# transformations and rollbacks, plus the dependence builder they drive,
+# rebuilt with -fsanitize=address. Edits refresh the call graph only at the
+# edited procedure, so a transformation that frees a CALL without
+# refreshing it shows up here as a heap-use-after-free.
+cmake -B build-asan -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+asan_suites="property_test ped_session_test transform_test interproc_test
+  composition_test edit_storm_test fuzz_robustness_test dependence_test"
+# shellcheck disable=SC2086  # the list is split on purpose
+cmake --build build-asan -j --target $asan_suites
+for t in $asan_suites; do
+  ./build-asan/tests/"$t"
+done
+scrub_pdb_cache
 
 # Dynamic-validation stage: the trace-backed deletion checker. The suite
 # injects known-unsound deletions on every deck and requires them refuted

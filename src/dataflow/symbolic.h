@@ -31,6 +31,10 @@ struct AuxInduction {
 struct Relation {
   std::string name;
   LinearExpr value;
+
+  [[nodiscard]] bool operator==(const Relation& o) const {
+    return name == o.name && value == o.value;
+  }
 };
 
 /// Per-procedure symbolic analysis: auxiliary induction variables,

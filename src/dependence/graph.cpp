@@ -211,6 +211,9 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
       // subscripts whose unique reaching definition is an assignment inside
       // the same loop (so the value is this iteration's).
       if (loop) {
+        // One copy of the nest path: nestPath() returns by value, so
+        // iterators from two calls must never be compared.
+        const std::vector<const Loop*> nest = loop->nestPath();
         std::set<std::string> wanted;
         s->forEachExpr([&](const Expr& e) {
           if (e.kind == ExprKind::VarRef) wanted.insert(e.name);
@@ -224,8 +227,7 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
           bool defInNest = false;
           for (const Loop* l = defLoop; l; l = l->parent) {
             if (l == loop ||
-                std::find(loop->nestPath().begin(), loop->nestPath().end(),
-                          l) != loop->nestPath().end()) {
+                std::find(nest.begin(), nest.end(), l) != nest.end()) {
               defInNest = true;
               break;
             }

@@ -23,13 +23,22 @@ class CallGraph {
  public:
   static CallGraph build(const fortran::Program& program);
 
+  /// Every call site, units in program order and each unit's sites in
+  /// statement pre-order.
   [[nodiscard]] const std::vector<CallSite>& callSites() const {
     return sites_;
   }
+  /// The sites of one caller / of one callee, in callSites() order.
   [[nodiscard]] std::vector<const CallSite*> callsFrom(
       const std::string& caller) const;
   [[nodiscard]] std::vector<const CallSite*> callsTo(
       const std::string& callee) const;
+
+  /// Re-point `unit`'s sites at its current statements after an edit
+  /// replaced some of them. Succeeds only when the unit's callee sequence is
+  /// unchanged, so the graph then equals build() over the current program.
+  /// Otherwise returns false and leaves the graph untouched.
+  bool refreshCaller(const fortran::Procedure& unit);
 
   /// Procedure names in reverse topological (callee-first) order, suitable
   /// for bottom-up summary propagation. Procedures on cycles (recursion)
@@ -51,6 +60,9 @@ class CallGraph {
 
  private:
   std::vector<CallSite> sites_;
+  /// Indices into sites_, ascending, keyed by caller and by callee.
+  std::map<std::string, std::vector<std::size_t>> byCaller_;
+  std::map<std::string, std::vector<std::size_t>> byCallee_;
   std::vector<std::string> bottomUp_;
   std::vector<std::string> recursive_;
   std::vector<std::string> unresolved_;

@@ -244,6 +244,21 @@ bool sameShape(const CallGraph& a, const CallGraph& b) {
   return edges(a) == edges(b);
 }
 
+/// Insert every procedure whose formal-constant entry differs between `a`
+/// and `b` (present in only one, or with different values) into `out`.
+void diffFormalConstants(
+    const std::map<std::string, std::map<std::string, long long>>& a,
+    const std::map<std::string, std::map<std::string, long long>>& b,
+    std::set<std::string>* out) {
+  for (const auto& [name, consts] : a) {
+    auto it = b.find(name);
+    if (it == b.end() || it->second != consts) out->insert(name);
+  }
+  for (const auto& [name, consts] : b) {
+    if (!a.count(name)) out->insert(name);
+  }
+}
+
 }  // namespace
 
 bool operator==(const VarEffect& a, const VarEffect& b) {
@@ -350,17 +365,36 @@ const ProcSummary* SummaryBuilder::phaseSummaryOf(
   return summaryOf(name);
 }
 
-SummaryBuilder::Update SummaryBuilder::applyEdit(
-    const std::set<std::string>& editedProcs) {
-  Update up;
+bool SummaryBuilder::refreshCallGraph(const std::set<std::string>& procs) {
+  // Only `procs` changed, and every other unit's sites already point at
+  // live statements: re-pointing theirs reproduces CallGraph::build.
+  bool refreshed = true;
+  for (const std::string& name : procs) {
+    const Procedure* proc = program_.findUnit(name);
+    if (!proc || !callGraph_.refreshCaller(*proc)) {
+      refreshed = false;
+      break;
+    }
+  }
+  if (refreshed) return true;
   CallGraph fresh = CallGraph::build(program_);
   const bool shapeKept = sameShape(callGraph_, fresh);
-  // Always adopt the fresh graph: CallSite::stmt pointers must track the
-  // live AST (the old ones dangle after statement replacement).
   callGraph_ = std::move(fresh);
   recursiveNames_.clear();
   recursiveNames_.insert(callGraph_.recursive().begin(),
                          callGraph_.recursive().end());
+  return shapeKept;
+}
+
+void SummaryBuilder::refreshCallSites(const std::string& procName) {
+  if (!refreshCallGraph({procName})) shapeMoved_ = true;
+}
+
+SummaryBuilder::Update SummaryBuilder::applyEdit(
+    const std::set<std::string>& editedProcs) {
+  Update up;
+  const bool shapeKept = refreshCallGraph(editedProcs) && !shapeMoved_;
+  shapeMoved_ = false;
 
   if (!shapeKept) {
     // Procedures or call edges appeared/disappeared: rebuild everything
@@ -382,7 +416,22 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     return up;
   }
 
+  // Formal constants read call-site literals through the (now live) graph;
+  // recomputing them is linear in the call sites. Diffing against the
+  // previous table also catches literals a transformation moved.
+  const auto oldFormals = std::move(formalConstants_);
   computeFormalConstants();
+  diffFormalConstants(oldFormals, formalConstants_,
+                      &up.formalConstantsChanged);
+
+  // Procedures to re-summarize: the edited ones plus every caller of a
+  // summary that actually changed. Their analyses are the stale ones.
+  std::set<std::string> dirty = editedProcs;
+  auto markCallers = [&](const std::string& callee) {
+    for (const CallSite* cs : callGraph_.callsTo(callee)) {
+      dirty.insert(cs->caller);
+    }
+  };
 
   // Recursive worst-case summaries track the procedure's current AST
   // (formals + COMMON decls); rebuild and diff them in place.
@@ -390,50 +439,43 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     Procedure* proc = program_.findUnit(name);
     if (!proc) continue;
     ProcSummary ns = worstCaseSummary(name, *proc);
-    if (!(ns == summaries_[name])) up.changedSummaries.insert(name);
+    if (!(ns == summaries_[name])) {
+      up.changedSummaries.insert(name);
+      markCallers(name);
+    }
     summaries_[name] = std::move(ns);
   }
 
   // Bottom-up: re-summarize the edited procedures plus every procedure one
-  // of whose resolved callee summaries actually changed. Everything else
+  // of whose resolved callee summaries actually changed (callees come
+  // first, so a caller is marked before it is reached). Everything else
   // keeps its summary — summarize() is a pure function of the procedure's
   // AST and its direct callee summaries (recursive callees filtered to
   // unknown either way), so the untouched fixed point is what a fresh
   // eager build would recompute.
   for (const std::string& name : callGraph_.bottomUpOrder()) {
+    if (!dirty.count(name)) continue;
     Procedure* proc = program_.findUnit(name);
     if (!proc) continue;
-    bool dirty = editedProcs.count(name) > 0;
-    if (!dirty) {
-      for (const CallSite* cs : callGraph_.callsFrom(name)) {
-        if (up.changedSummaries.count(cs->callee)) {
-          dirty = true;
-          break;
-        }
-      }
-    }
-    if (!dirty) continue;
     up.resummarized.insert(name);
     ProcSummary old = std::move(summaries_[name]);
     summarize(*proc);
-    if (!(summaries_[name] == old)) up.changedSummaries.insert(name);
-  }
-
-  // The census is a cheap whole-program AST scan; rerun it unconditionally.
-  // Callers diff inherited facts per procedure to find contexts that
-  // actually changed.
-  computeGlobalFacts();
-
-  up.staleAnalyses = editedProcs;
-  for (const auto& u : program_.units) {
-    if (up.staleAnalyses.count(u->name)) continue;
-    for (const CallSite* cs : callGraph_.callsFrom(u->name)) {
-      if (up.changedSummaries.count(cs->callee)) {
-        up.staleAnalyses.insert(u->name);
-        break;
-      }
+    if (!(summaries_[name] == old)) {
+      up.changedSummaries.insert(name);
+      markCallers(name);
     }
   }
+
+  // The census is a whole-program AST scan; rerun it unconditionally and
+  // report whether it moved, so callers diff only the contexts that can
+  // have changed.
+  const auto oldConstants = std::move(globalConstants_);
+  const auto oldRelations = std::move(globalRelations_);
+  computeGlobalFacts();
+  up.globalFactsChanged = oldConstants != globalConstants_ ||
+                          oldRelations != globalRelations_;
+
+  up.staleAnalyses = std::move(dirty);
   return up;
 }
 

@@ -109,18 +109,29 @@ class SummaryBuilder {
     /// Procedures whose dependence analysis is invalidated by the edit:
     /// the edited procedures plus every procedure with a call site whose
     /// callee summary changed. (Inherited-fact changes are diffed by the
-    /// caller per materialized workspace.)
+    /// caller, for the procedures the two fields below name.)
     std::set<std::string> staleAnalyses;
+    /// Procedures whose formal constants (call-site literals) changed.
+    std::set<std::string> formalConstantsChanged;
+    /// The COMMON census (global constants and relations) changed: every
+    /// procedure declaring COMMON may inherit different facts.
+    bool globalFactsChanged = false;
   };
 
   /// Re-establish all summaries after `editedProcs` had statements edited,
   /// re-summarizing only the edited procedures and the callers transitively
-  /// reached by actual summary changes. The call graph is rebuilt
-  /// unconditionally (its CallSite::stmt pointers must track the live AST).
-  /// Post-state is bit-identical to a from-scratch eager build. Summaries
-  /// are updated in place, so InterproceduralOracles holding a reference to
-  /// this builder stay valid.
+  /// reached by actual summary changes. The call graph is refreshed at the
+  /// edited procedures (CallSite::stmt must track the live AST) and rebuilt
+  /// only when their callee sequences moved. Post-state is bit-identical to
+  /// a from-scratch eager build. Summaries are updated in place, so
+  /// InterproceduralOracles holding a reference to this builder stay valid.
   Update applyEdit(const std::set<std::string>& editedProcs);
+
+  /// Keep the call graph live after a transformation rewrote `procName`'s
+  /// body (it may have cloned or freed CALL statements). Summaries are left
+  /// as they are; when the call shape moved, the next applyEdit rebuilds
+  /// every summary as though the transformation had been an edit.
+  void refreshCallSites(const std::string& procName);
 
   [[nodiscard]] const ProcSummary* summaryOf(const std::string& name) const;
   [[nodiscard]] const CallGraph& callGraph() const { return callGraph_; }
@@ -150,6 +161,10 @@ class SummaryBuilder {
 
  private:
   void summarize(fortran::Procedure& proc);
+  /// Bring callGraph_ up to date after `procs` changed: re-point their
+  /// sites, or rebuild the graph when a callee sequence moved. False when
+  /// the rebuilt graph's shape differs from the previous one.
+  bool refreshCallGraph(const std::set<std::string>& procs);
   /// Formal constants from call-site literals (AST + call graph only, no
   /// summaries involved) — computed at construction so the parallel driver
   /// can read inherited constants concurrently with the census.
@@ -175,6 +190,8 @@ class SummaryBuilder {
 
   fortran::Program& program_;
   CallGraph callGraph_;
+  /// A transformation moved the call shape since the last summary update.
+  bool shapeMoved_ = false;
   std::set<std::string> recursiveNames_;  // callGraph_.recursive(), as a set
   std::map<std::string, ProcSummary> summaries_;
   std::map<std::string, long long> globalConstants_;       // COMMON var -> value

@@ -1105,29 +1105,43 @@ void Session::reapplyMarks(dep::DependenceGraph& g) const {
 // Transactions & invariant auditing
 // ---------------------------------------------------------------------------
 
-Session::Snapshot Session::takeSnapshot() const {
+namespace {
+
+/// Id-preserving deep copy of one unit.
+fortran::ProcedurePtr cloneUnit(const Procedure& unit) {
+  auto copy = std::make_unique<Procedure>();
+  copy->kind = unit.kind;
+  copy->name = unit.name;
+  copy->params = unit.params;
+  copy->returnType = unit.returnType;
+  copy->loc = unit.loc;
+  for (const auto& d : unit.decls) copy->decls.push_back(d.clone());
+  for (const auto& s : unit.body) copy->body.push_back(s->clone());
+  // Stmt::clone() deliberately drops ids; restore them by parallel
+  // pre-order traversal (clone preserves shape) so a rollback reproduces
+  // the exact pre-operation id assignment.
+  std::vector<StmtId> ids;
+  unit.forEachStmt([&](const Stmt& s) { ids.push_back(s.id); });
+  std::size_t i = 0;
+  copy->forEachStmtMutable([&](Stmt& s) {
+    if (i < ids.size()) s.id = ids[i];
+    ++i;
+  });
+  return copy;
+}
+
+}  // namespace
+
+Session::Snapshot Session::takeSnapshot(Procedure* only) const {
   Snapshot snap;
   snap.nextStmtId = program_->nextStmtId;
+  snap.unit = only;
+  if (only) {
+    snap.units.push_back(cloneUnit(*only));
+    return snap;
+  }
   for (const auto& unit : program_->units) {
-    auto copy = std::make_unique<Procedure>();
-    copy->kind = unit->kind;
-    copy->name = unit->name;
-    copy->params = unit->params;
-    copy->returnType = unit->returnType;
-    copy->loc = unit->loc;
-    for (const auto& d : unit->decls) copy->decls.push_back(d.clone());
-    for (const auto& s : unit->body) copy->body.push_back(s->clone());
-    // Stmt::clone() deliberately drops ids; restore them by parallel
-    // pre-order traversal (clone preserves shape) so a rollback reproduces
-    // the exact pre-operation id assignment.
-    std::vector<StmtId> ids;
-    unit->forEachStmt([&](const Stmt& s) { ids.push_back(s.id); });
-    std::size_t i = 0;
-    copy->forEachStmtMutable([&](Stmt& s) {
-      if (i < ids.size()) s.id = ids[i];
-      ++i;
-    });
-    snap.units.push_back(std::move(copy));
+    snap.units.push_back(cloneUnit(*unit));
   }
   return snap;
 }
@@ -1135,16 +1149,20 @@ Session::Snapshot Session::takeSnapshot() const {
 void Session::restoreSnapshot(Snapshot&& snap) {
   // Restore pre-existing units *in place*: Workspaces hold references to
   // these Procedure objects, so their addresses must survive the rollback.
-  for (std::size_t i = 0;
-       i < snap.units.size() && i < program_->units.size(); ++i) {
-    *program_->units[i] = std::move(*snap.units[i]);
-  }
-  // Units added since the snapshot (Loop Extraction creates one) are
-  // dropped, together with any workspace built over them.
-  while (program_->units.size() > snap.units.size()) {
-    workspaces_.erase(program_->units.back()->name);
-    oracles_.erase(program_->units.back()->name);
-    program_->units.pop_back();
+  if (snap.unit) {
+    *snap.unit = std::move(*snap.units.front());
+  } else {
+    for (std::size_t i = 0;
+         i < snap.units.size() && i < program_->units.size(); ++i) {
+      *program_->units[i] = std::move(*snap.units[i]);
+    }
+    // Units added since the snapshot (Loop Extraction creates one) are
+    // dropped, together with any workspace built over them.
+    while (program_->units.size() > snap.units.size()) {
+      workspaces_.erase(program_->units.back()->name);
+      oracles_.erase(program_->units.back()->name);
+      program_->units.pop_back();
+    }
   }
   program_->nextStmtId = snap.nextStmtId;
 
@@ -1184,6 +1202,12 @@ void Session::recordFailure(std::string operation, std::string detail,
                             bool rolledBack) {
   failures_.push_back(
       {std::move(operation), std::move(detail), rolledBack});
+}
+
+void Session::corruptIfArmed(Procedure& proc) {
+  if (fault_ != Fault::CorruptState) return;
+  fault_ = Fault::None;
+  if (proc.body.size() >= 2) proc.body.back()->id = proc.body.front()->id;
 }
 
 bool Session::auditAfter(const std::string& operation, Snapshot* snap,
@@ -1811,17 +1835,14 @@ bool Session::applyTransformation(const std::string& name,
     for (auto& [n, w] : workspaces_) {
       w->actx = contextFor(n);
     }
+  } else {
+    // The rewrite may have cloned or freed CALL statements: keep the call
+    // graph pointing at live ones (checkInterfaces and the next edit's
+    // summary update read them).
+    summaries_->refreshCallSites(current_);
   }
 
-  if (fault_ == Fault::CorruptState) {
-    // Corrupt the program after a successful apply: the post-apply audit
-    // must catch it and roll back.
-    fault_ = Fault::None;
-    if (ws.proc.body.size() >= 2) {
-      ws.proc.body.back()->id = ws.proc.body.front()->id;
-    }
-  }
-
+  corruptIfArmed(ws.proc);
   if (!auditAfter(name, &snap, error)) return false;
 
   ++counters_.transformationsApplied;
@@ -1841,11 +1862,6 @@ fortran::StmtPtr parseStatementInContext(const Procedure& proc,
                                          const std::string& text,
                                          DiagnosticEngine& diags) {
   std::string src = "      SUBROUTINE EDITCTX\n";
-  fortran::PrettyOptions opts;
-  // Reuse the pretty-printer's declaration section.
-  std::string full = fortran::printProcedure(proc, opts);
-  // Extract declaration lines (between the header and the first executable
-  // statement) — simpler: rebuild decls directly.
   for (const auto& d : proc.decls) {
     if (d.isParameter) continue;
     src += "      ";
@@ -1861,7 +1877,6 @@ fortran::StmtPtr parseStatementInContext(const Procedure& proc,
     }
     src += '\n';
   }
-  (void)full;
   src += "      " + text + "\n      END\n";
   DiagnosticEngine local;
   auto prog = fortran::parseSource(src, local);
@@ -1898,20 +1913,24 @@ bool Session::finishEdit(const std::string& operation,
     for (const auto& u : program_->units) pendingDirty_.insert(u->name);
   } else {
     pendingDirty_.insert(up.staleAnalyses.begin(), up.staleAnalyses.end());
-    for (const auto& [name, w] : workspaces_) {
-      if (pendingDirty_.count(name)) continue;
-      bool same = w->actx.inheritedConstants ==
-                  summaries_->inheritedConstantsFor(name);
-      if (same) {
-        std::vector<dataflow::Relation> rels =
-            summaries_->inheritedRelationsFor(name);
-        same = rels.size() == w->actx.inheritedRelations.size();
-        for (std::size_t i = 0; same && i < rels.size(); ++i) {
-          same = rels[i].name == w->actx.inheritedRelations[i].name &&
-                 rels[i].value == w->actx.inheritedRelations[i].value;
-        }
+    // Every materialized workspace outside the dirty set holds the facts
+    // the builder had before this edit, so only procedures whose inherited
+    // inputs moved can differ: those with changed formal constants and,
+    // when the census moved, every COMMON user.
+    std::set<std::string> moved = std::move(up.formalConstantsChanged);
+    if (up.globalFactsChanged) {
+      for (const auto& [name, w] : workspaces_) {
+        if (summaries_->usesGlobalFacts(name)) moved.insert(name);
       }
-      if (!same) pendingDirty_.insert(name);
+    }
+    for (const std::string& name : moved) {
+      auto it = workspaces_.find(name);
+      if (it == workspaces_.end() || pendingDirty_.count(name)) continue;
+      const dep::AnalysisContext& actx = it->second->actx;
+      if (actx.inheritedConstants != summaries_->inheritedConstantsFor(name) ||
+          actx.inheritedRelations != summaries_->inheritedRelationsFor(name)) {
+        pendingDirty_.insert(name);
+      }
     }
   }
 
@@ -1923,6 +1942,7 @@ bool Session::finishEdit(const std::string& operation,
   } else {
     settleEdits();
   }
+  corruptIfArmed(ws.proc);
   return auditAfter(operation, &snap, nullptr);
 }
 
@@ -1942,7 +1962,7 @@ bool Session::editStatement(StmtId id, const std::string& newText) {
     recordFailure("editStatement", "does not parse: " + newText, false);
     return false;
   }
-  Snapshot snap = takeSnapshot();
+  Snapshot snap = takeSnapshot(&ws.proc);
   fresh->label = (*container)[index]->label;  // labels survive edits
   (*container)[index] = std::move(fresh);
   return finishEdit("editStatement", ws, snap);
@@ -1962,7 +1982,7 @@ bool Session::insertStatementAfter(StmtId id, const std::string& text) {
     recordFailure("insertStatementAfter", "does not parse: " + text, false);
     return false;
   }
-  Snapshot snap = takeSnapshot();
+  Snapshot snap = takeSnapshot(&ws.proc);
   container->insert(container->begin() + static_cast<long>(index + 1),
                     std::move(fresh));
   return finishEdit("insertStatementAfter", ws, snap);
@@ -1977,7 +1997,7 @@ bool Session::deleteStatement(StmtId id) {
                   false);
     return false;
   }
-  Snapshot snap = takeSnapshot();
+  Snapshot snap = takeSnapshot(&ws.proc);
   container->erase(container->begin() + static_cast<long>(index));
   return finishEdit("deleteStatement", ws, snap);
 }

@@ -36,8 +36,9 @@ enum class Fault {
   /// The transformation mutates the program, then reports failure — the
   /// partial mutation must be rolled back.
   MidApply,
-  /// State is corrupted (duplicate statement id) after a successful apply —
-  /// the post-apply audit must catch it and roll back.
+  /// State is corrupted (duplicate statement id) after a successful
+  /// transformation or statement edit — the post-operation audit must catch
+  /// it and roll back.
   CorruptState,
 };
 
@@ -625,18 +626,22 @@ class Session {
                                    dep::TestStats* sink,
                                    support::TaskPool* pool) const;
 
-  /// Id-preserving deep copy of the whole program (all units, statement ids,
-  /// labels, nextStmtId) taken before any mutating operation.
+  /// Id-preserving deep copy of the program (units, statement ids, labels,
+  /// nextStmtId) taken before any mutating operation.
   struct Snapshot {
     std::vector<fortran::ProcedurePtr> units;
     fortran::StmtId nextStmtId = 1;
+    /// Set when `units` holds a copy of this one unit only.
+    fortran::Procedure* unit = nullptr;
   };
-  [[nodiscard]] Snapshot takeSnapshot() const;
+  /// Copies every unit, or only `only`: a statement edit mutates nothing
+  /// but that unit's body and the id counter.
+  [[nodiscard]] Snapshot takeSnapshot(fortran::Procedure* only = nullptr) const;
   /// Restore the program from a snapshot *in place* — pre-existing Procedure
   /// objects keep their addresses (Workspaces hold references to them) and
-  /// units added since the snapshot are dropped. Every materialized
-  /// workspace is rebuilt from scratch (its graph held pointers into the
-  /// replaced AST).
+  /// units added since a whole-program snapshot are dropped. Every
+  /// materialized workspace is rebuilt from scratch (its graph held pointers
+  /// into the replaced AST).
   void restoreSnapshot(Snapshot&& snap);
   /// Post-operation audit hook: runs the auditor per auditMode_; on a
   /// violation rolls back to `snap` (when given), records a FailureReport
@@ -645,11 +650,15 @@ class Session {
                   std::string* error);
   void recordFailure(std::string operation, std::string detail,
                      bool rolledBack);
+  /// Fire an armed Fault::CorruptState on `proc` (a duplicate statement id
+  /// the post-operation audit must catch).
+  void corruptIfArmed(fortran::Procedure& proc);
   /// Shared tail of the three edit operations: re-assign statement ids,
   /// update the interprocedural summaries in place, fold the resulting
   /// invalidation set (stale analyses + materialized workspaces whose
   /// inherited facts moved) into pendingDirty_, then either settle now or
-  /// leave the set pending (deferred mode). Ends with the post-edit audit.
+  /// leave the set pending (deferred mode). Ends with the post-edit audit,
+  /// which rolls back to `snap` (a snapshot of the edited unit) on failure.
   bool finishEdit(const std::string& operation, transform::Workspace& ws,
                   Snapshot& snap);
 

@@ -63,6 +63,30 @@ std::string analysisSnapshot(ped::Session& s) {
   return os.str();
 }
 
+std::string callGraphDrift(ped::Session& s) {
+  const interproc::CallGraph& live = s.summaries().callGraph();
+  const interproc::CallGraph fresh = interproc::CallGraph::build(s.program());
+  const auto& have = live.callSites();
+  const auto& want = fresh.callSites();
+  if (have.size() != want.size()) {
+    return std::to_string(have.size()) + " sites, a fresh build has " +
+           std::to_string(want.size());
+  }
+  for (std::size_t i = 0; i < have.size(); ++i) {
+    if (have[i].caller != want[i].caller || have[i].callee != want[i].callee ||
+        have[i].stmt != want[i].stmt) {
+      return "site " + std::to_string(i) + " " + have[i].caller + "->" +
+             have[i].callee + " differs from the fresh " + want[i].caller +
+             "->" + want[i].callee + " (id " +
+             std::to_string(want[i].stmt->id) + ")";
+    }
+  }
+  if (live.bottomUpOrder() != fresh.bottomUpOrder()) return "bottom-up order";
+  if (live.recursive() != fresh.recursive()) return "recursive set";
+  if (live.unresolved() != fresh.unresolved()) return "unresolved callees";
+  return "";
+}
+
 namespace {
 
 std::size_t pick(Rng& rng, std::size_t n) {

@@ -32,6 +32,13 @@ std::string serializeDep(const dep::Dependence& d);
 /// iff their analysis states are bit-identical.
 std::string analysisSnapshot(ped::Session& s);
 
+/// Empty when the session's summary call graph equals a fresh
+/// CallGraph::build over its current program: the same sites (caller,
+/// callee and statement pointer) in the same order, and the same
+/// bottom-up, recursive and unresolved lists. Otherwise the first
+/// difference. Never dereferences a live site's statement.
+std::string callGraphDrift(ped::Session& s);
+
 struct EditStep {
   enum class Kind { Rewrite, Insert, Delete };
   Kind kind = Kind::Rewrite;

@@ -228,6 +228,25 @@ TEST(Graph, LoopIndependentFlowDep) {
   EXPECT_TRUE(foundIndep);
 }
 
+TEST(Graph, DefinitionInSiblingLoopIsNotForwardSubstituted) {
+  // K's unique reaching definition sits in an earlier loop, outside the
+  // use's nest: K holds that loop's final value, not this iteration's J,
+  // so A(K) is one element on every iteration and the loop carries a
+  // dependence. Substituting K = J here would call it parallel.
+  auto b = buildGraph(
+      "      SUBROUTINE S(A, N)\n"
+      "      REAL A(N)\n"
+      "      DO J = 1, N\n"
+      "        K = J\n"
+      "      ENDDO\n"
+      "      DO J = 1, N\n"
+      "        A(K) = A(K) + 1.0\n"
+      "      ENDDO\n"
+      "      END\n");
+  ASSERT_EQ(b.model->topLevelLoops().size(), 2u);
+  EXPECT_FALSE(b.graph.parallelizable(*b.model->topLevelLoops()[1]));
+}
+
 TEST(Graph, TwoDimensionalInterchangeCandidate) {
   // Carried dependence on the outer (J) loop only.
   auto b = buildGraph(

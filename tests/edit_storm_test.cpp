@@ -15,7 +15,8 @@
 //
 // After EVERY edit the observable analysis state — every field of every
 // dependence edge in every procedure, the degradation report, and a deep
-// audit — must be bit-identical across all six. This is the tentpole's
+// audit — must be bit-identical across all six, and every session's summary
+// call graph must equal a fresh CallGraph::build. This is the tentpole's
 // hard invariant; the suite also runs under TSan in CI.
 //
 // The snapshot and the edit generator live in workloads/harness.{h,cpp},
@@ -73,6 +74,10 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
     const bool okSeq = applyStep(*seq, step);
     const bool okFull = applyStep(*full, step);
     EXPECT_EQ(okSeq, okFull) << deck << " edit " << k;
+    // The summary update refreshes the call graph only at the edited
+    // procedure; it must still equal a fresh build.
+    EXPECT_EQ(callGraphDrift(*seq), "") << deck << " edit " << k;
+    EXPECT_EQ(callGraphDrift(*full), "") << deck << " edit " << k;
     full->fullReanalysis();
     const std::string want = analysisSnapshot(*seq);
     EXPECT_EQ(want, analysisSnapshot(*full))
@@ -81,6 +86,8 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
     for (std::size_t i = 0; i < par.size(); ++i) {
       const bool okPar = applyStep(*par[i], step);
       EXPECT_EQ(okSeq, okPar)
+          << deck << " edit " << k << " @" << threadCounts[i] << " threads";
+      EXPECT_EQ(callGraphDrift(*par[i]), "")
           << deck << " edit " << k << " @" << threadCounts[i] << " threads";
       ped::ParallelReport rep = par[i]->analyzeParallel(threadCounts[i]);
       if (okSeq) {

@@ -86,6 +86,91 @@ TEST(CallGraph, UnresolvedLibraryCalls) {
   EXPECT_EQ(cg.unresolved()[0], "LIBFN");
 }
 
+/// Site-for-site equality (caller, callee, statement pointer) plus the
+/// derived orders.
+void expectSameGraph(const CallGraph& got, const CallGraph& want) {
+  ASSERT_EQ(got.callSites().size(), want.callSites().size());
+  for (std::size_t i = 0; i < want.callSites().size(); ++i) {
+    EXPECT_EQ(got.callSites()[i].caller, want.callSites()[i].caller) << i;
+    EXPECT_EQ(got.callSites()[i].callee, want.callSites()[i].callee) << i;
+    EXPECT_EQ(got.callSites()[i].stmt, want.callSites()[i].stmt) << i;
+  }
+  EXPECT_EQ(got.bottomUpOrder(), want.bottomUpOrder());
+  EXPECT_EQ(got.recursive(), want.recursive());
+  EXPECT_EQ(got.unresolved(), want.unresolved());
+}
+
+const char* kInterleaved =
+    "      PROGRAM MAIN\n"
+    "      CALL B\n"
+    "      CALL A\n"
+    "      X = F(1.0) + G(2.0)\n"
+    "      CALL B\n"
+    "      END\n"
+    "      SUBROUTINE A\n"
+    "      CALL B\n"
+    "      Y = F(3.0)\n"
+    "      END\n"
+    "      SUBROUTINE B\n"
+    "      END\n"
+    "      REAL FUNCTION F(X)\n"
+    "      F = X\n"
+    "      END\n"
+    "      REAL FUNCTION G(X)\n"
+    "      G = X\n"
+    "      END\n";
+
+TEST(CallGraph, IndexedLookupsReturnSitesInProgramOrder) {
+  auto prog = parse(kInterleaved);
+  CallGraph cg = CallGraph::build(*prog);
+  ASSERT_EQ(cg.callSites().size(), 7u);
+  // The indexed lookups answer exactly what a scan of every site would.
+  for (const std::string name : {"MAIN", "A", "B", "F", "G", "NONE"}) {
+    std::vector<const CallSite*> from, to;
+    for (const CallSite& s : cg.callSites()) {
+      if (s.caller == name) from.push_back(&s);
+      if (s.callee == name) to.push_back(&s);
+    }
+    EXPECT_EQ(cg.callsFrom(name), from) << name;
+    EXPECT_EQ(cg.callsTo(name), to) << name;
+  }
+  EXPECT_EQ(cg.callsTo("B").size(), 3u);
+  EXPECT_EQ(cg.textual(), "A: B F\nMAIN: B A F G B\n");
+}
+
+TEST(CallGraph, RefreshRepointsSitesAtReplacedStatements) {
+  auto prog = parse(kInterleaved);
+  CallGraph cg = CallGraph::build(*prog);
+  fortran::Procedure* main = prog->findUnit("MAIN");
+  // Copies carry the same callees at new addresses; the originals are freed.
+  main->body[1] = main->body[1]->clone();
+  main->body[2] = main->body[2]->clone();
+  EXPECT_TRUE(cg.refreshCaller(*main));
+  expectSameGraph(cg, CallGraph::build(*prog));
+}
+
+TEST(CallGraph, RefreshWithMovedCalleesLeavesGraphUntouched) {
+  auto prog = parse(kInterleaved);
+  CallGraph cg = CallGraph::build(*prog);
+  const std::vector<CallSite> before = cg.callSites();
+  auto expectUntouched = [&] {
+    ASSERT_EQ(cg.callSites().size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(cg.callSites()[i].caller, before[i].caller) << i;
+      EXPECT_EQ(cg.callSites()[i].callee, before[i].callee) << i;
+      EXPECT_EQ(cg.callSites()[i].stmt, before[i].stmt) << i;
+    }
+  };
+  fortran::Procedure* main = prog->findUnit("MAIN");
+  std::swap(main->body[0], main->body[1]);  // CALL A now precedes CALL B
+  EXPECT_FALSE(cg.refreshCaller(*main));
+  expectUntouched();
+  std::swap(main->body[0], main->body[1]);
+  main->body.push_back(main->body[0]->clone());  // one more CALL B
+  EXPECT_FALSE(cg.refreshCaller(*main));
+  expectUntouched();
+}
+
 // ---------------------------------------------------------------------------
 // MOD/REF/KILL
 // ---------------------------------------------------------------------------
@@ -349,6 +434,104 @@ TEST(Globals, Arc3dRelationThroughCommon) {
   ir::ProcedureModel model2(*filt);
   auto g2 = dep::DependenceGraph::build(model2, bare);
   EXPECT_FALSE(g2.parallelizable(*model2.topLevelLoops()[0]));
+}
+
+// ---------------------------------------------------------------------------
+// Incremental summary update: what applyEdit reports
+// ---------------------------------------------------------------------------
+
+const char* kCallLiterals =
+    "      PROGRAM MAIN\n"
+    "      COMMON /C/ N\n"
+    "      N = 100\n"
+    "      DO I = 1, 4\n"
+    "        CALL R(I, 5)\n"
+    "      ENDDO\n"
+    "      CALL Q(N)\n"
+    "      END\n"
+    "      SUBROUTINE R(K, M)\n"
+    "      COMMON /C/ N\n"
+    "      REAL A(100)\n"
+    "      A(K) = M + N\n"
+    "      END\n"
+    "      SUBROUTINE Q(L)\n"
+    "      X = L\n"
+    "      END\n";
+
+/// MAIN's `CALL R(I, 5)` slot (inside the DO).
+fortran::StmtPtr& callOfR(Program& prog) {
+  return prog.findUnit("MAIN")->body[1]->body[0];
+}
+
+/// Replace a statement by an edited copy, as Session edits do: the original
+/// is freed, so any site still pointing at it dangles.
+template <typename Fn>
+void rewrite(Program& prog, fortran::StmtPtr& slot, Fn change) {
+  fortran::StmtPtr fresh = slot->clone();
+  change(*fresh);
+  slot = std::move(fresh);
+  prog.assignIds();
+}
+
+TEST(IncrementalSummaries, CallLiteralEditReportsFormalConstantChange) {
+  auto prog = parse(kCallLiterals);
+  ASSERT_EQ(callOfR(*prog)->kind, fortran::StmtKind::Call);
+  SummaryBuilder sb(*prog);
+  EXPECT_EQ(sb.inheritedConstantsFor("R").at("M"), 5);
+
+  rewrite(*prog, callOfR(*prog),
+          [](fortran::Stmt& s) { s.args[1]->intValue = 6; });
+  SummaryBuilder::Update up = sb.applyEdit({"MAIN"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_EQ(up.formalConstantsChanged, std::set<std::string>{"R"});
+  EXPECT_FALSE(up.globalFactsChanged);
+  EXPECT_EQ(up.staleAnalyses, std::set<std::string>{"MAIN"});
+  EXPECT_EQ(sb.inheritedConstantsFor("R").at("M"), 6);
+  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
+}
+
+TEST(IncrementalSummaries, CommonInitializerEditReportsCensusChange) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  EXPECT_EQ(sb.inheritedConstantsFor("R").at("N"), 100);
+
+  rewrite(*prog, prog->findUnit("MAIN")->body[0],
+          [](fortran::Stmt& s) { s.rhs->intValue = 200; });
+  SummaryBuilder::Update up = sb.applyEdit({"MAIN"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_TRUE(up.formalConstantsChanged.empty());
+  EXPECT_TRUE(up.globalFactsChanged);
+  EXPECT_EQ(sb.inheritedConstantsFor("R").at("N"), 200);
+}
+
+TEST(IncrementalSummaries, CalleeEditTakesTheStructureChangedPath) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  rewrite(*prog, prog->findUnit("MAIN")->body[2],
+          [](fortran::Stmt& s) { s.callee = "LIBFN"; });
+  SummaryBuilder::Update up = sb.applyEdit({"MAIN"});
+  EXPECT_TRUE(up.structureChanged);
+  EXPECT_EQ(up.staleAnalyses.size(), prog->units.size());
+  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
+}
+
+TEST(IncrementalSummaries, ShapeMovedByATransformationRebuildsAtTheNextEdit) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  // Unrolling-style duplication of the CALL: the graph is live at once...
+  fortran::Stmt& loop = *prog->findUnit("MAIN")->body[1];
+  loop.body.push_back(loop.body[0]->clone());
+  prog->assignIds();
+  sb.refreshCallSites("MAIN");
+  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
+  // ...and the next edit, even one that moves no call, rebuilds every
+  // summary, as it would had the duplication been an edit.
+  fortran::StmtPtr& qBody = prog->findUnit("Q")->body[0];
+  rewrite(*prog, qBody, [](fortran::Stmt&) {});
+  EXPECT_TRUE(sb.applyEdit({"Q"}).structureChanged);
+  rewrite(*prog, qBody, [](fortran::Stmt&) {});
+  EXPECT_FALSE(sb.applyEdit({"Q"}).structureChanged);
+  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
 }
 
 // ---------------------------------------------------------------------------

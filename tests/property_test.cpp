@@ -5,6 +5,9 @@
 //     clean under the shuffled-order race detector.
 //  3. Pretty-print round trips preserve execution semantics.
 //  4. Fourier–Motzkin soundness against brute-force integer search.
+//  5–6. Session edits are incremental and match a scratch build.
+//  7. Edit transactions: live call graph, total rollback, targeted
+//     invalidation.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -20,6 +23,7 @@
 #include "interproc/summaries.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "workloads/harness.h"
 #include "workloads/workloads.h"
 
 namespace ps {
@@ -466,6 +470,197 @@ TEST(Editing, EditedArrayRefsParseInContext) {
     if (v.name == "B" && v.dim == 1) sawB = true;
   }
   EXPECT_TRUE(sawB);
+}
+
+// ---------------------------------------------------------------------------
+// 7. Edit transactions: the summary call graph stays live across edits and
+//    transformations, a failed edit rolls back byte-identically, and an edit
+//    invalidates only the procedures whose inherited inputs moved.
+// ---------------------------------------------------------------------------
+
+const char* kCallDeck =
+    "      PROGRAM MAIN\n"
+    "      COMMON /C/ N\n"
+    "      REAL V\n"
+    "      N = 100\n"
+    "      DO I = 1, 4\n"
+    "        CALL R(I, 5)\n"
+    "      ENDDO\n"
+    "      CALL Q(N)\n"
+    "      CALL T(V)\n"
+    "      END\n"
+    "      SUBROUTINE R(K, M)\n"
+    "      COMMON /C/ N\n"
+    "      REAL A(100)\n"
+    "      A(K) = A(K) + M + N\n"
+    "      END\n"
+    "      SUBROUTINE Q(L)\n"
+    "      COMMON /C/ N\n"
+    "      REAL B(100)\n"
+    "      DO J = 1, 4\n"
+    "        CALL R(J, 5)\n"
+    "      ENDDO\n"
+    "      DO J = 1, N\n"
+    "        B(J) = B(J) + L\n"
+    "      ENDDO\n"
+    "      END\n"
+    "      SUBROUTINE T(X)\n"
+    "      X = 1.0\n"
+    "      END\n";
+
+std::unique_ptr<ped::Session> loadCallDeck() {
+  DiagnosticEngine diags;
+  auto s = ped::Session::load(kCallDeck, diags);
+  EXPECT_NE(s, nullptr);
+  EXPECT_FALSE(diags.hasErrors()) << diags.dump();
+  return s;
+}
+
+/// Select `proc` and return its first statement whose text contains
+/// `needle`.
+fortran::StmtId findStmt(ped::Session& s, const std::string& proc,
+                         const std::string& needle) {
+  if (!s.selectProcedure(proc)) return fortran::kInvalidStmt;
+  for (const auto& row : s.sourcePane()) {
+    if (row.text.find(needle) != std::string::npos) return row.stmt;
+  }
+  return fortran::kInvalidStmt;
+}
+
+std::vector<fortran::StmtId> allIds(const fortran::Program& p) {
+  std::vector<fortran::StmtId> ids;
+  for (const auto& u : p.units) {
+    u->forEachStmt([&](const fortran::Stmt& st) { ids.push_back(st.id); });
+  }
+  return ids;
+}
+
+TEST(EditTransactions, CallGraphStaysLiveAfterEveryTransformation) {
+  // Every catalog entry guidance lists, on every loop, each in a fresh
+  // session: applied or rolled back, the graph must equal a fresh build
+  // (unrolling, peeling and splitting clone CALLs; deletion frees them).
+  auto probe = loadCallDeck();
+  int attempts = 0;
+  int applied = 0;
+  for (const std::string& proc : probe->procedureNames()) {
+    ASSERT_TRUE(probe->selectProcedure(proc));
+    for (const auto& loop : probe->loops()) {
+      for (const auto& entry : probe->guidance(loop.id, /*safeOnly=*/false)) {
+        auto s = loadCallDeck();
+        ASSERT_TRUE(s->selectProcedure(proc));
+        std::string error;
+        if (s->applyTransformation(entry.transformation, entry.target,
+                                   &error)) {
+          ++applied;
+        }
+        ++attempts;
+        EXPECT_EQ(workloads::callGraphDrift(*s), "")
+            << entry.transformation << " in " << proc;
+        (void)s->checkInterfaces();  // dereferences every site's statement
+      }
+    }
+  }
+  EXPECT_GE(applied, 10) << "of " << attempts;
+}
+
+TEST(EditTransactions, UnrollingACallLoopThenEditingElsewhereMatchesScratch) {
+  auto s = loadCallDeck();
+  ASSERT_TRUE(s->selectProcedure("Q"));
+  transform::Target t;
+  t.loop = s->loops()[0].id;  // DO J = 1, 4 around CALL R(J, 5)
+  t.factor = 2;
+  std::string error;
+  ASSERT_TRUE(s->applyTransformation("Loop Unrolling", t, &error)) << error;
+  EXPECT_EQ(workloads::callGraphDrift(*s), "");
+  EXPECT_TRUE(s->checkInterfaces().empty());
+
+  // The edit's summary update reads every site, including Q's new ones.
+  ASSERT_TRUE(s->editStatement(findStmt(*s, "MAIN", "N = 100"), "N = 300"));
+  EXPECT_EQ(workloads::callGraphDrift(*s), "");
+  const std::string settled = workloads::analysisSnapshot(*s);
+  s->fullReanalysis();
+  EXPECT_EQ(settled, workloads::analysisSnapshot(*s));
+}
+
+TEST(EditTransactions, CorruptedEditRollsBackByteIdentically) {
+  const std::vector<std::string> ops = {
+      "editStatement", "insertStatementAfter", "deleteStatement"};
+  for (const bool deferred : {false, true}) {
+    for (const std::string& op : ops) {
+      SCOPED_TRACE(op + (deferred ? " (deferred)" : " (immediate)"));
+      auto s = loadCallDeck();
+      s->setDeferredAnalysis(deferred);
+      const std::string snapshot = workloads::analysisSnapshot(*s);
+      const fortran::StmtId target = findStmt(*s, "Q", "B(J) = ");
+      ASSERT_NE(target, fortran::kInvalidStmt);
+      const std::string source = fortran::printProgram(s->program());
+      const std::vector<fortran::StmtId> ids = allIds(s->program());
+      const fortran::StmtId nextId = s->program().nextStmtId;
+      const std::size_t failures = s->failures().size();
+
+      s->injectFaultOnce(ped::Fault::CorruptState);
+      bool ok = true;
+      if (op == "editStatement") {
+        ok = s->editStatement(target, "B(J) = 0.0");
+      } else if (op == "insertStatementAfter") {
+        ok = s->insertStatementAfter(target, "B(J) = B(J)*2.0");
+      } else {
+        ok = s->deleteStatement(target);
+      }
+      EXPECT_FALSE(ok);
+      ASSERT_EQ(s->failures().size(), failures + 1);
+      EXPECT_EQ(s->failures().back().operation, op);
+      EXPECT_TRUE(s->failures().back().rolledBack);
+      EXPECT_EQ(fortran::printProgram(s->program()), source);
+      EXPECT_EQ(allIds(s->program()), ids);
+      EXPECT_EQ(s->program().nextStmtId, nextId);
+      EXPECT_EQ(workloads::analysisSnapshot(*s), snapshot);
+
+      // The engine is not poisoned: the same edit now goes through.
+      ASSERT_TRUE(s->selectProcedure("Q"));
+      EXPECT_TRUE(s->editStatement(target, "B(J) = 0.0"));
+      EXPECT_EQ(workloads::callGraphDrift(*s), "");
+    }
+  }
+}
+
+TEST(EditTransactions, CallLiteralRewriteDirtiesTheCallee) {
+  auto s = loadCallDeck();
+  s->setDeferredAnalysis(true);
+  (void)workloads::analysisSnapshot(*s);  // materialize every procedure
+  ASSERT_TRUE(
+      s->editStatement(findStmt(*s, "MAIN", "CALL R(I"), "CALL R(I, 6)"));
+  // R's summary is unchanged; only its inherited constant M moved.
+  EXPECT_EQ(s->dirtyProcedures(), (std::set<std::string>{"MAIN", "R"}));
+  EXPECT_EQ(workloads::callGraphDrift(*s), "");
+  const std::string settled = workloads::analysisSnapshot(*s);
+  s->fullReanalysis();
+  EXPECT_EQ(settled, workloads::analysisSnapshot(*s));
+}
+
+TEST(EditTransactions, CommonInitializerRewriteDirtiesEveryCommonUser) {
+  auto s = loadCallDeck();
+  s->setDeferredAnalysis(true);
+  (void)workloads::analysisSnapshot(*s);
+  ASSERT_TRUE(s->editStatement(findStmt(*s, "MAIN", "N = 100"), "N = 200"));
+  // T declares no COMMON, so the census cannot reach it.
+  EXPECT_EQ(s->dirtyProcedures(), (std::set<std::string>{"MAIN", "Q", "R"}));
+  const std::string settled = workloads::analysisSnapshot(*s);
+  s->fullReanalysis();
+  EXPECT_EQ(settled, workloads::analysisSnapshot(*s));
+}
+
+TEST(EditTransactions, CalleeRewriteTakesTheStructureChangedPath) {
+  auto s = loadCallDeck();
+  s->setDeferredAnalysis(true);
+  (void)workloads::analysisSnapshot(*s);
+  ASSERT_TRUE(s->editStatement(findStmt(*s, "MAIN", "CALL T("), "CALL Q(N)"));
+  EXPECT_EQ(s->dirtyProcedures(),
+            (std::set<std::string>{"MAIN", "Q", "R", "T"}));
+  EXPECT_EQ(workloads::callGraphDrift(*s), "");
+  const std::string settled = workloads::analysisSnapshot(*s);
+  s->fullReanalysis();
+  EXPECT_EQ(settled, workloads::analysisSnapshot(*s));
 }
 
 }  // namespace
