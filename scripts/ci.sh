@@ -97,18 +97,12 @@ done
 
 # ThreadSanitizer stage: rebuild the concurrency-sensitive targets with
 # -fsanitize=thread and run the parallel determinism suites (whole-program
-# batch + incremental edit storm) plus the DepMemo stress test. Any data
-# race in the pool, the task DAG, the sharded memo, the pipelined summary
-# nodes or the per-nest fan-out fails CI here. (Under TSan the lock-free
-# substrate promotes its orderings to seq_cst — see support/lockfree.h —
-# because TSan does not model standalone fences; the structures and their
-# interleavings are otherwise the ones production runs.)
+# batch + incremental edit storm) plus the task-pool and DepMemo stress
+# tests. Any data race in the pool, the task DAG, the sharded memo, the
+# pipelined summary nodes or the per-nest fan-out fails CI here.
 cmake -B build-tsan -S . -DPS_TSAN=ON
-cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test lockfree_test emission_test
-# Lock-free substrate stress: Chase–Lev owner-vs-thieves and resize-under-
-# steal, MPMC channel loss/dup, epoch-reclamation use-after-retire canaries,
-# DepMemo invalidation storms on BOTH backends.
-./build-tsan/tests/lockfree_test
+cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test taskpool_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test emission_test
+./build-tsan/tests/taskpool_test
 ./build-tsan/tests/depmemo_concurrent_test
 ./build-tsan/tests/parallel_analysis_test
 ./build-tsan/tests/edit_storm_test
@@ -117,11 +111,11 @@ cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depm
 # race between the validator's graph writes and the analysis engine fails
 # here.
 ./build-tsan/tests/validation_test
-# Emission under TSan on the lock-free substrate: round-trip re-analysis
-# fans the directive-stripped deck through the task pool at 1/2/4/8
-# threads while relative validation replays traces — any race between the
-# emitter's snapshotting and the analysis engine fails here.
-PS_LOCKFREE=1 ./build-tsan/tests/emission_test
+# Emission under TSan: round-trip re-analysis fans the directive-stripped
+# deck through the task pool at 1/2/4/8 threads while relative validation
+# replays traces — any race between the emitter's snapshotting and the
+# analysis engine fails here.
+./build-tsan/tests/emission_test
 # Warm-open settle path (dirty-set re-analysis seeded from disk) and the
 # corruption-recovery suite, both under TSan: rebinding and quarantine run
 # concurrently with the task pool.
@@ -140,13 +134,3 @@ cmake --build build-tsan -j --target server_storm_test io_atomic_test
 ./build-tsan/tests/io_atomic_test
 ./build-tsan/tests/server_storm_test
 scrub_pdb_cache
-
-# Substrate A/B stage: one pass of the storm suites pinned to each
-# substrate. PS_LOCKFREE=1 is the default path (Chase–Lev deques +
-# open-addressing memo); PS_LOCKFREE=0 is the mutex baseline that must stay
-# green for bench_contention comparisons and substrate bisection.
-for lf in 1 0; do
-  PS_LOCKFREE=$lf ./build-tsan/tests/edit_storm_test
-  PS_LOCKFREE=$lf ./build-tsan/tests/server_storm_test
-  scrub_pdb_cache
-done

@@ -1,12 +1,9 @@
 #include "dependence/testsuite.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "dependence/fm.h"
-#include "support/ebr.h"
 #include "support/hash.h"
-#include "support/lockfree.h"
 
 namespace ps::dep {
 
@@ -71,185 +68,7 @@ void appendLinearKey(std::string& out, const LinearExpr& e) {
 MemoKey::MemoKey(std::string t)
     : text(std::move(t)), hash(support::xxh64(text)) {}
 
-namespace {
-
-/// Sentinel a grower CASes into every empty slot of a superseded array so
-/// no new claim can land there. For a reader probing the frozen array it
-/// marks exactly where a null did — the legitimate end of a probe chain.
-inline void* sealedSlot() {
-  return reinterpret_cast<void*>(std::uintptr_t{1});
-}
-
-/// Probe start: the shard index consumed the low 4 bits of the hash, so
-/// slot selection uses the bits above them.
-inline std::size_t probeStart(std::uint64_t hash, std::size_t mask) {
-  return static_cast<std::size_t>(hash >> 4) & mask;
-}
-
-}  // namespace
-
-DepMemo::DepMemo(std::optional<bool> lockfree)
-    : lockfree_(lockfree.value_or(support::lockfreeDefault())),
-      floors_(1, 0) {}
-
-DepMemo::~DepMemo() {
-  // Records and their current boxes are owned by the live tables. Boxes
-  // and arrays retired earlier sit in the epoch domain's limbo as opaque
-  // heap blocks — they reference no memo state and are freed when their
-  // grace period lapses, independent of this object's lifetime.
-  for (LfShard& sh : lfShards_) {
-    LfTable* t = sh.table.load(std::memory_order_acquire);
-    if (t == nullptr) continue;
-    for (std::size_t i = 0; i <= t->mask; ++i) {
-      LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
-      if (rec == nullptr || rec == sealedSlot()) continue;
-      delete rec->box.load(std::memory_order_acquire);
-      delete rec;
-    }
-    delete t;
-  }
-}
-
-std::optional<LevelResult> DepMemo::lookupLf(const MemoKey& key,
-                                             std::uint64_t floor,
-                                             std::uint64_t cap) const {
-  const LfShard& sh = lfShards_[key.hash % kShards];
-  support::EpochGuard guard;
-  const LfTable* t = sh.table.load(std::memory_order_acquire);
-  if (t == nullptr) return std::nullopt;
-  std::size_t i = probeStart(key.hash, t->mask);
-  for (std::size_t probes = 0; probes <= t->mask;
-       ++probes, i = (i + 1) & t->mask) {
-    LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
-    // A null (or sealed — "was null when this array was frozen") slot ends
-    // the probe chain: the key was never inserted under this hash run.
-    if (rec == nullptr || rec == sealedSlot()) return std::nullopt;
-    if (rec->hash != key.hash || rec->key != key.text) continue;
-    const LfBox* box = rec->box.load(std::memory_order_acquire);
-    if (box == nullptr || box->gen < floor || box->gen > cap) {
-      return std::nullopt;
-    }
-    return box->result;  // copied out while the epoch pin protects the box
-  }
-  return std::nullopt;
-}
-
-void DepMemo::insertLf(const MemoKey& key, const LevelResult& result,
-                       std::uint64_t gen) {
-  LfShard& sh = lfShards_[key.hash % kShards];
-  support::EpochGuard guard;
-  LfRecord* fresh = nullptr;  // built lazily, reused across retries
-  const auto cleanup = [&fresh] {
-    if (fresh != nullptr) {
-      delete fresh->box.load(std::memory_order_relaxed);
-      delete fresh;
-    }
-  };
-  for (;;) {
-    LfTable* t = sh.table.load(std::memory_order_acquire);
-    if (t == nullptr) {
-      growShard(sh, nullptr);
-      continue;
-    }
-    bool tableSuperseded = false;
-    std::size_t i = probeStart(key.hash, t->mask);
-    for (std::size_t probes = 0; probes <= t->mask;
-         ++probes, i = (i + 1) & t->mask) {
-      LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
-      if (rec == nullptr) {
-        if (fresh == nullptr) {
-          fresh = new LfRecord;
-          fresh->hash = key.hash;
-          fresh->key = key.text;
-          fresh->box.store(new LfBox{result, gen}, std::memory_order_relaxed);
-        }
-        LfRecord* expected = nullptr;
-        if (t->slots[i].compare_exchange_strong(expected, fresh,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
-          fresh = nullptr;
-          const std::size_t count =
-              sh.count.fetch_add(1, std::memory_order_relaxed) + 1;
-          // Grow at ~70% load so probe chains stay short.
-          if (count * 10 > (t->mask + 1) * 7) growShard(sh, t);
-          return;
-        }
-        casRetries_.fetch_add(1, std::memory_order_relaxed);
-        rec = expected;  // examine whoever claimed the slot first
-      }
-      if (rec == sealedSlot()) {
-        tableSuperseded = true;
-        break;
-      }
-      if (rec->hash == key.hash && rec->key == key.text) {
-        // Same key: swap in a new box (last writer wins, matching the
-        // mutex backend's table[key] = entry) and retire the old one —
-        // a concurrent reader may be mid-copy on it.
-        auto* box = new LfBox{result, gen};
-        LfBox* old = rec->box.exchange(box, std::memory_order_acq_rel);
-        if (old != nullptr) {
-          support::EpochDomain::global().retire(old, [](void* p) {
-            delete static_cast<LfBox*>(p);
-          });
-        }
-        cleanup();
-        return;
-      }
-    }
-    if (tableSuperseded) {
-      // A grower sealed this array mid-probe; wait for the doubled array
-      // (published promptly — migration is pointer copies) and retry.
-      casRetries_.fetch_add(1, std::memory_order_relaxed);
-      while (sh.table.load(std::memory_order_acquire) == t) {
-        std::this_thread::yield();
-      }
-      continue;
-    }
-    // Probed every slot without a claim: the array is full of other keys.
-    growShard(sh, t);
-  }
-}
-
-void DepMemo::growShard(LfShard& sh, const LfTable* from) {
-  std::lock_guard<std::mutex> lk(sh.growMu);
-  LfTable* cur = sh.table.load(std::memory_order_acquire);
-  if (cur != from) return;  // another writer already created/doubled it
-  auto* bigger = new LfTable;
-  const std::size_t newCap = cur == nullptr ? kInitialSlots : (cur->mask + 1) * 2;
-  bigger->mask = newCap - 1;
-  bigger->slots = std::make_unique<std::atomic<LfRecord*>[]>(newCap);
-  if (cur != nullptr) {
-    // Seal: claim every empty slot so no insert can land in the old array
-    // after migration reads it. Post-seal each slot is a record or the
-    // sentinel, permanently.
-    for (std::size_t i = 0; i <= cur->mask; ++i) {
-      LfRecord* p = cur->slots[i].load(std::memory_order_acquire);
-      while (p == nullptr &&
-             !cur->slots[i].compare_exchange_weak(
-                 p, static_cast<LfRecord*>(sealedSlot()),
-                 std::memory_order_acq_rel, std::memory_order_acquire)) {
-      }
-    }
-    // Migrate the stable record pointers. Plain stores: the new array is
-    // unpublished, nobody else can see it yet.
-    for (std::size_t i = 0; i <= cur->mask; ++i) {
-      LfRecord* rec = cur->slots[i].load(std::memory_order_relaxed);
-      if (rec == sealedSlot()) continue;
-      std::size_t j = probeStart(rec->hash, bigger->mask);
-      while (bigger->slots[j].load(std::memory_order_relaxed) != nullptr) {
-        j = (j + 1) & bigger->mask;
-      }
-      bigger->slots[j].store(rec, std::memory_order_relaxed);
-    }
-  }
-  sh.table.store(bigger, std::memory_order_release);
-  if (cur != nullptr) {
-    // Readers that loaded the superseded array are still probing it; the
-    // epoch domain frees it only after every pinned reader is gone.
-    support::EpochDomain::global().retire(
-        cur, [](void* p) { delete static_cast<LfTable*>(p); });
-  }
-}
+DepMemo::DepMemo() : floors_(1, 0) {}
 
 DepMemo::ViewId DepMemo::createView() {
   std::lock_guard<std::mutex> lk(viewMu_);
@@ -279,7 +98,6 @@ std::uint64_t DepMemo::floorOf(ViewId v) const {
 std::optional<LevelResult> DepMemo::lookup(const MemoKey& key,
                                            std::uint64_t floor,
                                            std::uint64_t cap) const {
-  if (lockfree_) return lookupLf(key, floor, cap);
   Shard& s = shardFor(key);
   std::lock_guard<std::mutex> lk(s.mu);
   auto it = s.table.find(key.text);
@@ -291,23 +109,12 @@ std::optional<LevelResult> DepMemo::lookup(const MemoKey& key,
 
 void DepMemo::insert(const MemoKey& key, const LevelResult& result,
                      std::uint64_t gen) {
-  if (lockfree_) {
-    insertLf(key, result, gen);
-    return;
-  }
   Shard& s = shardFor(key);
   std::lock_guard<std::mutex> lk(s.mu);
   s.table[key.text] = Entry{result, gen};
 }
 
 std::size_t DepMemo::size() const {
-  if (lockfree_) {
-    std::size_t total = 0;
-    for (const LfShard& s : lfShards_) {
-      total += s.count.load(std::memory_order_acquire);
-    }
-    return total;
-  }
   std::size_t total = 0;
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lk(s.mu);
@@ -320,24 +127,6 @@ std::vector<std::pair<std::string, LevelResult>> DepMemo::exportEntries(
     ViewId view) const {
   const std::uint64_t floor = floorOf(view);
   std::vector<std::pair<std::string, LevelResult>> out;
-  if (lockfree_) {
-    support::EpochGuard guard(support::EpochDomain::global());
-    for (const LfShard& s : lfShards_) {
-      const LfTable* t = s.table.load(std::memory_order_acquire);
-      if (t == nullptr) continue;
-      for (std::size_t i = 0; i <= t->mask; ++i) {
-        const LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
-        if (rec == nullptr || rec == sealedSlot()) continue;
-        const LfBox* box = rec->box.load(std::memory_order_acquire);
-        if (box != nullptr && box->gen >= floor) {
-          out.emplace_back(rec->key, box->result);
-        }
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return out;
-  }
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lk(s.mu);
     for (const auto& [key, entry] : s.table) {

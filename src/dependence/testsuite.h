@@ -155,10 +155,7 @@ struct TestStats {
 };
 
 /// A memo key with its 64-bit content hash (support::xxh64) computed ONCE
-/// at construction. Shard selection, open-addressing probe starts, and
-/// equality prefiltering all reuse the cached hash, so the table never
-/// re-runs std::hash<std::string> over the (often hundreds of bytes long)
-/// canonical key text per lookup.
+/// at construction; the cached hash picks the key's shard.
 struct MemoKey {
   std::string text;
   std::uint64_t hash = 0;
@@ -177,23 +174,9 @@ struct MemoKey {
 /// what recomputation would produce, which is what makes sharing one memo
 /// across SESSIONS sound.
 ///
-/// Concurrency: the key's cached hash picks one of kShards shards. Two
-/// backends are compiled, selected at construction (PS_LOCKFREE, default
-/// on):
-///  - lock-free (default): each shard is an open-addressing slot array of
-///    tagged record pointers. A lookup is an epoch-pinned probe: load the
-///    shard's array pointer, linear-probe by the cached hash, acquire-load
-///    the record's entry box — no lock anywhere. An insert CAS-claims the
-///    first empty slot (or atomically swaps a new entry box into an
-///    existing record). Growth seals the old array (CASing every empty
-///    slot to a sentinel so no claim can land), migrates the stable record
-///    pointers into a doubled array, publishes it, and retires the old
-///    array through epoch-based reclamation — concurrent readers finish
-///    their probes on the superseded array, which stays valid until every
-///    pinned reader is gone. Entries are never deleted (invalidation is
-///    lazy, via the epoch windows below), so there are no tombstones.
-///  - mutex (PS_LOCKFREE=0): the original independently-locked
-///    unordered_map stripes, kept as the A/B baseline for bench_contention.
+/// Concurrency: the key's cached hash picks one of kShards independently
+/// locked unordered_map stripes, so lookups of different keys rarely meet
+/// on one lock. Lookups copy the result out under the shard lock.
 ///
 /// Invalidation is per-VIEW. A view is one client's (one session's) window
 /// onto the shared table: every entry carries the global epoch captured by
@@ -215,14 +198,10 @@ class DepMemo {
   using ViewId = std::uint32_t;
 
   /// Construction registers view 0 — the default view standalone sessions
-  /// (and the existing single-session tests) use. `lockfree` overrides the
-  /// PS_LOCKFREE default (bench_contention A/Bs both backends in-process).
-  explicit DepMemo(std::optional<bool> lockfree = std::nullopt);
-  ~DepMemo();
+  /// (and the existing single-session tests) use.
+  DepMemo();
   DepMemo(const DepMemo&) = delete;
   DepMemo& operator=(const DepMemo&) = delete;
-
-  [[nodiscard]] bool lockfree() const { return lockfree_; }
 
   /// Register a new view with floor 0: it sees every entry the table has
   /// accumulated so far (the whole shared warm state).
@@ -236,7 +215,7 @@ class DepMemo {
 
   /// Returns a copy of the cached result for `key` if its stamp lies in
   /// [floor, cap]; nullopt on miss. Returned by value: a pointer into the
-  /// table would not survive concurrent rehash/retirement.
+  /// table would not survive a concurrent rehash.
   [[nodiscard]] std::optional<LevelResult> lookup(const MemoKey& key,
                                                   std::uint64_t floor,
                                                   std::uint64_t cap) const;
@@ -281,16 +260,8 @@ class DepMemo {
   void preWarm(
       const std::vector<std::pair<std::string, LevelResult>>& entries);
 
-  /// Slot-claim CASes lost to a racing writer plus respins on a sealed
-  /// (mid-growth) array — the lock-free backend's contention measure,
-  /// reported by bench_contention. Always 0 on the mutex backend.
-  [[nodiscard]] std::uint64_t contentionRetries() const {
-    return casRetries_.load(std::memory_order_relaxed);
-  }
-
  private:
   static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kInitialSlots = 64;
 
   struct Entry {
     LevelResult result;
@@ -301,49 +272,11 @@ class DepMemo {
     std::unordered_map<std::string, Entry> table;
   };
 
-  /// Lock-free backend: a record binds one key to an atomically swappable
-  /// entry box. Records are allocated once and stay put for the memo's
-  /// lifetime (growth migrates pointers, never copies records), so readers
-  /// may hold them without reclamation concerns; only boxes and slot
-  /// arrays are retired through the epoch domain.
-  struct LfBox {
-    LevelResult result;
-    std::uint64_t gen = 0;
-  };
-  struct LfRecord {
-    std::uint64_t hash = 0;
-    std::string key;
-    std::atomic<LfBox*> box{nullptr};
-  };
-  struct LfTable {
-    std::size_t mask = 0;  // capacity - 1, capacity a power of two
-    std::unique_ptr<std::atomic<LfRecord*>[]> slots;
-  };
-  struct LfShard {
-    std::atomic<LfTable*> table{nullptr};
-    std::atomic<std::size_t> count{0};
-    /// Serializes growth only; never taken by lookup or by an insert that
-    /// finds room. A writer that meets a sealed slot spins on `table`
-    /// until the grower publishes the doubled array.
-    std::mutex growMu;
-  };
-
   [[nodiscard]] Shard& shardFor(const MemoKey& key) const {
     return shards_[key.hash % kShards];
   }
 
-  [[nodiscard]] std::optional<LevelResult> lookupLf(const MemoKey& key,
-                                                    std::uint64_t floor,
-                                                    std::uint64_t cap) const;
-  void insertLf(const MemoKey& key, const LevelResult& result,
-                std::uint64_t gen);
-  /// Doubles (or creates) the shard's slot array if it still equals `from`.
-  void growShard(LfShard& sh, const LfTable* from);
-
-  const bool lockfree_;
   mutable std::array<Shard, kShards> shards_;
-  mutable std::array<LfShard, kShards> lfShards_;
-  mutable std::atomic<std::uint64_t> casRetries_{0};
   std::atomic<std::uint64_t> generation_{0};
   /// Per-view floors; guarded by viewMu_ (reads happen once per tester
   /// construction, not on the lookup hot path).
@@ -424,7 +357,7 @@ class DependenceTester {
 
   /// Canonical memo key: nest/facts prefix + query tag + linear forms. The
   /// key's 64-bit hash is computed here, once, and rides along into shard
-  /// and slot selection.
+  /// selection.
   [[nodiscard]] MemoKey makeKey(
       char tag, int level, int variant,
       const std::vector<dataflow::LinearExpr>& forms) const;

@@ -1,308 +1,13 @@
 #ifndef PS_SUPPORT_LOCKFREE_H
 #define PS_SUPPORT_LOCKFREE_H
 
-// Lock-free building blocks for the analysis substrate:
-//
-//  - ChaseLevDeque: the classic work-stealing deque (Chase & Lev, SPAA'05,
-//    with the C11 memory orderings of Lê et al., PPoPP'13). The owner pushes
-//    and pops at the bottom without synchronization beyond fences; thieves
-//    CAS the top. The circular buffer grows on demand; superseded buffers
-//    are kept on a retire chain owned by the deque, because a thief may
-//    still be reading a stale buffer pointer when the owner grows — they
-//    are freed wholesale at destruction (total retained memory is < 2x the
-//    final buffer, since capacities double).
-//
-//  - MpmcChannel: Dmitry Vyukov's bounded MPMC queue (per-cell sequence
-//    numbers). Used as the external-submission channel into each worker:
-//    in the common case it degenerates to an SPSC ring (one session thread
-//    producing, one worker consuming), but it stays safe when several
-//    server sessions submit concurrently and when idle workers drain a
-//    busy sibling's channel. No node allocation, no reclamation problem.
-//
-//  - lockfreeDefault(): the PS_LOCKFREE escape hatch. Both the lock-free
-//    and the mutex paths stay compiled; PS_LOCKFREE=0 selects the mutex
-//    baseline at runtime for A/B benching (bench_contention) and for
-//    bisecting any suspected substrate bug.
-//
-// ThreadSanitizer: TSan does not model standalone memory fences
-// (std::atomic_thread_fence), so the fence-based deque would report false
-// races under -fsanitize=thread. Under TSan every atomic operation in this
-// header is promoted to seq_cst and the fences become no-ops: the
-// all-seq-cst execution is sequentially consistent, which is the memory
-// model the original Chase–Lev proof assumes, so the promotion is
-// correctness-preserving (just slower — fine for a sanitizer build).
-
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <memory>
-
-#if defined(__SANITIZE_THREAD__)
-#define PS_LOCKFREE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PS_LOCKFREE_TSAN 1
-#endif
-#endif
-
 namespace ps::support {
 
-namespace lf {
-#ifdef PS_LOCKFREE_TSAN
-inline constexpr std::memory_order relaxed = std::memory_order_seq_cst;
-inline constexpr std::memory_order acquire = std::memory_order_seq_cst;
-inline constexpr std::memory_order release = std::memory_order_seq_cst;
-inline constexpr std::memory_order acq_rel = std::memory_order_seq_cst;
-inline void fenceSeqCst() {}  // every op is already seq_cst
-#else
-inline constexpr std::memory_order relaxed = std::memory_order_relaxed;
-inline constexpr std::memory_order acquire = std::memory_order_acquire;
-inline constexpr std::memory_order release = std::memory_order_release;
-inline constexpr std::memory_order acq_rel = std::memory_order_acq_rel;
-inline void fenceSeqCst() { std::atomic_thread_fence(std::memory_order_seq_cst); }
-#endif
-}  // namespace lf
-
-/// Runtime selection of the lock-free substrate. Defaults to on; set
-/// PS_LOCKFREE=0 to fall back to the mutex-based TaskPool queues and the
-/// striped-lock DepMemo (the pre-lock-free baseline, kept compiled for A/B
-/// comparison).
-[[nodiscard]] inline bool lockfreeDefault() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("PS_LOCKFREE");
-    return env == nullptr || *env == '\0' || (env[0] != '0' || env[1] != '\0');
-  }();
-  return enabled;
-}
-
-// ---------------------------------------------------------------------------
-// ChaseLevDeque
-// ---------------------------------------------------------------------------
-
-/// Work-stealing deque of opaque pointers. pushBottom/popBottom are
-/// OWNER-ONLY (exactly one thread, the worker that owns the deque); steal
-/// may be called by any number of thieves concurrently.
-class ChaseLevDeque {
- public:
-  explicit ChaseLevDeque(std::size_t initialCapacity = 64)
-      : buffer_(newBuffer(roundUpPow2(initialCapacity), nullptr)) {}
-
-  ChaseLevDeque(const ChaseLevDeque&) = delete;
-  ChaseLevDeque& operator=(const ChaseLevDeque&) = delete;
-
-  ~ChaseLevDeque() {
-    Buffer* b = buffer_.load(std::memory_order_relaxed);
-    while (b != nullptr) {
-      Buffer* prev = b->prev;
-      freeBuffer(b);
-      b = prev;
-    }
-  }
-
-  /// Owner only. Never fails: grows the buffer when full.
-  void pushBottom(void* item) {
-    const std::int64_t b = bottom_.load(lf::relaxed);
-    const std::int64_t t = top_.load(lf::acquire);
-    Buffer* buf = buffer_.load(lf::relaxed);
-    if (b - t > static_cast<std::int64_t>(buf->capacity) - 1) {
-      buf = grow(buf, t, b);
-    }
-    buf->at(b).store(item, lf::relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, lf::relaxed);
-  }
-
-  /// Owner only. nullptr = empty.
-  void* popBottom() {
-    const std::int64_t b = bottom_.load(lf::relaxed) - 1;
-    Buffer* buf = buffer_.load(lf::relaxed);
-    bottom_.store(b, lf::relaxed);
-    lf::fenceSeqCst();
-    std::int64_t t = top_.load(lf::relaxed);
-    void* item = nullptr;
-    if (t <= b) {
-      item = buf->at(b).load(lf::relaxed);
-      if (t == b) {
-        // Last element: race the thieves for it.
-        if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          item = nullptr;  // a thief got it
-        }
-        bottom_.store(b + 1, lf::relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, lf::relaxed);  // deque was empty
-    }
-    return item;
-  }
-
-  enum class Steal { Got, Empty, Abort };
-
-  /// Any thread. Abort = lost a CAS race with the owner or another thief
-  /// (the caller should count it as contention and move on / retry).
-  Steal steal(void** out) {
-    std::int64_t t = top_.load(lf::acquire);
-    lf::fenceSeqCst();
-    const std::int64_t b = bottom_.load(lf::acquire);
-    if (t >= b) return Steal::Empty;
-    Buffer* buf = buffer_.load(lf::acquire);
-    void* item = buf->at(t).load(lf::relaxed);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return Steal::Abort;
-    }
-    *out = item;
-    return Steal::Got;
-  }
-
-  /// Racy size estimate (telemetry only).
-  [[nodiscard]] std::size_t sizeApprox() const {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
-  [[nodiscard]] std::size_t capacity() const {
-    return buffer_.load(std::memory_order_relaxed)->capacity;
-  }
-
- private:
-  struct Buffer {
-    std::size_t capacity = 0;  // power of two
-    Buffer* prev = nullptr;    // superseded predecessor, freed at destruction
-    std::atomic<void*>* slots = nullptr;
-
-    [[nodiscard]] std::atomic<void*>& at(std::int64_t i) {
-      return slots[static_cast<std::size_t>(i) & (capacity - 1)];
-    }
-  };
-
-  static std::size_t roundUpPow2(std::size_t n) {
-    std::size_t c = 1;
-    while (c < n) c <<= 1;
-    return c;
-  }
-
-  static Buffer* newBuffer(std::size_t capacity, Buffer* prev) {
-    Buffer* b = new Buffer;
-    b->capacity = capacity;
-    b->prev = prev;
-    b->slots = new std::atomic<void*>[capacity];
-    return b;
-  }
-
-  static void freeBuffer(Buffer* b) {
-    delete[] b->slots;
-    delete b;
-  }
-
-  Buffer* grow(Buffer* old, std::int64_t t, std::int64_t b) {
-    Buffer* bigger = newBuffer(old->capacity * 2, old);
-    for (std::int64_t i = t; i < b; ++i) {
-      bigger->at(i).store(old->at(i).load(lf::relaxed), lf::relaxed);
-    }
-    // Thieves holding the old pointer still read valid data: entries
-    // [t, b) were copied, old slots are never cleared, and the old buffer
-    // stays allocated on the retire chain until the deque dies.
-    buffer_.store(bigger, lf::release);
-    return bigger;
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_;
-};
-
-// ---------------------------------------------------------------------------
-// MpmcChannel
-// ---------------------------------------------------------------------------
-
-/// Vyukov bounded MPMC ring of opaque pointers. tryPush/tryPop never block
-/// and never allocate; each is one CAS on a position counter plus a
-/// release/acquire pair on the cell's sequence number. Cell payloads are
-/// plain (non-atomic) because the sequence handshake orders them.
-class MpmcChannel {
- public:
-  explicit MpmcChannel(std::size_t capacity = 1024)
-      : mask_(roundUpPow2(capacity) - 1),
-        cells_(std::make_unique<Cell[]>(mask_ + 1)) {
-    for (std::size_t i = 0; i <= mask_; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  MpmcChannel(const MpmcChannel&) = delete;
-  MpmcChannel& operator=(const MpmcChannel&) = delete;
-
-  bool tryPush(void* item) {
-    std::size_t pos = enqueue_.load(lf::relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(lf::acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (enqueue_.compare_exchange_weak(pos, pos + 1, lf::relaxed)) {
-          cell.item = item;
-          cell.seq.store(pos + 1, lf::release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // full
-      } else {
-        pos = enqueue_.load(lf::relaxed);
-      }
-    }
-  }
-
-  bool tryPop(void** out) {
-    std::size_t pos = dequeue_.load(lf::relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(lf::acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos + 1);
-      if (diff == 0) {
-        if (dequeue_.compare_exchange_weak(pos, pos + 1, lf::relaxed)) {
-          *out = cell.item;
-          cell.seq.store(pos + mask_ + 1, lf::release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // empty
-      } else {
-        pos = dequeue_.load(lf::relaxed);
-      }
-    }
-  }
-
-  /// Racy estimate (telemetry only).
-  [[nodiscard]] std::size_t sizeApprox() const {
-    const std::size_t e = enqueue_.load(std::memory_order_relaxed);
-    const std::size_t d = dequeue_.load(std::memory_order_relaxed);
-    return e > d ? e - d : 0;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> seq{0};
-    void* item = nullptr;
-  };
-
-  static std::size_t roundUpPow2(std::size_t n) {
-    std::size_t c = 1;
-    while (c < n) c <<= 1;
-    return c;
-  }
-
-  const std::size_t mask_;
-  std::unique_ptr<Cell[]> cells_;
-  alignas(64) std::atomic<std::size_t> enqueue_{0};
-  alignas(64) std::atomic<std::size_t> dequeue_{0};
-};
+/// Whether the analysis engine runs on a lock-free substrate. None remains:
+/// the task pool and the dependence-test memo are mutex-based (DESIGN.md,
+/// "One substrate"). Only the pipeline benchmark reads this, to print it in
+/// its context line.
+[[nodiscard]] constexpr bool lockfreeDefault() { return false; }
 
 }  // namespace ps::support
 

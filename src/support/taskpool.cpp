@@ -91,7 +91,7 @@ TaskPool::IdleStats TaskPool::IdleStats::since(const IdleStats& start) const {
   return d;
 }
 
-TaskPool::TaskPool(int nThreads, std::optional<bool> lockfree) {
+TaskPool::TaskPool(int nThreads) {
   if (nThreads <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
     nThreads = hw == 0 ? 1 : static_cast<int>(hw);
@@ -102,24 +102,13 @@ TaskPool::TaskPool(int nThreads, std::optional<bool> lockfree) {
   for (int i = 0; i <= threadCount_; ++i) {
     stealRows_.push_back(std::make_unique<StealRow>());
   }
-  if (threadCount_ == 1) {
-    // Deterministic reference path: one FIFO, no workers; wait() drains the
-    // queue inline in exact submission order. Substrate-independent.
+  queues_.reserve(static_cast<std::size_t>(threadCount_));
+  for (int i = 0; i < threadCount_; ++i) {
     queues_.push_back(std::make_unique<Queue>());
-    return;
   }
-  lockfree_ = lockfree.value_or(lockfreeDefault());
-  if (lockfree_) {
-    lf_.reserve(static_cast<std::size_t>(threadCount_));
-    for (int i = 0; i < threadCount_; ++i) {
-      lf_.push_back(std::make_unique<LfWorker>());
-    }
-  } else {
-    queues_.reserve(static_cast<std::size_t>(threadCount_));
-    for (int i = 0; i < threadCount_; ++i) {
-      queues_.push_back(std::make_unique<Queue>());
-    }
-  }
+  // Deterministic reference path: one FIFO, no workers; wait() drains the
+  // queue inline in exact submission order.
+  if (threadCount_ == 1) return;
   workers_.reserve(static_cast<std::size_t>(threadCount_));
   for (int i = 0; i < threadCount_; ++i) {
     workers_.emplace_back([this, i] { workerLoop(i); });
@@ -130,61 +119,30 @@ TaskPool::~TaskPool() {
   stop_.store(true, std::memory_order_release);
   idleCv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // Abandoned tasks (a caller that never waited) are dropped, matching the
-  // mutex substrate where ~deque discards them; on the lock-free substrate
-  // they are heap nodes and must be deleted explicitly.
-  for (auto& w : lf_) {
-    void* p = nullptr;
-    while ((p = w->deque.popBottom()) != nullptr) delete static_cast<Task*>(p);
-    while (w->inbox.tryPop(&p)) delete static_cast<Task*>(p);
-  }
+}
+
+bool TaskPool::isOwner(int slot) const {
+  return slot >= 0 && tlsWorker.pool == this && tlsWorker.slot == slot;
 }
 
 std::size_t TaskPool::telemetryRow(int slot) const {
-  return slot >= 0 && tlsWorker.pool == this && tlsWorker.slot == slot
-             ? static_cast<std::size_t>(slot)
-             : static_cast<std::size_t>(threadCount_);
-}
-
-void TaskPool::wakeOne() {
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) idleCv_.notify_one();
+  return isOwner(slot) ? static_cast<std::size_t>(slot)
+                       : static_cast<std::size_t>(threadCount_);
 }
 
 void TaskPool::submit(WaitGroup& wg, std::function<void()> fn) {
   wg.pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (!lockfree_) {
-    std::size_t slot =
-        nextQueue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    {
-      std::lock_guard<std::mutex> lk(queues_[slot]->mu);
-      queues_[slot]->tasks.push_back(Task{std::move(fn), &wg});
-    }
-    idleCv_.notify_one();
-    return;
+  // A worker's subtask goes onto its own queue; any other caller (including
+  // the 1-thread pool's, which has no workers) spreads round-robin.
+  const std::size_t slot =
+      tlsWorker.pool == this
+          ? static_cast<std::size_t>(tlsWorker.slot)
+          : nextQueue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
+  {
+    std::lock_guard<std::mutex> lk(queues_[slot]->mu);
+    queues_[slot]->tasks.push_back(Task{std::move(fn), &wg});
   }
-  Task* task = new Task{std::move(fn), &wg};
-  if (tlsWorker.pool == this && tlsWorker.slot >= 0) {
-    // Worker thread spawning a subtask (per-nest fan-out): owner push onto
-    // its own deque — the uncontended hot path.
-    lf_[static_cast<std::size_t>(tlsWorker.slot)]->deque.pushBottom(task);
-  } else {
-    // External thread: round-robin into the per-worker submission channels.
-    const std::size_t n = lf_.size();
-    const std::size_t start =
-        nextQueue_.fetch_add(1, std::memory_order_relaxed) % n;
-    for (;;) {
-      bool pushed = false;
-      for (std::size_t i = 0; i < n && !pushed; ++i) {
-        pushed = lf_[(start + i) % n]->inbox.tryPush(task);
-      }
-      if (pushed) break;
-      // Every channel is full (a pathological burst): help drain by
-      // executing one task inline, then retry — backpressure that makes
-      // progress instead of blocking.
-      if (!tryRunOne(-1)) std::this_thread::yield();
-    }
-  }
-  wakeOne();
+  idleCv_.notify_one();
 }
 
 void TaskPool::runTask(Task&& task) {
@@ -200,22 +158,30 @@ void TaskPool::runTask(Task&& task) {
   if (sleepers_.load(std::memory_order_seq_cst) > 0) idleCv_.notify_all();
 }
 
-bool TaskPool::tryRunOneMutex(int preferredSlot, std::size_t row) {
+bool TaskPool::tryRunOne(int preferredSlot) {
+  const bool owner = isOwner(preferredSlot);
   Task task;
   bool have = false;
-  // Own queue first, oldest task first: with a single executor this makes
-  // execution order equal submission order.
   if (preferredSlot >= 0) {
+    // A worker runs its newest task first: the subtask it just spawned, so
+    // one procedure's fan-out finishes before its worker starts another
+    // procedure. The 1-thread pool's caller is no worker and drains
+    // oldest-first, so execution order equals submission order.
     Queue& q = *queues_[static_cast<std::size_t>(preferredSlot)];
     std::lock_guard<std::mutex> lk(q.mu);
     if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
+      if (owner) {
+        task = std::move(q.tasks.back());
+        q.tasks.pop_back();
+      } else {
+        task = std::move(q.tasks.front());
+        q.tasks.pop_front();
+      }
       have = true;
     }
   }
   if (!have) {
-    StealRow& counters = *stealRows_[row];
+    StealRow& counters = *stealRows_[telemetryRow(preferredSlot)];
     std::size_t n = queues_.size();
     std::size_t start = preferredSlot >= 0
                             ? (static_cast<std::size_t>(preferredSlot) + 1) % n
@@ -223,17 +189,17 @@ bool TaskPool::tryRunOneMutex(int preferredSlot, std::size_t row) {
     for (std::size_t i = 0; i < n && !have; ++i) {
       std::size_t v = (start + i) % n;
       if (preferredSlot >= 0 && v == static_cast<std::size_t>(preferredSlot)) continue;
-      if (n > 1) counters.attempts.fetch_add(1, std::memory_order_relaxed);
+      counters.attempts.fetch_add(1, std::memory_order_relaxed);
       Queue& q = *queues_[v];
       std::lock_guard<std::mutex> lk(q.mu);
       if (!q.tasks.empty()) {
-        // Steal the newest task: the victim keeps draining its own queue
-        // from the front, so front/back contention is minimized.
-        task = std::move(q.tasks.back());
-        q.tasks.pop_back();
+        // Steal the oldest task: the victim works at the back, so the two
+        // meet only on its last task.
+        task = std::move(q.tasks.front());
+        q.tasks.pop_front();
         have = true;
-        if (queues_.size() > 1) steals_.fetch_add(1, std::memory_order_relaxed);
-      } else if (n > 1) {
+        steals_.fetch_add(1, std::memory_order_relaxed);
+      } else {
         counters.fails.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -241,63 +207,6 @@ bool TaskPool::tryRunOneMutex(int preferredSlot, std::size_t row) {
   if (!have) return false;
   runTask(std::move(task));
   return true;
-}
-
-bool TaskPool::tryRunOneLockfree(int preferredSlot, std::size_t row) {
-  const bool owner = preferredSlot >= 0 && tlsWorker.pool == this &&
-                     tlsWorker.slot == preferredSlot;
-  Task* task = nullptr;
-  if (owner) {
-    LfWorker& w = *lf_[static_cast<std::size_t>(preferredSlot)];
-    task = static_cast<Task*>(w.deque.popBottom());
-    if (task == nullptr) {
-      void* p = nullptr;
-      if (w.inbox.tryPop(&p)) task = static_cast<Task*>(p);
-    }
-  }
-  if (task == nullptr) {
-    StealRow& counters = *stealRows_[row];
-    const std::size_t n = lf_.size();
-    const std::size_t start =
-        owner ? (static_cast<std::size_t>(preferredSlot) + 1) % n
-              : nextQueue_.fetch_add(1, std::memory_order_relaxed) % n;
-    for (std::size_t i = 0; i < n && task == nullptr; ++i) {
-      const std::size_t v = (start + i) % n;
-      if (owner && v == static_cast<std::size_t>(preferredSlot)) continue;
-      counters.attempts.fetch_add(1, std::memory_order_relaxed);
-      void* p = nullptr;
-      switch (lf_[v]->deque.steal(&p)) {
-        case ChaseLevDeque::Steal::Got:
-          task = static_cast<Task*>(p);
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        case ChaseLevDeque::Steal::Abort:
-          // Lost the CAS race on the victim's top — contention, not
-          // emptiness. Count it and move to the next victim; the caller's
-          // outer loop comes back around.
-          stealAborts_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case ChaseLevDeque::Steal::Empty:
-          break;
-      }
-      if (lf_[v]->inbox.tryPop(&p)) {
-        task = static_cast<Task*>(p);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      counters.fails.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (task == nullptr) return false;
-  runTask(std::move(*task));
-  delete task;
-  return true;
-}
-
-bool TaskPool::tryRunOne(int preferredSlot) {
-  const std::size_t row = telemetryRow(preferredSlot);
-  return lockfree_ ? tryRunOneLockfree(preferredSlot, row)
-                   : tryRunOneMutex(preferredSlot, row);
 }
 
 void TaskPool::recordIdle(std::size_t row, std::uint64_t nanos) {
@@ -365,9 +274,7 @@ void TaskPool::wait(WaitGroup& wg) {
   }
   // Workers idle into their own telemetry row; any other waiting thread
   // (the session thread driving runAll, a helper) shares the final row.
-  const std::size_t idleRow = slot >= 0 && tlsWorker.pool == this
-                                  ? static_cast<std::size_t>(slot)
-                                  : static_cast<std::size_t>(threadCount_);
+  const std::size_t idleRow = telemetryRow(slot);
   while (wg.pending() > 0) {
     if (tryRunOne(slot)) continue;
     sleepers_.fetch_add(1, std::memory_order_seq_cst);

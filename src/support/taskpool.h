@@ -10,21 +10,13 @@
 //    the global heap (the malloc lock is the classic scaling killer for
 //    fine-grained analysis tasks). Every thread owns one via threadArena().
 //
-//  - TaskPool: a fixed-size pool of workers. Two substrates, selected at
-//    construction (PS_LOCKFREE, default on):
-//      * lock-free: each worker owns a Chase–Lev stealing deque (owner
-//        push/pop at the bottom, thieves CAS the top) plus a bounded MPMC
-//        submission channel for tasks arriving from non-worker threads.
-//        Workers prefer their own deque, then their own channel, then steal
-//        from siblings' deques and channels. The only lock left is the
-//        parking lot (idleMu_/idleCv_), entered exclusively when a thread
-//        has found nothing to run anywhere.
-//      * mutex (PS_LOCKFREE=0): the original per-worker mutexed deques,
-//        kept compiled as the A/B baseline for bench_contention.
-//    Waiting threads *help* under both substrates: they execute queued
-//    tasks instead of blocking, so tasks may safely spawn subtasks into the
-//    same pool and wait for them (per-nest fan-out inside a per-procedure
-//    task).
+//  - TaskPool: a fixed-size pool of workers, one mutex-guarded deque each.
+//    Scheduling is owner-first, the order of a work-stealing deque: a
+//    worker's submissions go onto its own deque and it runs its newest task
+//    first; thieves and external waiters take a deque's oldest task.
+//    Waiting threads *help*: they execute queued tasks instead of blocking,
+//    so tasks may safely spawn subtasks into the same pool and wait for them
+//    (per-nest fan-out inside a per-procedure task).
 //
 //  - TaskGraph: a small DAG runner with per-node dependency counts, used to
 //    sequence interprocedural summary tasks callee-before-caller and to gate
@@ -35,8 +27,6 @@
 // drains it on the calling thread, so execution order equals submission
 // order exactly. That makes the 1-thread parallel path bit-identical to the
 // sequential path — the property Session::analyzeParallel(1) relies on.
-// (The single-FIFO path is substrate-independent: nThreads == 1 always uses
-// it, so PS_LOCKFREE cannot perturb the reference ordering.)
 
 #include <array>
 #include <atomic>
@@ -48,11 +38,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
-
-#include "support/lockfree.h"
 
 namespace ps::support {
 
@@ -164,26 +151,14 @@ class TaskPool {
   /// nThreads == 0 picks std::thread::hardware_concurrency().
   /// nThreads == 1 spawns no threads: everything runs inline, FIFO, on the
   /// thread that calls wait()/runAll() — the deterministic reference path.
-  /// `lockfree` overrides the PS_LOCKFREE default (bench_contention builds
-  /// both substrates in one process to A/B them).
-  explicit TaskPool(int nThreads = 0,
-                    std::optional<bool> lockfree = std::nullopt);
+  explicit TaskPool(int nThreads = 0);
   ~TaskPool();
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
   [[nodiscard]] int threadCount() const { return threadCount_; }
-  /// True when this pool runs on the Chase–Lev substrate (always false for
-  /// the nThreads == 1 reference path, which has no concurrency).
-  [[nodiscard]] bool lockfree() const { return lockfree_; }
   [[nodiscard]] std::uint64_t steals() const {
     return steals_.load(std::memory_order_relaxed);
-  }
-  /// Steal probes that lost a CAS race on a victim's deque top (lock-free
-  /// substrate only). The direct measure of steal-path contention: aborts
-  /// mean two thieves (or a thief and the owner) collided on one task.
-  [[nodiscard]] std::uint64_t stealAborts() const {
-    return stealAborts_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t tasksExecuted() const {
     return executed_.load(std::memory_order_relaxed);
@@ -197,12 +172,10 @@ class TaskPool {
   /// keep the pool fed, many sub-ms bouts mean they are too fine.
   ///
   /// stealAttempts/stealFails make contention visible alongside idleness:
-  /// an attempt is one probe of a victim's queue (deque or submission
-  /// channel); a fail is a probe that came back empty-handed — because the
-  /// victim was empty or, on the lock-free substrate, because a CAS race
-  /// was lost (those also count into TaskPool::stealAborts()). A high
-  /// fail/attempt ratio with low idle time means executors are spinning
-  /// over each other's queues rather than parking.
+  /// an attempt is one probe of a victim's queue; a fail is a probe that
+  /// found the victim empty. A high fail/attempt ratio with low idle time
+  /// means executors are spinning over each other's queues rather than
+  /// parking.
   struct IdleStats {
     static constexpr int kBuckets = 16;
     std::uint64_t bouts = 0;
@@ -238,17 +211,11 @@ class TaskPool {
     WaitGroup* wg = nullptr;
   };
 
-  /// Mutex substrate: one locked deque per worker.
+  /// One locked deque per worker: the owner works at the back, everyone
+  /// else takes from the front.
   struct Queue {
     std::mutex mu;
     std::deque<Task> tasks;
-  };
-
-  /// Lock-free substrate: one Chase–Lev deque (owner: the worker) plus one
-  /// bounded MPMC channel for external submissions, per worker.
-  struct LfWorker {
-    ChaseLevDeque deque;
-    MpmcChannel inbox{4096};
   };
 
   /// Per-executor steal counters, written on the hot path with relaxed
@@ -261,23 +228,19 @@ class TaskPool {
 
   void workerLoop(int slot);
   bool tryRunOne(int preferredSlot);
-  bool tryRunOneMutex(int preferredSlot, std::size_t row);
-  bool tryRunOneLockfree(int preferredSlot, std::size_t row);
   void runTask(Task&& task);
-  /// Wake one parked executor if any is parked (cheap no-op otherwise).
-  void wakeOne();
   /// Requires idleMu_ held (both call sites already own it for the condvar).
   void recordIdle(std::size_t row, std::uint64_t nanos);
+  /// True when the calling thread is this pool's worker for `slot`.
+  [[nodiscard]] bool isOwner(int slot) const;
+  /// The owner's own row, or the shared external-waiter row.
   [[nodiscard]] std::size_t telemetryRow(int slot) const;
 
   int threadCount_ = 1;
-  bool lockfree_ = false;
   std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::unique_ptr<LfWorker>> lf_;
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<StealRow>> stealRows_;
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> stealAborts_{0};
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> nextQueue_{0};
   std::atomic<bool> stop_{false};

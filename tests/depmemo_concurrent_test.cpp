@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,6 +114,88 @@ TEST(DepMemoConcurrent, InvalidateAllHidesEveryEarlierEntry) {
     // g0 before the bump — exactly why mid-build invalidation is safe.
     EXPECT_TRUE(memo.lookup("key" + std::to_string(k), g0).has_value()) << k;
   }
+}
+
+// invalidateView storms while readers/writers run the capture-once protocol:
+// each round-trip captures (floor, gen) exactly as DependenceTester does,
+// inserts stamped entries, and checks every hit's stamp lies in its window.
+// A stale hit (stamp outside [floor, gen]) is the bug the epoch windows
+// exist to prevent.
+TEST(DepMemoConcurrent, InvalidateViewStormMidLookupZeroStaleHits) {
+  DepMemo memo;
+  constexpr int kWorkers = 6;
+  constexpr int kKeys = 64;
+  constexpr int kIters = 3000;
+  std::vector<DepMemo::ViewId> views;
+  views.push_back(0);
+  for (int i = 1; i < kWorkers; ++i) views.push_back(memo.createView());
+  std::atomic<long long> staleHits{0};
+  std::atomic<long long> hits{0};
+  std::atomic<bool> stop{false};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      const DepMemo::ViewId view = views[w];
+      for (int i = 0; i < kIters; ++i) {
+        // Capture once, like DependenceTester's constructor.
+        const std::uint64_t floor = memo.floorOf(view);
+        const std::uint64_t gen = memo.generation();
+        const MemoKey key("k" + std::to_string((w * kIters + i) % kKeys));
+        if (std::optional<LevelResult> hit = memo.lookup(key, floor, gen)) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          const auto stamp = static_cast<std::uint64_t>(*hit->distance);
+          if (stamp < floor || stamp > gen) {
+            staleHits.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        memo.insert(key, stamped(gen), gen);
+        if (i % 64 == 0) memo.invalidateView(view);
+      }
+    });
+  }
+  // A dedicated invalidator keeps epochs moving while lookups are in flight.
+  threads.emplace_back([&] {
+    int v = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      memo.invalidateView(views[v++ % views.size()]);
+      std::this_thread::yield();
+    }
+  });
+  for (int w = 0; w < kWorkers; ++w) threads[w].join();
+  stop.store(true, std::memory_order_release);
+  threads.back().join();
+
+  EXPECT_EQ(staleHits.load(std::memory_order_relaxed), 0);
+  EXPECT_GT(hits.load(std::memory_order_relaxed), 0);
+  EXPECT_LE(memo.size(), static_cast<std::size_t>(kKeys));
+}
+
+TEST(DepMemoConcurrent, GrowthPreservesEveryDistinctKey) {
+  DepMemo memo;
+  constexpr int kThreads = 8;
+  constexpr int kKeysPerThread = 512;  // forces several rehashes per shard
+  const std::uint64_t gen = memo.generation();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kKeysPerThread; ++i) {
+        memo.insert(MemoKey("g" + std::to_string(t) + "_" + std::to_string(i)),
+                    stamped(gen), gen);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(memo.size(),
+            static_cast<std::size_t>(kThreads) * kKeysPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kKeysPerThread; ++i) {
+      const MemoKey key("g" + std::to_string(t) + "_" + std::to_string(i));
+      ASSERT_TRUE(memo.lookup(key, gen).has_value())
+          << key.text << " lost during concurrent growth";
+    }
+  }
+  EXPECT_EQ(memo.exportEntries().size(), memo.size());
 }
 
 TEST(DepMemoConcurrent, ShardingSpreadsKeys) {
