@@ -72,6 +72,10 @@ struct RoundTripCase {
   const char* source;
 };
 
+// Test listings show the case name; gtest's default would dump the bytes of
+// the two pointers, which change with the load address of every process.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
+
 class RoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(RoundTrip, PrintParseAgain) {
