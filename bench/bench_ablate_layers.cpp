@@ -47,8 +47,8 @@ Counts measure(const ps::workloads::Workload& w, int layer) {
     ctx.usePrivatization = layer >= 2;
     ctx.oracle = layer >= 3 ? &oracle : nullptr;
     if (layer >= 3) {
-      ctx.inheritedConstants = summaries.inheritedConstantsFor(unit->name);
-      ctx.inheritedRelations = summaries.inheritedRelationsFor(unit->name);
+      ctx.inheritedConstants = summaries.inheritedConstantsFor(*unit);
+      ctx.inheritedRelations = summaries.inheritedRelationsFor(*unit);
     }
     if (layer >= 4) ps::ped::applyAssertions(assertions, &ctx);
     auto g = ps::dep::DependenceGraph::build(model, ctx);

@@ -64,8 +64,8 @@ int countWith(const ps::workloads::Workload& w,
     ps::interproc::InterproceduralOracle oracle(summaries, *unit);
     ps::dep::AnalysisContext ctx;
     ctx.oracle = &oracle;
-    ctx.inheritedConstants = summaries.inheritedConstantsFor(unit->name);
-    ctx.inheritedRelations = summaries.inheritedRelationsFor(unit->name);
+    ctx.inheritedConstants = summaries.inheritedConstantsFor(*unit);
+    ctx.inheritedRelations = summaries.inheritedRelationsFor(*unit);
     ps::ped::applyAssertions(assertions, &ctx);
     tweak(&ctx);
     auto g = ps::dep::DependenceGraph::build(model, ctx);
@@ -104,8 +104,8 @@ Row analyze(const ps::workloads::Workload& w) {
     ps::interproc::InterproceduralOracle oracle(summaries, *unit);
     ps::dep::AnalysisContext ctx;
     ctx.oracle = &oracle;
-    ctx.inheritedConstants = summaries.inheritedConstantsFor(unit->name);
-    ctx.inheritedRelations = summaries.inheritedRelationsFor(unit->name);
+    ctx.inheritedConstants = summaries.inheritedConstantsFor(*unit);
+    ctx.inheritedRelations = summaries.inheritedRelationsFor(*unit);
     ps::transform::Workspace ws(*prog, *unit, ctx);
 
     auto kills = ps::interproc::findArrayKills(*ws.model, *ws.graph,

@@ -49,12 +49,15 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # transformations and rollbacks, plus the dependence builder they drive,
 # rebuilt with -fsanitize=address. Edits refresh the call graph only at the
 # edited procedure, so a transformation that frees a CALL without
-# refreshing it shows up here as a heap-use-after-free.
+# refreshing it shows up here as a heap-use-after-free. The three store
+# suites feed damaged bytes into readGraphSlice, which runs in pool tasks
+# during a warm open.
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 asan_suites="property_test ped_session_test transform_test interproc_test
-  composition_test edit_storm_test fuzz_robustness_test dependence_test"
+  composition_test edit_storm_test fuzz_robustness_test dependence_test
+  pdb_persistence_test warm_start_test io_atomic_test"
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do

@@ -1055,29 +1055,22 @@ void SummaryBuilder::computeFormalConstants() {
   }
 }
 
-bool SummaryBuilder::usesGlobalFacts(const std::string& procName) const {
-  const Procedure* proc = program_.findUnit(procName);
-  if (!proc) return false;
-  for (const auto& d : proc->decls) {
+bool SummaryBuilder::usesGlobalFacts(const Procedure& proc) const {
+  for (const auto& d : proc.decls) {
     if (!d.commonBlock.empty()) return true;
   }
   return false;
 }
 
 std::map<std::string, long long> SummaryBuilder::inheritedConstantsFor(
-    const std::string& procName) const {
+    const Procedure& proc) const {
   std::map<std::string, long long> out;
-  const Procedure* proc = nullptr;
-  for (const auto& u : program_.units) {
-    if (u->name == procName) proc = u.get();
-  }
-  if (!proc) return out;
-  for (const auto& d : proc->decls) {
+  for (const auto& d : proc.decls) {
     if (d.commonBlock.empty()) continue;
     auto it = globalConstants_.find(d.name);
     if (it != globalConstants_.end()) out[d.name] = it->second;
   }
-  auto itF = formalConstants_.find(procName);
+  auto itF = formalConstants_.find(proc.name);
   if (itF != formalConstants_.end()) {
     for (const auto& [name, v] : itF->second) out[name] = v;
   }
@@ -1085,26 +1078,35 @@ std::map<std::string, long long> SummaryBuilder::inheritedConstantsFor(
 }
 
 std::vector<dataflow::Relation> SummaryBuilder::inheritedRelationsFor(
-    const std::string& procName) const {
+    const Procedure& proc) const {
   std::vector<dataflow::Relation> out;
-  const Procedure* proc = nullptr;
-  for (const auto& u : program_.units) {
-    if (u->name == procName) proc = u.get();
-  }
-  if (!proc) return out;
   // Without a COMMON declaration nothing below can match; returning early
   // also keeps this readable concurrently with the census task (a
   // no-COMMON procedure's analysis need not wait for computeGlobalFacts).
-  if (!usesGlobalFacts(procName)) return out;
+  if (!usesGlobalFacts(proc)) return out;
   for (const auto& r : globalRelations_) {
     // The relation's variable must be visible here, and the procedure must
     // not be the one performing the assignment... single-assignment already
     // guarantees validity after the write; we additionally require the
     // variable to be in COMMON in this procedure.
-    const fortran::VarDecl* d = proc->findDecl(r.name);
+    const fortran::VarDecl* d = proc.findDecl(r.name);
     if (d && !d->commonBlock.empty()) out.push_back(r);
   }
   return out;
+}
+
+std::map<std::string, long long> SummaryBuilder::inheritedConstantsFor(
+    const std::string& procName) const {
+  const Procedure* proc = program_.findUnit(procName);
+  return proc ? inheritedConstantsFor(*proc)
+              : std::map<std::string, long long>{};
+}
+
+std::vector<dataflow::Relation> SummaryBuilder::inheritedRelationsFor(
+    const std::string& procName) const {
+  const Procedure* proc = program_.findUnit(procName);
+  return proc ? inheritedRelationsFor(*proc)
+              : std::vector<dataflow::Relation>{};
 }
 
 // ---------------------------------------------------------------------------

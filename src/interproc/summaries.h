@@ -91,11 +91,11 @@ class SummaryBuilder {
   /// finalize()). Must run after every summarizeOne()/finalizeRecursiveOne()
   /// — it resolves call actuals through the final summaries.
   void computeGlobalFacts();
-  /// True when `procName` declares any COMMON variable, i.e. its inherited
+  /// True when `proc` declares any COMMON variable, i.e. its inherited
   /// facts can depend on computeGlobalFacts(). Procedures without COMMON
   /// need not wait for the census (their inherited constants come from the
   /// call-site-literal scan, which is immutable once constructed).
-  [[nodiscard]] bool usesGlobalFacts(const std::string& procName) const;
+  [[nodiscard]] bool usesGlobalFacts(const fortran::Procedure& proc) const;
 
   /// Result of an incremental summary update after a source edit.
   struct Update {
@@ -145,17 +145,25 @@ class SummaryBuilder {
   /// summarizable procedure) — the caller must fall back to summarizeOne.
   bool installSummary(const std::string& name, ProcSummary s);
 
-  /// Constants inherited by each procedure from its call sites: a formal
+  /// Constants inherited by a procedure from its call sites: a formal
   /// receives a constant when every call site passes the same literal.
   /// COMMON variables receive one when the whole program assigns them a
   /// single literal before any use. (Interprocedural constant propagation.)
   [[nodiscard]] std::map<std::string, long long> inheritedConstantsFor(
-      const std::string& procName) const;
+      const fortran::Procedure& proc) const;
 
   /// Symbolic relations valid on entry to a procedure: V = <linear form>
   /// where V is a COMMON variable assigned exactly once in the whole
   /// program and the operands are similarly stable (interprocedural
   /// symbolic propagation — the arc3d JM = JMAX - 1 case).
+  [[nodiscard]] std::vector<dataflow::Relation> inheritedRelationsFor(
+      const fortran::Procedure& proc) const;
+
+  /// The same two lookups by procedure name (a findUnit scan each). Only
+  /// the pipeline benchmark's layer probe (psbench/cold_open.cpp) still
+  /// calls these; everything else passes the unit it already holds.
+  [[nodiscard]] std::map<std::string, long long> inheritedConstantsFor(
+      const std::string& procName) const;
   [[nodiscard]] std::vector<dataflow::Relation> inheritedRelationsFor(
       const std::string& procName) const;
 

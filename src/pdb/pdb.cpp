@@ -116,15 +116,27 @@ std::optional<std::string_view> StoreReader::find(RecordType type,
 }
 
 std::optional<std::string_view> StoreReader::verifiedFind(
-    RecordType type, std::string_view material) {
+    RecordType type, std::string_view material) const {
   auto payload = find(type, contentKey(material));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   if (r.u64() != verifyKey(material) || !r.ok()) {
-    ++stats_.quarantined;
+    verifyQuarantined_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   return payload->substr(8);
+}
+
+bool StoreReader::holds(RecordType type) const {
+  const auto t = static_cast<std::uint32_t>(type);
+  auto it = records_.lower_bound({t, 0});
+  return it != records_.end() && it->first.first == t;
+}
+
+StoreStats StoreReader::stats() const {
+  StoreStats s = stats_;
+  s.quarantined += verifyQuarantined_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace ps::pdb

@@ -31,6 +31,7 @@
 //     checked by the consumer via `StoreReader::verifiedFind`.
 // Nothing in this module throws on malformed input.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -88,7 +89,8 @@ class StoreWriter {
 
 /// Parses and verifies a store image. Construction never fails — a
 /// malformed image simply yields an empty (or partial) record map with the
-/// damage tallied in stats().
+/// damage tallied in stats(). Lookups are const and count quarantines
+/// atomically, so pool tasks may share one reader.
 class StoreReader {
  public:
   explicit StoreReader(std::string bytes);
@@ -100,12 +102,18 @@ class StoreReader {
 
   /// find() plus the collision defense: recomputes both hashes of
   /// `material` and requires the payload's leading verify hash to match.
-  /// On mismatch the record is quarantined (counted once) and nullopt is
-  /// returned. The returned view EXCLUDES the leading verify hash.
+  /// On mismatch the record is quarantined (counted once per call, safe
+  /// under concurrent calls) and nullopt is returned. The returned view
+  /// EXCLUDES the leading verify hash.
   [[nodiscard]] std::optional<std::string_view> verifiedFind(
-      RecordType type, std::string_view material);
+      RecordType type, std::string_view material) const;
 
-  [[nodiscard]] const StoreStats& stats() const { return stats_; }
+  /// True when at least one accepted record has this type: a caller can
+  /// skip rendering key material that could only miss.
+  [[nodiscard]] bool holds(RecordType type) const;
+
+  /// Framing quarantines plus the verify-hash quarantines so far.
+  [[nodiscard]] StoreStats stats() const;
   [[nodiscard]] std::size_t byteSize() const { return byteSize_; }
 
  private:
@@ -113,6 +121,7 @@ class StoreReader {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::string_view>
       records_;
   StoreStats stats_;
+  mutable std::atomic<std::size_t> verifyQuarantined_{0};
   std::size_t byteSize_ = 0;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -95,40 +97,26 @@ std::string PdbStats::str() const {
   return out.str();
 }
 
-std::string Session::pdbSummaryMaterial(const std::string& name) const {
-  // Everything summarizeOne(name) reads: the procedure's normalized text
-  // and, for each direct callee, either its (already final, bottom-up)
-  // summary bytes, a recursion marker (recursive callees read as unknown
-  // during summarization), or an external marker. Chaining callee summary
-  // FINGERPRINTS makes the key Merkle-like: a change anywhere below the
-  // procedure in the call graph flips its key.
-  const Procedure* proc = program_->findUnit(name);
-  std::string m = "SUM|";
-  m += fortran::printProcedure(*proc);
-  m += "|CALLEES|";
-  const interproc::CallGraph& cg = summaries_->callGraph();
-  const std::set<std::string> recSet(cg.recursive().begin(),
-                                     cg.recursive().end());
+namespace {
+
+/// The distinct direct callees of `caller`, sorted.
+std::set<std::string> calleesOf(const interproc::CallGraph& cg,
+                                const std::string& caller) {
   std::set<std::string> callees;
-  for (const interproc::CallSite* s : cg.callsFrom(name)) {
+  for (const interproc::CallSite* s : cg.callsFrom(caller)) {
     callees.insert(s->callee);
   }
-  for (const auto& c : callees) {
-    m += c;
-    m += '=';
-    if (recSet.count(c)) {
-      m += "REC";
-    } else if (const interproc::ProcSummary* cs = summaries_->summaryOf(c)) {
-      m += std::to_string(interproc::summaryFingerprint(*cs));
-    } else {
-      m += "EXTERN";
-    }
-    m += ';';
-  }
-  return m;
+  return callees;
 }
 
-namespace {
+/// A callee's link in a key chain: its summary fingerprint, or EXTERN when
+/// it has no summary (a library routine).
+void appendCalleeLink(std::string& m,
+                      const std::map<std::string, std::uint64_t>& fps,
+                      const std::string& callee) {
+  auto it = fps.find(callee);
+  m += it != fps.end() ? std::to_string(it->second) : "EXTERN";
+}
 
 void appendBudgetKey(std::string& m, const dep::AnalysisBudget& b) {
   m += "|BUDGET|";
@@ -141,9 +129,55 @@ void appendBudgetKey(std::string& m, const dep::AnalysisBudget& b) {
   m += std::to_string(b.maxSymbolicRelations);
 }
 
+/// Run fn(0), ..., fn(n - 1) on the pool and wait for all of them. The
+/// units go out as a few contiguous ranges per worker: one task per unit
+/// would cost more in scheduling than the few microseconds of work each
+/// unit brings.
+void forEachUnit(support::TaskPool& pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  const std::size_t tasks =
+      std::min(n, 4 * static_cast<std::size_t>(pool.threadCount()));
+  std::vector<std::function<void()>> thunks;
+  thunks.reserve(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::size_t lo = n * t / tasks;
+    const std::size_t hi = n * (t + 1) / tasks;
+    thunks.push_back([&fn, lo, hi] {
+      for (std::size_t i = lo; i < hi; ++i) fn(i);
+    });
+  }
+  pool.runAll(std::move(thunks));
+}
+
 }  // namespace
 
-std::string Session::pdbGraphMaterial(const std::string& name) const {
+std::string Session::pdbSummaryMaterial(std::size_t unit,
+                                        const PdbKeyInputs& in) const {
+  // Everything summarizeOne(name) reads: the procedure's normalized text
+  // and, for each direct callee, either its (already final, bottom-up)
+  // summary bytes, a recursion marker (recursive callees read as unknown
+  // during summarization), or an external marker. Chaining callee summary
+  // FINGERPRINTS makes the key Merkle-like: a change anywhere below the
+  // procedure in the call graph flips its key.
+  std::string m = "SUM|";
+  m += in.text[unit];
+  m += "|CALLEES|";
+  for (const auto& c :
+       calleesOf(summaries_->callGraph(), program_->units[unit]->name)) {
+    m += c;
+    m += '=';
+    if (in.recursive.count(c)) {
+      m += "REC";
+    } else {
+      appendCalleeLink(m, in.fingerprints, c);
+    }
+    m += ';';
+  }
+  return m;
+}
+
+std::string Session::pdbGraphMaterial(std::size_t unit,
+                                      const PdbKeyInputs& in) const {
   // Everything a from-scratch DependenceGraph::build of this procedure
   // reads under this session: normalized text, the session fact base
   // (assertions), inherited interprocedural facts, the analysis budget,
@@ -151,23 +185,24 @@ std::string Session::pdbGraphMaterial(const std::string& name) const {
   // persistent dependence marks (reapplyMarks mutates stored edges), and
   // the final summaries of every direct callee (the side-effect oracle's
   // inputs).
-  const Procedure* proc = program_->findUnit(name);
+  const Procedure& proc = *program_->units[unit];
+  const std::string& name = proc.name;
   std::string m = "GRAPH|";
-  m += fortran::printProcedure(*proc);
+  m += in.text[unit];
   m += "|ASSERT|";
   for (const auto& a : assertions_) {
     m += a.text;
     m += ';';
   }
   m += "|CONST|";
-  for (const auto& [var, value] : summaries_->inheritedConstantsFor(name)) {
+  for (const auto& [var, value] : summaries_->inheritedConstantsFor(proc)) {
     m += var;
     m += '=';
     m += std::to_string(value);
     m += ';';
   }
   m += "|REL|";
-  for (const auto& rel : summaries_->inheritedRelationsFor(name)) {
+  for (const auto& rel : summaries_->inheritedRelationsFor(proc)) {
     m += rel.name;
     m += '=';
     dep::appendLinearKey(m, rel.value);
@@ -177,7 +212,7 @@ std::string Session::pdbGraphMaterial(const std::string& name) const {
   m += "|OVR|";
   auto itOv = overrides_.find(name);
   if (itOv != overrides_.end()) {
-    const auto ordinals = ir::stableOrdinals(*proc);
+    const auto ordinals = ir::stableOrdinals(proc);
     for (const auto& [stmtId, vars] : itOv->second) {
       auto io = ordinals.find(stmtId);
       m += io != ordinals.end() ? std::to_string(io->second) : "?";
@@ -201,19 +236,10 @@ std::string Session::pdbGraphMaterial(const std::string& name) const {
     m += ';';
   }
   m += "|SUMS|";
-  const interproc::CallGraph& cg = summaries_->callGraph();
-  std::set<std::string> callees;
-  for (const interproc::CallSite* s : cg.callsFrom(name)) {
-    callees.insert(s->callee);
-  }
-  for (const auto& c : callees) {
+  for (const auto& c : calleesOf(summaries_->callGraph(), name)) {
     m += c;
     m += '=';
-    if (const interproc::ProcSummary* cs = summaries_->summaryOf(c)) {
-      m += std::to_string(interproc::summaryFingerprint(*cs));
-    } else {
-      m += "EXTERN";
-    }
+    appendCalleeLink(m, in.fingerprints, c);
     m += ';';
   }
   return m;
@@ -302,35 +328,78 @@ std::string Session::pdbEmissionMaterial() const {
 }
 
 bool Session::savePdb(const std::string& path) {
-  pdb::StoreWriter store;
+  // The per-procedure records are rendered by pool tasks into per-unit
+  // slots and filed on this thread in unit order, so the bytes do not
+  // depend on pool width.
+  const std::vector<fortran::ProcedurePtr>& units = program_->units;
+  const std::size_t n = units.size();
+  support::TaskPool pool(0);
+
+  // First pass: every unit's text and summary encoding. The encoding is
+  // the summary record's body, and its hash is the fingerprint callers'
+  // keys chain (exactly interproc::summaryFingerprint).
+  PdbKeyInputs keys;
+  keys.text.resize(n);
   const interproc::CallGraph& cg = summaries_->callGraph();
-  const std::set<std::string> recSet(cg.recursive().begin(),
-                                     cg.recursive().end());
-  for (const auto& u : program_->units) {
-    const std::string& name = u->name;
+  keys.recursive.insert(cg.recursive().begin(), cg.recursive().end());
+  std::vector<const interproc::ProcSummary*> summary(n);
+  std::vector<std::string> summaryBytes(n);
+  forEachUnit(pool, n, [&](std::size_t i) {
+    keys.text[i] = fortran::printProcedure(*units[i]);
+    summary[i] = summaries_->summaryOf(units[i]->name);
+    if (!summary[i]) return;
+    pdb::Writer w;
+    interproc::writeSummary(w, *summary[i]);
+    summaryBytes[i] = w.take();
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    if (summary[i]) {
+      keys.fingerprints[units[i]->name] = support::xxh64(summaryBytes[i]);
+    }
+  }
+
+  // Second pass: every unit's sealed records. A sealed payload starts with
+  // the 8-byte verify hash, so an empty one means "no record".
+  struct Sealed {
+    std::uint64_t key = 0;
+    std::string payload;
+  };
+  std::vector<Sealed> summaryRecords(n);
+  std::vector<Sealed> graphRecords(n);
+  forEachUnit(pool, n, [&](std::size_t i) {
+    const std::string& name = units[i]->name;
     // Summaries: skip recursive procedures — their worst-case summaries
     // are cheap to recompute and read as unknown during summarization, so
     // caching them buys nothing and would complicate the key chain.
-    const interproc::ProcSummary* summary = summaries_->summaryOf(name);
-    if (summary && !recSet.count(name)) {
-      const std::string material = pdbSummaryMaterial(name);
-      pdb::Writer w;
-      interproc::writeSummary(w, *summary);
-      store.add(pdb::RecordType::Summary, pdb::contentKey(material),
-                pdb::sealPayload(material, w.data()));
+    if (summary[i] && !keys.recursive.count(name)) {
+      const std::string material = pdbSummaryMaterial(i, keys);
+      summaryRecords[i] = {pdb::contentKey(material),
+                           pdb::sealPayload(material, summaryBytes[i])};
     }
     // Graph slices: only settled materialized workspaces (a dirty graph is
     // stale by definition).
     auto it = workspaces_.find(name);
     if (it == workspaces_.end() || !it->second->graph ||
         pendingDirty_.count(name)) {
-      continue;
+      return;
     }
     pdb::Writer w;
-    if (!dep::writeGraphSlice(w, *u, *it->second->graph)) continue;
-    const std::string material = pdbGraphMaterial(name);
-    store.add(pdb::RecordType::Graph, pdb::contentKey(material),
-              pdb::sealPayload(material, w.data()));
+    if (!dep::writeGraphSlice(w, *units[i], *it->second->graph)) return;
+    const std::string material = pdbGraphMaterial(i, keys);
+    graphRecords[i] = {pdb::contentKey(material),
+                       pdb::sealPayload(material, w.data())};
+  });
+
+  pdb::StoreWriter store;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!summaryRecords[i].payload.empty()) {
+      store.add(pdb::RecordType::Summary, summaryRecords[i].key,
+                summaryRecords[i].payload);
+    }
+    if (!graphRecords[i].payload.empty()) {
+      store.add(pdb::RecordType::Graph, graphRecords[i].key,
+                graphRecords[i].payload);
+    }
   }
   if (incrementalUpdates_) {
     const std::string material = pdbMemoMaterial();
@@ -474,17 +543,45 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   }
   const bool usable = !ps.storeRejected;
 
+  // Per-procedure work runs on the server's pool, else on a private one;
+  // the settle of store misses below reuses it.
+  std::optional<support::TaskPool> ownPool;
+  support::TaskPool& pool =
+      shared.pool ? *shared.pool : ownPool.emplace(nThreads);
+  const std::vector<fortran::ProcedurePtr>& units = session->program_->units;
+  const std::size_t nUnits = units.size();
+  PdbKeyInputs keys;
+  if (usable) {
+    keys.text.resize(nUnits);
+    forEachUnit(pool, nUnits, [&](std::size_t i) {
+      keys.text[i] = fortran::printProcedure(*units[i]);
+    });
+  }
+
   // Interprocedural summaries, callee-before-caller: a verified store hit
   // installs the recorded summary; anything else (miss, quarantine,
   // rejected store) summarizes live. Recursive procedures always take the
-  // live path — exactly mirroring the eager builder's phases.
+  // live path — exactly mirroring the eager builder's phases. The chain is
+  // sequential: each key embeds its callees' final fingerprints, taken as
+  // each summary becomes final.
   session->summaries_ = std::make_unique<interproc::SummaryBuilder>(
       *session->program_, interproc::SummaryBuilder::Deferred{});
   const interproc::CallGraph& cg = session->summaries_->callGraph();
+  keys.recursive.insert(cg.recursive().begin(), cg.recursive().end());
+  std::map<std::string, std::size_t> unitIndex;  // first unit of a name
+  for (std::size_t i = 0; i < nUnits; ++i) unitIndex.emplace(units[i]->name, i);
+  auto takeFingerprint = [&](const std::string& name) {
+    if (!usable) return;
+    if (const interproc::ProcSummary* sum =
+            session->summaries_->summaryOf(name)) {
+      keys.fingerprints[name] = interproc::summaryFingerprint(*sum);
+    }
+  };
   for (const std::string& name : cg.bottomUpOrder()) {
     bool installed = false;
     if (usable) {
-      const std::string material = session->pdbSummaryMaterial(name);
+      const std::string material =
+          session->pdbSummaryMaterial(unitIndex.at(name), keys);
       if (auto body =
               store.verifiedFind(pdb::RecordType::Summary, material)) {
         pdb::Reader r(*body);
@@ -502,9 +599,11 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
       ++ps.summaryMisses;
       session->summaries_->summarizeOne(name);
     }
+    takeFingerprint(name);
   }
   for (const std::string& name : cg.recursive()) {
     session->summaries_->finalizeRecursiveOne(name);
+    takeFingerprint(name);
   }
   session->summaries_->computeGlobalFacts();
 
@@ -524,8 +623,9 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   // BEFORE any graph-record lookup: the MARKS section is part of every
   // graph record's key material, so the table must hold its final contents
   // when pdbGraphMaterial renders. All-or-nothing: a record that fails any
-  // structural check restores no marks and is quarantined.
-  if (usable) {
+  // structural check restores no marks and is quarantined. The key prints
+  // the whole program, so it is only rendered when a marks record exists.
+  if (usable && store.holds(pdb::RecordType::Marks)) {
     const std::string material = session->pdbMarksMaterial();
     if (auto body = store.verifiedFind(pdb::RecordType::Marks, material)) {
       pdb::Reader r(*body);
@@ -559,8 +659,9 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
 
   // OpenMP emission evidence. Keyed on the program text + the just-restored
   // mark table (+ overrides, empty on a fresh open), so it only restores
-  // when eligibility could not have drifted. All-or-nothing like marks.
-  if (usable) {
+  // when eligibility could not have drifted. All-or-nothing like marks,
+  // and likewise only keyed when the store holds such a record.
+  if (usable && store.holds(pdb::RecordType::Emission)) {
     const std::string material = session->pdbEmissionMaterial();
     if (auto body = store.verifiedFind(pdb::RecordType::Emission, material)) {
       pdb::Reader r(*body);
@@ -615,15 +716,20 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
       }
       if (valid && r.atEnd()) {
         // Reapply the saved PARALLEL marks, then install the evidence —
-        // the restored session matches the saving one's loop markings.
+        // the restored session matches the saving one's loop markings. The
+        // printed text carries the markers, so a marked unit's text is
+        // printed again for its graph key.
         std::set<std::uint32_t> ids(parallelLoops.begin(),
                                     parallelLoops.end());
-        for (const auto& u : session->program_->units) {
-          u->forEachStmtMutable([&](Stmt& s) {
-            if (s.kind == StmtKind::Do && ids.count(s.id)) {
+        for (std::size_t i = 0; i < nUnits; ++i) {
+          bool marked = false;
+          units[i]->forEachStmtMutable([&](Stmt& s) {
+            if (s.kind == StmtKind::Do && !s.isParallel && ids.count(s.id)) {
               s.isParallel = true;
+              marked = true;
             }
           });
+          if (marked) keys.text[i] = fortran::printProcedure(*units[i]);
         }
         rep.ran = true;
         rep.loopsConsidered = static_cast<int>(rep.loops.size());
@@ -649,37 +755,56 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
     }
   }
 
-  // Dependence graphs: restore verified slices (statement ids re-bound via
-  // stable ordinals, every index and enum validated); everything else goes
-  // into the dirty set — warm start IS incremental re-analysis against
-  // disk.
+  // Dependence graphs. Pool tasks key each procedure's slice, verify it,
+  // re-bind it to the fresh AST (statement ids via stable ordinals, every
+  // index and enum validated) and restore it into a workspace. The results
+  // merge here in unit order, so counters and session state do not depend
+  // on pool width. Everything else goes into the dirty set — warm start IS
+  // incremental re-analysis against disk.
   const long long testsBefore = session->stats_.testsRun();
-  for (const auto& u : session->program_->units) {
-    const std::string& name = u->name;
-    bool restored = false;
-    if (usable) {
-      const std::string material = session->pdbGraphMaterial(name);
-      if (auto body = store.verifiedFind(pdb::RecordType::Graph, material)) {
-        pdb::Reader r(*body);
-        dep::RestoredSlice slice;
-        if (dep::readGraphSlice(r, *u, &slice) && r.atEnd()) {
-          auto model = std::make_unique<ir::ProcedureModel>(*u);
-          auto graph = std::make_unique<dep::DependenceGraph>(
-              dep::DependenceGraph::restore(*model, std::move(slice.deps),
-                                            slice.nextEdgeId));
-          auto ws = std::make_unique<transform::Workspace>(
-              *session->program_, *u, session->contextFor(name),
-              std::move(model), std::move(graph));
-          session->reapplyMarks(*ws->graph);
-          session->workspaces_.emplace(name, std::move(ws));
-          restored = true;
-          ++ps.graphHits;
-        } else {
-          ++ps.quarantined;
-        }
+  std::vector<std::unique_ptr<transform::Workspace>> restored(nUnits);
+  std::vector<char> rebindFailed(nUnits, 0);  // char: tasks write neighbours
+  if (usable) {
+    // contextFor creates oracles lazily, mutating oracles_: create them
+    // before the fan-out so the tasks only read.
+    std::vector<const interproc::InterproceduralOracle*> oracles(nUnits);
+    for (std::size_t i = 0; i < nUnits; ++i) {
+      auto& oracle = session->oracles_[units[i]->name];
+      if (!oracle) {
+        oracle = std::make_unique<interproc::InterproceduralOracle>(
+            *session->summaries_, *units[i]);
       }
+      oracles[i] = oracle.get();
     }
-    if (!restored) {
+    forEachUnit(pool, nUnits, [&](std::size_t i) {
+      Procedure& u = *units[i];
+      const std::string material = session->pdbGraphMaterial(i, keys);
+      auto body = store.verifiedFind(pdb::RecordType::Graph, material);
+      if (!body) return;
+      pdb::Reader r(*body);
+      dep::RestoredSlice slice;
+      if (!dep::readGraphSlice(r, u, &slice) || !r.atEnd()) {
+        rebindFailed[i] = 1;
+        return;
+      }
+      auto model = std::make_unique<ir::ProcedureModel>(u);
+      auto graph = std::make_unique<dep::DependenceGraph>(
+          dep::DependenceGraph::restore(*model, std::move(slice.deps),
+                                        slice.nextEdgeId));
+      restored[i] = std::make_unique<transform::Workspace>(
+          *session->program_, u,
+          session->makeContext(u, oracles[i], &session->stats_, nullptr),
+          std::move(model), std::move(graph));
+      session->reapplyMarks(*restored[i]->graph);
+    });
+  }
+  for (std::size_t i = 0; i < nUnits; ++i) {
+    const std::string& name = units[i]->name;
+    if (restored[i]) {
+      session->workspaces_.emplace(name, std::move(restored[i]));
+      ++ps.graphHits;
+    } else {
+      if (rebindFailed[i]) ++ps.quarantined;
       ++ps.graphMisses;
       session->pendingDirty_.insert(name);
     }
@@ -691,12 +816,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   // tasks interleave with neighbor sessions' without a dedicated worker
   // set per session.
   if (!session->pendingDirty_.empty()) {
-    if (shared.pool) {
-      session->incrementalAnalyzeOn(*shared.pool, /*materializeMissing=*/true);
-    } else {
-      support::TaskPool pool(nThreads);
-      session->incrementalAnalyzeOn(pool, /*materializeMissing=*/true);
-    }
+    session->incrementalAnalyzeOn(pool, /*materializeMissing=*/true);
   }
   ps.testsRunLive = session->stats_.testsRun() - testsBefore;
   // Framing- and verify-hash-level quarantines tallied by the reader.
@@ -708,17 +828,17 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
 // Workspaces & analysis context
 // ---------------------------------------------------------------------------
 
-dep::AnalysisContext Session::makeContext(const std::string& name,
+dep::AnalysisContext Session::makeContext(const Procedure& proc,
                                           const dep::SideEffectOracle* oracle,
                                           dep::TestStats* sink,
                                           support::TaskPool* pool) const {
   dep::AnalysisContext ctx;
   ctx.oracle = oracle;
   applyAssertions(assertions_, &ctx);
-  auto itOv = overrides_.find(name);
+  auto itOv = overrides_.find(proc.name);
   if (itOv != overrides_.end()) ctx.classificationOverrides = itOv->second;
-  ctx.inheritedConstants = summaries_->inheritedConstantsFor(name);
-  ctx.inheritedRelations = summaries_->inheritedRelationsFor(name);
+  ctx.inheritedConstants = summaries_->inheritedConstantsFor(proc);
+  ctx.inheritedRelations = summaries_->inheritedRelationsFor(proc);
   // Incremental machinery: the session-shared memo (warm across rebuilds
   // and procedures) and the splice path. Both off = the A2 baseline.
   ctx.incrementalUpdates = incrementalUpdates_;
@@ -732,14 +852,13 @@ dep::AnalysisContext Session::makeContext(const std::string& name,
   return ctx;
 }
 
-dep::AnalysisContext Session::contextFor(const std::string& name) {
-  auto itOracle = oracles_.find(name);
-  if (itOracle == oracles_.end()) {
-    Procedure* proc = program_->findUnit(name);
-    oracles_[name] = std::make_unique<interproc::InterproceduralOracle>(
-        *summaries_, *proc);
+dep::AnalysisContext Session::contextFor(const Procedure& proc) {
+  auto& oracle = oracles_[proc.name];
+  if (!oracle) {
+    oracle =
+        std::make_unique<interproc::InterproceduralOracle>(*summaries_, proc);
   }
-  return makeContext(name, oracles_[name].get(), &stats_, nullptr);
+  return makeContext(proc, oracle.get(), &stats_, nullptr);
 }
 
 transform::Workspace& Session::wsFor(const std::string& name) {
@@ -752,7 +871,7 @@ transform::Workspace& Session::wsFor(const std::string& name) {
   }
   Procedure* proc = program_->findUnit(name);
   auto ws = std::make_unique<transform::Workspace>(*program_, *proc,
-                                                   contextFor(name));
+                                                   contextFor(*proc));
   reapplyMarks(*ws->graph);
   ++reanalyses_;
   pendingDirty_.erase(name);  // a fresh build is up to date by construction
@@ -769,8 +888,8 @@ transform::Workspace& Session::wsForEdit(const std::string& name) {
 }
 
 void Session::settleOne(const std::string& name, transform::Workspace& ws) {
-  ws.actx.inheritedConstants = summaries_->inheritedConstantsFor(name);
-  ws.actx.inheritedRelations = summaries_->inheritedRelationsFor(name);
+  ws.actx.inheritedConstants = summaries_->inheritedConstantsFor(ws.proc);
+  ws.actx.inheritedRelations = summaries_->inheritedRelationsFor(ws.proc);
   ws.reanalyze();
   reapplyMarks(*ws.graph);
   pendingDirty_.erase(name);
@@ -902,7 +1021,7 @@ ParallelReport Session::analyzeOn(support::TaskPool& pool) {
           *summaries_, *proc);
       r.ws = std::make_unique<transform::Workspace>(
           *program_, *proc,
-          makeContext(proc->name, r.oracle.get(), &r.stats, &pool));
+          makeContext(*proc, r.oracle.get(), &r.stats, &pool));
     });
     // The oracle resolves this procedure's call sites through its direct
     // callees' (final) summaries; sections already fold in transitive
@@ -914,7 +1033,7 @@ ParallelReport Session::analyzeOn(support::TaskPool& pool) {
     }
     // Inherited facts: formal constants are immutable after construction;
     // the COMMON census is only read by procedures that declare COMMON.
-    if (summaries_->usesGlobalFacts(program_->units[i]->name)) {
+    if (summaries_->usesGlobalFacts(*program_->units[i])) {
       graph.addEdge(censusNode, node);
     }
   }
@@ -974,13 +1093,13 @@ ParallelReport Session::incrementalAnalyzeOn(support::TaskPool& pool,
   // stale state; on the edit path they rebuild fresh (current summaries)
   // on first access, while the warm-open settle materializes them here so
   // the whole program is analyzed when the open returns.
-  std::vector<std::string> dirty;
+  std::vector<Procedure*> dirty;
   std::vector<bool> fresh;
   for (const auto& u : program_->units) {
     if (!pendingDirty_.count(u->name)) continue;
     const bool have = workspaces_.count(u->name) != 0;
     if (!have && !materializeMissing) continue;
-    dirty.push_back(u->name);
+    dirty.push_back(u.get());
     fresh.push_back(!have);
   }
   pendingDirty_.clear();
@@ -989,17 +1108,13 @@ ParallelReport Session::incrementalAnalyzeOn(support::TaskPool& pool,
   // materialize them up front so the concurrent tasks only read the map.
   std::vector<const interproc::InterproceduralOracle*> oracles;
   oracles.reserve(dirty.size());
-  for (const std::string& name : dirty) {
-    auto it = oracles_.find(name);
-    if (it == oracles_.end()) {
-      Procedure* proc = program_->findUnit(name);
-      it = oracles_
-               .emplace(name,
-                        std::make_unique<interproc::InterproceduralOracle>(
-                            *summaries_, *proc))
-               .first;
+  for (Procedure* proc : dirty) {
+    auto& oracle = oracles_[proc->name];
+    if (!oracle) {
+      oracle = std::make_unique<interproc::InterproceduralOracle>(
+          *summaries_, *proc);
     }
-    oracles.push_back(it->second.get());
+    oracles.push_back(oracle.get());
   }
 
   std::vector<dep::TestStats> taskStats(dirty.size());
@@ -1009,21 +1124,20 @@ ParallelReport Session::incrementalAnalyzeOn(support::TaskPool& pool,
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     thunks.push_back([this, i, &dirty, &fresh, &oracles, &taskStats, &built,
                       &pool] {
-      const std::string& name = dirty[i];
+      Procedure& proc = *dirty[i];
       if (fresh[i]) {
         // Warm-open miss without a workspace: build one from scratch
         // inside the task (merged into workspaces_ on the main thread).
-        Procedure* proc = program_->findUnit(name);
         built[i] = std::make_unique<transform::Workspace>(
-            *program_, *proc,
-            makeContext(name, oracles[i], &taskStats[i], &pool));
+            *program_, proc,
+            makeContext(proc, oracles[i], &taskStats[i], &pool));
         return;
       }
-      transform::Workspace& ws = *workspaces_.at(name);
+      transform::Workspace& ws = *workspaces_.at(proc.name);
       // Fresh context = fresh inherited facts. When the edit moved them,
       // the context signature changes and the splice path degrades to a
       // full rebuild for this procedure — same as the sequential settle.
-      ws.actx = makeContext(name, oracles[i], &taskStats[i], &pool);
+      ws.actx = makeContext(ws.proc, oracles[i], &taskStats[i], &pool);
       ws.reanalyze();
     });
   }
@@ -1032,10 +1146,10 @@ ParallelReport Session::incrementalAnalyzeOn(support::TaskPool& pool,
   // Deterministic merge in unit order — the same fold settleEdits performs.
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     if (fresh[i]) {
-      workspaces_[dirty[i]] = std::move(built[i]);
+      workspaces_[dirty[i]->name] = std::move(built[i]);
       ++reanalyses_;
     }
-    transform::Workspace& ws = *workspaces_.at(dirty[i]);
+    transform::Workspace& ws = *workspaces_.at(dirty[i]->name);
     stats_.accumulate(taskStats[i]);
     ws.actx.statsSink = &stats_;
     ws.actx.pool = nullptr;
@@ -1174,7 +1288,8 @@ void Session::restoreSnapshot(Snapshot&& snap) {
   oracles_.clear();
   pendingDirty_.clear();  // every workspace is rebuilt right here
   for (auto& [name, ws] : workspaces_) {
-    ws->actx = contextFor(name);
+    (void)name;
+    ws->actx = contextFor(ws->proc);
     ws->graph.reset();
     ws->reanalyze();
     reapplyMarks(*ws->graph);
@@ -1233,7 +1348,8 @@ void Session::setAnalysisBudget(const dep::AnalysisBudget& b) {
   // the old budget and must be re-derived (full rebuild: the splice path
   // would keep old-budget edges).
   for (auto& [name, ws] : workspaces_) {
-    ws->actx = contextFor(name);
+    (void)name;
+    ws->actx = contextFor(ws->proc);
     ws->graph.reset();
     ws->reanalyze();
     reapplyMarks(*ws->graph);
@@ -1587,7 +1703,8 @@ bool Session::addAssertion(const std::string& payload) {
   memo_->invalidateView(memoView_);
   // Incremental: rebuild only materialized workspaces with the new facts.
   for (auto& [name, ws] : workspaces_) {
-    ws->actx = contextFor(name);
+    (void)name;
+    ws->actx = contextFor(ws->proc);
     ws->reanalyze();
     reapplyMarks(*ws->graph);
   }
@@ -1833,7 +1950,8 @@ bool Session::applyTransformation(const std::string& name,
     summaries_ = std::make_unique<interproc::SummaryBuilder>(*program_);
     oracles_.clear();
     for (auto& [n, w] : workspaces_) {
-      w->actx = contextFor(n);
+      (void)n;
+      w->actx = contextFor(w->proc);
     }
   } else {
     // The rewrite may have cloned or freed CALL statements: keep the call
@@ -1920,15 +2038,17 @@ bool Session::finishEdit(const std::string& operation,
     std::set<std::string> moved = std::move(up.formalConstantsChanged);
     if (up.globalFactsChanged) {
       for (const auto& [name, w] : workspaces_) {
-        if (summaries_->usesGlobalFacts(name)) moved.insert(name);
+        if (summaries_->usesGlobalFacts(w->proc)) moved.insert(name);
       }
     }
     for (const std::string& name : moved) {
       auto it = workspaces_.find(name);
       if (it == workspaces_.end() || pendingDirty_.count(name)) continue;
-      const dep::AnalysisContext& actx = it->second->actx;
-      if (actx.inheritedConstants != summaries_->inheritedConstantsFor(name) ||
-          actx.inheritedRelations != summaries_->inheritedRelationsFor(name)) {
+      const transform::Workspace& w = *it->second;
+      if (w.actx.inheritedConstants !=
+              summaries_->inheritedConstantsFor(w.proc) ||
+          w.actx.inheritedRelations !=
+              summaries_->inheritedRelationsFor(w.proc)) {
         pendingDirty_.insert(name);
       }
     }

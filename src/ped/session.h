@@ -157,13 +157,15 @@ class Session {
   /// Open `source` against a persistent program database written by
   /// savePdb(): every procedure whose content key (normalized source text
   /// + inherited interprocedural facts + analysis budget) hits a verified
-  /// store record adopts the stored summary and dependence graph; only the
-  /// mismatches are scheduled — through the same dirty-set path edits use —
-  /// on `nThreads` workers (0 = hardware_concurrency). A missing,
-  /// truncated, corrupted or version-skewed store never fails the open: it
-  /// degrades, record by record, to cold recomputation, with the damage
-  /// tallied in pdbStats(). Results are bit-identical to load() +
-  /// analyzeParallel() at any thread count.
+  /// store record adopts the stored summary and dependence graph. The
+  /// work runs on a pool of `nThreads` workers (0 = hardware_concurrency):
+  /// pool tasks verify every procedure's graph slice and restore it, and
+  /// only the mismatches are then re-analyzed — through the same dirty-set
+  /// path edits use — on the same pool. A missing, truncated, corrupted
+  /// or version-skewed store never fails the open: it degrades, record by
+  /// record, to cold recomputation, with the damage tallied in pdbStats().
+  /// Results are bit-identical to load() + analyzeParallel(), and
+  /// pdbStats() is the same, at any thread count.
   static std::unique_ptr<Session> openWarm(std::string_view source,
                                            const std::string& pdbPath,
                                            DiagnosticEngine& diags,
@@ -190,19 +192,26 @@ class Session {
 
   /// Open `source` against shared server state: verified records restore
   /// from the shared store image, dependence tests flow through the shared
-  /// memo (via this session's view), and the settle of store misses runs
-  /// on the shared pool. Results are bit-identical to a solo cold load()
-  /// + analyzeParallel() at any thread count — sharing changes where
-  /// answers come from, never what they are.
+  /// memo (via this session's view), and both the per-procedure restore of
+  /// verified graph slices and the settle of store misses run on the
+  /// shared pool (a private pool of `nThreads` workers when it is null).
+  /// Results are bit-identical to a solo cold load() + analyzeParallel()
+  /// at any thread count — sharing changes where answers come from, never
+  /// what they are.
   static std::unique_ptr<Session> attach(std::string_view source,
                                          const SharedWarmState& shared,
                                          DiagnosticEngine& diags,
                                          int nThreads = 0);
 
-  /// Write the persistent program database: one summary record per
-  /// non-recursive procedure, one graph-slice record per procedure with a
-  /// settled materialized workspace, and the current-generation memo
-  /// snapshot. Atomic (temp file + rename); false on I/O failure.
+  /// Write the persistent program database. Five record types: one
+  /// summary per non-recursive procedure, one graph slice per procedure
+  /// with a settled materialized workspace, the current-generation memo
+  /// snapshot (with incremental updates on), the dependence-mark table
+  /// (when any mark exists) and the last emission's per-loop evidence
+  /// (when emitOpenMP ran). The per-procedure records are rendered by
+  /// tasks on a private pool and written in unit order, so the file is
+  /// byte-identical at any pool width. Atomic (temp file + rename); false
+  /// on I/O failure.
   bool savePdb(const std::string& path);
 
   [[nodiscard]] const PdbStats& pdbStats() const { return pdbStats_; }
@@ -608,20 +617,35 @@ class Session {
   ParallelReport incrementalAnalyzeOn(support::TaskPool& pool,
                                       bool materializeMissing = false);
 
+  /// What the per-procedure key materials of one save or open share,
+  /// computed once per pass rather than once per material: every unit's
+  /// normalized text (unit order), the recursive procedures, and the xxh64
+  /// fingerprint of each final summary by procedure name — the callee
+  /// links of the Merkle key chain (interproc::summaryFingerprint).
+  struct PdbKeyInputs {
+    std::vector<std::string> text;
+    std::set<std::string> recursive;
+    std::map<std::string, std::uint64_t> fingerprints;
+  };
+
   // Persistent-program-database content-key materials. Each renders every
   // input the corresponding computation reads, so key equality implies the
-  // stored record equals what recomputation would produce.
-  [[nodiscard]] std::string pdbSummaryMaterial(const std::string& name) const;
-  [[nodiscard]] std::string pdbGraphMaterial(const std::string& name) const;
+  // stored record equals what recomputation would produce. The two
+  // per-procedure ones take the unit's index in program_->units and only
+  // read the session, so pool tasks may render them concurrently.
+  [[nodiscard]] std::string pdbSummaryMaterial(std::size_t unit,
+                                               const PdbKeyInputs& in) const;
+  [[nodiscard]] std::string pdbGraphMaterial(std::size_t unit,
+                                             const PdbKeyInputs& in) const;
   [[nodiscard]] std::string pdbMemoMaterial() const;
   [[nodiscard]] std::string pdbMarksMaterial() const;
   [[nodiscard]] std::string pdbEmissionMaterial() const;
-  dep::AnalysisContext contextFor(const std::string& name);
+  dep::AnalysisContext contextFor(const fortran::Procedure& proc);
   /// Pure variant of contextFor for parallel per-procedure tasks: the
   /// oracle and stats sink are supplied by the caller, so nothing in the
   /// session is mutated (contextFor lazily populates oracles_, which is
   /// not safe under concurrency).
-  dep::AnalysisContext makeContext(const std::string& name,
+  dep::AnalysisContext makeContext(const fortran::Procedure& proc,
                                    const dep::SideEffectOracle* oracle,
                                    dep::TestStats* sink,
                                    support::TaskPool* pool) const;

@@ -623,6 +623,35 @@ TEST(EmissionPersistence, ReportSurvivesPdbRoundTrip) {
   }
 }
 
+// The restored PARALLEL marks are part of the printed text every graph key
+// covers, so the warm open keys its graph slices after reapplying them:
+// a marked and emitted deck reopens with every slice restored, no live
+// test, and the analysis of the saving session.
+TEST(EmissionPersistence, MarkedDeckRestoresEveryGraphSlice) {
+  auto s = loadDeck("slab2d");
+  ASSERT_TRUE(s);
+  s->analyzeParallel(1);
+  (void)markParallelLoops(*s, false);
+  ASSERT_TRUE(s->emitOpenMP().ran);
+  const std::string want = analysisSnapshot(*s);
+  ScopedFile store("emission.marked.pspdb");
+  ASSERT_TRUE(s->savePdb(store.path()));
+
+  for (int threads : {1, 4}) {
+    DiagnosticEngine diags;
+    auto warm = ped::Session::openWarm(byName("slab2d")->source,
+                                       store.path(), diags, threads);
+    ASSERT_NE(warm, nullptr);
+    EXPECT_TRUE(warm->lastEmission().ran) << threads;
+    const ped::PdbStats& ps = warm->pdbStats();
+    EXPECT_EQ(ps.quarantined, 0u) << threads;
+    EXPECT_EQ(ps.graphMisses, 0u) << threads;
+    EXPECT_EQ(ps.graphHits, s->procedureNames().size()) << threads;
+    EXPECT_EQ(ps.testsRunLive, 0) << threads;
+    EXPECT_EQ(analysisSnapshot(*warm), want) << threads;
+  }
+}
+
 // The sweep driver aggregates without losing loops, and its invariants
 // hold on the real corpus.
 TEST(EmissionSweepTest, CorpusSweepHoldsInvariants) {

@@ -356,7 +356,7 @@ TEST(Globals, FormalConstantFromCallSites) {
       "      ENDDO\n"
       "      END\n");
   SummaryBuilder sb(*prog);
-  auto consts = sb.inheritedConstantsFor("WORK");
+  auto consts = sb.inheritedConstantsFor(*prog->findUnit("WORK"));
   ASSERT_TRUE(consts.count("N"));
   EXPECT_EQ(consts["N"], 64);
 }
@@ -373,7 +373,7 @@ TEST(Globals, DifferentCallSiteValuesGiveNoConstant) {
       "      A(1) = 0.0\n"
       "      END\n");
   SummaryBuilder sb(*prog);
-  EXPECT_FALSE(sb.inheritedConstantsFor("WORK").count("N"));
+  EXPECT_FALSE(sb.inheritedConstantsFor(*prog->findUnit("WORK")).count("N"));
 }
 
 TEST(Globals, CommonConstantFromInit) {
@@ -388,7 +388,7 @@ TEST(Globals, CommonConstantFromInit) {
       "      X = FLOAT(JMAX)\n"
       "      END\n");
   SummaryBuilder sb(*prog);
-  auto consts = sb.inheritedConstantsFor("WORK");
+  auto consts = sb.inheritedConstantsFor(*prog->findUnit("WORK"));
   ASSERT_TRUE(consts.count("JMAX"));
   EXPECT_EQ(consts["JMAX"], 50);
 }
@@ -410,7 +410,7 @@ TEST(Globals, Arc3dRelationThroughCommon) {
       "      ENDDO\n"
       "      END\n");
   SummaryBuilder sb(*prog);
-  auto rels = sb.inheritedRelationsFor("FILT");
+  auto rels = sb.inheritedRelationsFor(*prog->findUnit("FILT"));
   bool found = false;
   for (const auto& r : rels) {
     if (r.name == "JM") {
@@ -477,7 +477,7 @@ TEST(IncrementalSummaries, CallLiteralEditReportsFormalConstantChange) {
   auto prog = parse(kCallLiterals);
   ASSERT_EQ(callOfR(*prog)->kind, fortran::StmtKind::Call);
   SummaryBuilder sb(*prog);
-  EXPECT_EQ(sb.inheritedConstantsFor("R").at("M"), 5);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("M"), 5);
 
   rewrite(*prog, callOfR(*prog),
           [](fortran::Stmt& s) { s.args[1]->intValue = 6; });
@@ -486,14 +486,14 @@ TEST(IncrementalSummaries, CallLiteralEditReportsFormalConstantChange) {
   EXPECT_EQ(up.formalConstantsChanged, std::set<std::string>{"R"});
   EXPECT_FALSE(up.globalFactsChanged);
   EXPECT_EQ(up.staleAnalyses, std::set<std::string>{"MAIN"});
-  EXPECT_EQ(sb.inheritedConstantsFor("R").at("M"), 6);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("M"), 6);
   expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
 }
 
 TEST(IncrementalSummaries, CommonInitializerEditReportsCensusChange) {
   auto prog = parse(kCallLiterals);
   SummaryBuilder sb(*prog);
-  EXPECT_EQ(sb.inheritedConstantsFor("R").at("N"), 100);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("N"), 100);
 
   rewrite(*prog, prog->findUnit("MAIN")->body[0],
           [](fortran::Stmt& s) { s.rhs->intValue = 200; });
@@ -501,7 +501,7 @@ TEST(IncrementalSummaries, CommonInitializerEditReportsCensusChange) {
   EXPECT_FALSE(up.structureChanged);
   EXPECT_TRUE(up.formalConstantsChanged.empty());
   EXPECT_TRUE(up.globalFactsChanged);
-  EXPECT_EQ(sb.inheritedConstantsFor("R").at("N"), 200);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("N"), 200);
 }
 
 TEST(IncrementalSummaries, CalleeEditTakesTheStructureChangedPath) {

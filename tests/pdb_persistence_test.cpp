@@ -13,6 +13,7 @@
 // (recomputation), never correctness.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <random>
@@ -21,6 +22,7 @@
 
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "support/hash.h"
 #include "support/io.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
@@ -65,6 +67,20 @@ void wrU64(std::string* b, std::size_t at, std::uint64_t v) {
   }
 }
 
+void wrU32(std::string* b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*b)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFFU);
+  }
+}
+
+/// A scratch store path owned by this process. ctest runs every test of
+/// this suite in a process of its own, concurrently, so a fixed name would
+/// let one process remove or overwrite the file another is reading.
+std::string storePath(const std::string& tag) {
+  return std::string(kDeck) + "." + tag + "." + std::to_string(::getpid()) +
+         ".pspdb";
+}
+
 /// Walk the store image: header end + every record frame. Mirrors the
 /// format in src/pdb/pdb.h (magic[8], u32 version, u32 endian, str stamp,
 /// then [u32 type][u64 key][u32 len][payload][u64 xxh][u32 crc]...).
@@ -107,7 +123,7 @@ const Fixture& fixture() {
     cold->analyzeParallel(1);
     f.coldSnapshot = analysisSnapshot(*cold);
     f.procedures = cold->procedureNames().size();
-    const std::string path = std::string(kDeck) + ".corrupt.pspdb";
+    const std::string path = storePath("corrupt");
     EXPECT_TRUE(cold->savePdb(path));
     EXPECT_TRUE(ps::support::readFile(path, &f.image));
     std::remove(path.c_str());
@@ -116,15 +132,16 @@ const Fixture& fixture() {
   return fx;
 }
 
-/// Write `image` to a scratch store, open warm at 2 threads, and require
-/// the full invariant: success + snapshot equality. Returns the session
-/// for counter checks.
+/// Write `image` to a scratch store, open warm at `threads` threads, and
+/// require the full invariant: success + snapshot equality. Returns the
+/// session for counter checks.
 std::unique_ptr<ped::Session> openImage(const std::string& image,
-                                        const std::string& tag) {
-  const std::string path = std::string(kDeck) + "." + tag + ".pspdb";
+                                        const std::string& tag,
+                                        int threads = 2) {
+  const std::string path = storePath(tag);
   EXPECT_TRUE(ps::support::writeFileAtomic(path, image));
   DiagnosticEngine diags;
-  auto s = ped::Session::openWarm(fixture().source, path, diags, 2);
+  auto s = ped::Session::openWarm(fixture().source, path, diags, threads);
   std::remove(path.c_str());
   EXPECT_NE(s, nullptr) << tag;
   if (!s) return nullptr;
@@ -246,6 +263,42 @@ TEST(PdbPersistence, KeyCollisionIsCaughtByVerifyHash) {
   EXPECT_FALSE(ps.storeRejected);
   EXPECT_GE(ps.quarantined, 2u);
   EXPECT_GE(ps.graphMisses, 2u);
+}
+
+TEST(PdbPersistence, ForgedVerifyHashIsQuarantinedExactlyOnceAtEveryWidth) {
+  // Forge the in-payload verify hash of the graph record of a procedure in
+  // the middle of the unit list (records are filed in unit order), then
+  // recompute the frame checksums so the integrity layer accepts the
+  // frame: only the verify hash can catch it. The pooled restore must
+  // count exactly that one quarantine and one miss, recompute the one
+  // procedure, and restore every other slice, at any pool width.
+  std::string mutated = fixture().image;
+  std::vector<Frame> graphs;
+  for (const auto& f : walkFrames(mutated, nullptr)) {
+    if (f.type == 2) graphs.push_back(f);  // RecordType::Graph
+  }
+  ASSERT_EQ(graphs.size(), fixture().procedures);
+  ASSERT_GE(graphs.size(), 3u) << "need a procedure between two others";
+  const Frame& f = graphs[graphs.size() / 2];
+  wrU64(&mutated, f.payloadOffset,
+        rdU64(mutated, f.payloadOffset) ^ 0x5A5A5A5A5A5A5A5AULL);
+  const std::string_view payload(mutated.data() + f.payloadOffset,
+                                 f.payloadLen);
+  const std::uint64_t xxh = ps::support::xxh64(payload);
+  const std::uint32_t crc = ps::support::crc32(payload);
+  wrU64(&mutated, f.payloadOffset + f.payloadLen, xxh);
+  wrU32(&mutated, f.payloadOffset + f.payloadLen + 8, crc);
+
+  for (int threads : {1, 2, 4, 8}) {
+    auto s = openImage(mutated, "forged" + std::to_string(threads), threads);
+    ASSERT_NE(s, nullptr);
+    const ped::PdbStats& ps = s->pdbStats();
+    EXPECT_FALSE(ps.storeRejected) << threads;
+    EXPECT_EQ(ps.quarantined, 1u) << threads;
+    EXPECT_EQ(ps.graphMisses, 1u) << threads;
+    EXPECT_EQ(ps.graphHits, fixture().procedures - 1) << threads;
+    EXPECT_EQ(ps.summaryMisses, 0u) << threads;
+  }
 }
 
 }  // namespace

@@ -175,8 +175,8 @@ TEST_P(WorkloadProperty, AnalyzerParallelLoopsRunRaceFree) {
     interproc::InterproceduralOracle oracle(summaries, *unit);
     dep::AnalysisContext ctx;
     ctx.oracle = &oracle;
-    ctx.inheritedConstants = summaries.inheritedConstantsFor(unit->name);
-    ctx.inheritedRelations = summaries.inheritedRelationsFor(unit->name);
+    ctx.inheritedConstants = summaries.inheritedConstantsFor(*unit);
+    ctx.inheritedRelations = summaries.inheritedRelationsFor(*unit);
     auto g = dep::DependenceGraph::build(model, ctx);
     for (const auto& loopPtr : model.loops()) {
       if (g.parallelizable(*loopPtr)) loopPtr->stmt->isParallel = true;

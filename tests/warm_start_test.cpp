@@ -13,17 +13,27 @@
 //
 // Sessions that parse the same text assign the same statement ids, so the
 // snapshots are directly comparable strings.
+//
+// A third check pins the bytes themselves: every deck's saved store, minus
+// its header, hashes to a recorded digest.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iomanip>
+#include <iostream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fortran/pretty.h"
+#include "pdb/pdb.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "support/hash.h"
+#include "support/io.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
 
@@ -128,6 +138,52 @@ std::vector<std::string> deckNames() {
 
 INSTANTIATE_TEST_SUITE_P(AllDecks, WarmStart,
                          ::testing::ValuesIn(deckNames()));
+
+// xxh64 of each deck's store image after analyzeParallel(1) + savePdb,
+// header excluded (its build stamp names the compiler). Recorded with the
+// save that filed records one at a time on the calling thread: a match
+// means the pooled save writes the same records in the same order, so
+// stores written before it still open warm.
+const std::map<std::string, std::string>& goldenStoreDigests() {
+  static const std::map<std::string, std::string> kGolden = {
+      {"spec77", "459c154af24c5200"},
+      {"neoss", "a4a94edebf11f17c"},
+      {"nxsns", "88a0f048c109e6b4"},
+      {"dpmin", "c97d4058be83216e"},
+      {"slab2d", "46fb41f560e303a4"},
+      {"slalom", "f17e1a9d6417962b"},
+      {"pueblo3d", "73eec006c2566da8"},
+      {"arc3d", "2de9373fd2b54d9d"},
+  };
+  return kGolden;
+}
+
+TEST(StoreBytes, EveryDeckMatchesPinnedDigest) {
+  const std::string header = pdb::StoreWriter().bytes();
+  std::ostringstream table;
+  bool allMatch = true;
+  for (const Workload& w : all()) {
+    auto cold = loadDeck(w.name);
+    ASSERT_NE(cold, nullptr) << w.name;
+    cold->analyzeParallel(1);
+    ScopedFile store(w.name + ".golden.pspdb");
+    ASSERT_TRUE(cold->savePdb(store.path())) << w.name;
+    std::string image;
+    ASSERT_TRUE(support::readFile(store.path(), &image)) << w.name;
+    ASSERT_EQ(image.compare(0, header.size(), header), 0) << w.name;
+    std::ostringstream hex;
+    hex << std::hex << std::setw(16) << std::setfill('0')
+        << support::xxh64(std::string_view(image).substr(header.size()));
+    table << "      {\"" << w.name << "\", \"" << hex.str() << "\"},\n";
+    auto it = goldenStoreDigests().find(w.name);
+    const bool match =
+        it != goldenStoreDigests().end() && it->second == hex.str();
+    EXPECT_TRUE(match) << w.name << " store bytes drifted";
+    allMatch = allMatch && match;
+  }
+  EXPECT_EQ(goldenStoreDigests().size(), all().size());
+  if (!allMatch) std::cout << "computed digests:\n" << table.str();
+}
 
 }  // namespace
 }  // namespace ps::workloads
