@@ -51,13 +51,15 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # edited procedure, so a transformation that frees a CALL without
 # refreshing it shows up here as a heap-use-after-free. The three store
 # suites feed damaged bytes into readGraphSlice, which runs in pool tasks
-# during a warm open.
+# during a warm open. The parallel determinism suite moves workspaces
+# between the analysis scheduler's task slots and the session at 1-16
+# threads: an ownership bug there is invisible to TSan.
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 asan_suites="property_test ped_session_test transform_test interproc_test
   composition_test edit_storm_test fuzz_robustness_test dependence_test
-  pdb_persistence_test warm_start_test io_atomic_test"
+  pdb_persistence_test warm_start_test io_atomic_test parallel_analysis_test"
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do

@@ -280,15 +280,8 @@ bool operator==(const ProcSummary& a, const ProcSummary& b) {
 }
 
 SummaryBuilder::SummaryBuilder(fortran::Program& program)
-    : program_(program), callGraph_(CallGraph::build(program)) {
-  recursiveNames_.insert(callGraph_.recursive().begin(),
-                         callGraph_.recursive().end());
-  preinsertSlots();
-  computeFormalConstants();
-  for (const std::string& name : callGraph_.bottomUpOrder()) {
-    if (Procedure* proc = program_.findUnit(name)) summarize(*proc);
-  }
-  finalize();
+    : SummaryBuilder(program, Deferred{}) {
+  summarizeAll();
 }
 
 SummaryBuilder::SummaryBuilder(fortran::Program& program, Deferred)
@@ -350,7 +343,10 @@ void SummaryBuilder::finalizeRecursiveOne(const std::string& name) {
   summaries_[name] = worstCaseSummary(name, *proc);
 }
 
-void SummaryBuilder::finalize() {
+void SummaryBuilder::summarizeAll() {
+  for (const std::string& name : callGraph_.bottomUpOrder()) {
+    summarizeOne(name);
+  }
   for (const std::string& name : callGraph_.recursive()) {
     finalizeRecursiveOne(name);
   }
@@ -403,10 +399,7 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     summaries_.clear();
     preinsertSlots();
     computeFormalConstants();
-    for (const std::string& name : callGraph_.bottomUpOrder()) {
-      if (Procedure* proc = program_.findUnit(name)) summarize(*proc);
-    }
-    finalize();
+    summarizeAll();
     for (const auto& [name, s] : summaries_) {
       (void)s;
       up.changedSummaries.insert(name);
@@ -1016,6 +1009,7 @@ void SummaryBuilder::computeGlobalFacts() {
       globalRelations_.push_back({name, form});
     }
   }
+  summarized_ = true;  // the census reads final summaries, so it runs last
 }
 
 void SummaryBuilder::computeFormalConstants() {

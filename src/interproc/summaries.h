@@ -60,9 +60,9 @@ class SummaryBuilder {
  public:
   explicit SummaryBuilder(fortran::Program& program);
 
-  /// Deferred construction for the parallel analysis driver. Builds the
-  /// call graph, pre-inserts one summary slot per summarizable procedure —
-  /// so concurrent summarizeOne()/finalizeRecursiveOne() calls assign into
+  /// Deferred construction for the analysis scheduler. Builds the call
+  /// graph, pre-inserts one summary slot per summarizable procedure — so
+  /// concurrent summarizeOne()/finalizeRecursiveOne() calls assign into
   /// existing map nodes and never mutate the map structure — and computes
   /// the (immutable, AST-only) formal constants, but summarizes nothing.
   /// The driver must call summarizeOne() for every bottomUpOrder() name
@@ -73,23 +73,24 @@ class SummaryBuilder {
   struct Deferred {};
   SummaryBuilder(fortran::Program& program, Deferred);
 
+  /// True once computeGlobalFacts() has run, i.e. every summary is final:
+  /// always for the eager constructor, after the driver's last phase for a
+  /// Deferred builder.
+  [[nodiscard]] bool summarized() const { return summarized_; }
+
   /// Summarize one procedure. Safe to call concurrently for different
   /// procedures provided every callee's summarizeOne happened-before.
   void summarizeOne(const std::string& name);
-  /// Sequential epilogue: worst-case summaries for recursive procedures +
-  /// whole-program constant/relation propagation.
-  void finalize();
 
-  /// Per-procedure slice of finalize(): install the worst-case summary of
-  /// ONE recursive procedure. Depends only on that procedure's AST, so the
-  /// parallel driver may run these concurrently with summarizeOne() calls —
-  /// summarization never reads recursive slots (they are filtered to
-  /// worst-case regardless), and the slot was pre-inserted by the
-  /// constructor so no map node is created.
+  /// Install the worst-case summary of ONE recursive procedure. Depends
+  /// only on that procedure's AST, so the driver may run these concurrently
+  /// with summarizeOne() calls — summarization never reads recursive slots
+  /// (they are filtered to worst-case regardless), and the slot was
+  /// pre-inserted by the constructor so no map node is created.
   void finalizeRecursiveOne(const std::string& name);
-  /// The whole-program constant/relation census (the other half of
-  /// finalize()). Must run after every summarizeOne()/finalizeRecursiveOne()
-  /// — it resolves call actuals through the final summaries.
+  /// The whole-program constant/relation census. Must run after every
+  /// summarizeOne()/finalizeRecursiveOne() — it resolves call actuals
+  /// through the final summaries.
   void computeGlobalFacts();
   /// True when `proc` declares any COMMON variable, i.e. its inherited
   /// facts can depend on computeGlobalFacts(). Procedures without COMMON
@@ -169,6 +170,9 @@ class SummaryBuilder {
 
  private:
   void summarize(fortran::Procedure& proc);
+  /// The sequential build: every summary bottom-up, the recursive worst
+  /// cases, then the census.
+  void summarizeAll();
   /// Bring callGraph_ up to date after `procs` changed: re-point their
   /// sites, or rebuild the graph when a callee sequence moved. False when
   /// the rebuilt graph's shape differs from the previous one.
@@ -182,7 +186,7 @@ class SummaryBuilder {
   void preinsertSlots();
   /// The callee-summary view DURING summarization: recursive procedures
   /// read as unknown (worst case) even when their slot is already filled,
-  /// exactly as in the sequential eager build where finalize() ran last.
+  /// exactly as in the sequential eager build, which fills them last.
   /// Keeps re-summarization bit-identical to a fresh build, and keeps
   /// concurrent finalizeRecursiveOne() writes out of summarize()'s reads.
   [[nodiscard]] const ProcSummary* phaseSummaryOf(
@@ -200,6 +204,7 @@ class SummaryBuilder {
   CallGraph callGraph_;
   /// A transformation moved the call shape since the last summary update.
   bool shapeMoved_ = false;
+  bool summarized_ = false;
   std::set<std::string> recursiveNames_;  // callGraph_.recursive(), as a set
   std::map<std::string, ProcSummary> summaries_;
   std::map<std::string, long long> globalConstants_;       // COMMON var -> value

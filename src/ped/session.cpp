@@ -64,8 +64,9 @@ std::unique_ptr<Session> Session::load(std::string_view source,
     diags.error({}, "no program units");
     return nullptr;
   }
-  session->summaries_ =
-      std::make_unique<interproc::SummaryBuilder>(*session->program_);
+  // Unsummarized: the first analysis computes the summaries in its DAG.
+  session->summaries_ = std::make_unique<interproc::SummaryBuilder>(
+      *session->program_, interproc::SummaryBuilder::Deferred{});
   session->current_ = session->program_->units[0]->name;
 
   // Assertions embedded in the source as directives.
@@ -328,6 +329,8 @@ std::string Session::pdbEmissionMaterial() const {
 }
 
 bool Session::savePdb(const std::string& path) {
+  // Every summary is a record, analyzed or not.
+  (void)analyze({}, nullptr);
   // The per-procedure records are rendered by pool tasks into per-unit
   // slots and filed on this thread in unit order, so the bytes do not
   // depend on pool width.
@@ -765,16 +768,10 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   std::vector<std::unique_ptr<transform::Workspace>> restored(nUnits);
   std::vector<char> rebindFailed(nUnits, 0);  // char: tasks write neighbours
   if (usable) {
-    // contextFor creates oracles lazily, mutating oracles_: create them
-    // before the fan-out so the tasks only read.
+    // Oracles are created before the fan-out, so the tasks only read.
     std::vector<const interproc::InterproceduralOracle*> oracles(nUnits);
     for (std::size_t i = 0; i < nUnits; ++i) {
-      auto& oracle = session->oracles_[units[i]->name];
-      if (!oracle) {
-        oracle = std::make_unique<interproc::InterproceduralOracle>(
-            *session->summaries_, *units[i]);
-      }
-      oracles[i] = oracle.get();
+      oracles[i] = session->oracleFor(*units[i]);
     }
     forEachUnit(pool, nUnits, [&](std::size_t i) {
       Procedure& u = *units[i];
@@ -810,13 +807,16 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
     }
   }
 
-  // Settle every miss through the PR 4 dirty-set path (materializing the
-  // missing workspaces), so the open returns a fully analyzed session. A
-  // server-attached session settles on the server's shared pool — its
-  // tasks interleave with neighbor sessions' without a dedicated worker
-  // set per session.
+  // Analyze every miss (building its workspace), so the open returns a
+  // fully analyzed session. A server-attached session runs this on the
+  // server's shared pool — its tasks interleave with neighbor sessions'
+  // without a dedicated worker set per session.
   if (!session->pendingDirty_.empty()) {
-    session->incrementalAnalyzeOn(pool, /*materializeMissing=*/true);
+    (void)session->analyze(
+        session->unitsWhere([&](const std::string& name) {
+          return session->pendingDirty_.count(name) != 0;
+        }),
+        &pool);
   }
   ps.testsRunLive = session->stats_.testsRun() - testsBefore;
   // Framing- and verify-hash-level quarantines tallied by the reader.
@@ -852,30 +852,27 @@ dep::AnalysisContext Session::makeContext(const Procedure& proc,
   return ctx;
 }
 
-dep::AnalysisContext Session::contextFor(const Procedure& proc) {
+const interproc::InterproceduralOracle* Session::oracleFor(
+    const Procedure& proc) {
   auto& oracle = oracles_[proc.name];
   if (!oracle) {
     oracle =
         std::make_unique<interproc::InterproceduralOracle>(*summaries_, proc);
   }
-  return makeContext(proc, oracle.get(), &stats_, nullptr);
+  return oracle.get();
 }
 
 transform::Workspace& Session::wsFor(const std::string& name) {
   auto it = workspaces_.find(name);
-  if (it != workspaces_.end()) {
-    // Deferred edits leave materialized graphs stale; settle on access so
-    // every reader sees analysis results consistent with the current AST.
-    if (pendingDirty_.count(name)) settleOne(name, *it->second);
-    return *it->second;
+  // Deferred edits leave materialized graphs stale; settle on access so
+  // every reader sees analysis results consistent with the current AST.
+  if (it == workspaces_.end() || pendingDirty_.count(name)) {
+    Procedure* proc = it != workspaces_.end() ? &it->second->proc
+                                              : program_->findUnit(name);
+    (void)analyze({proc}, nullptr);
+    it = workspaces_.find(name);
   }
-  Procedure* proc = program_->findUnit(name);
-  auto ws = std::make_unique<transform::Workspace>(*program_, *proc,
-                                                   contextFor(*proc));
-  reapplyMarks(*ws->graph);
-  ++reanalyses_;
-  pendingDirty_.erase(name);  // a fresh build is up to date by construction
-  return *workspaces_.emplace(name, std::move(ws)).first->second;
+  return *it->second;
 }
 
 transform::Workspace& Session::wsForEdit(const std::string& name) {
@@ -887,28 +884,196 @@ transform::Workspace& Session::wsForEdit(const std::string& name) {
   return wsFor(name);
 }
 
-void Session::settleOne(const std::string& name, transform::Workspace& ws) {
-  ws.actx.inheritedConstants = summaries_->inheritedConstantsFor(ws.proc);
-  ws.actx.inheritedRelations = summaries_->inheritedRelationsFor(ws.proc);
-  ws.reanalyze();
-  reapplyMarks(*ws.graph);
-  pendingDirty_.erase(name);
+// ---------------------------------------------------------------------------
+// The analysis scheduler
+// ---------------------------------------------------------------------------
+
+ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
+                                support::TaskPool* pool) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t tasks0 = pool ? pool->tasksExecuted() : 0;
+  const std::uint64_t steals0 = pool ? pool->steals() : 0;
+  const std::vector<support::TaskPool::IdleStats> idle0 =
+      pool ? pool->idleStats() : std::vector<support::TaskPool::IdleStats>();
+
+  // Statement ids are assigned once, up front: the Program is shared by
+  // every concurrent per-procedure task, so the lazy assignment inside
+  // Workspace::reanalyze is disabled (ctx.idsPreassigned) for pool tasks.
+  program_->assignIds();
+  // Per-procedure state, resolved here so the tasks never touch the
+  // session's maps: the oracle and the workspace to re-analyze (null: build
+  // one, into `built`).
+  struct Slot {
+    const interproc::InterproceduralOracle* oracle = nullptr;
+    transform::Workspace* ws = nullptr;
+    std::unique_ptr<transform::Workspace> built;
+    dep::TestStats stats;
+  };
+  std::vector<Slot> slots(procs.size());
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    slots[i].oracle = oracleFor(*procs[i]);
+    auto it = workspaces_.find(procs[i]->name);
+    if (it != workspaces_.end()) slots[i].ws = it->second.get();
+  }
+
+  // The summary phase, when the builder is not summarized yet, fills it in
+  // place. Summarize tasks are sequenced callee-before-caller where the
+  // caller actually reads the callee's summary; recursive procedures get
+  // independent worst-case tasks (summarization reads them as worst-case
+  // either way — phaseSummaryOf); the global-facts census waits on every
+  // summary. Each procedure's task below is gated on its own callees'
+  // summaries plus the census only when it declares COMMON, so a procedure
+  // whose callees are final starts while unrelated call-graph regions
+  // still summarize.
+  support::TaskGraph graph;
+  const interproc::CallGraph& cg = summaries_->callGraph();
+  std::map<std::string, std::size_t> summaryNode;
+  std::size_t censusNode = 0;
+  const bool summarize = !summaries_->summarized();
+  if (summarize) {
+    const std::set<std::string> recursiveSet(cg.recursive().begin(),
+                                             cg.recursive().end());
+    for (const std::string& name : cg.bottomUpOrder()) {
+      summaryNode[name] =
+          graph.add([this, &name] { summaries_->summarizeOne(name); });
+    }
+    for (const std::string& name : cg.recursive()) {
+      summaryNode[name] = graph.add(
+          [this, &name] { summaries_->finalizeRecursiveOne(name); });
+    }
+    for (const interproc::CallSite& site : cg.callSites()) {
+      // A recursive caller's worst-case task reads only its own AST; a
+      // recursive callee is read as worst-case during summarization.
+      // Neither constrains the summarize phase.
+      if (recursiveSet.count(site.caller) || recursiveSet.count(site.callee))
+        continue;
+      auto callee = summaryNode.find(site.callee);
+      auto caller = summaryNode.find(site.caller);
+      if (callee == summaryNode.end() || caller == summaryNode.end()) continue;
+      if (callee->second == caller->second) continue;
+      graph.addEdge(callee->second, caller->second);
+    }
+    censusNode = graph.add([this] { summaries_->computeGlobalFacts(); });
+    for (const auto& [name, node] : summaryNode) {
+      (void)name;
+      graph.addEdge(node, censusNode);
+    }
+  }
+
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    const std::size_t node = graph.add([this, i, &procs, &slots, pool] {
+      Procedure& proc = *procs[i];
+      Slot& slot = slots[i];
+      dep::AnalysisContext ctx =
+          makeContext(proc, slot.oracle, &slot.stats, pool);
+      if (!slot.ws) {
+        slot.built = std::make_unique<transform::Workspace>(*program_, proc,
+                                                            std::move(ctx));
+        return;
+      }
+      // Fresh context = fresh inherited facts. When they moved, the context
+      // signature changes and the splice path rebuilds this procedure in
+      // full.
+      slot.ws->actx = std::move(ctx);
+      slot.ws->reanalyze();
+    });
+    if (!summarize) continue;
+    // The oracle resolves this procedure's call sites through its direct
+    // callees' (final) summaries; sections already fold in transitive
+    // effects, so direct-callee edges are the whole input set.
+    for (const interproc::CallSite* site : cg.callsFrom(procs[i]->name)) {
+      auto callee = summaryNode.find(site->callee);
+      if (callee != summaryNode.end()) graph.addEdge(callee->second, node);
+    }
+    // Inherited facts: formal constants are immutable after construction;
+    // the COMMON census is only read by procedures that declare COMMON.
+    if (summaries_->usesGlobalFacts(*procs[i])) {
+      graph.addEdge(censusNode, node);
+    }
+  }
+  if (pool) {
+    graph.run(*pool);
+  } else {
+    graph.runInOrder();
+  }
+
+  // Deterministic merge in list (unit) order: fold per-task stats into the
+  // session counters, adopt built workspaces, and rebind each context to
+  // the session's sink with no pool, so later edits and rebuilds behave
+  // the same whichever run built the workspace.
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    Slot& slot = slots[i];
+    const std::string& name = procs[i]->name;
+    if (slot.built) {
+      slot.ws = slot.built.get();
+      workspaces_.emplace(name, std::move(slot.built));
+      ++reanalyses_;
+    }
+    stats_.accumulate(slot.stats);
+    slot.ws->actx.statsSink = &stats_;
+    slot.ws->actx.pool = nullptr;
+    slot.ws->actx.idsPreassigned = false;
+    reapplyMarks(*slot.ws->graph);
+    pendingDirty_.erase(name);  // analyzed means clean
+  }
+
+  ParallelReport report;
+  report.seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  report.procedures = procs.size();
+  if (pool) {
+    report.threads = pool->threadCount();
+    report.tasksExecuted = pool->tasksExecuted() - tasks0;
+    report.steals = pool->steals() - steals0;
+    const std::vector<support::TaskPool::IdleStats> idle1 = pool->idleStats();
+    for (std::size_t i = 0; i < idle1.size(); ++i) {
+      report.idle.push_back(i < idle0.size() ? idle1[i].since(idle0[i])
+                                             : idle1[i]);
+    }
+  }
+  return report;
+}
+
+std::vector<Procedure*> Session::unitsWhere(
+    const std::function<bool(const std::string&)>& pick) const {
+  std::vector<Procedure*> out;
+  std::set<std::string> seen;
+  for (const auto& u : program_->units) {
+    if (pick(u->name) && seen.insert(u->name).second) out.push_back(u.get());
+  }
+  return out;
+}
+
+std::vector<Procedure*> Session::takeDirty() {
+  std::vector<Procedure*> dirty = unitsWhere([this](const std::string& name) {
+    return pendingDirty_.count(name) != 0 && workspaces_.count(name) != 0;
+  });
+  pendingDirty_.clear();
+  return dirty;
+}
+
+void Session::resummarize() {
+  // The oracles reference the builder being replaced.
+  oracles_.clear();
+  summaries_ = std::make_unique<interproc::SummaryBuilder>(
+      *program_, interproc::SummaryBuilder::Deferred{});
+  rebuildMaterialized();
+}
+
+void Session::rebuildMaterialized() {
+  std::vector<Procedure*> procs = unitsWhere(
+      [this](const std::string& name) { return workspaces_.count(name) != 0; });
+  for (Procedure* p : procs) workspaces_.at(p->name)->graph.reset();
+  // Every materialized graph is re-derived below, and a dirty name without
+  // a workspace holds no stale state.
+  pendingDirty_.clear();
+  if (!procs.empty()) (void)analyze(procs, nullptr);
 }
 
 void Session::settleEdits() {
   if (pendingDirty_.empty()) return;
-  // Unit order — the deterministic reference order the parallel incremental
-  // path reproduces. Unmaterialized dirty procedures have no stale state;
-  // they rebuild fresh (with the already-updated summaries) on first access.
-  for (const auto& u : program_->units) {
-    if (!pendingDirty_.count(u->name)) continue;
-    auto it = workspaces_.find(u->name);
-    if (it != workspaces_.end()) {
-      settleOne(u->name, *it->second);
-    } else {
-      pendingDirty_.erase(u->name);
-    }
-  }
+  (void)analyze(takeDirty(), nullptr);
 }
 
 void Session::setDeferredAnalysis(bool on) {
@@ -916,23 +1081,15 @@ void Session::setDeferredAnalysis(bool on) {
   if (!on) settleEdits();
 }
 
-void Session::invalidate(const std::string& name) {
-  workspaces_.erase(name);
-  oracles_.erase(name);
-}
-
 transform::Workspace& Session::workspace() { return wsFor(current_); }
 
-void Session::fullReanalysis() {
+void Session::fullReanalysis() { (void)analyzeAll(nullptr); }
+
+ParallelReport Session::analyzeAll(support::TaskPool* pool) {
   workspaces_.clear();
-  oracles_.clear();
   memo_->invalidateView(memoView_);
-  pendingDirty_.clear();  // the rebuild below covers any pending edits
-  program_->assignIds();
-  summaries_ = std::make_unique<interproc::SummaryBuilder>(*program_);
-  for (const auto& u : program_->units) {
-    (void)wsFor(u->name);
-  }
+  resummarize();  // nothing is materialized, so nothing is rebuilt here
+  return analyze(unitsWhere([](const std::string&) { return true; }), pool);
 }
 
 ParallelReport Session::analyzeParallel(int nThreads) {
@@ -944,235 +1101,13 @@ ParallelReport Session::analyzeOn(support::TaskPool& pool) {
   // Deferred edits + incremental updates: schedule only the dirty set,
   // splicing clean nests and reusing the warm memo. With incremental
   // updates off (the A2 baseline) every analysis is rebuilt regardless of
-  // how small the edit was — the full path below.
+  // how small the edit was.
   if (incrementalUpdates_ && !pendingDirty_.empty()) {
-    return incrementalAnalyzeOn(pool);
+    ParallelReport report = analyze(takeDirty(), &pool);
+    report.incremental = true;
+    return report;
   }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t tasks0 = pool.tasksExecuted();
-  const std::uint64_t steals0 = pool.steals();
-  const std::vector<support::TaskPool::IdleStats> idle0 = pool.idleStats();
-
-  workspaces_.clear();
-  oracles_.clear();
-  memo_->invalidateView(memoView_);
-  pendingDirty_.clear();  // the full rebuild covers any pending edits
-  // Statement ids are assigned once, up front: the Program is shared by
-  // every concurrent per-procedure task, so the lazy assignment inside
-  // Workspace::reanalyze is disabled (ctx.idsPreassigned) for the tasks.
-  program_->assignIds();
-
-  summaries_ = std::make_unique<interproc::SummaryBuilder>(
-      *program_, interproc::SummaryBuilder::Deferred{});
-  const interproc::CallGraph& cg = summaries_->callGraph();
-
-  // One DAG drives both phases, with the summary finalize split per
-  // procedure instead of a global barrier. Summarize tasks are sequenced
-  // callee-before-caller where the caller actually reads the callee's
-  // summary; recursive procedures get independent worst-case tasks
-  // (summarization reads them as worst-case either way — phaseSummaryOf);
-  // the global-facts census waits on every summary; and each analysis task
-  // is gated on its own callees' summaries plus the census only when the
-  // procedure declares COMMON. A procedure whose callees are final starts
-  // its array-pair phase while unrelated call-graph regions summarize.
-  support::TaskGraph graph;
-  std::map<std::string, std::size_t> summaryNode;
-  const std::set<std::string> recursiveSet(cg.recursive().begin(),
-                                           cg.recursive().end());
-  for (const std::string& name : cg.bottomUpOrder()) {
-    summaryNode[name] =
-        graph.add([this, &name] { summaries_->summarizeOne(name); });
-  }
-  for (const std::string& name : cg.recursive()) {
-    summaryNode[name] =
-        graph.add([this, &name] { summaries_->finalizeRecursiveOne(name); });
-  }
-  for (const interproc::CallSite& site : cg.callSites()) {
-    // A recursive caller's worst-case task reads only its own AST; a
-    // recursive callee is read as worst-case during summarization. Neither
-    // constrains the summarize phase.
-    if (recursiveSet.count(site.caller) || recursiveSet.count(site.callee))
-      continue;
-    auto callee = summaryNode.find(site.callee);
-    auto caller = summaryNode.find(site.caller);
-    if (callee == summaryNode.end() || caller == summaryNode.end()) continue;
-    if (callee->second == caller->second) continue;
-    graph.addEdge(callee->second, caller->second);
-  }
-  std::size_t censusNode =
-      graph.add([this] { summaries_->computeGlobalFacts(); });
-  for (const auto& [name, node] : summaryNode) {
-    (void)name;
-    graph.addEdge(node, censusNode);
-  }
-
-  struct ProcResult {
-    std::unique_ptr<interproc::InterproceduralOracle> oracle;
-    std::unique_ptr<transform::Workspace> ws;
-    dep::TestStats stats;
-  };
-  std::vector<ProcResult> results(program_->units.size());
-  for (std::size_t i = 0; i < program_->units.size(); ++i) {
-    std::size_t node = graph.add([this, i, &results, &pool] {
-      Procedure* proc = program_->units[i].get();
-      ProcResult& r = results[i];
-      r.oracle = std::make_unique<interproc::InterproceduralOracle>(
-          *summaries_, *proc);
-      r.ws = std::make_unique<transform::Workspace>(
-          *program_, *proc,
-          makeContext(*proc, r.oracle.get(), &r.stats, &pool));
-    });
-    // The oracle resolves this procedure's call sites through its direct
-    // callees' (final) summaries; sections already fold in transitive
-    // effects, so direct-callee edges are the whole input set.
-    for (const interproc::CallSite* site :
-         cg.callsFrom(program_->units[i]->name)) {
-      auto callee = summaryNode.find(site->callee);
-      if (callee != summaryNode.end()) graph.addEdge(callee->second, node);
-    }
-    // Inherited facts: formal constants are immutable after construction;
-    // the COMMON census is only read by procedures that declare COMMON.
-    if (summaries_->usesGlobalFacts(*program_->units[i])) {
-      graph.addEdge(censusNode, node);
-    }
-  }
-  graph.run(pool);
-
-  // Deterministic merge, in unit order (the fullReanalysis order): fold
-  // per-task stats into the session counters, adopt the oracles and
-  // workspaces, and rebind each context to the sequential defaults so
-  // later incremental edits behave exactly as in a sequential session.
-  for (std::size_t i = 0; i < program_->units.size(); ++i) {
-    ProcResult& r = results[i];
-    const std::string& name = program_->units[i]->name;
-    stats_.accumulate(r.stats);
-    r.ws->actx.statsSink = &stats_;
-    r.ws->actx.pool = nullptr;
-    r.ws->actx.idsPreassigned = false;
-    oracles_[name] = std::move(r.oracle);
-    reapplyMarks(*r.ws->graph);
-    ++reanalyses_;
-    workspaces_.emplace(name, std::move(r.ws));
-  }
-
-  ParallelReport report;
-  report.threads = pool.threadCount();
-  report.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  report.procedures = program_->units.size();
-  report.summaryTasks = summaryNode.size();
-  report.tasksExecuted = pool.tasksExecuted() - tasks0;
-  report.steals = pool.steals() - steals0;
-  const std::vector<support::TaskPool::IdleStats> idle1 = pool.idleStats();
-  for (std::size_t i = 0; i < idle1.size(); ++i) {
-    report.idle.push_back(i < idle0.size() ? idle1[i].since(idle0[i])
-                                           : idle1[i]);
-  }
-  return report;
-}
-
-ParallelReport Session::incrementalAnalyzeOn(support::TaskPool& pool,
-                                             bool materializeMissing) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t tasks0 = pool.tasksExecuted();
-  const std::uint64_t steals0 = pool.steals();
-  const std::vector<support::TaskPool::IdleStats> idle0 = pool.idleStats();
-
-  // NO memo invalidation and NO summary rebuild here: applyEdit already
-  // re-established the summaries in place at edit time, and the memo's
-  // generation protocol keeps every still-valid test result warm. The only
-  // work left is re-deriving the dirty procedures' dependence graphs —
-  // each of which splices every loop nest whose splice signature survived
-  // the edit from its existing graph.
-  program_->assignIds();
-
-  // The dirty set in unit order — the order settleEdits() uses, which the
-  // 1-thread FIFO reproduces exactly. Unmaterialized procedures carry no
-  // stale state; on the edit path they rebuild fresh (current summaries)
-  // on first access, while the warm-open settle materializes them here so
-  // the whole program is analyzed when the open returns.
-  std::vector<Procedure*> dirty;
-  std::vector<bool> fresh;
-  for (const auto& u : program_->units) {
-    if (!pendingDirty_.count(u->name)) continue;
-    const bool have = workspaces_.count(u->name) != 0;
-    if (!have && !materializeMissing) continue;
-    dirty.push_back(u.get());
-    fresh.push_back(!have);
-  }
-  pendingDirty_.clear();
-
-  // Oracles are lazily created by contextFor, which mutates oracles_ —
-  // materialize them up front so the concurrent tasks only read the map.
-  std::vector<const interproc::InterproceduralOracle*> oracles;
-  oracles.reserve(dirty.size());
-  for (Procedure* proc : dirty) {
-    auto& oracle = oracles_[proc->name];
-    if (!oracle) {
-      oracle = std::make_unique<interproc::InterproceduralOracle>(
-          *summaries_, *proc);
-    }
-    oracles.push_back(oracle.get());
-  }
-
-  std::vector<dep::TestStats> taskStats(dirty.size());
-  std::vector<std::unique_ptr<transform::Workspace>> built(dirty.size());
-  std::vector<std::function<void()>> thunks;
-  thunks.reserve(dirty.size());
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    thunks.push_back([this, i, &dirty, &fresh, &oracles, &taskStats, &built,
-                      &pool] {
-      Procedure& proc = *dirty[i];
-      if (fresh[i]) {
-        // Warm-open miss without a workspace: build one from scratch
-        // inside the task (merged into workspaces_ on the main thread).
-        built[i] = std::make_unique<transform::Workspace>(
-            *program_, proc,
-            makeContext(proc, oracles[i], &taskStats[i], &pool));
-        return;
-      }
-      transform::Workspace& ws = *workspaces_.at(proc.name);
-      // Fresh context = fresh inherited facts. When the edit moved them,
-      // the context signature changes and the splice path degrades to a
-      // full rebuild for this procedure — same as the sequential settle.
-      ws.actx = makeContext(ws.proc, oracles[i], &taskStats[i], &pool);
-      ws.reanalyze();
-    });
-  }
-  pool.runAll(std::move(thunks));
-
-  // Deterministic merge in unit order — the same fold settleEdits performs.
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    if (fresh[i]) {
-      workspaces_[dirty[i]->name] = std::move(built[i]);
-      ++reanalyses_;
-    }
-    transform::Workspace& ws = *workspaces_.at(dirty[i]->name);
-    stats_.accumulate(taskStats[i]);
-    ws.actx.statsSink = &stats_;
-    ws.actx.pool = nullptr;
-    ws.actx.idsPreassigned = false;
-    reapplyMarks(*ws.graph);
-  }
-
-  ParallelReport report;
-  report.threads = pool.threadCount();
-  report.incremental = true;
-  report.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  report.procedures = dirty.size();
-  report.summaryTasks = 0;  // summaries were updated in place at edit time
-  report.tasksExecuted = pool.tasksExecuted() - tasks0;
-  report.steals = pool.steals() - steals0;
-  const std::vector<support::TaskPool::IdleStats> idle1 = pool.idleStats();
-  for (std::size_t i = 0; i < idle1.size(); ++i) {
-    report.idle.push_back(i < idle0.size() ? idle1[i].since(idle0[i])
-                                           : idle1[i]);
-  }
-  return report;
+  return analyzeAll(&pool);
 }
 
 void Session::setIncrementalUpdates(bool on) {
@@ -1281,19 +1216,10 @@ void Session::restoreSnapshot(Snapshot&& snap) {
   program_->nextStmtId = snap.nextStmtId;
 
   // Every derived structure may hold pointers into the replaced AST:
-  // rebuild summaries, drop oracles, and force each materialized workspace
-  // to a full (non-splice) reanalysis — the splice path would read the old
-  // graph's dangling Expr pointers.
-  summaries_ = std::make_unique<interproc::SummaryBuilder>(*program_);
-  oracles_.clear();
-  pendingDirty_.clear();  // every workspace is rebuilt right here
-  for (auto& [name, ws] : workspaces_) {
-    (void)name;
-    ws->actx = contextFor(ws->proc);
-    ws->graph.reset();
-    ws->reanalyze();
-    reapplyMarks(*ws->graph);
-  }
+  // replace the summaries and force each materialized workspace to a full
+  // (non-splice) reanalysis — the splice path would read the old graph's
+  // dangling Expr pointers.
+  resummarize();
 }
 
 audit::Report Session::auditNow(bool deep) {
@@ -1347,13 +1273,7 @@ void Session::setAnalysisBudget(const dep::AnalysisBudget& b) {
   // hits are impossible — but the materialized graphs were derived under
   // the old budget and must be re-derived (full rebuild: the splice path
   // would keep old-budget edges).
-  for (auto& [name, ws] : workspaces_) {
-    (void)name;
-    ws->actx = contextFor(ws->proc);
-    ws->graph.reset();
-    ws->reanalyze();
-    reapplyMarks(*ws->graph);
-  }
+  rebuildMaterialized();
 }
 
 DegradationReport Session::degradationReport() const {
@@ -1680,9 +1600,7 @@ bool Session::classifyVariable(const std::string& name, bool asPrivate,
   if (!ws.loopOf(currentLoop_)) return false;
   overrides_[current_][currentLoop_][name] = asPrivate;
   classificationReasons_[current_][name] = reason;
-  ws.actx.classificationOverrides = overrides_[current_];
-  ws.reanalyze();
-  reapplyMarks(*ws.graph);
+  (void)analyze({&ws.proc}, nullptr);  // the fresh context reads overrides_
   ++counters_.variableClassifications;
   return true;
 }
@@ -1702,12 +1620,7 @@ bool Session::addAssertion(const std::string& payload) {
   // context state, so this is the only hook needed).
   memo_->invalidateView(memoView_);
   // Incremental: rebuild only materialized workspaces with the new facts.
-  for (auto& [name, ws] : workspaces_) {
-    (void)name;
-    ws->actx = contextFor(ws->proc);
-    ws->reanalyze();
-    reapplyMarks(*ws->graph);
-  }
+  rebuildMaterialized();
   ++counters_.assertionsAdded;
   return true;
 }
@@ -1775,6 +1688,7 @@ std::string Session::explainLoop(StmtId loopId) {
 
 std::string Session::showSummary(const std::string& procName) {
   ++counters_.analysisQueries;
+  (void)analyze({}, nullptr);  // summaries are computed on first use
   const interproc::ProcSummary* s = summaries_->summaryOf(procName);
   if (!s) return "no summary for " + procName;
   std::ostringstream out;
@@ -1944,15 +1858,10 @@ bool Session::applyTransformation(const std::string& name,
   }
 
   reapplyMarks(*ws.graph);
-  // Interprocedural transformations add units: refresh summaries so other
-  // procedures see them.
+  // Interprocedural transformations add units: replace the summaries so
+  // every procedure's analysis sees them.
   if (name == "Loop Extraction" || name == "Loop Embedding") {
-    summaries_ = std::make_unique<interproc::SummaryBuilder>(*program_);
-    oracles_.clear();
-    for (auto& [n, w] : workspaces_) {
-      (void)n;
-      w->actx = contextFor(w->proc);
-    }
+    resummarize();
   } else {
     // The rewrite may have cloned or freed CALL statements: keep the call
     // graph pointing at live ones (checkInterfaces and the next edit's

@@ -1,6 +1,7 @@
 #ifndef PS_PED_SESSION_H
 #define PS_PED_SESSION_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -84,17 +85,16 @@ struct DegradationReport {
   [[nodiscard]] std::string str() const;
 };
 
-/// What one parallel analysis did: thread count, wall time, and scheduler
-/// counters (tasks include the per-nest fan-out inside each per-procedure
-/// build). `incremental` is set when the run consumed a pending dirty set
-/// instead of rebuilding the whole program; `procedures` then counts only
-/// the re-analyzed ones.
+/// What one run of the analysis scheduler did: thread count, wall time, and
+/// pool counters (tasks include the per-nest fan-out inside each
+/// per-procedure build). `incremental` is set when the run consumed a
+/// pending dirty set instead of rebuilding the whole program; `procedures`
+/// counts the procedures the run analyzed.
 struct ParallelReport {
   int threads = 1;
   bool incremental = false;
   double seconds = 0.0;
   std::size_t procedures = 0;
-  std::size_t summaryTasks = 0;
   std::uint64_t tasksExecuted = 0;
   std::uint64_t steals = 0;
   /// Steal-latency telemetry for this run: per-worker idle-bout histograms
@@ -149,8 +149,10 @@ struct PdbStats {
 /// power-steered transformations and navigation guidance.
 class Session {
  public:
-  /// Parse and fully analyze a program. Assertion directives (CPED$/!PED$)
-  /// found in the source are applied immediately.
+  /// Parse a program. Nothing is analyzed yet: the interprocedural
+  /// summaries and each procedure's dependence graph are computed on first
+  /// use, or all at once by analyzeParallel(). Assertion directives
+  /// (CPED$/!PED$) found in the source are applied immediately.
   static std::unique_ptr<Session> load(std::string_view source,
                                        DiagnosticEngine& diags);
 
@@ -160,10 +162,11 @@ class Session {
   /// store record adopts the stored summary and dependence graph. The
   /// work runs on a pool of `nThreads` workers (0 = hardware_concurrency):
   /// pool tasks verify every procedure's graph slice and restore it, and
-  /// only the mismatches are then re-analyzed — through the same dirty-set
-  /// path edits use — on the same pool. A missing, truncated, corrupted
-  /// or version-skewed store never fails the open: it degrades, record by
-  /// record, to cold recomputation, with the damage tallied in pdbStats().
+  /// only the mismatches are then analyzed — by the scheduler every other
+  /// analysis goes through — on the same pool. A missing, truncated,
+  /// corrupted or version-skewed store never fails the open: it degrades,
+  /// record by record, to cold recomputation, with the damage tallied in
+  /// pdbStats().
   /// Results are bit-identical to load() + analyzeParallel(), and
   /// pdbStats() is the same, at any thread count.
   static std::unique_ptr<Session> openWarm(std::string_view source,
@@ -485,34 +488,39 @@ class Session {
   [[nodiscard]] const interproc::SummaryBuilder& summaries() const {
     return *summaries_;
   }
-  /// Rebuild summaries + all workspaces (the non-incremental A2 baseline);
-  /// incremental updates only touch the edited procedure. Also empties the
-  /// cross-build dependence-test memo.
+  /// Rebuild summaries + all workspaces from scratch (the non-incremental A2
+  /// baseline), sequentially on the calling thread; incremental updates
+  /// only touch the edited procedure. Also empties the cross-build
+  /// dependence-test memo. Same scheduler as analyzeParallel(), with no
+  /// pool: the nodes run in insertion order, so the TestStats phase timers
+  /// nest.
   void fullReanalysis();
 
-  /// Whole-program analysis as a task DAG on a thread pool. The full path
-  /// pipelines the interprocedural summary phase per procedure: summary
-  /// tasks are sequenced callee-before-caller by the call graph, recursive
-  /// procedures get independent worst-case tasks, and each per-procedure
-  /// analysis task (CFG, dominators, dataflow, dependence testing, with
-  /// per-nest dependence batteries fanned out as subtasks) is gated only on
-  /// its own callees' summaries — plus the global-facts census when the
-  /// procedure declares COMMON — so analysis of one call-graph region
-  /// starts while unrelated regions are still summarizing.
+  /// Whole-program analysis as a task DAG on a thread pool. Every analysis
+  /// in a session — lazy first access, settles, rebuilds, this call — runs
+  /// through one scheduler: given procedures in unit order, it adds the
+  /// interprocedural summary phase when the summaries are not computed yet
+  /// (summary tasks sequenced callee-before-caller by the call graph,
+  /// recursive procedures as independent worst-case tasks, then the
+  /// global-facts census), and one task per procedure (CFG, dominators,
+  /// dataflow, dependence testing, with per-nest dependence batteries
+  /// fanned out as subtasks) gated only on its own callees' summaries —
+  /// plus the census when the procedure declares COMMON — so analysis of
+  /// one call-graph region starts while unrelated regions still summarize.
   ///
   /// Interaction with setIncrementalUpdates: when incremental updates are
   /// on and deferred edits left a dirty set pending, only the dirty
-  /// procedures are scheduled, splicing every unchanged loop nest from the
-  /// existing graphs and reusing the warm dependence-test memo (the
-  /// summaries were already updated in place at edit time). With
-  /// incremental updates off the parallel path always rebuilds everything,
-  /// exactly like the sequential A2 baseline.
+  /// materialized procedures are scheduled, splicing every unchanged loop
+  /// nest from the existing graphs and reusing the warm dependence-test
+  /// memo (the summaries were already updated in place at edit time).
+  /// Otherwise every procedure is rebuilt against fresh summaries, exactly
+  /// like fullReanalysis().
   ///
   /// Per-task TestStats merge into the session counters in fixed unit
-  /// order. Semantics match fullReanalysis() (full path) or a sequential
-  /// settleEdits() (incremental path); nThreads == 1 (a poolless FIFO) is
-  /// bit-identical to the sequential path — graphs, edge ids and stats.
-  /// nThreads == 0 uses hardware_concurrency().
+  /// order. Semantics match fullReanalysis() (full path) or settleEdits()
+  /// (incremental path); nThreads == 1 (a poolless FIFO) is bit-identical
+  /// to both — graphs, edge ids and stats. nThreads == 0 uses
+  /// hardware_concurrency().
   ParallelReport analyzeParallel(int nThreads = 0);
   /// Same, scheduling onto a caller-owned pool (the eight-deck batch driver
   /// runs several sessions' analyses concurrently on one pool).
@@ -531,9 +539,10 @@ class Session {
   /// Turning deferral off settles any pending edits immediately.
   void setDeferredAnalysis(bool on);
   [[nodiscard]] bool deferredAnalysis() const { return deferredAnalysis_; }
-  /// Settle all pending deferred edits sequentially (unit order): refresh
-  /// each dirty materialized workspace's inherited facts and reanalyze it.
-  /// The reference semantics for the parallel incremental path.
+  /// Settle all pending deferred edits on the calling thread: the scheduler
+  /// re-analyzes each dirty materialized workspace, in unit order, with a
+  /// fresh context (current inherited facts). The same run as the
+  /// incremental analyzeParallel(), without a pool.
   void settleEdits();
   /// Procedures whose dependence analysis is invalidated by edits not yet
   /// settled (deferred mode only; empty otherwise).
@@ -588,7 +597,8 @@ class Session {
 
   /// Set the analysis work limits and rebuild every materialized workspace
   /// under them (memoized results cannot leak across budgets — the budget is
-  /// part of the memo key — but the graphs must be re-derived).
+  /// part of the memo key — but the graphs must be re-derived). Pending
+  /// deferred edits are settled by the same rebuild.
   void setAnalysisBudget(const dep::AnalysisBudget& b);
   [[nodiscard]] const dep::AnalysisBudget& analysisBudget() const {
     return budget_;
@@ -600,22 +610,47 @@ class Session {
 
  private:
   Session() = default;
+  /// The workspace of `name`, built or settled first when it is missing or
+  /// dirty.
   transform::Workspace& wsFor(const std::string& name);
   /// wsFor without the settle-on-access: edits only need a live statement
   /// model (kept fresh across deferred edits), not a settled graph.
   transform::Workspace& wsForEdit(const std::string& name);
-  void invalidate(const std::string& name);
-  /// Settle one dirty materialized workspace: refresh its inherited facts
-  /// (a change flips the context signature, so the splice path degrades to
-  /// a full rebuild for that procedure automatically) and reanalyze.
-  void settleOne(const std::string& name, transform::Workspace& ws);
-  /// Incremental parallel path: schedule exactly the dirty procedures on
-  /// the pool, keeping the warm memo and splicing clean nests per graph.
-  /// With `materializeMissing`, dirty procedures without a workspace are
-  /// built fresh inside tasks too (the warm-open settle needs this; the
-  /// edit path leaves them to build lazily, preserving its semantics).
-  ParallelReport incrementalAnalyzeOn(support::TaskPool& pool,
-                                      bool materializeMissing = false);
+
+  /// The one analysis scheduler. Analyzes `procs` (unit order, one unit per
+  /// name): each task builds the procedure's workspace, or re-analyzes the
+  /// existing one under a fresh makeContext. When the summaries are not
+  /// computed yet, the summary phase runs first in the same DAG, filling
+  /// the builder in place. Stats, workspaces and marks merge in list order
+  /// on the calling thread, and every analyzed procedure leaves the dirty
+  /// set. With no pool the tasks run inline in insertion order (which is
+  /// topological) with ctx.pool null — the sequential reference. An empty
+  /// list only brings the summaries up to date.
+  ParallelReport analyze(const std::vector<fortran::Procedure*>& procs,
+                         support::TaskPool* pool);
+  /// The first unit of each name, in unit order, for which `pick` holds.
+  [[nodiscard]] std::vector<fortran::Procedure*> unitsWhere(
+      const std::function<bool(const std::string&)>& pick) const;
+  /// The dirty procedures that have a workspace, in unit order; empties the
+  /// dirty set (a dirty name without a workspace holds no stale state — it
+  /// builds fresh on first access).
+  std::vector<fortran::Procedure*> takeDirty();
+  /// Drop every analysis result and the memo view, then analyze the whole
+  /// program against fresh summaries.
+  ParallelReport analyzeAll(support::TaskPool* pool);
+  /// Replace the summary builder with an unsummarized one over the current
+  /// program (the call shape moved, or a rollback replaced the AST) and
+  /// rebuild every materialized workspace from scratch against it.
+  void resummarize();
+  /// Re-analyze every materialized workspace from scratch (nothing is
+  /// spliced from the old graph) under a fresh context, after an input all
+  /// of them read changed. Leaves the dirty set empty.
+  void rebuildMaterialized();
+  /// This procedure's side-effect oracle, created on first request. Only
+  /// binds references, so the summaries need not be computed yet; called
+  /// on the session thread before any fan-out, so tasks only read.
+  const interproc::InterproceduralOracle* oracleFor(
+      const fortran::Procedure& proc);
 
   /// What the per-procedure key materials of one save or open share,
   /// computed once per pass rather than once per material: every unit's
@@ -640,11 +675,9 @@ class Session {
   [[nodiscard]] std::string pdbMemoMaterial() const;
   [[nodiscard]] std::string pdbMarksMaterial() const;
   [[nodiscard]] std::string pdbEmissionMaterial() const;
-  dep::AnalysisContext contextFor(const fortran::Procedure& proc);
-  /// Pure variant of contextFor for parallel per-procedure tasks: the
-  /// oracle and stats sink are supplied by the caller, so nothing in the
-  /// session is mutated (contextFor lazily populates oracles_, which is
-  /// not safe under concurrency).
+  /// A fresh analysis context for `proc`: the session's facts, overrides,
+  /// budget, memo and the builder's inherited facts. Pure, so pool tasks
+  /// may call it; the oracle and stats sink are supplied by the caller.
   dep::AnalysisContext makeContext(const fortran::Procedure& proc,
                                    const dep::SideEffectOracle* oracle,
                                    dep::TestStats* sink,
@@ -663,9 +696,9 @@ class Session {
   [[nodiscard]] Snapshot takeSnapshot(fortran::Procedure* only = nullptr) const;
   /// Restore the program from a snapshot *in place* — pre-existing Procedure
   /// objects keep their addresses (Workspaces hold references to them) and
-  /// units added since a whole-program snapshot are dropped. Every
-  /// materialized workspace is rebuilt from scratch (its graph held pointers
-  /// into the replaced AST).
+  /// units added since a whole-program snapshot are dropped. The summaries
+  /// are replaced and every materialized workspace is rebuilt from scratch
+  /// (its graph held pointers into the replaced AST).
   void restoreSnapshot(Snapshot&& snap);
   /// Post-operation audit hook: runs the auditor per auditMode_; on a
   /// violation rolls back to `snap` (when given), records a FailureReport

@@ -355,4 +355,14 @@ void TaskGraph::run(TaskPool& pool) {
     throw std::logic_error("TaskGraph::run: cycle left nodes unrunnable");
 }
 
+void TaskGraph::runInOrder() {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::size_t succ : nodes_[i]->out) {
+      if (succ < i)
+        throw std::logic_error("TaskGraph::runInOrder: edge points backwards");
+    }
+    nodes_[i]->fn();
+  }
+}
+
 }  // namespace ps::support

@@ -267,6 +267,9 @@ class TaskGraph {
   /// Executes the graph; throws if a cycle leaves nodes unrunnable or if a
   /// node throws. Single-use: a TaskGraph cannot be run twice.
   void run(TaskPool& pool);
+  /// Executes every node on the calling thread in insertion order; throws
+  /// if an edge points backwards (insertion order must be topological).
+  void runInOrder();
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 

@@ -96,6 +96,16 @@ class ScalarExpansion : public Transformation {
     if (s.doStep && !s.doStep->isIntConst(1)) {
       return Advice::no("only unit-step loops are expanded");
     }
+    // A DO statement keeps assigning its control variable by name, so the
+    // rewritten uses would read an expansion array nothing writes.
+    if (s.doVar == t.variable) {
+      return Advice::no("variable is the loop's control variable");
+    }
+    for (const Stmt* inner : loop->bodyStmts) {
+      if (inner->kind == StmtKind::Do && inner->doVar == t.variable) {
+        return Advice::no("variable is the control variable of a nested loop");
+      }
+    }
     auto priv = privAnalysis(ws);
     bool exposed = false, written = false, accessed = false;
     for (const auto& vc : priv.classesFor(*loop)) {

@@ -13,9 +13,9 @@ BatchResult analyzeAllDecks(
     int nThreads, std::vector<std::unique_ptr<ped::Session>>* keepSessions) {
   BatchResult result;
 
-  // Parse + initial analysis happens inside Session::load; the batch's
-  // measured phase is the explicit whole-program re-analysis below, which
-  // is what an interactive user pays after an invalidating change.
+  // Session::load only parses; the batch's measured phase is the
+  // whole-program analysis below, which is what an interactive user pays
+  // after an invalidating change.
   std::vector<std::unique_ptr<ped::Session>> sessions;
   std::vector<bool> loaded;
   for (const Workload& w : all()) {

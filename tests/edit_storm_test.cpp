@@ -27,8 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ped/session.h"
@@ -98,6 +100,51 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
       EXPECT_EQ(want, analysisSnapshot(*par[i]))
           << deck << " edit " << k << " @" << threadCounts[i] << " threads";
     }
+  }
+}
+
+// A rebuild of every materialized workspace (a new assertion, a new
+// budget) also settles a pending deferred edit: afterwards nothing is
+// dirty — so savePdb keeps and auditNow checks every graph — and the state
+// equals a from-scratch analysis of the same inputs.
+TEST_P(EditStorm, RebuildLeavesNothingDirty) {
+  const std::string deck = GetParam();
+  dep::AnalysisBudget tight;
+  tight.fmMaxEliminations = 4;
+  const std::vector<std::pair<std::string, std::function<void(ped::Session&)>>>
+      rebuilds = {
+          {"addAssertion",
+           [](ped::Session& s) {
+             EXPECT_TRUE(s.addAssertion("ASSERT RANGE (QQA, 1, 10)"));
+           }},
+          {"setAnalysisBudget",
+           [&](ped::Session& s) { s.setAnalysisBudget(tight); }},
+      };
+  for (const auto& [what, rebuild] : rebuilds) {
+    auto s = loadDeck(deck);
+    ASSERT_NE(s, nullptr);
+    s->analyzeParallel(1);
+    s->setDeferredAnalysis(true);
+    Rng rng(0xB17Du ^ static_cast<unsigned>(std::hash<std::string>{}(deck)));
+    EditStep step;
+    ASSERT_TRUE(nextStep(*s, rng, &step)) << deck;
+    ASSERT_TRUE(applyStep(*s, step)) << deck;
+    ASSERT_FALSE(s->dirtyProcedures().empty()) << deck;
+
+    // The snapshot's degradation counters are cumulative: count only the
+    // rebuild here and only the from-scratch analysis below.
+    s->resetAnalysisStats();
+    rebuild(*s);
+    EXPECT_TRUE(s->dirtyProcedures().empty()) << deck << " " << what;
+
+    auto scratch = loadDeck(deck);
+    ASSERT_NE(scratch, nullptr);
+    ASSERT_TRUE(applyStep(*scratch, step)) << deck;
+    rebuild(*scratch);
+    scratch->resetAnalysisStats();
+    scratch->fullReanalysis();
+    EXPECT_EQ(analysisSnapshot(*s), analysisSnapshot(*scratch))
+        << deck << " " << what;
   }
 }
 

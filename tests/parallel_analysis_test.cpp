@@ -1,69 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dependence/graph.h"
-#include "fortran/pretty.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
 #include "workloads/batch.h"
+#include "workloads/harness.h"
 #include "workloads/workloads.h"
 
 namespace ps::workloads {
 namespace {
-
-std::unique_ptr<ped::Session> loadDeck(const std::string& name) {
-  const Workload* w = byName(name);
-  if (!w) return nullptr;
-  ps::DiagnosticEngine diags;
-  auto session = ped::Session::load(w->source, diags);
-  if (!session || diags.hasErrors()) return nullptr;
-  return session;
-}
-
-std::string serializeDep(const dep::Dependence& d) {
-  std::ostringstream os;
-  os << d.id << ' ' << dep::depTypeName(d.type) << ' ' << d.srcStmt << "->"
-     << d.dstStmt << ' ' << d.variable;
-  if (d.srcRef) os << " src=" << fortran::printExpr(*d.srcRef);
-  if (d.dstRef) os << " dst=" << fortran::printExpr(*d.dstRef);
-  os << " level=" << d.level << " carrier=" << d.carrierLoop
-     << " common=" << d.commonLoop << " vec=" << d.vector.str() << ' '
-     << dep::depMarkName(d.mark) << " origin=" << static_cast<int>(d.origin)
-     << " interproc=" << d.interprocedural << " degraded=" << d.degraded
-     << " reason=" << d.reason;
-  return os.str();
-}
-
-/// Everything observable about a session's analysis results: per-procedure
-/// dependence graphs (every field of every edge, in edge order), the
-/// degradation report, and a deep audit.
-std::string snapshot(ped::Session& s) {
-  std::ostringstream os;
-  for (const std::string& name : s.procedureNames()) {
-    EXPECT_TRUE(s.selectProcedure(name));
-    os << "== " << name << '\n';
-    for (const dep::Dependence& d : s.workspace().graph->all()) {
-      os << serializeDep(d) << '\n';
-    }
-  }
-  ped::DegradationReport rep = s.degradationReport();
-  os << "degradation fm=" << rep.fmDegraded
-     << " answers=" << rep.degradedAnswers
-     << " linearize=" << rep.linearizeDegraded
-     << " symbolic=" << rep.symbolicTruncated << '\n';
-  for (const auto& e : rep.edges) {
-    os << "degraded-edge " << e.procedure << ' ' << e.depId << ' ' << e.type
-       << ' ' << e.variable << " level=" << e.level << '\n';
-  }
-  audit::Report audit = s.auditNow(true);
-  os << "audit ok=" << audit.ok() << '\n';
-  for (const auto& v : audit.violations) os << "violation " << v.str() << '\n';
-  return os.str();
-}
 
 void expectStatsEqual(const dep::TestStats& a, const dep::TestStats& b,
                       const std::string& what) {
@@ -97,7 +47,7 @@ TEST_P(ParallelDeterminism, GraphsMatchSequentialAtAllThreadCounts) {
   auto reference = loadDeck(GetParam());
   ASSERT_NE(reference, nullptr);
   reference->fullReanalysis();
-  const std::string expected = snapshot(*reference);
+  const std::string expected = analysisSnapshot(*reference);
   ASSERT_FALSE(expected.empty());
 
   for (int threads : {1, 2, 4, 8, 16}) {
@@ -106,14 +56,16 @@ TEST_P(ParallelDeterminism, GraphsMatchSequentialAtAllThreadCounts) {
     ped::ParallelReport rep = s->analyzeParallel(threads);
     EXPECT_EQ(rep.threads, threads);
     EXPECT_GT(rep.procedures, 0u);
-    EXPECT_EQ(snapshot(*s), expected)
+    EXPECT_EQ(analysisSnapshot(*s), expected)
         << GetParam() << " diverged at " << threads << " threads";
   }
 }
 
 // Satellite: TestStats merging is race-free and, on the single-threaded
 // reference path, the merged totals are bit-identical to the sequential
-// run — every counter, not just the totals that happen to be stable.
+// run — every counter, not just the totals that happen to be stable. Both
+// the full path and the incremental one (the same deferred edits settled
+// by settleEdits() and by analyzeParallel(1)).
 TEST_P(ParallelDeterminism, MergedStatsEqualSequentialAtOneThread) {
   auto reference = loadDeck(GetParam());
   ASSERT_NE(reference, nullptr);
@@ -126,6 +78,37 @@ TEST_P(ParallelDeterminism, MergedStatsEqualSequentialAtOneThread) {
   s->resetAnalysisStats();
   (void)s->analyzeParallel(1);
   expectStatsEqual(s->analysisStats(), seq, GetParam() + " @1 thread");
+
+  // Incremental: `reference` settles on the calling thread, `s` on the
+  // 1-thread pool. Each picks its edit from its own (identical) state.
+  for (ped::Session* session : {reference.get(), s.get()}) {
+    session->setDeferredAnalysis(true);
+    session->resetAnalysisStats();
+  }
+  const unsigned seed =
+      0x5E771Eu ^ static_cast<unsigned>(std::hash<std::string>{}(GetParam()));
+  Rng seqRng(seed);
+  Rng parRng(seed);
+  int settled = 0;
+  for (int k = 0; k < 4; ++k) {
+    EditStep seqStep;
+    EditStep parStep;
+    if (!nextStep(*reference, seqRng, &seqStep)) break;
+    ASSERT_TRUE(nextStep(*s, parRng, &parStep));
+    ASSERT_EQ(seqStep.stmt, parStep.stmt);
+    ASSERT_EQ(seqStep.text, parStep.text);
+    const bool ok = applyStep(*reference, seqStep);
+    ASSERT_EQ(ok, applyStep(*s, parStep)) << "edit " << k;
+    if (!ok) continue;
+    reference->settleEdits();
+    const ped::ParallelReport rep = s->analyzeParallel(1);
+    EXPECT_TRUE(rep.incremental) << "edit " << k;
+    ++settled;
+  }
+  EXPECT_GT(settled, 0);
+  expectStatsEqual(s->analysisStats(), reference->analysisStats(),
+                   GetParam() + " incremental @1 thread");
+  EXPECT_EQ(analysisSnapshot(*s), analysisSnapshot(*reference));
 }
 
 // At higher thread counts the memo hit/miss SPLIT may differ (two workers
@@ -181,7 +164,8 @@ TEST(ParallelBatch, BatchMatchesPerDeckSequential) {
     auto reference = loadDeck(deck.name);
     ASSERT_NE(reference, nullptr);
     reference->fullReanalysis();
-    EXPECT_EQ(snapshot(*sessions[i]), snapshot(*reference)) << deck.name;
+    EXPECT_EQ(analysisSnapshot(*sessions[i]), analysisSnapshot(*reference))
+        << deck.name;
   }
 }
 

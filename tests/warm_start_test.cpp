@@ -130,6 +130,50 @@ TEST_P(WarmStart, EditThenReopenMatchesScratchAtEveryThreadCount) {
   }
 }
 
+// Summaries are computed on demand: right after load, with no analysis
+// call, showSummary and a saved store see the same final summaries as an
+// analyzed session does.
+TEST_P(WarmStart, SummariesOnDemandRightAfterLoad) {
+  const std::string deck = GetParam();
+  const Workload* w = byName(deck);
+  ASSERT_NE(w, nullptr);
+
+  auto analyzed = loadDeck(deck);
+  ASSERT_NE(analyzed, nullptr);
+  analyzed->analyzeParallel(1);
+  auto lazy = loadDeck(deck);
+  ASSERT_NE(lazy, nullptr);
+  for (const std::string& name : lazy->procedureNames()) {
+    EXPECT_EQ(lazy->showSummary(name), analyzed->showSummary(name))
+        << deck << " " << name;
+  }
+
+  // A store saved right after load holds every summary record (and no
+  // graph), so its reopen hits on every non-recursive procedure, exactly
+  // like a store saved after a full analysis.
+  ScopedFile full(deck + ".analyzed.pspdb");
+  ASSERT_TRUE(analyzed->savePdb(full.path()));
+  auto fresh = loadDeck(deck);
+  ASSERT_NE(fresh, nullptr);
+  ScopedFile early(deck + ".loaded.pspdb");
+  ASSERT_TRUE(fresh->savePdb(early.path()));
+
+  DiagnosticEngine refDiags;
+  auto ref = ped::Session::openWarm(w->source, full.path(), refDiags, 1);
+  ASSERT_NE(ref, nullptr);
+  DiagnosticEngine diags;
+  auto warm = ped::Session::openWarm(w->source, early.path(), diags, 1);
+  ASSERT_NE(warm, nullptr);
+  const ped::PdbStats& ps = warm->pdbStats();
+  EXPECT_FALSE(ps.storeRejected) << deck;
+  EXPECT_EQ(ps.quarantined, 0u) << deck;
+  EXPECT_GT(ps.summaryHits, 0u) << deck;
+  EXPECT_EQ(ps.summaryHits, ref->pdbStats().summaryHits) << deck;
+  EXPECT_EQ(ps.summaryMisses, 0u) << deck;
+  EXPECT_EQ(ps.graphHits, 0u) << deck;
+  EXPECT_EQ(analysisSnapshot(*warm), analysisSnapshot(*analyzed)) << deck;
+}
+
 std::vector<std::string> deckNames() {
   std::vector<std::string> names;
   for (const Workload& w : all()) names.push_back(w.name);

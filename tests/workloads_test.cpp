@@ -4,9 +4,11 @@
 
 #include <cmath>
 
+#include "fortran/pretty.h"
 #include "interp/machine.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "transform/transform.h"
 
 namespace ps::workloads {
 namespace {
@@ -141,6 +143,40 @@ TEST(Workloads, Slab2dRowSweepNeedsArrayKills) {
   // ...and array kill analysis names them as privatizable.
   std::string e = s->explainLoop(loops[0].id);
   EXPECT_NE(e.find("array kill"), std::string::npos) << e;
+}
+
+TEST(Workloads, Spec77ScalarExpansionRefusesDoControlVariables) {
+  // INITF nests DO 31 I inside DO 30 L. Expanding I at the L loop would
+  // rewrite its uses to I$X(L) while DO 31 still assigns I, so I$X would
+  // never be written and every FLN(I, L) subscript would read garbage.
+  ps::DiagnosticEngine diags;
+  auto s = ped::Session::load(byName("spec77")->source, diags);
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->selectProcedure("INITF"));
+  auto loops = s->loops();
+  ASSERT_EQ(loops.size(), 2u);
+  const auto* tr = transform::Registry::instance().byName("Scalar Expansion");
+  ASSERT_NE(tr, nullptr);
+
+  transform::Target outer;
+  outer.loop = loops[0].id;  // DO 30 L
+  outer.variable = "I";
+  EXPECT_FALSE(tr->advise(s->workspace(), outer).applicable);
+  transform::Target inner;
+  inner.loop = loops[1].id;  // DO 31 I, its own control variable
+  inner.variable = "I";
+  EXPECT_FALSE(tr->advise(s->workspace(), inner).applicable);
+  for (const auto& g : s->guidance(outer.loop, /*safeOnly=*/false)) {
+    EXPECT_FALSE(g.transformation == "Scalar Expansion" &&
+                 g.target.variable == "I");
+  }
+
+  const std::string before = fortran::printProgram(s->program());
+  std::string error;
+  EXPECT_FALSE(s->applyTransformation("Scalar Expansion", outer, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(fortran::printProgram(s->program()), before);
+  EXPECT_FALSE(s->failures().empty());
 }
 
 TEST(Workloads, NeossNstateHasUnstructuredFlow) {
