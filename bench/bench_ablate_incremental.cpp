@@ -9,6 +9,12 @@
 // the session-wide dependence-test memo (structurally identical queries
 // are answered from cache). The A2 baseline disables both and performs a
 // full reanalysis of summaries + every procedure after each edit.
+//
+// The report ends in four count-based self-checks: both policies' graphs
+// agree, incremental runs at least 5x fewer dependence tests, and on the
+// largest deck par-inc(4) runs fewer tests than par-full(4) and exactly as
+// many as seq-inc. The binary exits 1 when any of them fails; a timing
+// never fails it.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -189,7 +195,8 @@ ParCell editBurst(const std::string& deck, ParMode mode, int threads) {
   return cell;
 }
 
-void parallelIncrementalSection() {
+/// Returns whether both test-count checks on the largest deck hold.
+bool parallelIncrementalSection() {
   std::printf(
       "Parallel incremental re-analysis: %d-edit burst per deck "
       "(single-statement rewrite)\n",
@@ -220,12 +227,13 @@ void parallelIncrementalSection() {
   const ParCell& seq = largestCells[0];
   const ParCell& par4 = largestCells[2];
   const ParCell& full4 = largestCells[4];
+  const bool fewer = par4.testsRun < full4.testsRun;
+  const bool match = par4.testsRun == seq.testsRun;
   std::printf("\nlargest deck (%s):\n", largest.c_str());
   std::printf("  par-inc(4) tests %lld vs par-full(4) %lld (fewer: %s), "
               "vs seq-inc %lld (match: %s)\n",
-              par4.testsRun, full4.testsRun,
-              par4.testsRun < full4.testsRun ? "yes" : "NO",
-              seq.testsRun, par4.testsRun == seq.testsRun ? "yes" : "NO");
+              par4.testsRun, full4.testsRun, fewer ? "yes" : "NO",
+              seq.testsRun, match ? "yes" : "NO");
   std::printf("  par-inc(4) %.2fms vs seq-inc %.2fms (%.2fx) "
               "vs par-full(4) %.2fms (%.2fx)\n",
               par4.ms, seq.ms, seq.ms / (par4.ms > 0 ? par4.ms : 1e-9),
@@ -238,6 +246,7 @@ void parallelIncrementalSection() {
                 hw);
   }
   std::printf("\n");
+  return fewer && match;
 }
 
 }  // namespace
@@ -292,12 +301,18 @@ int main(int argc, char** argv) {
               ratio);
   std::printf("wall-time speedup: %.1fx\n",
               full.seconds / (inc.seconds > 0 ? inc.seconds : 1e-9));
-  std::printf("graphs agree: %s\n\n",
-              inc.digest == full.digest ? "yes" : "NO (BUG)");
+  const bool agree = inc.digest == full.digest;
+  std::printf("graphs agree: %s\n\n", agree ? "yes" : "NO (BUG)");
 
-  parallelIncrementalSection();
+  const bool largestOk = parallelIncrementalSection();
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  if (!agree || ratio < 5.0 || !largestOk) {
+    std::fprintf(stderr, "A2 self-check failed: graphs agree %s, test "
+                 "reduction %.1fx (>= 5x), largest-deck counts %s\n",
+                 agree ? "yes" : "NO", ratio, largestOk ? "ok" : "NO");
+    return 1;
+  }
   return 0;
 }

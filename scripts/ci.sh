@@ -20,6 +20,13 @@ cmake --build build -j
 ctest --test-dir build --output-on-failure
 scrub_pdb_cache
 
+# A2 self-checks: the incremental-update ablation exits 1 when its graphs
+# disagree with whole-program reanalysis, when incremental updates cut the
+# dependence tests run by less than 5x, or when the largest deck's
+# parallel-incremental test counts regress. Only counts are checked, never
+# timings.
+./build/bench/bench_ablate_incremental --benchmark_filter=NONE
+
 # Warm-start stage: cold-analyze every deck and persist its store + cold
 # snapshot, then reopen every store in a FRESH process and require pure
 # reuse (zero live dependence tests, zero quarantines) with byte-identical

@@ -360,7 +360,6 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
   // -------------------------------------------------------------------
   std::string ctxSig = "C:";
   {
-    ctxSig += ctx.includeInputDeps ? '1' : '0';
     ctxSig += ctx.cheapTestsFirst ? '1' : '0';
     ctxSig += ctx.useSymbolicInfo ? '1' : '0';
     ctxSig += ctx.usePrivatization ? '1' : '0';
@@ -559,8 +558,7 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
       for (std::size_t j = i; j < refs.size(); ++j) {
         const ARef& r1 = refs[i];
         const ARef& r2 = refs[j];
-        if (!r1.write && !r2.write && !ctx.includeInputDeps) continue;
-        if (i == j && !r1.write) continue;
+        if (!r1.write && !r2.write) continue;  // read-read: no dependence
         auto nest = commonNest(loopChain(model, r1.stmt->id),
                                loopChain(model, r2.stmt->id));
         if (nest.empty()) continue;

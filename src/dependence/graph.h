@@ -42,8 +42,6 @@ struct AnalysisContext {
   /// propagation, e.g. arc3d's JM = JMAX - 1 established in an init
   /// routine).
   std::vector<dataflow::Relation> inheritedRelations;
-  /// Track Input (read-read) dependences too.
-  bool includeInputDeps = false;
   /// Ablation: disable the cheap-test tiers (A1).
   bool cheapTestsFirst = true;
   /// Ablation: pretend no symbolic relations/constants are available (A3).

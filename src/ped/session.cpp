@@ -1253,8 +1253,7 @@ void Session::corruptIfArmed(Procedure& proc) {
 
 bool Session::auditAfter(const std::string& operation, Snapshot* snap,
                          std::string* error) {
-  if (auditMode_ == AuditMode::Off) return true;
-  audit::Report rep = auditNow(auditMode_ == AuditMode::Deep);
+  audit::Report rep = auditNow(false);
   if (rep.ok()) return true;
   if (snap) restoreSnapshot(std::move(*snap));
   recordFailure(operation, "audit violation: " + rep.str(),

@@ -24,12 +24,6 @@
 
 namespace ps::ped {
 
-/// How much invariant auditing runs after each edit / transformation /
-/// reanalysis. Cheap validates structural invariants (id uniqueness,
-/// loop-tree/AST agreement, dependence edges referencing live statements);
-/// Deep adds the pretty-print -> re-parse round trip.
-enum class AuditMode { Off, Cheap, Deep };
-
 /// Fault injection points for robustness tests. The fault fires once at the
 /// next matching operation, then disarms itself.
 enum class Fault {
@@ -97,9 +91,9 @@ struct ParallelReport {
   std::size_t procedures = 0;
   std::uint64_t tasksExecuted = 0;
   std::uint64_t steals = 0;
-  /// Steal-latency telemetry for this run: per-worker idle-bout histograms
-  /// (rows 0..threads-1) plus one row for external waiters, diffed against
-  /// the pool's counters at the start of the run.
+  /// Steal-latency telemetry for this run: per-worker idle time and steal
+  /// attempts/fails (rows 0..threads-1) plus one row for external waiters,
+  /// diffed against the pool's counters at the start of the run.
   std::vector<support::TaskPool::IdleStats> idle;
 };
 
@@ -576,14 +570,12 @@ class Session {
   // Robustness: transactions, invariant auditing, bounded analysis
   // ---------------------------------------------------------------------
 
-  /// Auditing level applied after every transformation and edit. Default
-  /// Cheap: structural invariants always hold or the operation rolls back.
-  void setAuditMode(AuditMode m) { auditMode_ = m; }
-  [[nodiscard]] AuditMode auditMode() const { return auditMode_; }
-
   /// Run the invariant auditor immediately over the program and every
-  /// materialized workspace (model + graph). `deep` adds the pretty-print ->
-  /// re-parse round trip.
+  /// materialized workspace (model + graph): structural invariants (id
+  /// uniqueness, loop-tree/AST agreement, dependence edges referencing live
+  /// statements). `deep` adds the pretty-print -> re-parse round trip. Every
+  /// transformation and edit already runs the cheap audit and rolls back on
+  /// a violation; a deep audit runs only on demand.
   [[nodiscard]] audit::Report auditNow(bool deep);
 
   /// Failed or rolled-back operations, oldest first.
@@ -700,9 +692,8 @@ class Session {
   /// are replaced and every materialized workspace is rebuilt from scratch
   /// (its graph held pointers into the replaced AST).
   void restoreSnapshot(Snapshot&& snap);
-  /// Post-operation audit hook: runs the auditor per auditMode_; on a
-  /// violation rolls back to `snap` (when given), records a FailureReport
-  /// and returns false.
+  /// Post-operation audit hook: runs the cheap audit; on a violation rolls
+  /// back to `snap` (when given), records a FailureReport and returns false.
   bool auditAfter(const std::string& operation, Snapshot* snap,
                   std::string* error);
   void recordFailure(std::string operation, std::string detail,
@@ -763,7 +754,6 @@ class Session {
   bool deferredAnalysis_ = false;
   std::set<std::string> pendingDirty_;
 
-  AuditMode auditMode_ = AuditMode::Cheap;
   Fault fault_ = Fault::None;
   std::vector<FailureReport> failures_;
   dep::AnalysisBudget budget_;

@@ -69,26 +69,9 @@ thread_local WorkerIdentity tlsWorker;
 
 }  // namespace
 
-void TaskPool::IdleStats::accumulate(const IdleStats& o) {
-  bouts += o.bouts;
-  idleNanos += o.idleNanos;
-  stealAttempts += o.stealAttempts;
-  stealFails += o.stealFails;
-  for (int i = 0; i < kBuckets; ++i) histogram[static_cast<std::size_t>(i)] +=
-      o.histogram[static_cast<std::size_t>(i)];
-}
-
 TaskPool::IdleStats TaskPool::IdleStats::since(const IdleStats& start) const {
-  IdleStats d;
-  d.bouts = bouts - start.bouts;
-  d.idleNanos = idleNanos - start.idleNanos;
-  d.stealAttempts = stealAttempts - start.stealAttempts;
-  d.stealFails = stealFails - start.stealFails;
-  for (int i = 0; i < kBuckets; ++i) {
-    auto u = static_cast<std::size_t>(i);
-    d.histogram[u] = histogram[u] - start.histogram[u];
-  }
-  return d;
+  return {idleNanos - start.idleNanos, stealAttempts - start.stealAttempts,
+          stealFails - start.stealFails};
 }
 
 TaskPool::TaskPool(int nThreads) {
@@ -210,13 +193,7 @@ bool TaskPool::tryRunOne(int preferredSlot) {
 }
 
 void TaskPool::recordIdle(std::size_t row, std::uint64_t nanos) {
-  IdleStats& s = idle_[row];
-  ++s.bouts;
-  s.idleNanos += nanos;
-  const std::uint64_t us = nanos / 1000;
-  int b = 0;
-  while (b + 1 < IdleStats::kBuckets && us >= (std::uint64_t{1} << b)) ++b;
-  ++s.histogram[static_cast<std::size_t>(b)];
+  idle_[row].idleNanos += nanos;
 }
 
 std::vector<TaskPool::IdleStats> TaskPool::idleStats() const {

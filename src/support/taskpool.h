@@ -28,7 +28,6 @@
 // order exactly. That makes the 1-thread parallel path bit-identical to the
 // sequential path — the property Session::analyzeParallel(1) relies on.
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -164,12 +163,8 @@ class TaskPool {
     return executed_.load(std::memory_order_relaxed);
   }
 
-  /// Steal-latency telemetry for one executor: how often it went idle (no
-  /// runnable or stealable task anywhere) and for how long. `histogram[i]`
-  /// counts idle bouts of [2^(i-1), 2^i) microseconds (bucket 0 = sub-µs;
-  /// the last bucket absorbs everything longer). Sizing per-nest task
-  /// granularity: long bouts with few steals mean tasks are too coarse to
-  /// keep the pool fed, many sub-ms bouts mean they are too fine.
+  /// Steal-latency telemetry for one executor: how long it sat idle (no
+  /// runnable or stealable task anywhere).
   ///
   /// stealAttempts/stealFails make contention visible alongside idleness:
   /// an attempt is one probe of a victim's queue; a fail is a probe that
@@ -177,14 +172,10 @@ class TaskPool {
   /// means executors are spinning over each other's queues rather than
   /// parking.
   struct IdleStats {
-    static constexpr int kBuckets = 16;
-    std::uint64_t bouts = 0;
     std::uint64_t idleNanos = 0;
     std::uint64_t stealAttempts = 0;
     std::uint64_t stealFails = 0;
-    std::array<std::uint64_t, kBuckets> histogram{};
 
-    void accumulate(const IdleStats& o);
     /// Counter difference vs an earlier snapshot of the same row.
     [[nodiscard]] IdleStats since(const IdleStats& start) const;
   };

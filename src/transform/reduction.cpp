@@ -1,3 +1,6 @@
+#include <set>
+
+#include "ir/refs.h"
 #include "transform/catalog.h"
 
 namespace ps::transform {
@@ -106,6 +109,28 @@ class ReductionRecognition : public Transformation {
     ReductionMatch m;
     if (!findReduction(loop, &m)) {
       return Advice::no("no sum-reduction update in the loop body");
+    }
+    // The partial array takes the loop's bounds, and Fortran evaluates an
+    // array's bounds at procedure entry: they may read no variable that a
+    // statement of the procedure writes (assignment, DO control, READ or
+    // CALL actual).
+    std::set<std::string> boundVars;
+    auto collect = [&](const Expr& e) {
+      if (e.kind == ExprKind::VarRef || e.kind == ExprKind::ArrayRef) {
+        boundVars.insert(e.name);
+      }
+    };
+    s.doLo->forEach(collect);
+    s.doHi->forEach(collect);
+    for (const Stmt* st : ws.model->allStmts()) {
+      for (const ir::Ref& r : ir::collectRefs(*st)) {
+        if (r.isWrite() && boundVars.count(r.name)) {
+          return Advice::unsafe("the loop bounds read " + r.name +
+                                ", which the procedure writes; a partial-"
+                                "sum array sized at procedure entry would "
+                                "not match the loop");
+        }
+      }
     }
     // Check the rest of the loop is otherwise parallel: reductions are
     // profitable when they are the only impediment.

@@ -32,8 +32,6 @@ BatchResult analyzeAllDecks(
   support::TaskPool pool(nThreads);
   result.threads = pool.threadCount();
   const std::uint64_t tasks0 = pool.tasksExecuted();
-  const std::uint64_t steals0 = pool.steals();
-  const std::vector<support::TaskPool::IdleStats> idle0 = pool.idleStats();
 
   // One task per deck; each deck's analyzeOn fans its own per-procedure and
   // per-nest tasks into the same pool, and the deck task helps execute them
@@ -53,24 +51,11 @@ BatchResult analyzeAllDecks(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   result.tasksExecuted = pool.tasksExecuted() - tasks0;
-  result.steals = pool.steals() - steals0;
-  const std::vector<support::TaskPool::IdleStats> idle1 = pool.idleStats();
-  for (std::size_t i = 0; i < idle1.size(); ++i) {
-    result.idle.push_back(i < idle0.size() ? idle1[i].since(idle0[i])
-                                           : idle1[i]);
-  }
 
   for (std::size_t i = 0; i < sessions.size(); ++i) {
-    BatchDeck& deck = result.decks[i];
     if (!loaded[i]) continue;
-    ped::Session& s = *sessions[i];
-    deck.ok = true;
-    deck.stats = s.analysisStats();
-    for (const std::string& name : s.procedureNames()) {
-      ++deck.procedures;
-      s.selectProcedure(name);
-      deck.totalDeps += s.workspace().graph->all().size();
-    }
+    result.decks[i].ok = true;
+    result.decks[i].stats = sessions[i]->analysisStats();
   }
 
   if (keepSessions) *keepSessions = std::move(sessions);

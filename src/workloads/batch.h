@@ -15,26 +15,19 @@
 
 #include "dependence/testsuite.h"
 #include "ped/session.h"
-#include "support/taskpool.h"
 
 namespace ps::workloads {
 
 struct BatchDeck {
   std::string name;
-  bool ok = false;            // loaded and analyzed without diagnostics
-  std::size_t procedures = 0;
-  std::size_t totalDeps = 0;  // edges across every procedure graph
-  dep::TestStats stats;       // the deck session's analysis counters
+  bool ok = false;       // loaded and analyzed without diagnostics
+  dep::TestStats stats;  // the deck session's analysis counters
 };
 
 struct BatchResult {
   int threads = 1;
   double seconds = 0.0;        // wall time of the analysis phase only
   std::uint64_t tasksExecuted = 0;
-  std::uint64_t steals = 0;
-  /// Steal-latency telemetry: one row per worker plus the external-waiter
-  /// row, covering the analysis phase only (see TaskPool::idleStats).
-  std::vector<support::TaskPool::IdleStats> idle;
   std::vector<BatchDeck> decks;  // Table 1 order
 
   [[nodiscard]] long long memoHits() const {

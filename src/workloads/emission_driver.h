@@ -6,7 +6,7 @@
 // reduction workflow of rejecting the accumulator-confined carried edges
 // first), then run Session::emitOpenMP on every deck and aggregate the
 // outcomes. The sweep is the zero-silent-drop oracle the CI smoke and the
-// emission bench share: every PARALLEL-marked loop across the corpus must
+// emission suite share: every PARALLEL-marked loop across the corpus must
 // either emit a round-tripping directive or carry a refusal naming its
 // blocking edges.
 

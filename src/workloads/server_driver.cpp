@@ -77,12 +77,9 @@ StormResult runStormSession(server::AnalysisServer& srv,
     for (int i = 0; i < script.editsPerBurst && next < edits->size(); ++i) {
       ss->submit((*edits)[next++]);
     }
-    server::ServerSession::SettleReport r = ss->settle();
-    out.totalSettleMillis += r.settleMillis;
-    out.settles.push_back(r);
+    ss->settle();
   }
   out.snapshot = analysisSnapshot(ss->session());
-  out.liveTests = ss->session().analysisStats().testsRun();
   out.ok = true;
   srv.closeSession(sessionName);
   return out;
@@ -101,21 +98,13 @@ StormResult runSoloBaseline(const StormScript& script,
   s->setDeferredAnalysis(true);
   std::size_t next = 0;
   for (int b = 0; b < script.bursts && next < edits->size(); ++b) {
-    server::ServerSession::SettleReport r;
+    // A rejected edit is skipped, as the server's settle skips it.
     for (int i = 0; i < script.editsPerBurst && next < edits->size(); ++i) {
-      ++r.editsQueued;
-      if (applySolo(*s, (*edits)[next++])) {
-        ++r.editsApplied;
-      } else {
-        ++r.editsRejected;
-      }
+      (void)applySolo(*s, (*edits)[next++]);
     }
-    r.dirtyProcedures = s->dirtyProcedures().size();
     s->analyzeParallel(1);  // the poolless sequential reference path
-    out.settles.push_back(r);
   }
   out.snapshot = analysisSnapshot(*s);
-  out.liveTests = s->analysisStats().testsRun();
   out.ok = true;
   return out;
 }

@@ -5,9 +5,8 @@
 // seed generates a deck's edit stream once, and the same stream replays
 // either as a server session (bursts submitted to the edit queue, settled
 // on the shared pool) or as the solo cold baseline (the same bursts,
-// settled sequentially). The storm suite and the server bench both assert
-// the same property: server snapshot == solo snapshot, byte for byte, at
-// every thread count.
+// settled sequentially). The storm suite asserts server snapshot == solo
+// snapshot, byte for byte, at every thread count.
 
 #include <string>
 #include <vector>
@@ -36,15 +35,12 @@ std::vector<server::Edit> stormEdits(const StormScript& script);
 struct StormResult {
   bool ok = false;       // session opened and every burst settled
   std::string snapshot;  // final analysisSnapshot
-  std::vector<server::ServerSession::SettleReport> settles;
-  long long liveTests = 0;  // dependence tests this session ran itself
-  double totalSettleMillis = 0.0;
 };
 
 /// Drive one scripted session on the server: open (warm-attach to the
 /// shared store image/memo/pool), submit each burst, settle, snapshot,
-/// close. Pass `edits` to reuse a precomputed stream (the bench opens many
-/// sessions over one script); null generates it here.
+/// close. Pass `edits` to reuse a precomputed stream (the storm suite opens
+/// many sessions over one script); null generates it here.
 StormResult runStormSession(server::AnalysisServer& server,
                             const std::string& sessionName,
                             const StormScript& script,

@@ -16,8 +16,9 @@
 // After EVERY edit the observable analysis state — every field of every
 // dependence edge in every procedure, the degradation report, and a deep
 // audit — must be bit-identical across all six, and every session's summary
-// call graph must equal a fresh CallGraph::build. This is the tentpole's
-// hard invariant; the suite also runs under TSan in CI.
+// call graph must equal a fresh CallGraph::build. The deep audit must also
+// be clean, both on the deck as loaded and after every edit. This is the
+// suite's hard invariant; it also runs under TSan in CI.
 //
 // The snapshot and the edit generator live in workloads/harness.{h,cpp},
 // shared with the persistent-program-database warm-start suites.
@@ -54,8 +55,13 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
   const std::string deck = GetParam();
   auto seq = loadDeck(deck);
   auto full = loadDeck(deck);
+  auto fresh = loadDeck(deck);
   ASSERT_NE(seq, nullptr);
   ASSERT_NE(full, nullptr);
+  ASSERT_NE(fresh, nullptr);
+  fresh->analyzeParallel(1);
+  const audit::Report loaded = fresh->auditNow(true);
+  EXPECT_TRUE(loaded.ok()) << deck << ": " << loaded.str();
 
   const std::vector<int> threadCounts = {1, 2, 4, 8, 16};
   std::vector<std::unique_ptr<ped::Session>> par;
@@ -84,6 +90,8 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
     const std::string want = analysisSnapshot(*seq);
     EXPECT_EQ(want, analysisSnapshot(*full))
         << deck << " edit " << k << ": incremental diverged from scratch";
+    const audit::Report audited = seq->auditNow(true);
+    EXPECT_TRUE(audited.ok()) << deck << " edit " << k << ": " << audited.str();
 
     for (std::size_t i = 0; i < par.size(); ++i) {
       const bool okPar = applyStep(*par[i], step);

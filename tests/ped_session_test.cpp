@@ -706,23 +706,6 @@ TEST(SessionTxn, CorruptStateFaultIsCaughtByAuditAndRolledBack) {
   EXPECT_TRUE(s->auditNow(true).ok());
 }
 
-TEST(SessionTxn, AuditModeOffSkipsTheCheck) {
-  auto s = load(kTwoProcs);
-  auto loops = s->loops();
-  ASSERT_EQ(loops.size(), 1u);
-
-  s->setAuditMode(AuditMode::Off);
-  s->injectFaultOnce(Fault::CorruptState);
-  transform::Target t;
-  t.loop = loops[0].id;
-  std::string error;
-  // With auditing off the corruption sails through (that is the point of
-  // the mode: benchmarking the no-steering baseline)...
-  EXPECT_TRUE(s->applyTransformation("Loop Reversal", t, &error)) << error;
-  // ...but an explicit on-demand audit still finds it.
-  EXPECT_FALSE(s->auditNow(false).ok());
-}
-
 TEST(SessionTxn, UnknownTransformationRecordsFailure) {
   auto s = load(kTwoProcs);
   transform::Target t;

@@ -1026,6 +1026,45 @@ TEST(Reduction, SubtractionForm) {
       });
 }
 
+// slalom's BACKSUB shape: the inner loop's lower bound reads the outer DO
+// variable J. A partial-sum array T$PX(J + 1:5) would be sized at procedure
+// entry, before J holds any iteration's value, so power steering must
+// refuse instead of breaking the program.
+TEST(Reduction, RefusesBoundsTheProcedureWrites) {
+  Fixture f = make(
+      "      PROGRAM MAIN\n"
+      "      REAL C(5, 5), R(5)\n"
+      "      DO 10 I = 1, 5\n"
+      "        R(I) = FLOAT(I)\n"
+      "        DO 10 K = 1, 5\n"
+      "          C(K, I) = 0.1*FLOAT(K + I)\n"
+      "   10 CONTINUE\n"
+      "      DO 700 J = 5, 1, -1\n"
+      "        T = R(J)\n"
+      "        DO 710 I = J + 1, 5\n"
+      "          T = T - C(J, I)*R(I)\n"
+      "  710   CONTINUE\n"
+      "        R(J) = T\n"
+      "  700 CONTINUE\n"
+      "      DO 20 I = 1, 5\n"
+      "        WRITE(6, *) R(I)\n"
+      "   20 CONTINUE\n"
+      "      END\n");
+  const std::string before = fortran::printProgram(*f.prog);
+  const auto* tr = Registry::instance().byName("Reduction Recognition");
+  Target t;
+  t.loop = nthLoop(*f.ws, 3);  // DO 710
+  const Advice a = tr->advise(*f.ws, t);
+  EXPECT_TRUE(a.applicable) << a.explanation;
+  EXPECT_FALSE(a.safe) << a.explanation;
+  EXPECT_NE(a.explanation.find("read J,"), std::string::npos)
+      << a.explanation;
+  std::string error;
+  EXPECT_FALSE(tr->apply(*f.ws, t, &error));
+  EXPECT_EQ(error, a.explanation);
+  EXPECT_EQ(fortran::printProgram(*f.prog), before);
+}
+
 // ---------------------------------------------------------------------------
 // Interprocedural loop motion (§5.3)
 // ---------------------------------------------------------------------------
