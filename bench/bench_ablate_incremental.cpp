@@ -4,11 +4,12 @@
 // classification per loop, across every procedure of all 8 workloads)
 // under each policy and compare how many dependence tests each one runs.
 //
-// The incremental policy combines two mechanisms: per-nest edge splicing
-// (pairs whose test inputs are unchanged copy their previous edges) and
-// the session-wide dependence-test memo (structurally identical queries
-// are answered from cache). The A2 baseline disables both and performs a
-// full reanalysis of summaries + every procedure after each edit.
+// The incremental policy is one mechanism: an edit re-analyzes only the
+// procedures in its dirty set, and the session-wide dependence-test memo
+// answers every query whose inputs are unchanged (structurally identical
+// queries are answered from cache). The A2 baseline disables the memo and
+// performs a full reanalysis of summaries + every procedure after each
+// edit.
 //
 // The report ends in four count-based self-checks: both policies' graphs
 // agree, incremental runs at least 5x fewer dependence tests, and on the
@@ -38,8 +39,8 @@ struct SessionResult {
 };
 
 /// One editing session: for every loop of every procedure, classify one
-/// private scalar. `incremental` keeps splicing + memo on; otherwise each
-/// edit is followed by a full reanalysis with both disabled.
+/// private scalar. `incremental` keeps the dirty set + memo on; otherwise
+/// each edit is followed by a full reanalysis with the memo disabled.
 SessionResult editSession(bool incremental) {
   SessionResult r;
   for (const auto& w : ps::workloads::all()) {
@@ -102,15 +103,15 @@ void row(const char* label, long long inc, long long full) {
 // For every deck: warm the session, then time a burst of single-statement
 // edits under each policy. seq-inc settles the dirty set inline on the
 // session thread; par-inc(t) defers, then analyzeOn schedules ONLY the
-// dirty procedures on a t-thread pool (clean nests splice, warm memo);
-// par-full(t) defers with incremental updates off, so the same pool
-// rebuilds summaries and every procedure after each edit. Pools live
+// dirty procedures on a t-thread pool (the warm memo answers unchanged
+// tests); par-full(t) defers with incremental updates off, so the same
+// pool rebuilds summaries and every procedure after each edit. Pools live
 // outside the timed region.
 // ---------------------------------------------------------------------------
 
 /// The edit probe: the first unlabeled assignment statement in the deck,
 /// rewritten by wrapping its RHS (same subscripts, fresh statement id, so
-/// the enclosing nest's pairs go dirty and everything else splices).
+/// its procedure goes dirty and the memo answers the unchanged tests).
 struct EditProbe {
   std::string proc;
   ps::fortran::StmtId stmt = ps::fortran::kInvalidStmt;
@@ -252,7 +253,7 @@ bool parallelIncrementalSection() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("Ablation A2: incremental update (splice + memo) vs "
+  std::printf("Ablation A2: incremental update (dirty set + memo) vs "
               "whole-program reanalysis per edit\n\n");
   SessionResult inc = editSession(true);
   SessionResult full = editSession(false);
@@ -265,9 +266,6 @@ int main(int argc, char** argv) {
   row("memo hits", inc.stats.memoHits, full.stats.memoHits);
   row("memo misses", inc.stats.memoMisses, full.stats.memoMisses);
   row("pairs tested", inc.stats.pairsTested, full.stats.pairsTested);
-  row("pairs spliced", inc.stats.pairsSpliced, full.stats.pairsSpliced);
-  row("edges spliced", inc.stats.edgesSpliced, full.stats.edgesSpliced);
-  row("edges rebuilt", inc.stats.edgesRebuilt, full.stats.edgesRebuilt);
   std::printf("per tier:\n");
   row("  ZIV disproofs", inc.stats.zivDisproofs, full.stats.zivDisproofs);
   row("  ZIV exact matches", inc.stats.zivExact, full.stats.zivExact);

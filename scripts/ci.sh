@@ -23,8 +23,10 @@ scrub_pdb_cache
 # A2 self-checks: the incremental-update ablation exits 1 when its graphs
 # disagree with whole-program reanalysis, when incremental updates cut the
 # dependence tests run by less than 5x, or when the largest deck's
-# parallel-incremental test counts regress. Only counts are checked, never
-# timings.
+# parallel-incremental test counts regress. "Incremental" means an edit
+# re-analyzes only its dirty procedures and the session memo answers every
+# test whose inputs did not change; the baseline turns the memo off and
+# rebuilds everything. Only counts are checked, never timings.
 ./build/bench/bench_ablate_incremental --benchmark_filter=NONE
 
 # Warm-start stage: cold-analyze every deck and persist its store + cold
@@ -60,13 +62,16 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # suites feed damaged bytes into readGraphSlice, which runs in pool tasks
 # during a warm open. The parallel determinism suite moves workspaces
 # between the analysis scheduler's task slots and the session at 1-16
-# threads: an ownership bug there is invisible to TSan.
+# threads: an ownership bug there is invisible to TSan. The server storm
+# settles coalesced edit bursts from many sessions over one shared memo,
+# the one edit path the other suites do not cover.
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 asan_suites="property_test ped_session_test transform_test interproc_test
   composition_test edit_storm_test fuzz_robustness_test dependence_test
-  pdb_persistence_test warm_start_test io_atomic_test parallel_analysis_test"
+  pdb_persistence_test warm_start_test io_atomic_test parallel_analysis_test
+  server_storm_test"
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do

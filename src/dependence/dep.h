@@ -53,9 +53,9 @@ enum class DepMark {
 
 const char* depMarkName(DepMark m);
 
-/// Which builder section produced an edge. The incremental update splices
-/// only array-pair edges (the expensive, memoizable section); scalar,
-/// control and call-site edges are always recomputed.
+/// Which builder section produced an edge: array pairs (the expensive
+/// section, whose tests the memo answers), scalars, control or call sites.
+/// Dynamic validation reads it, and graph slices and snapshots record it.
 enum class DepOrigin : std::uint8_t {
   ArrayPair,
   Scalar,

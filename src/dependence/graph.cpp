@@ -13,7 +13,6 @@
 #include "dataflow/constants.h"
 #include "dataflow/liveness.h"
 #include "dataflow/reaching.h"
-#include "fortran/pretty.h"
 #include "ir/refs.h"
 
 namespace ps::dep {
@@ -114,23 +113,7 @@ Dependence makeDep(DepType type, const ARef& src, const ARef& dst,
   return d;
 }
 
-std::string serializeSubMap(
-    const std::map<std::string, LinearExpr>& sub) {
-  std::string out;
-  for (const auto& [name, e] : sub) {
-    out += name;
-    out += '=';
-    appendLinearKey(out, e);
-  }
-  return out;
-}
-
 }  // namespace
-
-DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
-                                       const AnalysisContext& ctx) {
-  return buildImpl(model, ctx, nullptr);
-}
 
 DependenceGraph DependenceGraph::restore(ir::ProcedureModel& model,
                                          std::vector<Dependence> deps,
@@ -142,15 +125,8 @@ DependenceGraph DependenceGraph::restore(ir::ProcedureModel& model,
   return g;
 }
 
-DependenceGraph DependenceGraph::update(ir::ProcedureModel& model,
-                                        const AnalysisContext& ctx,
-                                        const DependenceGraph& previous) {
-  return buildImpl(model, ctx, &previous);
-}
-
-DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
-                                           const AnalysisContext& ctx,
-                                           const DependenceGraph* previous) {
+DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
+                                       const AnalysisContext& ctx) {
   const auto tBuild = std::chrono::steady_clock::now();
   DependenceGraph g;
   g.model_ = &model;
@@ -349,196 +325,15 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
   }
 
   // -------------------------------------------------------------------
-  // Incremental-update fingerprints. A reference pair's test battery is a
-  // pure function of: the context-wide inputs (facts, index-array facts,
-  // tester flags), the two statements (printed text, enclosing nest,
-  // substitution map), the nest's loops (bounds, step, iv, classification
-  // overrides, iteration-variant set) and — for loop-independent
-  // orientation — the endpoints' relative order. We record those inputs per
-  // build; the next update() splices the previous edges of every pair
-  // whose inputs are byte-identical.
-  // -------------------------------------------------------------------
-  std::string ctxSig = "C:";
-  {
-    ctxSig += ctx.cheapTestsFirst ? '1' : '0';
-    ctxSig += ctx.useSymbolicInfo ? '1' : '0';
-    ctxSig += ctx.usePrivatization ? '1' : '0';
-    ctxSig += "|F:";
-    for (const Fact& f : ctx.facts) {
-      ctxSig += f.strict ? '!' : '.';
-      appendLinearKey(ctxSig, f.expr);
-    }
-    ctxSig += "|P:";
-    for (const auto& p : ctx.indexFacts.permutation) {
-      ctxSig += p;
-      ctxSig += ',';
-    }
-    ctxSig += "|S:";
-    for (const auto& [a, k] : ctx.indexFacts.strided) {
-      ctxSig += a + ':' + std::to_string(k) + ',';
-    }
-    ctxSig += "|X:";
-    for (const auto& [ab, k] : ctx.indexFacts.separated) {
-      ctxSig += ab.first + '/' + ab.second + ':' + std::to_string(k) + ',';
-    }
-    ctxSig += "|K:";
-    for (const auto& [name, v] : ctx.inheritedConstants) {
-      ctxSig += name + '=' + std::to_string(v) + ',';
-    }
-    ctxSig += "|R:";
-    for (const auto& r : ctx.inheritedRelations) {
-      ctxSig += r.name;
-      ctxSig += '=';
-      appendLinearKey(ctxSig, r.value);
-    }
-    // Budgets change answers, so a splice across budget configurations
-    // would carry stale edges.
-    ctxSig += "|B:";
-    ctxSig += std::to_string(ctx.budget.fmMaxConstraints) + ',' +
-              std::to_string(ctx.budget.fmMaxEliminations) + ',' +
-              std::to_string(ctx.budget.maxSubscriptNodes) + ',' +
-              std::to_string(ctx.budget.maxSymbolicRelations);
-  }
-
-  std::map<StmtId, std::string> stmtSigCache;
-  auto stmtSigOf = [&](const Stmt* s) -> const std::string& {
-    auto it = stmtSigCache.find(s->id);
-    if (it != stmtSigCache.end()) return it->second;
-    std::string sig = fortran::printStmt(*s);
-    sig += '#';
-    for (const Loop* l : loopChain(model, s->id)) {
-      sig += std::to_string(l->stmt->id);
-      sig += ',';
-    }
-    sig += '#';
-    sig += serializeSubMap(subFor(s));
-    return stmtSigCache.emplace(s->id, std::move(sig)).first->second;
-  };
-
-  auto loopSigOf = [&](const Loop* l) {
-    const LoopContext& lc = contextOf(l);
-    std::string sig = lc.iv;
-    sig += '@';
-    appendLinearKey(sig, lc.lo);
-    appendLinearKey(sig, lc.hi);
-    sig += std::to_string(lc.step);
-    sig += "|O:";
-    auto itL = ctx.classificationOverrides.find(l->stmt->id);
-    if (itL != ctx.classificationOverrides.end()) {
-      for (const auto& [name, isPriv] : itL->second) {
-        sig += name;
-        sig += isPriv ? '+' : '-';
-      }
-    }
-    sig += "|V:";
-    for (const auto& v : sym.definedIn(*l)) {
-      sig += v;
-      sig += ',';
-    }
-    return sig;
-  };
-
-  if (ctx.incrementalUpdates) {
-    g.incr_.ctxSig = ctxSig;
-    g.incr_.position = position;
-    for (const auto& loopPtr : model.loops()) {
-      g.incr_.loopSig[loopPtr->stmt->id] = loopSigOf(loopPtr.get());
-    }
-    for (const auto& [array, refs] : refsByArray) {
-      (void)array;
-      for (const ARef& r : refs) {
-        g.incr_.stmtSig[r.stmt->id] = stmtSigOf(r.stmt);
-      }
-    }
-  }
-
-  // Can we splice edges from the previous build at all?
-  const IncrementalState* prev = nullptr;
-  if (ctx.incrementalUpdates && previous &&
-      !previous->incr_.ctxSig.empty() &&
-      previous->incr_.ctxSig == ctxSig) {
-    prev = &previous->incr_;
-  }
-
-  // Previous array-pair edges indexed by endpoint expressions. Statement
-  // ids are only reused by the very same AST node (edits always mint fresh
-  // ids), so a signature match means the old Expr pointers are alive and
-  // identical to the ones the current enumeration sees.
-  std::map<std::pair<const Expr*, const Expr*>,
-           std::vector<const Dependence*>>
-      prevEdges;
-  if (prev) {
-    for (const Dependence& d : previous->deps_) {
-      if (d.origin != DepOrigin::ArrayPair) continue;
-      prevEdges[{d.srcRef, d.dstRef}].push_back(&d);
-    }
-  }
-
-  auto pairClean = [&](const ARef& r1, const ARef& r2,
-                       const std::vector<const Loop*>& nest) {
-    if (!prev) return false;
-    auto s1 = prev->stmtSig.find(r1.stmt->id);
-    if (s1 == prev->stmtSig.end() || s1->second != stmtSigOf(r1.stmt)) {
-      return false;
-    }
-    auto s2 = prev->stmtSig.find(r2.stmt->id);
-    if (s2 == prev->stmtSig.end() || s2->second != stmtSigOf(r2.stmt)) {
-      return false;
-    }
-    for (const Loop* l : nest) {
-      auto ls = prev->loopSig.find(l->stmt->id);
-      if (ls == prev->loopSig.end() ||
-          ls->second != g.incr_.loopSig[l->stmt->id]) {
-        return false;
-      }
-    }
-    // Loop-independent orientation depends on which endpoint executes
-    // first; statement reordering (e.g. Statement Interchange) changes it
-    // without changing any statement's text.
-    auto p1 = prev->position.find(r1.stmt->id);
-    auto p2 = prev->position.find(r2.stmt->id);
-    if (p1 == prev->position.end() || p2 == prev->position.end()) {
-      return false;
-    }
-    return (p1->second <= p2->second) ==
-           (position[r1.stmt->id] <= position[r2.stmt->id]);
-  };
-
-  auto splicePair = [&](const ARef& r1, const ARef& r2,
-                        std::vector<Dependence>& out) {
-    std::vector<const Dependence*> olds;
-    auto itF = prevEdges.find({r1.expr, r2.expr});
-    if (itF != prevEdges.end()) {
-      olds.insert(olds.end(), itF->second.begin(), itF->second.end());
-    }
-    if (r1.expr != r2.expr) {
-      auto itR = prevEdges.find({r2.expr, r1.expr});
-      if (itR != prevEdges.end()) {
-        olds.insert(olds.end(), itR->second.begin(), itR->second.end());
-      }
-    }
-    // Previous ids are creation-ordered; sorting restores the original
-    // interleaving of forward/reverse/loop-independent edges. The copies
-    // keep the old ids only until the merge renumbers them.
-    std::sort(olds.begin(), olds.end(),
-              [](const Dependence* a, const Dependence* b) {
-                return a->id < b->id;
-              });
-    for (const Dependence* old : olds) out.push_back(*old);
-    ++g.stats_.pairsSpliced;
-    g.stats_.edgesSpliced += static_cast<long long>(olds.size());
-  };
-
-  // -------------------------------------------------------------------
   // Pair enumeration, in the exact sequential order (array -> i -> j).
-  // Clean pairs splice immediately; dirty pairs become jobs grouped by
-  // common nest and then cut into fixed-size batches. Each batch is an
-  // independent unit of work — its own tester, its own copy of the
-  // opaque-term table (symbols are a pure function of printed expression
-  // text, so copies intern identically), its own output slots and stats
-  // block — and may run on a TaskPool worker. Edge ids are assigned at the
-  // deterministic merge below, so the resulting graph is bit-identical for
-  // ANY thread count, including the fully sequential path.
+  // Every pair becomes a job; jobs are grouped by common nest and then cut
+  // into fixed-size batches. Each batch is an independent unit of work —
+  // its own tester, its own copy of the opaque-term table (symbols are a
+  // pure function of printed expression text, so copies intern
+  // identically), its own output slots and stats block — and may run on a
+  // TaskPool worker. Edge ids are assigned at the deterministic merge
+  // below, so the resulting graph is bit-identical for ANY thread count,
+  // including the fully sequential path.
   // -------------------------------------------------------------------
   struct PairJob {
     ARef r1, r2;
@@ -562,13 +357,6 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
         auto nest = commonNest(loopChain(model, r1.stmt->id),
                                loopChain(model, r2.stmt->id));
         if (nest.empty()) continue;
-
-        if (pairClean(r1, r2, nest)) {
-          jobs.emplace_back();
-          jobEdges.emplace_back();
-          splicePair(r1, r2, jobEdges.back());
-          continue;
-        }
         ++g.stats_.pairsTested;
 
         PairJob jb;
@@ -689,13 +477,13 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
   };
 
   // One unit of work per batch: private tester + opaque table + stats. A
-  // nest group is further split into fixed-size batches so that an
-  // incremental update whose dirty pairs all land in ONE nest (the common
-  // single-statement-edit case) still exposes parallelism. Batching is a
-  // pure function of the enumeration order — never of the pool or thread
-  // count — and every batch clones the same pre-phase opaque table (symbols
-  // intern identically from printed text), so the merged graph is the same
-  // for any batch schedule, including the fully sequential one.
+  // nest group is further split into fixed-size batches so that a
+  // procedure whose pairs all land in ONE nest still exposes parallelism.
+  // Batching is a pure function of the enumeration order — never of the
+  // pool or thread count — and every batch clones the same pre-phase opaque
+  // table (symbols intern identically from printed text), so the merged
+  // graph is the same for any batch schedule, including the fully
+  // sequential one.
   static constexpr std::size_t kPairBatch = 8;
   std::vector<std::vector<std::size_t>> batches;
   for (auto& [nid, idxs] : nestGroups) {
@@ -750,9 +538,6 @@ DependenceGraph DependenceGraph::buildImpl(ir::ProcedureModel& model,
     }
   }
   for (const TestStats& gs : batchStats) g.stats_.accumulate(gs);
-  // Only array-pair edges exist so far; everything not spliced was rebuilt.
-  g.stats_.edgesRebuilt =
-      static_cast<long long>(g.deps_.size()) - g.stats_.edgesSpliced;
   g.stats_.pairSeconds = secondsSince(tPairs);
 
   const auto tOther = std::chrono::steady_clock::now();

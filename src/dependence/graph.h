@@ -24,7 +24,8 @@ class TaskPool;
 namespace ps::dep {
 
 /// User-editable analysis context: assertions and variable classification
-/// overrides sharpen the graph; PED rebuilds incrementally after each edit.
+/// overrides sharpen the graph. After an edit PED rebuilds only the dirty
+/// procedures, and the memo answers every test whose inputs did not change.
 struct AnalysisContext {
   /// Linear facts from assertions and relations (shared symbol namespace
   /// with the subscript linearizer).
@@ -65,10 +66,7 @@ struct AnalysisContext {
   DepMemo::ViewId memoView = 0;
   /// Ablation: disable memoization entirely (A2 baseline).
   bool useMemo = true;
-  /// Use the per-nest incremental splice path in Workspace::reanalyze;
-  /// false = rebuild the whole procedure graph on every edit (A2 baseline).
-  bool incrementalUpdates = true;
-  /// Optional sink accumulating per-tier/memo/splice counters across every
+  /// Optional sink accumulating per-tier and memo counters across every
   /// build this context participates in (session-wide observability).
   TestStats* statsSink = nullptr;
   /// When set, the per-nest dependence-test batteries of a build fan out as
@@ -86,23 +84,12 @@ struct AnalysisContext {
 /// The dependence graph of one procedure, as PED computes and displays it.
 class DependenceGraph {
  public:
-  /// Run all supporting analyses and build the graph.
+  /// Run all supporting analyses and build the graph. Every build is a
+  /// whole-procedure build: with a session memo in `ctx`, the tests of
+  /// reference pairs whose inputs an edit left unchanged are answered from
+  /// the memo instead of running again.
   static DependenceGraph build(ir::ProcedureModel& model,
                                const AnalysisContext& ctx = {});
-
-  /// Incremental rebuild after an edit: re-runs the dependence-test battery
-  /// only for reference pairs whose test inputs (statement text, enclosing
-  /// nest, loop bounds, substitution maps, facts, classification overrides)
-  /// changed since `previous` was built, and splices the previous graph's
-  /// edges for every unchanged pair. The cleanliness checks compare the
-  /// actual test inputs, so the result is edge-for-edge identical to a
-  /// from-scratch build(). Scalar, control and call-site dependences are
-  /// always recomputed (they are cheap and depend on whole-procedure
-  /// dataflow). `previous` must describe the same procedure; its AST
-  /// statement ids are used to locate surviving statements.
-  static DependenceGraph update(ir::ProcedureModel& model,
-                                const AnalysisContext& ctx,
-                                const DependenceGraph& previous);
 
   [[nodiscard]] const std::vector<Dependence>& all() const { return deps_; }
   [[nodiscard]] std::vector<Dependence>& allMutable() { return deps_; }
@@ -142,10 +129,7 @@ class DependenceGraph {
   /// Adopt a deserialized edge set (persistent-program-database warm
   /// start). The caller has already proven, via the store's content-hash
   /// key, that `deps` came from an identical build over an identical
-  /// procedure and context. Stats stay zero (no tests ran here) and the
-  /// incremental state stays empty, so the next update() takes the
-  /// full-rebuild path rather than trusting unverifiable splice
-  /// signatures.
+  /// procedure and context. Stats stay zero: no tests ran here.
   static DependenceGraph restore(ir::ProcedureModel& model,
                                  std::vector<Dependence> deps,
                                  std::uint32_t nextEdgeId);
@@ -155,30 +139,9 @@ class DependenceGraph {
   [[nodiscard]] std::uint32_t nextEdgeId() const { return nextId_; }
 
  private:
-  /// Per-statement/per-loop input fingerprints recorded by a build so the
-  /// next update() can prove which reference pairs are unaffected by an
-  /// edit. Empty when the build ran with incrementalUpdates off.
-  struct IncrementalState {
-    /// Context-wide inputs: facts, index-array facts, tester flags.
-    std::string ctxSig;
-    /// Per ref-bearing statement: printed text + enclosing DO chain +
-    /// substitution map used for its subscripts.
-    std::map<fortran::StmtId, std::string> stmtSig;
-    /// Per DO statement: loop context (bounds/step/iv), classification
-    /// overrides, and (for nest roots) the iteration-variant scalar set.
-    std::map<fortran::StmtId, std::string> loopSig;
-    /// Pre-order position, for loop-independent orientation checks.
-    std::map<fortran::StmtId, int> position;
-  };
-
-  static DependenceGraph buildImpl(ir::ProcedureModel& model,
-                                   const AnalysisContext& ctx,
-                                   const DependenceGraph* previous);
-
   std::vector<Dependence> deps_;
   ir::ProcedureModel* model_ = nullptr;
   TestStats stats_;
-  IncrementalState incr_;
   std::uint32_t nextId_ = 1;
 };
 

@@ -44,9 +44,6 @@ void TestStats::accumulate(const TestStats& o) {
   memoMisses += o.memoMisses;
   pairsTested += o.pairsTested;
   pairBatches += o.pairBatches;
-  pairsSpliced += o.pairsSpliced;
-  edgesSpliced += o.edgesSpliced;
-  edgesRebuilt += o.edgesRebuilt;
   dataflowSeconds += o.dataflowSeconds;
   pairSeconds += o.pairSeconds;
   otherSeconds += o.otherSeconds;

@@ -99,7 +99,7 @@ struct AnalysisBudget {
 };
 
 /// Counters for the hierarchical suite (ablation benches A1/A2/A3) plus the
-/// memoization and incremental-splice observability counters.
+/// memoization observability counters.
 struct TestStats {
   long long zivDisproofs = 0;
   long long zivExact = 0;
@@ -126,18 +126,16 @@ struct TestStats {
   /// Queries that ran the suite and populated the memo table.
   long long memoMisses = 0;
 
-  /// Reference pairs whose test battery actually ran this build.
+  /// Reference pairs whose test battery this build issued (the memo may
+  /// answer every test of a pair).
   long long pairsTested = 0;
-  /// Fixed-size batches the dirty pairs were partitioned into. Each batch is
-  /// an independently schedulable unit (private tester/opaque copies), so
-  /// this is the array-pair phase's available parallelism for one build.
+  /// Fixed-size batches the pairs were partitioned into. Each batch is an
+  /// independently schedulable unit (private tester/opaque copies), so this
+  /// is the array-pair phase's available parallelism for one build.
   long long pairBatches = 0;
-  /// Reference pairs skipped by the incremental update (inputs unchanged).
+  /// Always 0: every build tests every pair. The pipeline benchmark
+  /// (psbench/edit_settle.cpp) still reports it.
   long long pairsSpliced = 0;
-  /// Edges copied over from the previous graph by the incremental update.
-  long long edgesSpliced = 0;
-  /// Edges produced by running tests in this build.
-  long long edgesRebuilt = 0;
 
   /// Wall time per phase, in seconds (dataflow setup, array-pair testing,
   /// scalar/control/call-site sections, whole build).

@@ -53,8 +53,8 @@ std::string DegradationReport::str() const {
   return out.str();
 }
 
-std::unique_ptr<Session> Session::load(std::string_view source,
-                                       DiagnosticEngine& diags) {
+std::unique_ptr<Session> Session::parse(std::string_view source,
+                                        DiagnosticEngine& diags) {
   auto session = std::unique_ptr<Session>(new Session());
   session->program_ = fortran::parseSource(source, session->diags_);
   for (const auto& d : session->diags_.all()) {
@@ -64,21 +64,30 @@ std::unique_ptr<Session> Session::load(std::string_view source,
     diags.error({}, "no program units");
     return nullptr;
   }
-  // Unsummarized: the first analysis computes the summaries in its DAG.
-  session->summaries_ = std::make_unique<interproc::SummaryBuilder>(
-      *session->program_, interproc::SummaryBuilder::Deferred{});
   session->current_ = session->program_->units[0]->name;
+  return session;
+}
 
-  // Assertions embedded in the source as directives.
+void Session::replaySourceAssertions() {
   std::vector<std::string> payloads;
-  for (const auto& unit : session->program_->units) {
+  for (const auto& unit : program_->units) {
     unit->forEachStmt([&](const Stmt& s) {
       if (s.kind == StmtKind::Assertion) {
         payloads.push_back(s.assertionText);
       }
     });
   }
-  for (const auto& p : payloads) session->addAssertion(p);
+  for (const auto& p : payloads) addAssertion(p);
+}
+
+std::unique_ptr<Session> Session::load(std::string_view source,
+                                       DiagnosticEngine& diags) {
+  auto session = parse(source, diags);
+  if (!session) return nullptr;
+  // Unsummarized: the first analysis computes the summaries in its DAG.
+  session->summaries_ = std::make_unique<interproc::SummaryBuilder>(
+      *session->program_, interproc::SummaryBuilder::Deferred{});
+  session->replaySourceAssertions();
   return session;
 }
 
@@ -513,16 +522,8 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
                                          const SharedWarmState& shared,
                                          DiagnosticEngine& diags,
                                          int nThreads) {
-  auto session = std::unique_ptr<Session>(new Session());
-  session->program_ = fortran::parseSource(source, session->diags_);
-  for (const auto& d : session->diags_.all()) {
-    if (d.severity == Severity::Error) diags.error(d.loc, d.message);
-  }
-  if (session->program_->units.empty()) {
-    diags.error({}, "no program units");
-    return nullptr;
-  }
-  session->current_ = session->program_->units[0]->name;
+  auto session = parse(source, diags);
+  if (!session) return nullptr;
   session->program_->assignIds();
   // Adopt the server's shared memo (through this session's private view)
   // before anything touches memo state — the assertion replay below bumps
@@ -612,15 +613,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
 
   // Source assertion directives, as in load(). Each bumps the memo
   // generation, so the pre-warm below lands on the final generation.
-  std::vector<std::string> payloads;
-  for (const auto& unit : session->program_->units) {
-    unit->forEachStmt([&](const Stmt& s) {
-      if (s.kind == StmtKind::Assertion) {
-        payloads.push_back(s.assertionText);
-      }
-    });
-  }
-  for (const auto& p : payloads) session->addAssertion(p);
+  session->replaySourceAssertions();
 
   // Dependence marks (with provenance + validation evidence). Restored
   // BEFORE any graph-record lookup: the MARKS section is part of every
@@ -744,7 +737,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   }
 
   // Memo pre-warm, guarded by the fact-base digest.
-  if (usable && session->incrementalUpdates_) {
+  if (usable) {
     const std::string material = session->pdbMemoMaterial();
     if (auto body = store.verifiedFind(pdb::RecordType::Memo, material)) {
       pdb::Reader r(*body);
@@ -839,9 +832,8 @@ dep::AnalysisContext Session::makeContext(const Procedure& proc,
   if (itOv != overrides_.end()) ctx.classificationOverrides = itOv->second;
   ctx.inheritedConstants = summaries_->inheritedConstantsFor(proc);
   ctx.inheritedRelations = summaries_->inheritedRelationsFor(proc);
-  // Incremental machinery: the session-shared memo (warm across rebuilds
-  // and procedures) and the splice path. Both off = the A2 baseline.
-  ctx.incrementalUpdates = incrementalUpdates_;
+  // The session-shared memo, warm across rebuilds and procedures, is the
+  // incremental mechanism; off = the A2 baseline.
   ctx.useMemo = incrementalUpdates_;
   ctx.memo = incrementalUpdates_ ? memo_ : nullptr;
   ctx.memoView = memoView_;
@@ -971,9 +963,7 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
                                                             std::move(ctx));
         return;
       }
-      // Fresh context = fresh inherited facts. When they moved, the context
-      // signature changes and the splice path rebuilds this procedure in
-      // full.
+      // Fresh context = fresh inherited facts.
       slot.ws->actx = std::move(ctx);
       slot.ws->reanalyze();
     });
@@ -1064,7 +1054,6 @@ void Session::resummarize() {
 void Session::rebuildMaterialized() {
   std::vector<Procedure*> procs = unitsWhere(
       [this](const std::string& name) { return workspaces_.count(name) != 0; });
-  for (Procedure* p : procs) workspaces_.at(p->name)->graph.reset();
   // Every materialized graph is re-derived below, and a dirty name without
   // a workspace holds no stale state.
   pendingDirty_.clear();
@@ -1099,9 +1088,8 @@ ParallelReport Session::analyzeParallel(int nThreads) {
 
 ParallelReport Session::analyzeOn(support::TaskPool& pool) {
   // Deferred edits + incremental updates: schedule only the dirty set,
-  // splicing clean nests and reusing the warm memo. With incremental
-  // updates off (the A2 baseline) every analysis is rebuilt regardless of
-  // how small the edit was.
+  // reusing the warm memo. With incremental updates off (the A2 baseline)
+  // every analysis is rebuilt regardless of how small the edit was.
   if (incrementalUpdates_ && !pendingDirty_.empty()) {
     ParallelReport report = analyze(takeDirty(), &pool);
     report.incremental = true;
@@ -1114,7 +1102,6 @@ void Session::setIncrementalUpdates(bool on) {
   incrementalUpdates_ = on;
   for (auto& [name, ws] : workspaces_) {
     (void)name;
-    ws->actx.incrementalUpdates = on;
     ws->actx.useMemo = on;
     ws->actx.memo = on ? memo_ : nullptr;
   }
@@ -1216,9 +1203,7 @@ void Session::restoreSnapshot(Snapshot&& snap) {
   program_->nextStmtId = snap.nextStmtId;
 
   // Every derived structure may hold pointers into the replaced AST:
-  // replace the summaries and force each materialized workspace to a full
-  // (non-splice) reanalysis — the splice path would read the old graph's
-  // dangling Expr pointers.
+  // replace the summaries and re-analyze each materialized workspace.
   resummarize();
 }
 
@@ -1270,8 +1255,7 @@ void Session::setAnalysisBudget(const dep::AnalysisBudget& b) {
   budget_ = b;
   // Memoized results carry their budget in the key, so stale cross-budget
   // hits are impossible — but the materialized graphs were derived under
-  // the old budget and must be re-derived (full rebuild: the splice path
-  // would keep old-budget edges).
+  // the old budget and must be re-derived.
   rebuildMaterialized();
 }
 

@@ -504,9 +504,9 @@ class Session {
   ///
   /// Interaction with setIncrementalUpdates: when incremental updates are
   /// on and deferred edits left a dirty set pending, only the dirty
-  /// materialized procedures are scheduled, splicing every unchanged loop
-  /// nest from the existing graphs and reusing the warm dependence-test
-  /// memo (the summaries were already updated in place at edit time).
+  /// materialized procedures are scheduled, and the warm dependence-test
+  /// memo answers every test whose inputs the edits left unchanged (the
+  /// summaries were already updated in place at edit time).
   /// Otherwise every procedure is rebuilt against fresh summaries, exactly
   /// like fullReanalysis().
   ///
@@ -546,20 +546,20 @@ class Session {
 
   [[nodiscard]] int reanalysisCount() const;
 
-  /// Toggle the incremental machinery as a whole: per-nest edge splicing in
-  /// Workspace::reanalyze AND the session-shared dependence-test memo. Off =
-  /// the A2 rebuild-all baseline (every edit re-runs every test). The
+  /// Toggle the incremental machinery: the session-shared dependence-test
+  /// memo, which answers every test whose inputs an edit left unchanged.
+  /// Off = the A2 rebuild-all baseline (every edit re-runs every test). The
   /// parallel path respects this flag too: with it off, analyzeParallel/
-  /// analyzeOn always take the full-rebuild route (no memo, no splicing)
-  /// even when deferred edits left a dirty set pending.
+  /// analyzeOn always take the full-rebuild route (no memo) even when
+  /// deferred edits left a dirty set pending.
   void setIncrementalUpdates(bool on);
   [[nodiscard]] bool incrementalUpdates() const {
     return incrementalUpdates_;
   }
 
   /// Cumulative dependence-analysis counters across every (re)build this
-  /// session performed: per-tier test counts, memo hits/misses, edges
-  /// spliced vs rebuilt, and per-phase wall time.
+  /// session performed: per-tier test counts, memo hits/misses, pairs
+  /// tested, and per-phase wall time.
   [[nodiscard]] const dep::TestStats& analysisStats() const {
     return stats_;
   }
@@ -602,6 +602,13 @@ class Session {
 
  private:
   Session() = default;
+  /// The open step load() and attach() share: parse `source`, forward its
+  /// errors to `diags`, refuse a program with no units, and make the first
+  /// unit current.
+  static std::unique_ptr<Session> parse(std::string_view source,
+                                        DiagnosticEngine& diags);
+  /// Apply the assertion directives (CPED$/!PED$) found in the source.
+  void replaySourceAssertions();
   /// The workspace of `name`, built or settled first when it is missing or
   /// dirty.
   transform::Workspace& wsFor(const std::string& name);
@@ -634,9 +641,8 @@ class Session {
   /// program (the call shape moved, or a rollback replaced the AST) and
   /// rebuild every materialized workspace from scratch against it.
   void resummarize();
-  /// Re-analyze every materialized workspace from scratch (nothing is
-  /// spliced from the old graph) under a fresh context, after an input all
-  /// of them read changed. Leaves the dirty set empty.
+  /// Re-analyze every materialized workspace under a fresh context, after
+  /// an input all of them read changed. Leaves the dirty set empty.
   void rebuildMaterialized();
   /// This procedure's side-effect oracle, created on first request. Only
   /// binds references, so the summaries need not be computed yet; called
@@ -689,8 +695,8 @@ class Session {
   /// Restore the program from a snapshot *in place* — pre-existing Procedure
   /// objects keep their addresses (Workspaces hold references to them) and
   /// units added since a whole-program snapshot are dropped. The summaries
-  /// are replaced and every materialized workspace is rebuilt from scratch
-  /// (its graph held pointers into the replaced AST).
+  /// are replaced and every materialized workspace is re-analyzed (its
+  /// model and graph held pointers into the replaced AST).
   void restoreSnapshot(Snapshot&& snap);
   /// Post-operation audit hook: runs the cheap audit; on a violation rolls
   /// back to `snap` (when given), records a FailureReport and returns false.

@@ -53,9 +53,9 @@ void auditProgram(const fortran::Program& prog, Report& out);
 /// a workspace's model after each incremental reanalysis.
 void auditModel(const ir::ProcedureModel& model, Report& out);
 
-/// Dependence-graph consistency with the model it was built (or spliced)
-/// against: edge endpoints and carrier loops name live statements, edge ids
-/// are unique, levels fit the direction vectors.
+/// Dependence-graph consistency with the model it was built against: edge
+/// endpoints and carrier loops name live statements, edge ids are unique,
+/// levels fit the direction vectors.
 void auditGraph(const dep::DependenceGraph& graph,
                 const ir::ProcedureModel& model, Report& out);
 

@@ -113,7 +113,8 @@ class ReductionRecognition : public Transformation {
     // The partial array takes the loop's bounds, and Fortran evaluates an
     // array's bounds at procedure entry: they may read no variable that a
     // statement of the procedure writes (assignment, DO control, READ or
-    // CALL actual).
+    // CALL actual), nor a COMMON member that a call may write (an unknown
+    // callee, or no oracle at all, counts as a writer).
     std::set<std::string> boundVars;
     auto collect = [&](const Expr& e) {
       if (e.kind == ExprKind::VarRef || e.kind == ExprKind::ArrayRef) {
@@ -122,13 +123,36 @@ class ReductionRecognition : public Transformation {
     };
     s.doLo->forEach(collect);
     s.doHi->forEach(collect);
+    std::set<std::string> commonBounds;
+    for (const std::string& v : boundVars) {
+      const fortran::VarDecl* d = ws.proc.findDecl(v);
+      if (d && !d->commonBlock.empty()) commonBounds.insert(v);
+    }
+    const dep::SideEffectOracle* oracle = ws.actx.oracle;
+    auto callWrites = [&](const Stmt& st, const std::string& callee,
+                          const std::string& var) {
+      if (!oracle || !oracle->knowsCallee(callee)) return true;
+      for (const dep::CallEffect& e : oracle->effectsOfCall(st, callee)) {
+        if (e.var == var && e.mayWrite) return true;
+      }
+      return false;
+    };
+    auto refuse = [](const std::string& var, const char* writer) {
+      return Advice::unsafe("the loop bounds read " + var + ", which " +
+                            writer +
+                            " writes; a partial-sum array sized at "
+                            "procedure entry would not match the loop");
+    };
     for (const Stmt* st : ws.model->allStmts()) {
       for (const ir::Ref& r : ir::collectRefs(*st)) {
         if (r.isWrite() && boundVars.count(r.name)) {
-          return Advice::unsafe("the loop bounds read " + r.name +
-                                ", which the procedure writes; a partial-"
-                                "sum array sized at procedure entry would "
-                                "not match the loop");
+          return refuse(r.name, "the procedure");
+        }
+      }
+      if (commonBounds.empty()) continue;
+      for (const std::string& callee : ir::calledFunctions(*st)) {
+        for (const std::string& v : commonBounds) {
+          if (callWrites(*st, callee, v)) return refuse(v, "a callee");
         }
       }
     }

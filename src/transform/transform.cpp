@@ -38,16 +38,10 @@ void Workspace::reanalyze() {
   // assignment is idempotent and cheap.
   if (!actx.idsPreassigned) program.assignIds();
   model = std::make_unique<ir::ProcedureModel>(proc);
-  if (actx.incrementalUpdates && graph) {
-    // Incremental path: splice the previous graph's edges for every
-    // reference pair whose test inputs are unchanged; only the edited
-    // nest's pairs are re-tested.
-    graph = std::make_unique<dep::DependenceGraph>(
-        dep::DependenceGraph::update(*model, actx, *graph));
-  } else {
-    graph = std::make_unique<dep::DependenceGraph>(
-        dep::DependenceGraph::build(*model, actx));
-  }
+  // A whole-procedure build; the memo in actx answers every test whose
+  // inputs the edit left unchanged.
+  graph = std::make_unique<dep::DependenceGraph>(
+      dep::DependenceGraph::build(*model, actx));
   ++reanalyses;
 }
 

@@ -130,7 +130,8 @@ bool nextStep(ped::Session& s, Rng& rng, EditStep* step) {
       case 0:
       case 1: {
         // Rewrite: wrap the RHS so subscripts and the variable set are
-        // preserved but the statement text (and splice signature) moves.
+        // preserved (the memo keys stay the same) but the statement text
+        // and id move.
         std::size_t eq = c.text.find(" = ");
         step->kind = EditStep::Kind::Rewrite;
         step->text = c.text.substr(0, eq) + " = (" +

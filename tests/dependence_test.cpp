@@ -751,20 +751,23 @@ TEST(Graph, MemoDisabledRunsEveryTest) {
   EXPECT_EQ(b.graph.all().size(), memoized.graph.all().size());
 }
 
-// update() against an unchanged procedure splices every reference pair and
-// issues zero dependence tests.
-TEST(Graph, UpdateUnchangedSplicesEveryPair) {
-  auto b = buildGraph(kRepeatedPatterns);
+// A rebuild of an unchanged procedure over the memo the first build filled
+// runs zero dependence tests: the memo answers every one, and the graph is
+// the first build's, edge for edge and id for id.
+TEST(Graph, RebuildUnchangedAnswersEveryTestFromMemo) {
   AnalysisContext ctx;
-  DependenceGraph g2 = DependenceGraph::update(*b.model, ctx, b.graph);
-  EXPECT_EQ(g2.stats().pairsTested, 0);
-  EXPECT_GT(g2.stats().pairsSpliced, 0);
-  EXPECT_EQ(g2.stats().testsRequested, 0);
-  EXPECT_EQ(g2.stats().edgesRebuilt, 0);
+  ctx.memo = std::make_shared<DepMemo>();
+  auto b = buildGraph(kRepeatedPatterns, ctx);
+  DependenceGraph g2 = DependenceGraph::build(*b.model, ctx);
+  EXPECT_EQ(g2.stats().pairsTested, b.graph.stats().pairsTested);
+  EXPECT_GT(g2.stats().testsRequested, 0);
+  EXPECT_EQ(g2.stats().testsRun(), 0);
+  EXPECT_EQ(g2.stats().memoHits, g2.stats().testsRequested);
   ASSERT_EQ(g2.all().size(), b.graph.all().size());
   for (std::size_t i = 0; i < g2.all().size(); ++i) {
     const Dependence& a = b.graph.all()[i];
     const Dependence& c = g2.all()[i];
+    EXPECT_EQ(a.id, c.id);
     EXPECT_EQ(a.type, c.type);
     EXPECT_EQ(a.variable, c.variable);
     EXPECT_EQ(a.srcStmt, c.srcStmt);
@@ -862,9 +865,9 @@ TEST(Graph, StarvedBudgetYieldsConservativeSuperset) {
   EXPECT_EQ(base.graph.summary().degradedDeps, 0);
 }
 
-// A changed fact base must defeat the splice (ctx signature mismatch) and
-// produce the sharper graph.
-TEST(Graph, UpdateWithNewFactsRetests) {
+// A changed fact base is part of every memo key: the rebuild misses the
+// memo the first build filled and produces the sharper graph.
+TEST(Graph, RebuildWithNewFactsMissesMemo) {
   const char* src =
       "      SUBROUTINE S(A, N)\n"
       "      REAL A(N)\n"
@@ -874,16 +877,24 @@ TEST(Graph, UpdateWithNewFactsRetests) {
       "        ENDDO\n"
       "      ENDDO\n"
       "      END\n";
-  auto b = buildGraph(src);
-  AnalysisContext sharper;
+  AnalysisContext ctx;
+  ctx.memo = std::make_shared<DepMemo>();
+  auto b = buildGraph(src, ctx);
+  auto flowOnA = [](const DependenceGraph& g) {
+    int flow = 0;
+    for (const auto& d : g.all()) {
+      if (d.variable == "A" && d.type == DepType::True) ++flow;
+    }
+    return flow;
+  };
+  EXPECT_GT(flowOnA(b.graph), 0);
+  AnalysisContext sharper = ctx;
   sharper.facts.push_back({lin({{"N", -1}}, 3), /*strict=*/false});
-  DependenceGraph g2 = DependenceGraph::update(*b.model, sharper, b.graph);
-  EXPECT_EQ(g2.stats().pairsSpliced, 0);
-  int flow = 0;
-  for (const auto& d : g2.all()) {
-    if (d.variable == "A" && d.type == DepType::True) ++flow;
-  }
-  EXPECT_EQ(flow, 0);
+  DependenceGraph g2 = DependenceGraph::build(*b.model, sharper);
+  EXPECT_GT(g2.stats().testsRequested, 0);
+  EXPECT_EQ(g2.stats().memoHits, 0);
+  EXPECT_EQ(g2.stats().testsRun(), g2.stats().testsRequested);
+  EXPECT_EQ(flowOnA(g2), 0);
 }
 
 }  // namespace

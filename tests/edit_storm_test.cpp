@@ -9,8 +9,8 @@
 //             settles its dirty set immediately),
 //   - par(t): deferred-analysis sessions for t in {1, 2, 4, 8, 16} — each edit
 //             accumulates the dirty set, then analyzeParallel(t) schedules
-//             exactly that set, splicing clean nests under the DepMemo
-//             generation protocol,
+//             exactly that set, answering unchanged tests from the DepMemo
+//             under its generation protocol,
 //   - full:   a from-scratch fullReanalysis() after every edit.
 //
 // After EVERY edit the observable analysis state — every field of every

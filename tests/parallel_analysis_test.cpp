@@ -33,9 +33,6 @@ void expectStatsEqual(const dep::TestStats& a, const dep::TestStats& b,
   EXPECT_EQ(a.memoHits, b.memoHits) << what;
   EXPECT_EQ(a.memoMisses, b.memoMisses) << what;
   EXPECT_EQ(a.pairsTested, b.pairsTested) << what;
-  EXPECT_EQ(a.pairsSpliced, b.pairsSpliced) << what;
-  EXPECT_EQ(a.edgesSpliced, b.edgesSpliced) << what;
-  EXPECT_EQ(a.edgesRebuilt, b.edgesRebuilt) << what;
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<std::string> {};
@@ -113,8 +110,8 @@ TEST_P(ParallelDeterminism, MergedStatsEqualSequentialAtOneThread) {
 
 // At higher thread counts the memo hit/miss SPLIT may differ (two workers
 // can race to first-compute the same key), but the deterministic counters
-// — pair enumeration, splice/rebuild tallies, and the total number of
-// queries issued — must not move.
+// — pair enumeration and the total number of queries issued — must not
+// move.
 TEST_P(ParallelDeterminism, DeterministicCountersStableUnderThreads) {
   auto reference = loadDeck(GetParam());
   ASSERT_NE(reference, nullptr);
@@ -130,9 +127,6 @@ TEST_P(ParallelDeterminism, DeterministicCountersStableUnderThreads) {
     const dep::TestStats par = s->analysisStats();
     const std::string what = GetParam() + " @" + std::to_string(threads);
     EXPECT_EQ(par.pairsTested, seq.pairsTested) << what;
-    EXPECT_EQ(par.pairsSpliced, seq.pairsSpliced) << what;
-    EXPECT_EQ(par.edgesSpliced, seq.edgesSpliced) << what;
-    EXPECT_EQ(par.edgesRebuilt, seq.edgesRebuilt) << what;
     EXPECT_EQ(par.testsRequested, seq.testsRequested) << what;
     EXPECT_EQ(par.memoHits + par.memoMisses, seq.memoHits + seq.memoMisses)
         << what;

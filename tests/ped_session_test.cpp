@@ -587,9 +587,10 @@ TEST(Session, AssertionEditInvalidatesMemoAndChangesGraph) {
   EXPECT_TRUE(s->loops()[0].parallelizable);
 }
 
-// An editor change re-tests only the pairs of the edited nest; pairs in
-// untouched nests splice their previous edges without issuing tests.
-TEST(Session, IncrementalEditSplicesUnchangedPairs) {
+// An editor change rebuilds the edited procedure, and the session memo
+// answers every test whose inputs the edit left unchanged: only the edited
+// pair runs tests, while the untouched A nest's tests are memo hits.
+TEST(Session, IncrementalEditRunsOnlyTheEditedPairsTests) {
   const char* src =
       "      SUBROUTINE TWO(A, B, N)\n"
       "      REAL A(N), B(N)\n"
@@ -605,37 +606,46 @@ TEST(Session, IncrementalEditSplicesUnchangedPairs) {
   ASSERT_EQ(loops.size(), 2u);
   EXPECT_FALSE(loops[0].parallelizable);
   EXPECT_FALSE(loops[1].parallelizable);
+  // The two nests are the same shape, so each requested half of the tests.
+  const long long nestTests = s->analysisStats().testsRequested / 2;
+  ASSERT_GT(nestTests, 0);
 
-  fortran::StmtId target = fortran::kInvalidStmt;
-  for (const auto& row : s->sourcePane()) {
-    if (row.text.find("B(J - 1)") != std::string::npos) target = row.stmt;
-  }
-  ASSERT_NE(target, fortran::kInvalidStmt);
+  // Each edit mints a fresh id for the B statement, so locate it anew.
+  auto bRow = [&] {
+    fortran::StmtId id = fortran::kInvalidStmt;
+    for (const auto& row : s->sourcePane()) {
+      if (row.text.find("B(J) =") != std::string::npos) id = row.stmt;
+    }
+    return id;
+  };
 
+  // New text, same subscripts: every pair's tests are memo hits.
   s->resetAnalysisStats();
-  ASSERT_TRUE(s->editStatement(target, "B(J) = B(J - 1)*3.0"));
+  ASSERT_TRUE(s->editStatement(bRow(), "B(J) = B(J - 1)*3.0"));
+  EXPECT_GT(s->analysisStats().testsRequested, 0);
+  EXPECT_EQ(s->analysisStats().testsRun(), 0);
+
+  // A new subscript: the edited pair B(J)/B(J - 2) runs its battery, and
+  // the A nest's tests are all answered from the memo.
+  s->resetAnalysisStats();
+  ASSERT_TRUE(s->editStatement(bRow(), "B(J) = B(J - 2)*3.0"));
   const auto& st = s->analysisStats();
-  // The A-nest pairs were untouched by the edit: spliced, not re-tested.
-  EXPECT_GT(st.pairsSpliced, 0);
-  EXPECT_GT(st.edgesSpliced, 0);
-  // The edited B pair ran its battery.
-  EXPECT_GT(st.pairsTested, 0);
+  EXPECT_EQ(st.pairsTested, 4);
+  EXPECT_GT(st.testsRun(), 0);
+  EXPECT_GE(st.memoHits, nestTests);
   loops = s->loops();
   EXPECT_FALSE(loops[0].parallelizable);
   EXPECT_FALSE(loops[1].parallelizable);
 
-  // The A2 baseline re-tests everything. (The edit minted a fresh id for
-  // the B statement, so locate it again.)
-  target = fortran::kInvalidStmt;
-  for (const auto& row : s->sourcePane()) {
-    if (row.text.find("B(J - 1)") != std::string::npos) target = row.stmt;
-  }
-  ASSERT_NE(target, fortran::kInvalidStmt);
+  // The A2 baseline runs every test.
   s->setIncrementalUpdates(false);
   s->resetAnalysisStats();
-  ASSERT_TRUE(s->editStatement(target, "B(J) = B(J - 1)*4.0"));
-  EXPECT_EQ(s->analysisStats().pairsSpliced, 0);
-  EXPECT_GT(s->analysisStats().pairsTested, 0);
+  ASSERT_TRUE(s->editStatement(bRow(), "B(J) = B(J - 1)*4.0"));
+  EXPECT_EQ(s->analysisStats().pairsTested, 4);
+  EXPECT_GT(s->analysisStats().testsRequested, 0);
+  EXPECT_EQ(s->analysisStats().memoHits, 0);
+  EXPECT_EQ(s->analysisStats().testsRun(),
+            s->analysisStats().testsRequested);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include "fortran/parser.h"
 #include "fortran/pretty.h"
 #include "interp/machine.h"
+#include "interproc/summaries.h"
 #include "support/diagnostics.h"
 #include "transform/transform.h"
 
@@ -1063,6 +1064,74 @@ TEST(Reduction, RefusesBoundsTheProcedureWrites) {
   EXPECT_FALSE(tr->apply(*f.ws, t, &error));
   EXPECT_EQ(error, a.explanation);
   EXPECT_EQ(fortran::printProgram(*f.prog), before);
+}
+
+// The bound read from COMMON: SETN sets N = 5*K before each inner loop, so
+// a partial-sum array S$PX(1:N) sized at procedure entry is too small for
+// the second K. `writer` is the statement SETN runs.
+std::string commonBoundProgram(const std::string& writer) {
+  return "      PROGRAM P\n"
+         "      COMMON /C/ N, M\n"
+         "      REAL A(10)\n"
+         "      DO 5 J = 1, 10\n"
+         "        A(J) = FLOAT(J)\n"
+         "    5 CONTINUE\n"
+         "      T = 0.0\n"
+         "      DO K = 1, 2\n"
+         "        CALL SETN(K)\n"
+         "        S = 0.0\n"
+         "        DO I = 1, N\n"
+         "          S = S + A(I)\n"
+         "        ENDDO\n"
+         "        T = T + S\n"
+         "      ENDDO\n"
+         "      WRITE(6, *) T\n"
+         "      END\n"
+         "      SUBROUTINE SETN(K)\n"
+         "      COMMON /C/ N, M\n"
+         "      " + writer + "\n"
+         "      END\n";
+}
+
+// Power steering must refuse a reduction whose bound a callee writes: the
+// callee's summary says it writes N, and with no oracle every call counts
+// as a writer. A callee that writes only another COMMON member does not
+// block the loop.
+TEST(Reduction, RefusesBoundsACalleeWrites) {
+  const auto* tr = Registry::instance().byName("Reduction Recognition");
+  ASSERT_NE(tr, nullptr);
+  auto adviseInner = [&](const std::string& writer, bool withOracle) {
+    auto prog = parse(commonBoundProgram(writer));
+    fortran::Procedure* main = prog->findUnit("P");
+    interproc::SummaryBuilder summaries(*prog);
+    interproc::InterproceduralOracle oracle(summaries, *main);
+    dep::AnalysisContext actx;
+    if (withOracle) actx.oracle = &oracle;
+    Workspace ws(*prog, *main, actx);
+    Target t;
+    t.loop = nthLoop(ws, 2);  // DO I = 1, N
+    const Advice a = tr->advise(ws, t);
+    EXPECT_TRUE(a.applicable) << a.explanation;
+    if (!a.safe) {
+      const std::string before = fortran::printProgram(*prog);
+      std::string error;
+      EXPECT_FALSE(tr->apply(ws, t, &error));
+      EXPECT_EQ(error, a.explanation);
+      EXPECT_EQ(fortran::printProgram(*prog), before);
+    }
+    return a;
+  };
+
+  const Advice known = adviseInner("N = 5*K", true);
+  EXPECT_FALSE(known.safe) << known.explanation;
+  EXPECT_NE(known.explanation.find("read N, which a callee writes"),
+            std::string::npos)
+      << known.explanation;
+  EXPECT_FALSE(adviseInner("N = 5*K", false).safe);
+
+  const Advice other = adviseInner("M = 5*K", true);
+  EXPECT_TRUE(other.safe) << other.explanation;
+  EXPECT_FALSE(adviseInner("M = 5*K", false).safe);
 }
 
 // ---------------------------------------------------------------------------
