@@ -64,14 +64,16 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # between the analysis scheduler's task slots and the session at 1-16
 # threads: an ownership bug there is invisible to TSan. The server storm
 # settles coalesced edit bursts from many sessions over one shared memo,
-# the one edit path the other suites do not cover.
+# the one edit path the other suites do not cover. The dataflow suite indexes
+# dense rows by variable and definition ids, where an id past the end of a
+# row would corrupt memory silently without ASan.
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 asan_suites="property_test ped_session_test transform_test interproc_test
   composition_test edit_storm_test fuzz_robustness_test dependence_test
   pdb_persistence_test warm_start_test io_atomic_test parallel_analysis_test
-  server_storm_test"
+  server_storm_test dataflow_test"
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do

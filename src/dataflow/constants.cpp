@@ -1,8 +1,7 @@
 #include "dataflow/constants.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "ir/refs.h"
 
 namespace ps::dataflow {
 
@@ -14,6 +13,7 @@ using fortran::Stmt;
 using fortran::StmtId;
 using fortran::StmtKind;
 using fortran::UnOp;
+using ir::RefKind;
 
 ConstVal ConstVal::meet(const ConstVal& o) const {
   if (kind == Kind::Top) return o;
@@ -32,8 +32,10 @@ std::optional<double> asReal(const ConstVal& v) {
   }
 }
 
-std::optional<ConstVal> evalBinary(BinOp op, const ConstVal& l,
-                                   const ConstVal& r) {
+}  // namespace
+
+std::optional<ConstVal> ConstantAnalysis::fold(BinOp op, const ConstVal& l,
+                                               const ConstVal& r) {
   const bool bothInt = l.kind == ConstVal::Kind::IntConst &&
                        r.kind == ConstVal::Kind::IntConst;
   // Logical operators.
@@ -92,128 +94,108 @@ std::optional<ConstVal> evalBinary(BinOp op, const ConstVal& l,
   }
 }
 
-}  // namespace
-
-std::optional<ConstVal> ConstantAnalysis::evaluate(const Expr& e,
-                                                   const ConstEnv& env) {
-  switch (e.kind) {
-    case ExprKind::IntConst: return ConstVal::ofInt(e.intValue);
-    case ExprKind::RealConst: return ConstVal::ofReal(e.realValue);
-    case ExprKind::LogicalConst: return ConstVal::ofLogical(e.logicalValue);
-    case ExprKind::VarRef: {
-      auto it = env.find(e.name);
-      if (it != env.end() && it->second.isConst()) return it->second;
+std::optional<ConstVal> ConstantAnalysis::fold(UnOp op, const ConstVal& v) {
+  switch (op) {
+    case UnOp::Plus: return v;
+    case UnOp::Neg:
+      if (v.kind == ConstVal::Kind::IntConst) return ConstVal::ofInt(-v.i);
+      if (v.kind == ConstVal::Kind::RealConst) return ConstVal::ofReal(-v.r);
       return std::nullopt;
-    }
-    case ExprKind::Binary: {
-      auto l = evaluate(*e.lhs, env);
-      auto r = evaluate(*e.rhs, env);
-      if (!l || !r) return std::nullopt;
-      return evalBinary(e.binOp, *l, *r);
-    }
-    case ExprKind::Unary: {
-      auto v = evaluate(*e.lhs, env);
-      if (!v) return std::nullopt;
-      switch (e.unOp) {
-        case UnOp::Plus: return v;
-        case UnOp::Neg:
-          if (v->kind == ConstVal::Kind::IntConst)
-            return ConstVal::ofInt(-v->i);
-          if (v->kind == ConstVal::Kind::RealConst)
-            return ConstVal::ofReal(-v->r);
-          return std::nullopt;
-        case UnOp::Not:
-          if (v->kind == ConstVal::Kind::LogicalConst)
-            return ConstVal::ofLogical(!v->b);
-          return std::nullopt;
+    case UnOp::Not:
+      if (v.kind == ConstVal::Kind::LogicalConst) {
+        return ConstVal::ofLogical(!v.b);
       }
       return std::nullopt;
-    }
-    default:
-      // Array references, function calls, strings: not tracked.
-      return std::nullopt;
   }
+  return std::nullopt;
 }
 
-ConstantAnalysis ConstantAnalysis::build(const FlowGraph& g,
-                                         const ir::ProcedureModel& model,
-                                         const ConstEnv& inherited) {
+ConstantAnalysis ConstantAnalysis::build(
+    const VarIndex& index, const std::map<std::string, long long>& inherited) {
   ConstantAnalysis ca;
-  ca.graph_ = &g;
-  const int n = g.numNodes();
-  ca.in_.assign(static_cast<std::size_t>(n), {});
+  ca.index_ = &index;
+  const FlowGraph& g = index.graph();
+  const auto n = static_cast<std::size_t>(g.numNodes());
+  const auto nv = static_cast<std::size_t>(index.size());
+  ca.in_.assign(n * nv, ConstVal::top());
+  std::vector<ConstVal> out(n * nv, ConstVal::top());
+  auto valuesIn = [&index](const ConstVal* row) {
+    return [&index, row](const std::string& name) {
+      const int v = index.idOf(name);
+      return v < 0 ? ConstVal::top() : row[v];
+    };
+  };
 
-  // Entry environment: PARAMETER constants plus inherited interprocedural
-  // constants.
-  ConstEnv entry = inherited;
-  const fortran::Procedure& proc = model.procedure();
-  for (const auto& d : proc.decls) {
-    if (d.isParameter && d.parameterValue) {
-      if (auto v = evaluate(*d.parameterValue, entry)) entry[d.name] = *v;
+  // Entry row: what callers pass in through dummy arguments and COMMON is
+  // unknown unless every caller passes the same constant; PARAMETER
+  // constants are known.
+  ConstVal* entry = ca.in_.data() + FlowGraph::kEntry * nv;
+  for (int v = 0; v < index.size(); ++v) {
+    if (index.isFormal(v) || index.inCommon(v)) entry[v] = ConstVal::bottom();
+  }
+  for (const auto& [name, value] : inherited) {
+    const int v = index.idOf(name);
+    if (v >= 0) entry[v] = ConstVal::ofInt(value);
+  }
+  for (const auto& d : index.model().procedure().decls) {
+    if (!d.isParameter || !d.parameterValue) continue;
+    if (auto value = evaluate(*d.parameterValue, valuesIn(entry))) {
+      entry[index.idOf(d.name)] = *value;
     }
   }
-  ca.in_[FlowGraph::kEntry] = entry;
+  std::copy(entry, entry + nv, out.data() + FlowGraph::kEntry * nv);
 
-  // Transfer function for one statement.
-  auto transfer = [&](const Stmt* s, ConstEnv env) -> ConstEnv {
-    if (!s) return env;
+  // Transfer function for one node, in place on its row.
+  auto transfer = [&](int node, ConstVal* row) {
+    const Stmt* s = g.stmtOf(node);
+    if (!s) return;
+    const auto refs = index.refs(node);
+    auto isVarRef = [](const IndexedRef& r) {
+      return r.expr && r.expr->kind == ExprKind::VarRef;
+    };
     switch (s->kind) {
       case StmtKind::Assign:
-        if (s->lhs->kind == ExprKind::VarRef) {
-          auto v = evaluate(*s->rhs, env);
-          env[s->lhs->name] = v ? *v : ConstVal::bottom();
+        // The first reference of an assignment is its target.
+        if (isVarRef(refs[0])) {
+          auto v = evaluate(*s->rhs, valuesIn(row));
+          row[refs[0].var] = v ? *v : ConstVal::bottom();
         }
         break;
       case StmtKind::Do:
         // The DO variable varies across iterations.
-        env[s->doVar] = ConstVal::bottom();
+        row[refs[0].var] = ConstVal::bottom();
         break;
       case StmtKind::Read:
-        for (const auto& item : s->args) {
-          if (item->kind == ExprKind::VarRef) {
-            env[item->name] = ConstVal::bottom();
+        for (const IndexedRef& r : refs) {
+          if (r.kind == RefKind::Write && isVarRef(r)) {
+            row[r.var] = ConstVal::bottom();
           }
         }
         break;
       case StmtKind::Call:
         // Without MOD information, any variable passed to a call (or in
         // COMMON) may change.
-        for (const auto& a : s->args) {
-          if (a->kind == ExprKind::VarRef) env[a->name] = ConstVal::bottom();
+        for (const IndexedRef& r : refs) {
+          if (r.kind == RefKind::CallActual && isVarRef(r)) {
+            row[r.var] = ConstVal::bottom();
+          }
         }
-        for (const auto& d : proc.decls) {
-          if (!d.commonBlock.empty()) env[d.name] = ConstVal::bottom();
-        }
+        for (int v : index.commonVars()) row[v] = ConstVal::bottom();
         break;
       default:
         break;
     }
-    return env;
   };
 
-  auto meetInto = [](ConstEnv& into, const ConstEnv& from) -> bool {
-    bool changed = false;
-    // Variables only in `into`: meet with Top = unchanged. Variables in
-    // both: meet. Variables only in `from`: adopt.
-    for (const auto& [name, val] : from) {
-      auto it = into.find(name);
-      if (it == into.end()) {
-        into[name] = val;
-        changed = true;
-      } else {
-        ConstVal m = it->second.meet(val);
-        if (!(m == it->second)) {
-          it->second = m;
-          changed = true;
-        }
-      }
-    }
-    return changed;
+  // A missing predecessor value is Top, so the meet over predecessors is
+  // elementwise.
+  const std::vector<int> order = g.reversePostOrder();
+  std::vector<ConstVal> cur(nv);
+  auto copyIfChanged = [&](ConstVal* row) {
+    if (std::equal(cur.begin(), cur.end(), row)) return false;
+    std::copy(cur.begin(), cur.end(), row);
+    return true;
   };
-
-  auto order = g.reversePostOrder();
-  std::vector<ConstEnv> out(static_cast<std::size_t>(n));
-  out[FlowGraph::kEntry] = entry;
   bool changed = true;
   int iterations = 0;
   while (changed && iterations < 100) {
@@ -221,44 +203,42 @@ ConstantAnalysis ConstantAnalysis::build(const FlowGraph& g,
     ++iterations;
     for (int node : order) {
       if (node == FlowGraph::kEntry) continue;
-      auto un = static_cast<std::size_t>(node);
-      ConstEnv newIn;
-      bool first = true;
-      for (int p : g.predecessors(node)) {
-        const ConstEnv& po = out[static_cast<std::size_t>(p)];
-        if (first) {
-          newIn = po;
-          first = false;
-        } else {
-          // Meet: drop vars absent from either side to Top-equivalent
-          // (absent == Top), so intersection by meet.
-          meetInto(newIn, po);
-          // Additionally, vars in newIn but not in po stay (Top meet).
+      const auto un = static_cast<std::size_t>(node);
+      const std::vector<int>& preds = g.predecessors(node);
+      if (preds.empty()) {
+        std::fill(cur.begin(), cur.end(), ConstVal::top());
+      } else {
+        const ConstVal* first =
+            out.data() + static_cast<std::size_t>(preds[0]) * nv;
+        std::copy(first, first + nv, cur.begin());
+        for (std::size_t k = 1; k < preds.size(); ++k) {
+          const ConstVal* po =
+              out.data() + static_cast<std::size_t>(preds[k]) * nv;
+          for (std::size_t v = 0; v < nv; ++v) cur[v] = cur[v].meet(po[v]);
         }
       }
-      if (newIn != ca.in_[un]) {
-        ca.in_[un] = newIn;
-        changed = true;
-      }
-      ConstEnv newOut = transfer(g.stmtOf(node), ca.in_[un]);
-      if (newOut != out[un]) {
-        out[un] = std::move(newOut);
-        changed = true;
-      }
+      if (copyIfChanged(ca.in_.data() + un * nv)) changed = true;
+      transfer(node, cur.data());
+      if (copyIfChanged(out.data() + un * nv)) changed = true;
     }
   }
   return ca;
 }
 
-const ConstEnv& ConstantAnalysis::envAt(StmtId stmt) const {
-  int node = graph_->nodeOf(stmt);
-  if (node < 0) return empty_;
-  return in_[static_cast<std::size_t>(node)];
+const ConstVal* ConstantAnalysis::rowAt(StmtId stmt) const {
+  const int node = index_->graph().nodeOf(stmt);
+  if (node < 0) return nullptr;
+  return in_.data() + static_cast<std::size_t>(node) *
+                          static_cast<std::size_t>(index_->size());
 }
 
 std::optional<ConstVal> ConstantAnalysis::evaluateAt(StmtId stmt,
                                                      const Expr& e) const {
-  return evaluate(e, envAt(stmt));
+  const ConstVal* row = rowAt(stmt);
+  return evaluate(e, [&](const std::string& name) {
+    const int v = row ? index_->idOf(name) : -1;
+    return v < 0 ? ConstVal::top() : row[v];
+  });
 }
 
 }  // namespace ps::dataflow

@@ -1,74 +1,75 @@
 #include "dataflow/liveness.h"
 
-#include "ir/refs.h"
-
 namespace ps::dataflow {
 
 using cfg::FlowGraph;
 using fortran::Stmt;
-using fortran::StmtId;
-using ir::Ref;
 using ir::RefKind;
 
-Liveness Liveness::build(const FlowGraph& g, const ir::ProcedureModel& model) {
+Liveness Liveness::build(const VarIndex& index) {
   Liveness lv;
-  lv.graph_ = &g;
-  lv.model_ = &model;
-  const int n = g.numNodes();
-  lv.liveIn_.assign(static_cast<std::size_t>(n), {});
-  lv.liveOut_.assign(static_cast<std::size_t>(n), {});
+  lv.index_ = &index;
+  const FlowGraph& g = index.graph();
+  const auto n = static_cast<std::size_t>(g.numNodes());
+  const auto nv = static_cast<std::size_t>(index.size());
+  lv.in_.assign(n, DenseBitSet(nv));
 
-  const fortran::Procedure& proc = model.procedure();
-
-  // use/def per node. Array element stores do not fully define the array, so
-  // arrays are never in DEF (conservative for backward liveness).
-  std::vector<std::set<std::string>> use(static_cast<std::size_t>(n));
-  std::vector<std::set<std::string>> def(static_cast<std::size_t>(n));
-  for (const Stmt* s : model.allStmts()) {
-    int node = g.nodeOf(s->id);
-    if (node < 0) continue;
-    auto un = static_cast<std::size_t>(node);
-    for (const Ref& r : ir::collectRefs(*s)) {
-      const fortran::VarDecl* d = proc.findDecl(r.name);
-      bool isScalar = !d || !d->isArray();
-      if (r.isRead() && !def[un].count(r.name)) use[un].insert(r.name);
-      if (r.isWrite() && isScalar && r.kind != RefKind::CallActual &&
-          !use[un].count(r.name)) {
-        def[un].insert(r.name);
+  // use/def per node, as variable lists. A statement reads before it writes
+  // (Fortran evaluates the right-hand side and subscripts before storing),
+  // so a variable it reads is live on entry even when it also assigns it:
+  // after a loop, T = T + 1.0 needs the loop's last T. Array element stores
+  // do not fully define the array, so arrays are never in DEF
+  // (conservative for backward liveness).
+  std::vector<std::size_t> useStart(n + 1, 0), defStart(n + 1, 0);
+  std::vector<int> use, def;
+  std::vector<std::size_t> usedAt(nv, n), definedAt(nv, n);
+  for (std::size_t node = 0; node < n; ++node) {
+    useStart[node] = use.size();
+    defStart[node] = def.size();
+    for (const IndexedRef& r : index.refs(static_cast<int>(node))) {
+      const auto v = static_cast<std::size_t>(r.var);
+      if (r.isRead() && usedAt[v] != node) {
+        usedAt[v] = node;
+        use.push_back(r.var);
+      }
+      if (r.isWrite() && !index.isArray(r.var) &&
+          r.kind != RefKind::CallActual && definedAt[v] != node) {
+        definedAt[v] = node;
+        def.push_back(r.var);
       }
     }
   }
+  useStart[n] = use.size();
+  defStart[n] = def.size();
 
   // Everything that escapes the procedure is live at exit: parameters and
   // COMMON members (callers may observe them).
-  std::set<std::string> exitLive;
-  for (const auto& d : proc.decls) {
-    if (proc.isParam(d.name) || !d.commonBlock.empty()) {
-      exitLive.insert(d.name);
+  for (int v = 0; v < index.size(); ++v) {
+    if (index.escapes(v)) {
+      lv.in_[FlowGraph::kExit].set(static_cast<std::size_t>(v));
     }
   }
-  if (proc.kind == fortran::ProcKind::Function) exitLive.insert(proc.name);
-  lv.liveIn_[FlowGraph::kExit] = exitLive;
 
-  auto order = g.reversePostOrderOfReverse();
+  const std::vector<int> order = g.reversePostOrderOfReverse();
+  DenseBitSet in(nv);
   bool changed = true;
   while (changed) {
     changed = false;
     for (int node : order) {
       if (node == FlowGraph::kExit) continue;
-      auto un = static_cast<std::size_t>(node);
-      std::set<std::string> out;
+      const auto un = static_cast<std::size_t>(node);
+      in.clear();
       for (int s : g.successors(node)) {
-        const auto& si = lv.liveIn_[static_cast<std::size_t>(s)];
-        out.insert(si.begin(), si.end());
+        in.unionWith(lv.in_[static_cast<std::size_t>(s)]);
       }
-      std::set<std::string> in = use[un];
-      for (const auto& v : out) {
-        if (!def[un].count(v)) in.insert(v);
+      for (std::size_t i = defStart[un]; i < defStart[un + 1]; ++i) {
+        in.reset(static_cast<std::size_t>(def[i]));
       }
-      if (out != lv.liveOut_[un] || in != lv.liveIn_[un]) {
-        lv.liveOut_[un] = std::move(out);
-        lv.liveIn_[un] = std::move(in);
+      for (std::size_t i = useStart[un]; i < useStart[un + 1]; ++i) {
+        in.set(static_cast<std::size_t>(use[i]));
+      }
+      if (!(in == lv.in_[un])) {
+        lv.in_[un] = in;
         changed = true;
       }
     }
@@ -76,27 +77,18 @@ Liveness Liveness::build(const FlowGraph& g, const ir::ProcedureModel& model) {
   return lv;
 }
 
-std::set<std::string> Liveness::liveIn(StmtId stmt) const {
-  int node = graph_->nodeOf(stmt);
-  if (node < 0) return {};
-  return liveIn_[static_cast<std::size_t>(node)];
-}
-
-std::set<std::string> Liveness::liveOut(StmtId stmt) const {
-  int node = graph_->nodeOf(stmt);
-  if (node < 0) return {};
-  return liveOut_[static_cast<std::size_t>(node)];
-}
-
 bool Liveness::liveAfterLoop(const ir::Loop& loop,
                              const std::string& name) const {
   // The DO node's non-body successors are the loop exits; `name` is live
   // after the loop if it is live-in at any of them. GOTO exits out of the
   // body are covered because their targets are those nodes' successors.
-  int doNode = graph_->nodeOf(loop.stmt->id);
+  const FlowGraph& g = index_->graph();
+  int doNode = g.nodeOf(loop.stmt->id);
   if (doNode < 0) return true;  // be conservative
-  for (int s : graph_->successors(doNode)) {
-    const Stmt* st = graph_->stmtOf(s);
+  const int var = index_->idOf(name);
+  if (var < 0) return false;
+  for (int s : g.successors(doNode)) {
+    const Stmt* st = g.stmtOf(s);
     bool inBody = false;
     if (st) {
       for (const Stmt* b : loop.bodyStmts) {
@@ -106,14 +98,7 @@ bool Liveness::liveAfterLoop(const ir::Loop& loop,
         }
       }
     }
-    if (!inBody) {
-      if (s == FlowGraph::kExit) {
-        // Procedure exit: use the exit node's live-in (escaping variables).
-        if (liveIn_[FlowGraph::kExit].count(name)) return true;
-      } else if (liveIn_[static_cast<std::size_t>(s)].count(name)) {
-        return true;
-      }
-    }
+    if (!inBody && liveIn(s, var)) return true;
   }
   return false;
 }

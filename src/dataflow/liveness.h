@@ -1,12 +1,11 @@
 #ifndef PS_DATAFLOW_LIVENESS_H
 #define PS_DATAFLOW_LIVENESS_H
 
-#include <set>
 #include <string>
 #include <vector>
 
-#include "cfg/flow_graph.h"
-#include "ir/model.h"
+#include "dataflow/varindex.h"
+#include "support/bitset.h"
 
 namespace ps::dataflow {
 
@@ -15,13 +14,13 @@ namespace ps::dataflow {
 /// value copied out of the loop.
 class Liveness {
  public:
-  static Liveness build(const cfg::FlowGraph& g,
-                        const ir::ProcedureModel& model);
+  static Liveness build(const VarIndex& index);
 
-  /// Variables live on entry to the statement's node.
-  [[nodiscard]] std::set<std::string> liveIn(fortran::StmtId stmt) const;
-  /// Variables live on exit from the statement's node.
-  [[nodiscard]] std::set<std::string> liveOut(fortran::StmtId stmt) const;
+  /// True if variable `var` of the index is live on entry to `node`.
+  [[nodiscard]] bool liveIn(int node, int var) const {
+    return in_[static_cast<std::size_t>(node)].test(
+        static_cast<std::size_t>(var));
+  }
 
   /// True if `name` may be read after the loop completes (live at the
   /// loop's exit edges or at procedure exit if the variable escapes — a
@@ -30,10 +29,8 @@ class Liveness {
                                    const std::string& name) const;
 
  private:
-  const cfg::FlowGraph* graph_ = nullptr;
-  const ir::ProcedureModel* model_ = nullptr;
-  std::vector<std::set<std::string>> liveIn_;   // per node
-  std::vector<std::set<std::string>> liveOut_;  // per node
+  const VarIndex* index_ = nullptr;
+  std::vector<DenseBitSet> in_;  // per node, over the index's variables
 };
 
 }  // namespace ps::dataflow

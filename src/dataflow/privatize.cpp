@@ -1,17 +1,10 @@
 #include "dataflow/privatize.h"
 
-#include <deque>
-#include <set>
-
-#include "ir/refs.h"
-
 namespace ps::dataflow {
 
 using cfg::FlowGraph;
 using fortran::Stmt;
-using fortran::StmtKind;
 using ir::Loop;
-using ir::Ref;
 using ir::RefKind;
 
 const char* privatizationStatusName(PrivatizationStatus s) {
@@ -24,99 +17,97 @@ const char* privatizationStatusName(PrivatizationStatus s) {
   return "?";
 }
 
-namespace {
-
-/// Does this statement read `name` before any killing write it performs?
-/// (Fortran evaluates the RHS and subscripts before storing the LHS.)
-bool readsFirst(const Stmt& s, const std::string& name) {
-  for (const Ref& r : ir::collectRefs(s)) {
-    if (r.name != name) continue;
-    if (r.kind == RefKind::Read || r.kind == RefKind::CallActual) return true;
-  }
-  return false;
-}
-
-bool killsScalar(const Stmt& s, const std::string& name) {
-  for (const Ref& r : ir::collectRefs(s)) {
-    if (r.name != name) continue;
-    if (r.kind == RefKind::Write || r.kind == RefKind::DoVarDef) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-PrivatizationAnalysis PrivatizationAnalysis::build(
-    const ir::ProcedureModel& model, const FlowGraph& g,
-    const Liveness& liveness) {
+PrivatizationAnalysis PrivatizationAnalysis::build(const VarIndex& index,
+                                                   const Liveness& liveness) {
   PrivatizationAnalysis pa;
-  const fortran::Procedure& proc = model.procedure();
+  const ir::ProcedureModel& model = index.model();
+  const FlowGraph& g = index.graph();
+  const auto n = static_cast<std::size_t>(g.numNodes());
+  const auto nv = static_cast<std::size_t>(index.size());
 
+  // Work arrays reused across loops and variables: the loop whose body a node
+  // is in, the (loop, variable) search that last visited it, and the
+  // scalars the body reads and writes.
+  std::vector<int> bodyOf(n, -1), visitedBy(n, -1);
+  int search = 0;
+  std::vector<int> entries, work;
+  DenseBitSet accessed(nv), written(nv), read(nv);
+
+  int loopOrdinal = 0;
   for (const auto& loopPtr : model.loops()) {
     const Loop* loop = loopPtr.get();
+    const int thisLoop = loopOrdinal++;
     std::vector<VariableClassification>& classes = pa.classes_[loop];
 
-    // Scalars accessed in the loop body.
-    std::set<std::string> names;
-    std::map<std::string, VariableClassification> info;
+    // Scalars accessed in the loop body; arrays are handled elsewhere.
+    accessed.clear();
+    written.clear();
+    read.clear();
     for (const Stmt* s : loop->bodyStmts) {
-      for (const Ref& r : ir::collectRefs(*s)) {
-        const fortran::VarDecl* d = proc.findDecl(r.name);
-        if (d && d->isArray()) continue;  // arrays handled elsewhere
-        names.insert(r.name);
-        auto& vc = info[r.name];
-        vc.name = r.name;
-        if (r.isWrite()) vc.writtenInLoop = true;
-        if (r.isRead()) vc.readInLoop = true;
+      const int node = g.nodeOf(s->id);
+      if (node < 0) continue;
+      bodyOf[static_cast<std::size_t>(node)] = thisLoop;
+      for (const IndexedRef& r : index.refs(node)) {
+        if (index.isArray(r.var)) continue;
+        const auto v = static_cast<std::size_t>(r.var);
+        accessed.set(v);
+        if (r.isWrite()) written.set(v);
+        if (r.isRead()) read.set(v);
       }
     }
     // The loop's own induction variable is implicitly private.
-    names.erase(loop->inductionVar());
-    info.erase(loop->inductionVar());
+    const int iv = index.idOf(loop->inductionVar());
+    if (iv >= 0) accessed.reset(static_cast<std::size_t>(iv));
 
     // Body-entry nodes: successors of the DO header that are in the body.
-    int doNode = g.nodeOf(loop->stmt->id);
-    std::set<int> bodyNodes;
-    for (const Stmt* s : loop->bodyStmts) {
-      int n = g.nodeOf(s->id);
-      if (n >= 0) bodyNodes.insert(n);
-    }
-    std::vector<int> entries;
-    for (int s : g.successors(doNode)) {
-      if (bodyNodes.count(s)) entries.push_back(s);
+    const int doNode = g.nodeOf(loop->stmt->id);
+    auto inBody = [&](int node) {
+      return bodyOf[static_cast<std::size_t>(node)] == thisLoop;
+    };
+    entries.clear();
+    for (int succ : g.successors(doNode)) {
+      if (inBody(succ)) entries.push_back(succ);
     }
 
-    for (const std::string& name : names) {
-      VariableClassification& vc = info[name];
+    accessed.forEach([&](std::size_t v) {
+      const int var = static_cast<int>(v);
+      VariableClassification vc;
+      vc.name = index.name(var);
+      vc.writtenInLoop = written.test(v);
+      vc.readInLoop = read.test(v);
 
-      // Forward walk from body entry: does a read of `name` occur before a
-      // killing write on some path within one iteration?
-      std::deque<int> work(entries.begin(), entries.end());
-      std::set<int> seen;
+      // Search from body entry: does a read of the variable occur before a
+      // killing write on some path within one iteration? (Fortran
+      // evaluates the RHS and subscripts before storing the LHS, so any
+      // read in a statement comes first.) A call may read the scalar if it
+      // is in COMMON.
+      ++search;
+      work.assign(entries.begin(), entries.end());
       bool exposed = false;
       while (!work.empty() && !exposed) {
-        int node = work.front();
-        work.pop_front();
-        if (seen.count(node)) continue;
-        seen.insert(node);
-        const Stmt* s = g.stmtOf(node);
-        if (!s) continue;
-        if (readsFirst(*s, name)) {
+        const int node = work.back();
+        work.pop_back();
+        if (visitedBy[static_cast<std::size_t>(node)] == search) continue;
+        visitedBy[static_cast<std::size_t>(node)] = search;
+        bool kills = false;
+        for (const IndexedRef& r : index.refs(node)) {
+          if (r.var != var) continue;
+          if (r.kind == RefKind::Read || r.kind == RefKind::CallActual) {
+            exposed = true;
+          } else {
+            kills = true;  // a write or the DO-variable update
+          }
+        }
+        if (exposed) break;
+        if (kills) continue;  // path killed here
+        if (index.calls(node) && index.inCommon(var)) {
           exposed = true;
           break;
         }
-        if (killsScalar(*s, name)) continue;  // path killed here
-        // A call may read the scalar if it is in COMMON.
-        if ((s->kind == StmtKind::Call || !ir::calledFunctions(*s).empty())) {
-          const fortran::VarDecl* d = proc.findDecl(name);
-          if (d && !d->commonBlock.empty()) {
-            exposed = true;
-            break;
-          }
-        }
         for (int succ : g.successors(node)) {
           if (succ == doNode) continue;  // iteration boundary
-          if (bodyNodes.count(succ) && !seen.count(succ)) {
+          if (inBody(succ) &&
+              visitedBy[static_cast<std::size_t>(succ)] != search) {
             work.push_back(succ);
           }
         }
@@ -130,17 +121,13 @@ PrivatizationAnalysis PrivatizationAnalysis::build(
         vc.status = PrivatizationStatus::Shared;
       } else if (exposed) {
         vc.status = PrivatizationStatus::Shared;
-      } else if (liveness.liveAfterLoop(*loop, name)) {
+      } else if (liveness.liveAfterLoop(*loop, vc.name)) {
         vc.status = PrivatizationStatus::PrivateNeedsLastValue;
       } else {
         vc.status = PrivatizationStatus::Private;
       }
-    }
-
-    for (auto& [name, vc] : info) {
-      (void)name;
-      classes.push_back(vc);
-    }
+      classes.push_back(std::move(vc));
+    });
   }
   return pa;
 }

@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "cfg/flow_graph.h"
 #include "dataflow/liveness.h"
-#include "ir/model.h"
+#include "dataflow/varindex.h"
 
 namespace ps::dataflow {
 
@@ -46,8 +45,7 @@ struct VariableClassification {
 /// interproc/array_kill.h (the paper lists it under *needed* analyses).
 class PrivatizationAnalysis {
  public:
-  static PrivatizationAnalysis build(const ir::ProcedureModel& model,
-                                     const cfg::FlowGraph& g,
+  static PrivatizationAnalysis build(const VarIndex& index,
                                      const Liveness& liveness);
 
   [[nodiscard]] const std::vector<VariableClassification>& classesFor(

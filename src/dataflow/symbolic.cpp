@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/refs.h"
-
 namespace ps::dataflow {
 
 using fortran::BinOp;
@@ -12,7 +10,6 @@ using fortran::ExprKind;
 using fortran::Stmt;
 using fortran::StmtKind;
 using ir::Loop;
-using ir::Ref;
 using ir::RefKind;
 
 namespace {
@@ -45,17 +42,15 @@ bool matchIncrement(const Stmt& s, std::string* name, long long* stride) {
 }  // namespace
 
 SymbolicAnalysis SymbolicAnalysis::build(
-    const ir::ProcedureModel& model, const cfg::FlowGraph& g,
-    const ReachingDefs& reaching, const ConstantAnalysis& constants,
-    const cfg::ControlDependence& cdeps,
+    const VarIndex& index, const ReachingDefs& reaching,
+    const ConstantAnalysis& constants, const cfg::ControlDependence& cdeps,
     const std::vector<Relation>& inherited, std::size_t maxRelations) {
   SymbolicAnalysis sa;
-  sa.model_ = &model;
-  sa.graph_ = &g;
-  sa.reaching_ = &reaching;
+  sa.index_ = &index;
   sa.constants_ = &constants;
-
-  const fortran::Procedure& proc = model.procedure();
+  const ir::ProcedureModel& model = index.model();
+  const cfg::FlowGraph& g = index.graph();
+  const auto nv = static_cast<std::size_t>(index.size());
 
   // Budget on relations kept across the whole procedure; dropping one loses
   // a sharpening fact (conservative) but bounds downstream test work.
@@ -69,125 +64,145 @@ SymbolicAnalysis SymbolicAnalysis::build(
     rels.push_back(std::move(r));
   };
 
+  // Per-loop work rows over variables: writes counted per reference, the
+  // statement of the first one, and the names read.
+  std::vector<int> writeCount(nv, 0);
+  std::vector<const Stmt*> firstWrite(nv, nullptr);
+  DenseBitSet written(nv), read(nv);
+
   for (const auto& loopPtr : model.loops()) {
     const Loop* loop = loopPtr.get();
-    std::set<std::string>& defined = sa.definedIn_[loop];
-    std::set<std::string>& arrays = sa.arraysWritten_[loop];
-    defined.insert(loop->inductionVar());
+    DenseBitSet& defined =
+        sa.definedIn_.emplace(loop, DenseBitSet(nv)).first->second;
+    DenseBitSet& arrays =
+        sa.arraysWritten_.emplace(loop, DenseBitSet(nv)).first->second;
+    defined.set(static_cast<std::size_t>(index.idOf(loop->inductionVar())));
+    written.clear();
+    read.clear();
 
     for (const Stmt* s : loop->bodyStmts) {
-      for (const Ref& r : ir::collectRefs(*s)) {
+      const int node = g.nodeOf(s->id);
+      for (const IndexedRef& r : index.refs(node)) {
+        const auto v = static_cast<std::size_t>(r.var);
+        if (r.isRead()) read.set(v);
         if (!r.isWrite()) continue;
-        const fortran::VarDecl* d = proc.findDecl(r.name);
-        if (d && d->isArray()) {
-          arrays.insert(r.name);
+        if (!written.test(v)) {
+          written.set(v);
+          writeCount[v] = 0;
+          firstWrite[v] = s;
+        }
+        ++writeCount[v];
+        if (index.isArray(r.var)) {
+          arrays.set(v);
           // A whole array passed at a call site may be rewritten.
-          if (r.kind == RefKind::CallActual) defined.insert(r.name);
+          if (r.kind == RefKind::CallActual) defined.set(v);
         } else {
-          defined.insert(r.name);
+          defined.set(v);
         }
       }
       // A call may modify any COMMON variable.
-      if (s->kind == StmtKind::Call || !ir::calledFunctions(*s).empty()) {
-        for (const auto& d : proc.decls) {
-          if (!d.commonBlock.empty()) {
-            defined.insert(d.name);
-            if (d.isArray()) arrays.insert(d.name);
-          }
+      if (index.calls(node)) {
+        for (int c : index.commonVars()) {
+          defined.set(static_cast<std::size_t>(c));
+          if (index.isArray(c)) arrays.set(static_cast<std::size_t>(c));
         }
       }
     }
+    auto isDefined = [&](const std::string& name) {
+      const int v = index.idOf(name);
+      return v >= 0 && defined.test(static_cast<std::size_t>(v));
+    };
 
     // Auxiliary induction variables: scalar with exactly one defining
     // statement in the loop, of increment shape, executed unconditionally
     // (controlled only by enclosing DO headers).
-    std::map<std::string, std::vector<const Stmt*>> defsOf;
-    for (const Stmt* s : loop->bodyStmts) {
-      for (const Ref& r : ir::collectRefs(*s)) {
-        if (r.isWrite()) defsOf[r.name].push_back(s);
-      }
-    }
-    for (const auto& [name, defs] : defsOf) {
-      if (defs.size() != 1) continue;
-      std::string v;
+    written.forEach([&](std::size_t v) {
+      if (writeCount[v] != 1) return;
+      const Stmt* def = firstWrite[v];
+      std::string name;
       long long stride = 0;
-      if (!matchIncrement(*defs[0], &v, &stride)) continue;
-      if (cdeps.hasNonLoopController(defs[0]->id, model)) continue;
+      if (!matchIncrement(*def, &name, &stride)) return;
+      if (cdeps.hasNonLoopController(def->id, model)) return;
       // The update must be directly in this loop's body (not a nested
       // loop's): otherwise it advances more than once per iteration.
-      const Loop* encl = model.enclosingLoop(defs[0]->id);
-      if (encl != loop) continue;
-      sa.auxIvs_[loop].push_back({v, stride, defs[0]});
-    }
+      if (model.enclosingLoop(def->id) != loop) return;
+      sa.auxIvs_[loop].push_back({name, stride, def});
+    });
 
     // Relations: symbolic equalities valid throughout the loop. Inherited
     // (interprocedural) relations only survive if nothing in the loop
     // redefines the variable or its operands.
     std::vector<Relation> rels;
     for (const Relation& r : inherited) {
-      if (defined.count(r.name)) continue;
+      if (isDefined(r.name)) continue;
       bool stable = true;
       for (const auto& [v, c] : r.value.coef) {
         (void)c;
-        if (defined.count(v)) stable = false;
+        if (isDefined(v)) stable = false;
       }
       if (stable) keep(rels, r);
     }
     // Names read inside the loop but never defined in it, with a unique
     // reaching killing assignment of an affine value whose operands are
     // also loop-invariant.
-    std::set<std::string> readNames;
-    for (const Stmt* s : loop->bodyStmts) {
-      for (const Ref& r : ir::collectRefs(*s)) {
-        if (r.isRead()) readNames.insert(r.name);
-      }
-    }
-    for (const std::string& name : readNames) {
-      if (defined.count(name)) continue;
+    read.forEach([&](std::size_t v) {
+      if (defined.test(v)) return;
+      const std::string& name = index.name(static_cast<int>(v));
       const Stmt* def = nullptr;
       if (!reaching.uniqueReachingAssignment(loop->stmt->id, name, &def)) {
-        continue;
+        return;
       }
       LinearExpr form = linearize(*def->rhs);
-      if (!form.affine) continue;
-      bool operandsStable = true;
-      for (const auto& [v, c] : form.coef) {
+      if (!form.affine) return;
+      for (const auto& [operand, c] : form.coef) {
         (void)c;
-        if (defined.count(v)) operandsStable = false;
+        if (isDefined(operand)) return;
       }
-      if (!operandsStable) continue;
       // Avoid the degenerate self relation V = V.
       if (form.coef.size() == 1 && form.constant == 0 &&
           form.coefOf(name) == 1) {
-        continue;
+        return;
       }
       keep(rels, {name, std::move(form)});
-    }
+    });
     sa.relations_[loop] = std::move(rels);
   }
   return sa;
 }
 
-const std::set<std::string>& SymbolicAnalysis::definedIn(
-    const Loop& loop) const {
+bool SymbolicAnalysis::rowHas(const std::map<const Loop*, DenseBitSet>& rows,
+                              const Loop& loop,
+                              const std::string& name) const {
+  auto it = rows.find(&loop);
+  if (it == rows.end()) return false;
+  const int v = index_->idOf(name);
+  return v >= 0 && it->second.test(static_cast<std::size_t>(v));
+}
+
+bool SymbolicAnalysis::definedIn(const Loop& loop,
+                                 const std::string& name) const {
+  return rowHas(definedIn_, loop, name);
+}
+
+std::set<std::string> SymbolicAnalysis::definedIn(const Loop& loop) const {
+  std::set<std::string> names;
   auto it = definedIn_.find(&loop);
-  return it == definedIn_.end() ? empty_ : it->second;
+  if (it == definedIn_.end()) return names;
+  it->second.forEach([&](std::size_t v) {
+    names.insert(names.end(), index_->name(static_cast<int>(v)));
+  });
+  return names;
 }
 
 bool SymbolicAnalysis::isLoopInvariant(const Expr& e, const Loop& loop) const {
-  const auto& defined = definedIn(loop);
-  auto itArr = arraysWritten_.find(&loop);
-  const std::set<std::string>& arrays =
-      itArr == arraysWritten_.end() ? empty_ : itArr->second;
-
   bool invariant = true;
   e.forEach([&](const Expr& sub) {
     switch (sub.kind) {
       case ExprKind::VarRef:
-        if (defined.count(sub.name)) invariant = false;
+        if (definedIn(loop, sub.name)) invariant = false;
         break;
       case ExprKind::ArrayRef:
-        if (arrays.count(sub.name)) invariant = false;
+        if (rowHas(arraysWritten_, loop, sub.name)) invariant = false;
         break;
       case ExprKind::FuncCall:
         if (!ir::isIntrinsic(sub.name)) invariant = false;
@@ -215,14 +230,12 @@ std::map<std::string, LinearExpr> SymbolicAnalysis::substitutionFor(
   std::map<std::string, LinearExpr> sub;
 
   // 1. Constants at the loop header.
-  const ConstEnv& env = constants_->envAt(loop.stmt->id);
-  for (const auto& [name, val] : env) {
-    if (val.kind == ConstVal::Kind::IntConst) {
-      LinearExpr c;
-      c.constant = val.i;
-      sub[name] = c;
-    }
-  }
+  constants_->forEachIntConst(
+      loop.stmt->id, [&](const std::string& name, long long value) {
+        LinearExpr c;
+        c.constant = value;
+        sub[name] = c;
+      });
 
   // 2. Symbolic relations (may reference other symbolics; resolve one level
   //    through the constant map).

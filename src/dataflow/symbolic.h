@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "cfg/control_dep.h"
-#include "cfg/flow_graph.h"
 #include "dataflow/constants.h"
 #include "dataflow/linear.h"
 #include "dataflow/reaching.h"
-#include "ir/model.h"
+#include "dataflow/varindex.h"
+#include "support/bitset.h"
 
 namespace ps::dataflow {
 
@@ -45,8 +45,7 @@ class SymbolicAnalysis {
   /// whole procedure (0 = unlimited). When the cap is hit, further relations
   /// are dropped — dependence tests lose sharpening facts but stay sound —
   /// and `truncated()` reports it.
-  static SymbolicAnalysis build(const ir::ProcedureModel& model,
-                                const cfg::FlowGraph& g,
+  static SymbolicAnalysis build(const VarIndex& index,
                                 const ReachingDefs& reaching,
                                 const ConstantAnalysis& constants,
                                 const cfg::ControlDependence& cdeps,
@@ -56,10 +55,13 @@ class SymbolicAnalysis {
   /// Number of relations dropped by the `maxRelations` cap.
   [[nodiscard]] long long truncated() const { return truncated_; }
 
-  /// Scalars defined anywhere inside the loop body (including call
-  /// may-defs).
-  [[nodiscard]] const std::set<std::string>& definedIn(
-      const ir::Loop& loop) const;
+  /// True when `name` is a scalar defined anywhere inside the loop body
+  /// (including call may-defs), or a whole array a call in the body may
+  /// rewrite.
+  [[nodiscard]] bool definedIn(const ir::Loop& loop,
+                               const std::string& name) const;
+  /// Every name definedIn(loop, name) holds for.
+  [[nodiscard]] std::set<std::string> definedIn(const ir::Loop& loop) const;
 
   /// True when the expression's value cannot change during any iteration of
   /// the loop: no variable in it is defined in the loop, no user-function
@@ -82,15 +84,17 @@ class SymbolicAnalysis {
       const ir::Loop& loop, const fortran::Stmt& atStmt) const;
 
  private:
-  const ir::ProcedureModel* model_ = nullptr;
-  const cfg::FlowGraph* graph_ = nullptr;
-  const ReachingDefs* reaching_ = nullptr;
+  /// True when the loop's row in `rows` has `name`.
+  [[nodiscard]] bool rowHas(
+      const std::map<const ir::Loop*, DenseBitSet>& rows, const ir::Loop& loop,
+      const std::string& name) const;
+
+  const VarIndex* index_ = nullptr;
   const ConstantAnalysis* constants_ = nullptr;
-  std::map<const ir::Loop*, std::set<std::string>> definedIn_;
-  std::map<const ir::Loop*, std::set<std::string>> arraysWritten_;
+  std::map<const ir::Loop*, DenseBitSet> definedIn_;      // over variables
+  std::map<const ir::Loop*, DenseBitSet> arraysWritten_;  // over variables
   std::map<const ir::Loop*, std::vector<AuxInduction>> auxIvs_;
   std::map<const ir::Loop*, std::vector<Relation>> relations_;
-  std::set<std::string> empty_;
   long long truncated_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include "dataflow/constants.h"
 #include "dataflow/liveness.h"
 #include "dataflow/reaching.h"
+#include "dataflow/varindex.h"
 #include "ir/refs.h"
 
 namespace ps::dep {
@@ -24,6 +25,7 @@ using dataflow::PrivatizationAnalysis;
 using dataflow::PrivatizationStatus;
 using dataflow::ReachingDefs;
 using dataflow::SymbolicAnalysis;
+using dataflow::VarIndex;
 using fortran::Expr;
 using fortran::ExprKind;
 using fortran::Stmt;
@@ -132,22 +134,19 @@ DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
   g.model_ = &model;
 
   cfg::FlowGraph fg = cfg::FlowGraph::build(model);
-  ReachingDefs reaching = ReachingDefs::build(fg, model);
-  Liveness liveness = Liveness::build(fg, model);
-  dataflow::ConstEnv entryEnv;
-  for (const auto& [name, v] : ctx.inheritedConstants) {
-    entryEnv[name] = dataflow::ConstVal::ofInt(v);
-  }
-  ConstantAnalysis constants = ConstantAnalysis::build(fg, model, entryEnv);
+  const VarIndex vars = VarIndex::build(fg, model);
+  ReachingDefs reaching = ReachingDefs::build(vars);
+  Liveness liveness = Liveness::build(vars);
+  ConstantAnalysis constants =
+      ConstantAnalysis::build(vars, ctx.inheritedConstants);
   cfg::ControlDependence cdeps = cfg::ControlDependence::build(fg);
   SymbolicAnalysis sym = SymbolicAnalysis::build(
-      model, fg, reaching, constants, cdeps,
+      vars, reaching, constants, cdeps,
       ctx.useSymbolicInfo ? ctx.inheritedRelations
                           : std::vector<dataflow::Relation>{},
       ctx.budget.maxSymbolicRelations);
   g.stats_.symbolicTruncated += sym.truncated();
-  PrivatizationAnalysis priv =
-      PrivatizationAnalysis::build(model, fg, liveness);
+  PrivatizationAnalysis priv = PrivatizationAnalysis::build(vars, liveness);
   g.stats_.dataflowSeconds = secondsSince(tBuild);
 
   const fortran::Procedure& proc = model.procedure();
@@ -175,13 +174,12 @@ DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
       if (loop) {
         sub = sym.substitutionFor(*loop, *s);
       } else {
-        for (const auto& [name, val] : constants.envAt(s->id)) {
-          if (val.kind == dataflow::ConstVal::Kind::IntConst) {
-            LinearExpr c;
-            c.constant = val.i;
-            sub[name] = c;
-          }
-        }
+        constants.forEachIntConst(
+            s->id, [&](const std::string& name, long long value) {
+              LinearExpr c;
+              c.constant = value;
+              sub[name] = c;
+            });
       }
       // Forward substitution: scalar vars read in this statement's
       // subscripts whose unique reaching definition is an assignment inside
@@ -219,7 +217,7 @@ DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
             for (const Loop* l = loop; l; l = l->parent) {
               if (l->inductionVar() == e.name) isIv = true;
             }
-            if (!isIv && sym.definedIn(*loop).count(e.name)) stable = false;
+            if (!isIv && sym.definedIn(*loop, e.name)) stable = false;
           });
           if (!stable) continue;
           sub[v] = linearizeSubscript(*def->rhs, sub, opaques);

@@ -117,9 +117,10 @@ bool graphPrivatizesScalar(const dep::DependenceGraph& g,
 std::vector<LoopEmission> planProcedure(const ProcedureContext& ctx) {
   std::vector<LoopEmission> out;
   const cfg::FlowGraph fg = cfg::FlowGraph::build(*ctx.model);
-  const dataflow::Liveness lv = dataflow::Liveness::build(fg, *ctx.model);
+  const dataflow::VarIndex vars = dataflow::VarIndex::build(fg, *ctx.model);
+  const dataflow::Liveness lv = dataflow::Liveness::build(vars);
   const dataflow::PrivatizationAnalysis priv =
-      dataflow::PrivatizationAnalysis::build(*ctx.model, fg, lv);
+      dataflow::PrivatizationAnalysis::build(vars, lv);
 
   for (const auto& lp : ctx.model->loops()) {
     const ir::Loop& loop = *lp;

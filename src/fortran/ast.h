@@ -131,7 +131,8 @@ using StmtPtr = std::unique_ptr<Stmt>;
 
 /// Stable statement identity. Assigned once at parse (or synthesis) time and
 /// preserved by transformations that move statements; cloned statements get
-/// fresh ids. Dependences, def-use chains and pane rows all key on StmtId.
+/// fresh ids. Dependences, reaching definitions and pane rows all key on
+/// StmtId.
 using StmtId = std::uint32_t;
 inline constexpr StmtId kInvalidStmt = 0;
 

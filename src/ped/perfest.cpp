@@ -17,11 +17,14 @@ PerformanceEstimator::PerformanceEstimator(
     ir::ProcedureModel& model, const EstimatorOptions& opts,
     const std::map<std::string, double>* procedureCosts)
     : model_(model), opts_(opts), procCosts_(procedureCosts) {
-  cfg::FlowGraph fg = cfg::FlowGraph::build(model_);
-  constants_ = std::make_unique<dataflow::ConstantAnalysis>(
-      dataflow::ConstantAnalysis::build(fg, model_));
+  const cfg::FlowGraph fg = cfg::FlowGraph::build(model_);
+  const dataflow::VarIndex vars = dataflow::VarIndex::build(fg, model_);
+  const dataflow::ConstantAnalysis constants =
+      dataflow::ConstantAnalysis::build(vars);
 
-  for (const auto& s : model_.procedure().body) total_ += stmtCost(*s);
+  for (const auto& s : model_.procedure().body) {
+    total_ += stmtCost(*s, constants);
+  }
 
   for (const auto& loopPtr : model_.loops()) {
     LoopEstimate e;
@@ -29,7 +32,7 @@ PerformanceEstimator::PerformanceEstimator(
     e.procedure = model_.procedure().name;
     e.headline = fortran::stmtHeadline(*loopPtr->stmt);
     e.cost = loopCost_[loopPtr->stmt->id];
-    e.trips = tripCount(*loopPtr->stmt);
+    e.trips = tripCount(*loopPtr->stmt, constants);
     e.level = loopPtr->level;
     e.fraction = total_ > 0 ? e.cost / total_ : 0.0;
     loops_.push_back(std::move(e));
@@ -69,12 +72,13 @@ double PerformanceEstimator::exprCost(const Expr& e) const {
   return cost;
 }
 
-double PerformanceEstimator::tripCount(const Stmt& doStmt) const {
-  auto lo = constants_->evaluateAt(doStmt.id, *doStmt.doLo);
-  auto hi = constants_->evaluateAt(doStmt.id, *doStmt.doHi);
+double PerformanceEstimator::tripCount(
+    const Stmt& doStmt, const dataflow::ConstantAnalysis& constants) const {
+  auto lo = constants.evaluateAt(doStmt.id, *doStmt.doLo);
+  auto hi = constants.evaluateAt(doStmt.id, *doStmt.doHi);
   double step = 1.0;
   if (doStmt.doStep) {
-    auto st = constants_->evaluateAt(doStmt.id, *doStmt.doStep);
+    auto st = constants.evaluateAt(doStmt.id, *doStmt.doStep);
     if (st && st->kind == dataflow::ConstVal::Kind::IntConst && st->i != 0) {
       step = static_cast<double>(st->i);
     } else {
@@ -91,13 +95,14 @@ double PerformanceEstimator::tripCount(const Stmt& doStmt) const {
   return opts_.defaultTripCount;
 }
 
-double PerformanceEstimator::stmtCost(const Stmt& s) {
+double PerformanceEstimator::stmtCost(
+    const Stmt& s, const dataflow::ConstantAnalysis& constants) {
   switch (s.kind) {
     case StmtKind::Do: {
       double body = 2.0;  // loop control overhead per iteration
-      for (const auto& b : s.body) body += stmtCost(*b);
+      for (const auto& b : s.body) body += stmtCost(*b, constants);
       body += exprCost(*s.doLo) + exprCost(*s.doHi);
-      double cost = tripCount(s) * body;
+      double cost = tripCount(s, constants) * body;
       loopCost_[s.id] = cost;
       return cost;
     }
@@ -107,7 +112,7 @@ double PerformanceEstimator::stmtCost(const Stmt& s) {
       for (const auto& arm : s.arms) {
         if (arm.condition) cost += exprCost(*arm.condition);
         double armCost = 0.0;
-        for (const auto& b : arm.body) armCost += stmtCost(*b);
+        for (const auto& b : arm.body) armCost += stmtCost(*b, constants);
         arms = std::max(arms, armCost);
       }
       return cost + arms;  // worst-case arm

@@ -63,14 +63,15 @@ class PerformanceEstimator {
   [[nodiscard]] double parallelSpeedup(fortran::StmtId loop) const;
 
  private:
-  double stmtCost(const fortran::Stmt& s);
+  double stmtCost(const fortran::Stmt& s,
+                  const dataflow::ConstantAnalysis& constants);
   double exprCost(const fortran::Expr& e) const;
-  double tripCount(const fortran::Stmt& doStmt) const;
+  double tripCount(const fortran::Stmt& doStmt,
+                   const dataflow::ConstantAnalysis& constants) const;
 
   ir::ProcedureModel& model_;
   EstimatorOptions opts_;
   const std::map<std::string, double>* procCosts_;
-  std::unique_ptr<dataflow::ConstantAnalysis> constants_;
   double total_ = 0.0;
   std::vector<LoopEstimate> loops_;
   std::map<fortran::StmtId, double> loopCost_;

@@ -1422,8 +1422,9 @@ std::vector<Session::VariableRow> Session::variablePane() {
   if (!cur) return rows;
 
   cfg::FlowGraph fg = cfg::FlowGraph::build(*ws.model);
-  auto lv = dataflow::Liveness::build(fg, *ws.model);
-  auto priv = dataflow::PrivatizationAnalysis::build(*ws.model, fg, lv);
+  const dataflow::VarIndex vars = dataflow::VarIndex::build(fg, *ws.model);
+  auto lv = dataflow::Liveness::build(vars);
+  auto priv = dataflow::PrivatizationAnalysis::build(vars, lv);
 
   // All variables referenced in the loop.
   std::set<std::string> names;

@@ -18,8 +18,9 @@ namespace {
 
 dataflow::PrivatizationAnalysis privAnalysis(Workspace& ws) {
   cfg::FlowGraph fg = cfg::FlowGraph::build(*ws.model);
-  auto lv = dataflow::Liveness::build(fg, *ws.model);
-  return dataflow::PrivatizationAnalysis::build(*ws.model, fg, lv);
+  const dataflow::VarIndex vars = dataflow::VarIndex::build(fg, *ws.model);
+  auto lv = dataflow::Liveness::build(vars);
+  return dataflow::PrivatizationAnalysis::build(vars, lv);
 }
 
 // ===========================================================================
@@ -159,8 +160,8 @@ class ScalarExpansion : public Transformation {
 
     // Last-value copy-out when the scalar is live after the loop.
     cfg::FlowGraph fg = cfg::FlowGraph::build(*ws.model);
-    auto lv = dataflow::Liveness::build(fg, *ws.model);
-    if (lv.liveAfterLoop(*loop, t.variable)) {
+    const dataflow::VarIndex vars = dataflow::VarIndex::build(fg, *ws.model);
+    if (dataflow::Liveness::build(vars).liveAfterLoop(*loop, t.variable)) {
       std::size_t index = 0;
       auto* container = containerOf(ws, t.loop, &index);
       auto copy = fortran::makeStmt(StmtKind::Assign, s.loc);

@@ -236,6 +236,52 @@ TEST(Session, VariableClassificationChangesGraph) {
   EXPECT_EQ(s->usage().variableClassifications, 2);
 }
 
+// A dummy argument or COMMON member assigned on one path only keeps the
+// caller's value on the other. With N = 1, A(I + N) = A(I) + 1.0 carries a
+// flow dependence, so N = 5 must not be taken as N's value at the loop.
+TEST(Session, ValueACallerPassesInKeepsLoopSerial) {
+  const std::string loop =
+      "      DO I = 1, 4\n"
+      "        A(I + N) = A(I) + 1.0\n"
+      "      ENDDO\n"
+      "      END\n";
+  const std::string onOnePath =
+      "      IF (C) THEN\n"
+      "        N = 5\n"
+      "      ENDIF\n";
+  auto verdict = [](const std::string& src, const std::string& proc) {
+    auto s = load(src);
+    EXPECT_TRUE(s->selectProcedure(proc));
+    auto loops = s->loops();
+    EXPECT_EQ(loops.size(), 1u);
+    return !loops.empty() && loops[0].parallelizable;
+  };
+  const std::string dummy =
+      "      SUBROUTINE S(N, C, A)\n"
+      "      LOGICAL C\n"
+      "      REAL A(10)\n";
+  const std::string common =
+      "      SUBROUTINE S(C, A)\n"
+      "      COMMON /B/ N\n"
+      "      LOGICAL C\n"
+      "      REAL A(10)\n";
+  EXPECT_FALSE(verdict(dummy + onOnePath + loop, "S"));
+  EXPECT_FALSE(verdict(common + onOnePath + loop, "S"));
+  EXPECT_FALSE(verdict(dummy + loop, "S"));
+  // Every caller passes N = 1: still not 5 on the path that skips the IF.
+  const std::string caller =
+      "      PROGRAM MAIN\n"
+      "      LOGICAL C\n"
+      "      REAL A(10)\n"
+      "      C = .TRUE.\n"
+      "      CALL S(1, C, A)\n"
+      "      CALL S(1, C, A)\n"
+      "      END\n";
+  EXPECT_FALSE(verdict(caller + dummy + onOnePath + loop, "S"));
+  // Assigned on every path, N is 5 and the loop is parallel.
+  EXPECT_TRUE(verdict(dummy + "      N = 5\n" + loop, "S"));
+}
+
 // ---------------------------------------------------------------------------
 // Assertions end-to-end (the paper's pueblo3d and dpmin scenarios)
 // ---------------------------------------------------------------------------

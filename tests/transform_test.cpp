@@ -651,6 +651,30 @@ TEST(ScalarExpansion, LastValueCopyOut) {
       });
 }
 
+// The statement after the loop reads T before assigning it, so the loop's
+// last T must be copied out of the expansion array.
+TEST(ScalarExpansion, LastValueCopyOutForReadThenWrite) {
+  applyAndCheckSemantics(
+      "      PROGRAM MAIN\n"
+      "      REAL A(9)\n"
+      "      DO I = 1, 9\n"
+      "        A(I) = FLOAT(I)\n"
+      "      ENDDO\n"
+      "      DO I = 1, 9\n"
+      "        T = A(I) + 1.0\n"
+      "        A(I) = T*2.0\n"
+      "      ENDDO\n"
+      "      T = T + 1.0\n"
+      "      WRITE(6, *) T\n"
+      "      END\n",
+      "Scalar Expansion", [](Workspace& ws) {
+        Target t;
+        t.loop = nthLoop(ws, 1);
+        t.variable = "T";
+        return t;
+      });
+}
+
 TEST(ScalarExpansion, RefusesAccumulator) {
   Fixture f = make(
       "      PROGRAM MAIN\n"
