@@ -143,12 +143,11 @@ cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test task
 scrub_pdb_cache
 
 # Server-storm stage: the multi-session analysis server under TSan. N
-# concurrent scripted sessions share one store image, one warm memo (with
-# per-session views) and one task pool; every session's final graphs must
-# be byte-identical to the solo baseline at 1/2/4/8 threads. The atomic-
-# write suite hammers one store path from many threads (the torn-save
-# regression) and requires every surviving store to open clean with zero
-# quarantined frames.
+# concurrent scripted sessions share one store image, one warm memo and one
+# task pool; every session's final graphs must be byte-identical to the
+# solo baseline at 1/2/4/8 threads. The atomic-write suite hammers one
+# store path from many threads (the torn-save regression) and requires
+# every surviving store to open clean with zero quarantined frames.
 cmake --build build-tsan -j --target server_storm_test io_atomic_test
 ./build-tsan/tests/io_atomic_test
 ./build-tsan/tests/server_storm_test

@@ -260,7 +260,7 @@ DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
       slot = std::make_unique<DependenceTester>(
           std::move(lctxs), ctx.facts, ctx.indexFacts, opaques,
           sym.definedIn(*nest.front()), ctx.cheapTestsFirst, memo,
-          ctx.budget, ctx.memoView);
+          ctx.budget);
     }
     return *slot;
   };
@@ -502,8 +502,7 @@ DependenceGraph DependenceGraph::build(ir::ProcedureModel& model,
     for (const Loop* l : nest) lctxs.push_back(lcCache.at(l->stmt->id));
     DependenceTester tester(std::move(lctxs), ctx.facts, ctx.indexFacts,
                             groupOpaques, sym.definedIn(*nest.front()),
-                            ctx.cheapTestsFirst, memo, ctx.budget,
-                            ctx.memoView);
+                            ctx.cheapTestsFirst, memo, ctx.budget);
     for (std::size_t idx : idxs) processJob(jobs[idx], tester, jobEdges[idx]);
     gs.accumulate(tester.stats());
   };

@@ -60,10 +60,6 @@ struct AnalysisContext {
   /// server, across SESSIONS. Null = a transient per-build table
   /// (intra-build memoization only).
   std::shared_ptr<DepMemo> memo;
-  /// Which DepMemo view this session reads through (0 = the default view a
-  /// private memo registers at construction). Testers capture the view's
-  /// floor, so one session's invalidation never evicts a neighbor's.
-  DepMemo::ViewId memoView = 0;
   /// Ablation: disable memoization entirely (A2 baseline).
   bool useMemo = true;
   /// Optional sink accumulating per-tier and memo counters across every

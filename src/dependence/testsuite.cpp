@@ -65,50 +65,18 @@ void appendLinearKey(std::string& out, const LinearExpr& e) {
 MemoKey::MemoKey(std::string t)
     : text(std::move(t)), hash(support::xxh64(text)) {}
 
-DepMemo::DepMemo() : floors_(1, 0) {}
-
-DepMemo::ViewId DepMemo::createView() {
-  std::lock_guard<std::mutex> lk(viewMu_);
-  floors_.push_back(0);
-  return static_cast<ViewId>(floors_.size() - 1);
-}
-
-void DepMemo::invalidateView(ViewId v) {
-  std::lock_guard<std::mutex> lk(viewMu_);
-  const std::uint64_t e =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (v < floors_.size() && floors_[v] < e) floors_[v] = e;
-}
-
-void DepMemo::invalidateAll() {
-  std::lock_guard<std::mutex> lk(viewMu_);
-  const std::uint64_t e =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  for (std::uint64_t& f : floors_) f = e;
-}
-
-std::uint64_t DepMemo::floorOf(ViewId v) const {
-  std::lock_guard<std::mutex> lk(viewMu_);
-  return v < floors_.size() ? floors_[v] : 0;
-}
-
-std::optional<LevelResult> DepMemo::lookup(const MemoKey& key,
-                                           std::uint64_t floor,
-                                           std::uint64_t cap) const {
+std::optional<LevelResult> DepMemo::lookup(const MemoKey& key) const {
   Shard& s = shardFor(key);
   std::lock_guard<std::mutex> lk(s.mu);
   auto it = s.table.find(key.text);
-  if (it == s.table.end() || it->second.gen < floor || it->second.gen > cap) {
-    return std::nullopt;
-  }
-  return it->second.result;
+  if (it == s.table.end()) return std::nullopt;
+  return it->second;
 }
 
-void DepMemo::insert(const MemoKey& key, const LevelResult& result,
-                     std::uint64_t gen) {
+void DepMemo::insert(const MemoKey& key, const LevelResult& result) {
   Shard& s = shardFor(key);
   std::lock_guard<std::mutex> lk(s.mu);
-  s.table[key.text] = Entry{result, gen};
+  s.table[key.text] = result;
 }
 
 std::size_t DepMemo::size() const {
@@ -120,25 +88,16 @@ std::size_t DepMemo::size() const {
   return total;
 }
 
-std::vector<std::pair<std::string, LevelResult>> DepMemo::exportEntries(
-    ViewId view) const {
-  const std::uint64_t floor = floorOf(view);
+std::vector<std::pair<std::string, LevelResult>> DepMemo::exportEntries()
+    const {
   std::vector<std::pair<std::string, LevelResult>> out;
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lk(s.mu);
-    for (const auto& [key, entry] : s.table) {
-      if (entry.gen >= floor) out.emplace_back(key, entry.result);
-    }
+    out.insert(out.end(), s.table.begin(), s.table.end());
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
-}
-
-void DepMemo::preWarm(
-    const std::vector<std::pair<std::string, LevelResult>>& entries) {
-  const std::uint64_t gen = generation();
-  for (const auto& [key, result] : entries) insert(key, result, gen);
 }
 
 DependenceTester::DependenceTester(std::vector<LoopContext> commonLoops,
@@ -147,8 +106,7 @@ DependenceTester::DependenceTester(std::vector<LoopContext> commonLoops,
                                    OpaqueTable& opaques,
                                    std::set<std::string> variantVars,
                                    bool cheapFirst, DepMemo* memo,
-                                   AnalysisBudget budget,
-                                   DepMemo::ViewId memoView)
+                                   AnalysisBudget budget)
     : loops_(std::move(commonLoops)),
       facts_(std::move(facts)),
       indexFacts_(std::move(indexFacts)),
@@ -158,13 +116,6 @@ DependenceTester::DependenceTester(std::vector<LoopContext> commonLoops,
       memo_(memo),
       budget_(budget) {
   if (!memo_) return;
-  // Capture the view floor and epoch under which our facts were snapshot:
-  // inserts are stamped with the epoch and lookups accept only [floor,
-  // epoch], so an invalidation of our view landing mid-flight can never
-  // leak a pre-bump result to a post-bump tester or vice versa — while
-  // entries other views inserted since our floor stay shared.
-  memoFloor_ = memo_->floorOf(memoView);
-  memoGen_ = memo_->generation();
   // Canonical prefix: every per-nest/per-context input that influences a
   // test result but is not part of the per-query subscript forms. Mutable
   // user state (classification overrides) deliberately does NOT appear: it
@@ -385,14 +336,14 @@ LevelResult DependenceTester::test(const RefPair& pair, int level,
   MemoKey key;
   if (memo_) {
     key = makeKey('t', level, static_cast<int>(innerDir), diffs);
-    if (std::optional<LevelResult> hit = memo_->lookup(key, memoFloor_, memoGen_)) {
+    if (std::optional<LevelResult> hit = memo_->lookup(key)) {
       ++stats_.memoHits;
       return *hit;
     }
     ++stats_.memoMisses;
   }
   LevelResult result = runSuite(diffs, level, innerDir);
-  if (memo_) memo_->insert(key, result, memoGen_);
+  if (memo_) memo_->insert(key, result);
   return result;
 }
 
@@ -639,7 +590,7 @@ LevelResult DependenceTester::testSection(
     forms.reserve(cs.size());
     for (const Constraint& c : cs) forms.push_back(c.expr);
     key = makeKey('s', level, callIsSrc ? 1 : 0, forms);
-    if (std::optional<LevelResult> hit = memo_->lookup(key, memoFloor_, memoGen_)) {
+    if (std::optional<LevelResult> hit = memo_->lookup(key)) {
       ++stats_.memoHits;
       return *hit;
     }
@@ -656,7 +607,7 @@ LevelResult DependenceTester::testSection(
       ++stats_.degradedAnswers;
     }
   }
-  if (memo_) memo_->insert(key, result, memoGen_);
+  if (memo_) memo_->insert(key, result);
   return result;
 }
 
@@ -703,7 +654,7 @@ LevelResult DependenceTester::testSections(
     forms.reserve(cs.size());
     for (const Constraint& c : cs) forms.push_back(c.expr);
     key = makeKey('b', level, 0, forms);
-    if (std::optional<LevelResult> hit = memo_->lookup(key, memoFloor_, memoGen_)) {
+    if (std::optional<LevelResult> hit = memo_->lookup(key)) {
       ++stats_.memoHits;
       return *hit;
     }
@@ -720,7 +671,7 @@ LevelResult DependenceTester::testSections(
       ++stats_.degradedAnswers;
     }
   }
-  if (memo_) memo_->insert(key, result, memoGen_);
+  if (memo_) memo_->insert(key, result);
   return result;
 }
 

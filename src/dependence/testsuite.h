@@ -2,7 +2,6 @@
 #define PS_DEPENDENCE_TESTSUITE_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -169,105 +168,40 @@ struct MemoKey {
 /// answered without re-running the tier suite. Opaque terms are
 /// content-addressed ("@" + printed expression), so the key is a complete
 /// rendering of the test's inputs: a key match implies the cached result is
-/// what recomputation would produce, which is what makes sharing one memo
-/// across SESSIONS sound.
+/// what recomputation would produce. That is the memo's one freshness rule,
+/// and the reason nothing is ever invalidated: an edit, an assertion, a
+/// budget change or a rollback changes the key of every test whose answer
+/// it can move, and it is what makes sharing one memo across SESSIONS
+/// sound.
 ///
 /// Concurrency: the key's cached hash picks one of kShards independently
 /// locked unordered_map stripes, so lookups of different keys rarely meet
 /// on one lock. Lookups copy the result out under the shard lock.
-///
-/// Invalidation is per-VIEW. A view is one client's (one session's) window
-/// onto the shared table: every entry carries the global epoch captured by
-/// its inserting tester at construction, and each view has a floor epoch.
-/// A tester captures (floor of its view, current epoch) once, at
-/// construction; a lookup hits only entries stamped inside [floor, epoch].
-///   - invalidateView(v) bumps the global epoch and raises ONLY v's floor,
-///     so one session's invalidation never evicts a neighbor view's valid
-///     entries — the multi-session server's shared warm memo depends on
-///     this.
-///   - The capture-once protocol survives per view: an insert from a tester
-///     constructed before the bump carries a stamp below the new floor and
-///     is simply never returned to that view's post-bump readers; the upper
-///     bound keeps a pre-bump tester from adopting entries inserted after
-///     its own facts were snapshot (for a lone view this degenerates to the
-///     original exact-generation-match contract).
 class DepMemo {
  public:
-  using ViewId = std::uint32_t;
-
-  /// Construction registers view 0 — the default view standalone sessions
-  /// (and the existing single-session tests) use.
-  DepMemo();
+  DepMemo() = default;
   DepMemo(const DepMemo&) = delete;
   DepMemo& operator=(const DepMemo&) = delete;
 
-  /// Register a new view with floor 0: it sees every entry the table has
-  /// accumulated so far (the whole shared warm state).
-  [[nodiscard]] ViewId createView();
-  /// Invalidate every entry AS SEEN BY `v` (lazily, via the floor): bump
-  /// the epoch and raise v's floor to it. Other views are untouched.
-  void invalidateView(ViewId v);
-  /// Invalidate every entry for every view (the standalone convenience).
-  void invalidateAll();
-  [[nodiscard]] std::uint64_t floorOf(ViewId v) const;
-
-  /// Returns a copy of the cached result for `key` if its stamp lies in
-  /// [floor, cap]; nullopt on miss. Returned by value: a pointer into the
-  /// table would not survive a concurrent rehash.
-  [[nodiscard]] std::optional<LevelResult> lookup(const MemoKey& key,
-                                                  std::uint64_t floor,
-                                                  std::uint64_t cap) const;
-  [[nodiscard]] std::optional<LevelResult> lookup(const std::string& key,
-                                                  std::uint64_t floor,
-                                                  std::uint64_t cap) const {
-    return lookup(MemoKey(key), floor, cap);
-  }
-  /// Single-generation form (floor == cap): the original exact-match
-  /// contract, used by clients that capture one generation.
-  [[nodiscard]] std::optional<LevelResult> lookup(const MemoKey& key,
-                                                  std::uint64_t gen) const {
-    return lookup(key, gen, gen);
-  }
-  [[nodiscard]] std::optional<LevelResult> lookup(const std::string& key,
-                                                  std::uint64_t gen) const {
-    return lookup(MemoKey(key), gen, gen);
-  }
-  /// Record `result` stamped with `gen` (the epoch the inserting tester
-  /// captured at construction, NOT the current one).
-  void insert(const MemoKey& key, const LevelResult& result,
-              std::uint64_t gen);
-  void insert(const std::string& key, const LevelResult& result,
-              std::uint64_t gen) {
-    insert(MemoKey(key), result, gen);
-  }
-  /// The current epoch. Monotone: any view's invalidation advances it.
-  [[nodiscard]] std::uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
+  /// Returns a copy of the cached result for `key`; nullopt on miss.
+  /// Returned by value: a pointer into the table would not survive a
+  /// concurrent rehash.
+  [[nodiscard]] std::optional<LevelResult> lookup(const MemoKey& key) const;
+  void insert(const MemoKey& key, const LevelResult& result);
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] static constexpr std::size_t shardCount() { return kShards; }
 
-  /// Every entry valid for `view` (stamp >= its floor), sorted by key
-  /// (deterministic bytes for the persistent program database's memo
-  /// record).
+  /// Every entry, sorted by key (deterministic bytes for the persistent
+  /// program database's memo record).
   [[nodiscard]] std::vector<std::pair<std::string, LevelResult>>
-  exportEntries(ViewId view = 0) const;
-  /// Seed entries at the current epoch (warm start): visible to every view.
-  /// The caller must have verified — via the store's fact/budget digest —
-  /// that the entries were computed under an identical fact base.
-  void preWarm(
-      const std::vector<std::pair<std::string, LevelResult>>& entries);
+  exportEntries() const;
 
  private:
   static constexpr std::size_t kShards = 16;
 
-  struct Entry {
-    LevelResult result;
-    std::uint64_t gen = 0;
-  };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> table;
+    std::unordered_map<std::string, LevelResult> table;
   };
 
   [[nodiscard]] Shard& shardFor(const MemoKey& key) const {
@@ -275,11 +209,6 @@ class DepMemo {
   }
 
   mutable std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> generation_{0};
-  /// Per-view floors; guarded by viewMu_ (reads happen once per tester
-  /// construction, not on the lookup hot path).
-  mutable std::mutex viewMu_;
-  std::vector<std::uint64_t> floors_;
 };
 
 /// Append a canonical rendering of a linear form to a memo key.
@@ -296,8 +225,7 @@ class DependenceTester {
                    OpaqueTable& opaques,
                    std::set<std::string> variantVars = {},
                    bool cheapFirst = true, DepMemo* memo = nullptr,
-                   AnalysisBudget budget = {},
-                   DepMemo::ViewId memoView = 0);
+                   AnalysisBudget budget = {});
 
   /// Test for a dependence src -> dst carried at `level` (1-based index into
   /// the common nest; 0 = loop-independent, i.e. same iteration of every
@@ -367,10 +295,6 @@ class DependenceTester {
   std::set<std::string> variantVars_;
   bool cheapFirst_;
   DepMemo* memo_ = nullptr;
-  std::uint64_t memoGen_ = 0;    // epoch captured when facts were snapshot;
-                                 // inserts stamp it, lookups cap at it
-  std::uint64_t memoFloor_ = 0;  // view floor captured alongside: lookups
-                                 // reject entries the view invalidated
   AnalysisBudget budget_;
   std::string keyPrefix_;  // canonical nest shape + facts, set when memoized
   TestStats stats_;

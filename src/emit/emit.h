@@ -97,14 +97,13 @@ struct LoopEmission {
 
 struct EmitOptions {
   /// Base interpreter options for the serial baseline and the shuffled
-  /// schedules (input values etc.). parallelClauses is ignored — emission
-  /// installs its own derived clause sets.
-  interp::RunOptions run;
+  /// schedules (input values, step cap etc.). parallelClauses is ignored —
+  /// emission installs its own derived clause sets.
+  interp::RunOptions run{.maxSteps = 20'000'000};
   int schedules = 3;
   bool relativeValidation = true;
   bool roundTrip = true;
   std::vector<int> roundTripThreads = {1, 2, 4, 8};
-  long long maxSteps = 20'000'000;
   /// Pool the relative-validation runs fan out on; null = a private pool
   /// of hardware_concurrency workers. The report is the same at any pool
   /// width.

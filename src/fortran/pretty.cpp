@@ -9,6 +9,9 @@ namespace ps::fortran {
 
 namespace {
 
+/// Columns per nesting level of the statement body.
+constexpr std::size_t kIndentWidth = 2;
+
 int precedence(BinOp op) {
   switch (op) {
     case BinOp::Eqv:
@@ -251,9 +254,7 @@ class StmtPrinter {
       gutter = "      ";
     }
     out += gutter;
-    out.append(static_cast<std::size_t>(indent) *
-                   static_cast<std::size_t>(opts_.indentWidth),
-               ' ');
+    out.append(static_cast<std::size_t>(indent) * kIndentWidth, ' ');
     out += text;
     out += '\n';
   }
@@ -362,53 +363,51 @@ std::string printProcedure(const Procedure& proc, const PrettyOptions& opts) {
       break;
     }
   }
-  if (opts.emitDeclarations) {
-    for (const auto& d : proc.decls) {
-      if (d.isParameter) continue;  // printed below
-      out += "      ";
-      out += typeName(d.type);
-      out += ' ';
-      out += d.name;
-      if (d.isArray()) {
-        out += '(';
-        for (std::size_t i = 0; i < d.dims.size(); ++i) {
-          if (i) out += ", ";
-          const Dimension& dim = d.dims[i];
-          if (dim.lower) {
-            out += printExpr(*dim.lower) + ":";
-          }
-          out += dim.upper ? printExpr(*dim.upper) : "*";
+  for (const auto& d : proc.decls) {
+    if (d.isParameter) continue;  // printed below
+    out += "      ";
+    out += typeName(d.type);
+    out += ' ';
+    out += d.name;
+    if (d.isArray()) {
+      out += '(';
+      for (std::size_t i = 0; i < d.dims.size(); ++i) {
+        if (i) out += ", ";
+        const Dimension& dim = d.dims[i];
+        if (dim.lower) {
+          out += printExpr(*dim.lower) + ":";
         }
-        out += ')';
+        out += dim.upper ? printExpr(*dim.upper) : "*";
       }
-      out += '\n';
+      out += ')';
     }
-    // COMMON blocks, grouped.
-    std::vector<std::string> seen;
-    for (const auto& d : proc.decls) {
-      if (d.commonBlock.empty()) continue;
-      bool done = false;
-      for (const auto& s : seen) {
-        if (s == d.commonBlock) done = true;
-      }
-      if (done) continue;
-      seen.push_back(d.commonBlock);
-      out += "      COMMON /" +
-             (d.commonBlock == "//" ? std::string() : d.commonBlock) + "/ ";
-      bool first = true;
-      for (const auto& d2 : proc.decls) {
-        if (d2.commonBlock != d.commonBlock) continue;
-        if (!first) out += ", ";
-        first = false;
-        out += d2.name;
-      }
-      out += '\n';
+    out += '\n';
+  }
+  // COMMON blocks, grouped.
+  std::vector<std::string> seen;
+  for (const auto& d : proc.decls) {
+    if (d.commonBlock.empty()) continue;
+    bool done = false;
+    for (const auto& s : seen) {
+      if (s == d.commonBlock) done = true;
     }
-    for (const auto& d : proc.decls) {
-      if (!d.isParameter) continue;
-      out += "      PARAMETER (" + d.name + " = " +
-             printExpr(*d.parameterValue) + ")\n";
+    if (done) continue;
+    seen.push_back(d.commonBlock);
+    out += "      COMMON /" +
+           (d.commonBlock == "//" ? std::string() : d.commonBlock) + "/ ";
+    bool first = true;
+    for (const auto& d2 : proc.decls) {
+      if (d2.commonBlock != d.commonBlock) continue;
+      if (!first) out += ", ";
+      first = false;
+      out += d2.name;
     }
+    out += '\n';
+  }
+  for (const auto& d : proc.decls) {
+    if (!d.isParameter) continue;
+    out += "      PARAMETER (" + d.name + " = " +
+           printExpr(*d.parameterValue) + ")\n";
   }
   StmtPrinter p(opts);
   for (const auto& s : proc.body) p.print(*s, 0, out);

@@ -12,8 +12,6 @@ namespace ps::fortran {
 /// the same printer also produces parseable text for round-trip tests and
 /// for re-parsing after transformations.
 struct PrettyOptions {
-  int indentWidth = 2;
-  bool emitDeclarations = true;
   /// Emit "PARALLEL DO" for loops marked parallel (PED's sequential<->
   /// parallel display); when false, parallel loops print as plain DO.
   bool emitParallelMarkers = true;

@@ -76,7 +76,7 @@ struct LoopClauses {
 /// Options controlling one execution.
 struct RunOptions {
   /// Values served to READ statements, in order (recycled when exhausted).
-  std::vector<double> input;
+  std::vector<double> input{};
   /// Abort after this many executed statements (runaway guard).
   long long maxSteps = 100'000'000;
   /// Execute PARALLEL DO loops with a shuffled iteration order and the
@@ -96,7 +96,7 @@ struct RunOptions {
   /// Data-sharing clauses per PARALLEL DO statement id. Loops without an
   /// entry keep the default conservative semantics (only the induction
   /// variable is implicitly private).
-  std::map<fortran::StmtId, LoopClauses> parallelClauses;
+  std::map<fortran::StmtId, LoopClauses> parallelClauses{};
 };
 
 /// An interpreter for the supported Fortran dialect: the execution

@@ -416,10 +416,9 @@ bool Session::savePdb(const std::string& path) {
   if (incrementalUpdates_) {
     const std::string material = pdbMemoMaterial();
     pdb::Writer w;
-    // Export through this session's view: a shared server memo holds
-    // neighbor sessions' entries too, but only the ones we can still see
-    // (>= our floor) are proven fresh against OUR fact-base digest.
-    dep::writeMemoEntries(w, memo_->exportEntries(memoView_));
+    // A shared server memo holds neighbor sessions' entries too; each is
+    // what recomputation of its key would produce, so all are exported.
+    dep::writeMemoEntries(w, memo_->exportEntries());
     store.add(pdb::RecordType::Memo, pdb::contentKey(material),
               pdb::sealPayload(material, w.data()));
   }
@@ -525,13 +524,9 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   auto session = parse(source, diags);
   if (!session) return nullptr;
   session->program_->assignIds();
-  // Adopt the server's shared memo (through this session's private view)
-  // before anything touches memo state — the assertion replay below bumps
-  // the view, and the pre-warm must land where lookups will read.
-  if (shared.memo) {
-    session->memo_ = shared.memo;
-    session->memoView_ = shared.memoView;
-  }
+  // Adopt the server's shared memo before anything touches memo state:
+  // the pre-warm must land where lookups will read.
+  if (shared.memo) session->memo_ = shared.memo;
   PdbStats& ps = session->pdbStats_;
 
   // The store. Absent, unreadable or header-skewed (magic, format version,
@@ -611,8 +606,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   }
   session->summaries_->computeGlobalFacts();
 
-  // Source assertion directives, as in load(). Each bumps the memo
-  // generation, so the pre-warm below lands on the final generation.
+  // Source assertion directives, as in load().
   session->replaySourceAssertions();
 
   // Dependence marks (with provenance + validation evidence). Restored
@@ -743,7 +737,9 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
       pdb::Reader r(*body);
       std::vector<std::pair<std::string, dep::LevelResult>> entries;
       if (dep::readMemoEntries(r, &entries) && r.atEnd()) {
-        session->memo_->preWarm(entries);
+        for (auto& [key, result] : entries) {
+          session->memo_->insert(dep::MemoKey(std::move(key)), result);
+        }
         ps.memoPrewarmed = entries.size();
       } else {
         ++ps.quarantined;
@@ -836,7 +832,6 @@ dep::AnalysisContext Session::makeContext(const Procedure& proc,
   // incremental mechanism; off = the A2 baseline.
   ctx.useMemo = incrementalUpdates_;
   ctx.memo = incrementalUpdates_ ? memo_ : nullptr;
-  ctx.memoView = memoView_;
   ctx.statsSink = sink;
   ctx.budget = budget_;
   ctx.pool = pool;
@@ -1076,7 +1071,7 @@ void Session::fullReanalysis() { (void)analyzeAll(nullptr); }
 
 ParallelReport Session::analyzeAll(support::TaskPool* pool) {
   workspaces_.clear();
-  memo_->invalidateView(memoView_);
+  memo_ = std::make_shared<dep::DepMemo>();
   resummarize();  // nothing is materialized, so nothing is rebuilt here
   return analyze(unitsWhere([](const std::string&) { return true; }), pool);
 }
@@ -1597,13 +1592,9 @@ bool Session::addAssertion(const std::string& payload) {
   auto a = parseAssertion(payload, diags_);
   if (!a) return false;
   assertions_.push_back(std::move(*a));
-  // The fact base changed: every memoized test result may now be stale for
-  // THIS session. One epoch bump against our view lazily evicts everything
-  // we could previously see — without touching what neighbor sessions on a
-  // shared server memo can still see (the memo never keys on mutable
-  // context state, so this is the only hook needed).
-  memo_->invalidateView(memoView_);
   // Incremental: rebuild only materialized workspaces with the new facts.
+  // The memo needs no invalidation: the new facts are in the key of every
+  // test they can affect, so those miss and everything else still hits.
   rebuildMaterialized();
   ++counters_.assertionsAdded;
   return true;
@@ -2407,7 +2398,6 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
     interp::RunOptions so = opts.run;
     so.checkParallel = false;
     so.trace = nullptr;
-    so.maxSteps = opts.maxSteps;
     so.parallelClauses.clear();
     interp::RunResult serial;
     {
@@ -2429,7 +2419,6 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
       job.loop = le.loop;
       job.base = opts.run;
       job.base.trace = nullptr;
-      job.base.maxSteps = opts.maxSteps;
       job.base.parallelClauses.clear();
       job.base.parallelClauses[le.loop] = le.interpClauses;
       checked.push_back(&le);

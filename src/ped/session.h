@@ -177,11 +177,9 @@ class Session {
     /// no store; the session runs cold.
     const std::string* storeImage = nullptr;
     /// Dependence-test memo shared with other sessions. Null = private
-    /// memo. When set, memoView must be a view created on that memo for
-    /// this session (DepMemo::createView), so this session's invalidations
-    /// evict only its own view.
+    /// memo. Sharing needs no per-session state: every memo key renders
+    /// all of its test's inputs, this session's assertions included.
     std::shared_ptr<dep::DepMemo> memo;
-    dep::DepMemo::ViewId memoView = 0;
     /// Pool the warm-open settle is scheduled on; null = a private pool of
     /// `nThreads` workers.
     support::TaskPool* pool = nullptr;
@@ -189,9 +187,9 @@ class Session {
 
   /// Open `source` against shared server state: verified records restore
   /// from the shared store image, dependence tests flow through the shared
-  /// memo (via this session's view), and both the per-procedure restore of
-  /// verified graph slices and the settle of store misses run on the
-  /// shared pool (a private pool of `nThreads` workers when it is null).
+  /// memo, and both the per-procedure restore of verified graph slices and
+  /// the settle of store misses run on the shared pool (a private pool of
+  /// `nThreads` workers when it is null).
   /// Results are bit-identical to a solo cold load() + analyzeParallel()
   /// at any thread count — sharing changes where answers come from, never
   /// what they are.
@@ -202,13 +200,12 @@ class Session {
 
   /// Write the persistent program database. Five record types: one
   /// summary per non-recursive procedure, one graph slice per procedure
-  /// with a settled materialized workspace, the current-generation memo
-  /// snapshot (with incremental updates on), the dependence-mark table
-  /// (when any mark exists) and the last emission's per-loop evidence
-  /// (when emitOpenMP ran). The per-procedure records are rendered by
-  /// tasks on a private pool and written in unit order, so the file is
-  /// byte-identical at any pool width. Atomic (temp file + rename); false
-  /// on I/O failure.
+  /// with a settled materialized workspace, the memo snapshot (with
+  /// incremental updates on), the dependence-mark table (when any mark
+  /// exists) and the last emission's per-loop evidence (when emitOpenMP
+  /// ran). The per-procedure records are rendered by tasks on a private
+  /// pool and written in unit order, so the file is byte-identical at any
+  /// pool width. Atomic (temp file + rename); false on I/O failure.
   bool savePdb(const std::string& path);
 
   [[nodiscard]] const PdbStats& pdbStats() const { return pdbStats_; }
@@ -484,10 +481,12 @@ class Session {
   }
   /// Rebuild summaries + all workspaces from scratch (the non-incremental A2
   /// baseline), sequentially on the calling thread; incremental updates
-  /// only touch the edited procedure. Also empties the cross-build
-  /// dependence-test memo. Same scheduler as analyzeParallel(), with no
-  /// pool: the nodes run in insertion order, so the TestStats phase timers
-  /// nest.
+  /// only touch the edited procedure. The rebuild starts on a fresh
+  /// private dependence-test memo, so it reuses no earlier answer: the
+  /// memo-free reference the edit storms compare against. A server-
+  /// attached session keeps that private memo afterwards. Same scheduler
+  /// as analyzeParallel(), with no pool: the nodes run in insertion order,
+  /// so the TestStats phase timers nest.
   void fullReanalysis();
 
   /// Whole-program analysis as a task DAG on a thread pool. Every analysis
@@ -564,7 +563,6 @@ class Session {
     return stats_;
   }
   void resetAnalysisStats() { stats_ = {}; }
-  [[nodiscard]] const dep::DepMemo& memo() const { return *memo_; }
 
   // ---------------------------------------------------------------------
   // Robustness: transactions, invariant auditing, bounded analysis
@@ -634,8 +632,8 @@ class Session {
   /// dirty set (a dirty name without a workspace holds no stale state — it
   /// builds fresh on first access).
   std::vector<fortran::Procedure*> takeDirty();
-  /// Drop every analysis result and the memo view, then analyze the whole
-  /// program against fresh summaries.
+  /// Drop every analysis result and start a fresh private memo, then
+  /// analyze the whole program against fresh summaries.
   ParallelReport analyzeAll(support::TaskPool* pool);
   /// Replace the summary builder with an unsummarized one over the current
   /// program (the call shape moved, or a rollback replaced the AST) and
@@ -743,12 +741,10 @@ class Session {
 
   /// Dependence-test memo shared by every workspace (and trial sandbox) of
   /// this session, across procedures and rebuilds — and, when the session
-  /// is server-attached, with every other session on the server.
-  /// Invalidated through memoView_ whenever this session's fact base
-  /// changes (assertions, full reanalysis): only this session's view is
-  /// evicted, never a neighbor session's valid entries.
+  /// is server-attached, with every other session on the server. Never
+  /// invalidated: a changed fact base changes the keys it affects. A full
+  /// analysis replaces it with a fresh private one (analyzeAll).
   std::shared_ptr<dep::DepMemo> memo_ = std::make_shared<dep::DepMemo>();
-  dep::DepMemo::ViewId memoView_ = 0;
   dep::TestStats stats_;
   bool incrementalUpdates_ = true;
 

@@ -160,10 +160,8 @@ ServerSession* AnalysisServer::openSession(const std::string& name,
   ped::Session::SharedWarmState shared;
   if (haveImage_) shared.storeImage = &storeImage_;
   shared.memo = memo_;
-  shared.memoView = memo_->createView();
   shared.pool = pool_.get();
-  auto ss = std::unique_ptr<ServerSession>(
-      new ServerSession(this, name, shared.memoView));
+  auto ss = std::unique_ptr<ServerSession>(new ServerSession(this, name));
   ss->session_ = ped::Session::attach(source, shared, ss->diags_,
                                       config_.analysisThreads);
   if (!ss->session_) return nullptr;

@@ -11,11 +11,11 @@
 // input — facts, budget, loop contexts — so cross-session hits are sound
 // by construction).
 //
-// Isolation is per-session views on the shared memo (DepMemo::createView):
-// a session that adds an assertion invalidates its OWN view and re-derives
-// against its new fact base, while neighbor sessions keep every entry they
-// could already see. Program state is never shared — each session parses
-// its own AST, owns its workspaces, and edits freely.
+// The shared memo needs no per-session isolation: a session that adds an
+// assertion changes the keys of exactly the tests its new facts can move,
+// so it re-derives those while neighbor sessions keep hitting every entry.
+// Program state is never shared — each session parses its own AST, owns
+// its workspaces, and edits freely.
 //
 // Threading contract: one client thread drives a given ServerSession at a
 // time (submit/settle/save are NOT self-synchronizing per session — they
@@ -98,7 +98,6 @@ class ServerSession {
   /// state until then.
   [[nodiscard]] ped::Session& session() { return *session_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] dep::DepMemo::ViewId memoView() const { return view_; }
   [[nodiscard]] std::size_t pendingEdits() const { return queue_.size(); }
   [[nodiscard]] const std::vector<SettleReport>& history() const {
     return history_;
@@ -106,16 +105,14 @@ class ServerSession {
 
  private:
   friend class AnalysisServer;
-  ServerSession(AnalysisServer* server, std::string name,
-                dep::DepMemo::ViewId view)
-      : server_(server), name_(std::move(name)), view_(view) {}
+  ServerSession(AnalysisServer* server, std::string name)
+      : server_(server), name_(std::move(name)) {}
 
   [[nodiscard]] std::vector<Edit> coalesce(SettleReport* r) const;
   bool apply(const Edit& e);
 
   AnalysisServer* server_;
   std::string name_;
-  dep::DepMemo::ViewId view_;
   DiagnosticEngine diags_;
   std::unique_ptr<ped::Session> session_;
   std::vector<Edit> queue_;
@@ -143,8 +140,9 @@ class AnalysisServer {
   /// Null when unknown.
   [[nodiscard]] ServerSession* findSession(const std::string& name);
 
-  /// Drop a session. Its memo view dies with it; entries it contributed
-  /// stay warm for neighbors (content-complete keys keep them sound).
+  /// Drop a session. Entries it contributed to the shared memo stay warm
+  /// for neighbors (content-complete keys keep them sound); the memo
+  /// never frees an entry.
   void closeSession(const std::string& name);
 
   /// Persist one session's state to the configured store path. Saves are
@@ -163,9 +161,6 @@ class AnalysisServer {
   };
   [[nodiscard]] Stats stats();
 
-  [[nodiscard]] const std::shared_ptr<dep::DepMemo>& memo() const {
-    return memo_;
-  }
   [[nodiscard]] support::TaskPool& pool() { return *pool_; }
   [[nodiscard]] bool warm() const { return haveImage_; }
 

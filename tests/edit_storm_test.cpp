@@ -10,8 +10,9 @@
 //   - par(t): deferred-analysis sessions for t in {1, 2, 4, 8, 16} — each edit
 //             accumulates the dirty set, then analyzeParallel(t) schedules
 //             exactly that set, answering unchanged tests from the DepMemo
-//             under its generation protocol,
-//   - full:   a from-scratch fullReanalysis() after every edit.
+//             (a key renders every input of its test),
+//   - full:   a from-scratch fullReanalysis() after every edit, on a fresh
+//             private memo each time.
 //
 // After EVERY edit the observable analysis state — every field of every
 // dependence edge in every procedure, the degradation report, and a deep

@@ -21,6 +21,7 @@
 #include "emit/emit.h"
 #include "fortran/lexer.h"
 #include "fortran/pretty.h"
+#include "interp/machine.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
 #include "support/taskpool.h"
@@ -338,6 +339,42 @@ TEST(Emission, UnsoundDeletionDemotedByRelativeValidation) {
             std::string::npos)
       << le->refusal;
   EXPECT_GT(le->serialExecutions, 0);
+}
+
+// The caller's interpreter step cap governs the serial baseline: a cap below
+// the deck's serial step count leaves no reference run, so every loop the
+// plan would emit is refused instead of emitted unvalidated.
+TEST(Emission, StepCapBelowSerialRunRefusesEveryEligibleLoop) {
+  auto s = loadDeck("slab2d");
+  ASSERT_TRUE(s);
+  (void)markParallelLoops(*s, /*forceAllLoops=*/false);
+  interp::RunOptions serial;
+  serial.checkParallel = false;
+  const interp::RunResult full = interp::Machine(s->program()).run(serial);
+  ASSERT_TRUE(full.ok) << full.error;
+
+  emit::EmitOptions plan;
+  plan.relativeValidation = false;
+  plan.roundTrip = false;
+  std::vector<fortran::StmtId> eligible;
+  for (const emit::LoopEmission& le : s->emitOpenMP(plan).loops) {
+    if (le.emitted) eligible.push_back(le.loop);
+  }
+  ASSERT_FALSE(eligible.empty());
+
+  emit::EmitOptions capped;
+  capped.roundTrip = false;
+  capped.run.maxSteps = full.steps - 1;
+  const emit::EmissionReport rep = s->emitOpenMP(capped);
+  ASSERT_TRUE(rep.ran) << rep.error;
+  EXPECT_EQ(rep.loopsEmitted, 0);
+  for (fortran::StmtId loop : eligible) {
+    const emit::LoopEmission* le = rowFor(rep, loop);
+    ASSERT_NE(le, nullptr) << "stmt" << loop;
+    EXPECT_FALSE(le->emitted) << "stmt" << loop;
+    EXPECT_EQ(le->refusal.rfind("serial baseline failed", 0), 0u)
+        << "stmt" << loop << ": " << le->refusal;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -372,7 +372,8 @@ TEST(IncrementalProperty, RandomEditSequenceMatchesScratchBuild) {
   ASSERT_FALSE(diags.hasErrors()) << diags.dump();
 
   const char* aEdits[] = {"A(I) = A(I - 1) + 1.0", "A(I) = B(I) + 1.0",
-                          "A(I) = A(I)*2.0", "A(I) = A(I + 2) - 1.0"};
+                          "A(I) = A(I)*2.0", "A(I) = A(I + 2) - 1.0",
+                          "A(I) = A(I + K) + 1.0"};
   const char* bEdits[] = {"B(J) = B(J - 1)*2.0", "B(J) = 1.0",
                           "B(J) = B(J) + A(J)", "B(J) = B(J + 3) - B(J)"};
   auto findRow = [&](const char* needle) {
@@ -382,6 +383,38 @@ TEST(IncrementalProperty, RandomEditSequenceMatchesScratchBuild) {
     }
     return id;
   };
+  // The invariant: incremental == from-scratch, after every edit and every
+  // assertion.
+  auto expectMatchesScratch = [&](const std::string& after) {
+    transform::Workspace& ws = s->workspace();
+    dep::AnalysisContext scratch = ws.actx;
+    scratch.useMemo = false;
+    scratch.memo = nullptr;
+    scratch.statsSink = nullptr;
+    auto fresh = dep::DependenceGraph::build(*ws.model, scratch);
+    EXPECT_EQ(canonicalEdges(fresh), canonicalEdges(*ws.graph))
+        << "divergence after " << after << ":\n"
+        << fortran::printProgram(s->program());
+  };
+  auto iLoopParallelizable = [&] {
+    for (const auto& row : s->loops()) {
+      if (row.headline.rfind("DO I", 0) == 0) return row.parallelizable;
+    }
+    ADD_FAILURE() << "no I loop";
+    return false;
+  };
+
+  // The assertion step. Nothing bounds K, so A(I + K) may be any element
+  // and the I loop is serial. K >= N puts every read past every write, so
+  // the loop turns parallel — although the memo still holds the answer the
+  // tester gave without the fact. Only a key that renders the new fact
+  // keeps the rebuild from reusing that answer.
+  ASSERT_TRUE(s->editStatement(findRow("A(I) ="), aEdits[4]));
+  expectMatchesScratch("the K edit");
+  EXPECT_FALSE(iLoopParallelizable());
+  ASSERT_TRUE(s->addAssertion("ASSERT RELATION (K .GE. N)"));
+  expectMatchesScratch("the assertion");
+  EXPECT_TRUE(iLoopParallelizable());
 
   std::mt19937 rng(20260806);
   for (int step = 0; step < 30; ++step) {
@@ -389,7 +422,7 @@ TEST(IncrementalProperty, RandomEditSequenceMatchesScratchBuild) {
       case 0: {  // rewrite the A-nest assignment
         fortran::StmtId id = findRow("A(I) =");
         if (id != fortran::kInvalidStmt) {
-          ASSERT_TRUE(s->editStatement(id, aEdits[rng() % 4])) << step;
+          ASSERT_TRUE(s->editStatement(id, aEdits[rng() % 5])) << step;
         }
         break;
       }
@@ -428,16 +461,7 @@ TEST(IncrementalProperty, RandomEditSequenceMatchesScratchBuild) {
         break;
       }
     }
-    // The invariant: incremental == from-scratch, every single step.
-    transform::Workspace& ws = s->workspace();
-    dep::AnalysisContext scratch = ws.actx;
-    scratch.useMemo = false;
-    scratch.memo = nullptr;
-    scratch.statsSink = nullptr;
-    auto fresh = dep::DependenceGraph::build(*ws.model, scratch);
-    EXPECT_EQ(canonicalEdges(fresh), canonicalEdges(*ws.graph))
-        << "divergence after step " << step << ":\n"
-        << fortran::printProgram(s->program());
+    expectMatchesScratch("step " + std::to_string(step));
   }
   // The sweep must actually have exercised the memo.
   EXPECT_GT(s->analysisStats().memoHits, 0);
