@@ -16,8 +16,6 @@
 // largest deck par-inc(4) runs fewer tests than par-full(4) and exactly as
 // many as seq-inc. The binary exits 1 when any of them fails; a timing
 // never fails it.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cctype>
 #include <cstdio>
@@ -78,20 +76,6 @@ SessionResult editSession(bool incremental) {
   }
   return r;
 }
-
-void BM_IncrementalEdits(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(editSession(true));
-  }
-}
-BENCHMARK(BM_IncrementalEdits)->Unit(benchmark::kMillisecond);
-
-void BM_FullReanalysisEdits(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(editSession(false));
-  }
-}
-BENCHMARK(BM_FullReanalysisEdits)->Unit(benchmark::kMillisecond);
 
 void row(const char* label, long long inc, long long full) {
   std::printf("%-28s %14lld %14lld\n", label, inc, full);
@@ -252,7 +236,7 @@ bool parallelIncrementalSection() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::printf("Ablation A2: incremental update (dirty set + memo) vs "
               "whole-program reanalysis per edit\n\n");
   SessionResult inc = editSession(true);
@@ -304,8 +288,6 @@ int main(int argc, char** argv) {
 
   const bool largestOk = parallelIncrementalSection();
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   if (!agree || ratio < 5.0 || !largestOk) {
     std::fprintf(stderr, "A2 self-check failed: graphs agree %s, test "
                  "reduction %.1fx (>= 5x), largest-deck counts %s\n",

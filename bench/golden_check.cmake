@@ -2,7 +2,7 @@
 # golden file. Invoked by ctest (see bench/CMakeLists.txt) as
 #   cmake -DBENCH=<binary> -DGOLDEN=<file> -DACTUAL=<file> -P golden_check.cmake
 # On a mismatch the actual output is left in ACTUAL for diffing.
-execute_process(COMMAND "${BENCH}" --benchmark_filter=NONE
+execute_process(COMMAND "${BENCH}"
                 OUTPUT_VARIABLE out
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

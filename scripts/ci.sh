@@ -27,7 +27,7 @@ scrub_pdb_cache
 # re-analyzes only its dirty procedures and the session memo answers every
 # test whose inputs did not change; the baseline turns the memo off and
 # rebuilds everything. Only counts are checked, never timings.
-./build/bench/bench_ablate_incremental --benchmark_filter=NONE
+./build/bench/bench_ablate_incremental
 
 # Warm-start stage: cold-analyze every deck and persist its store + cold
 # snapshot, then reopen every store in a FRESH process and require pure

@@ -100,7 +100,6 @@ struct EmitOptions {
   /// schedules (input values, step cap etc.). parallelClauses is ignored —
   /// emission installs its own derived clause sets.
   interp::RunOptions run{.maxSteps = 20'000'000};
-  int schedules = 3;
   bool relativeValidation = true;
   bool roundTrip = true;
   std::vector<int> roundTripThreads = {1, 2, 4, 8};

@@ -400,11 +400,6 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     preinsertSlots();
     computeFormalConstants();
     summarizeAll();
-    for (const auto& [name, s] : summaries_) {
-      (void)s;
-      up.changedSummaries.insert(name);
-      up.resummarized.insert(name);
-    }
     for (const auto& u : program_.units) up.staleAnalyses.insert(u->name);
     return up;
   }
@@ -432,10 +427,7 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     Procedure* proc = program_.findUnit(name);
     if (!proc) continue;
     ProcSummary ns = worstCaseSummary(name, *proc);
-    if (!(ns == summaries_[name])) {
-      up.changedSummaries.insert(name);
-      markCallers(name);
-    }
+    if (!(ns == summaries_[name])) markCallers(name);
     summaries_[name] = std::move(ns);
   }
 
@@ -450,13 +442,9 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     if (!dirty.count(name)) continue;
     Procedure* proc = program_.findUnit(name);
     if (!proc) continue;
-    up.resummarized.insert(name);
     ProcSummary old = std::move(summaries_[name]);
     summarize(*proc);
-    if (!(summaries_[name] == old)) {
-      up.changedSummaries.insert(name);
-      markCallers(name);
-    }
+    if (!(summaries_[name] == old)) markCallers(name);
   }
 
   // The census is a whole-program AST scan; rerun it unconditionally and
@@ -790,18 +778,17 @@ void SummaryBuilder::summarize(Procedure& proc) {
                 (s->kind == StmtKind::Call) ? &s->args : nullptr;
             for (const auto& [var, eff] : cs->effects) {
               if (!eff.kills || eff.isArray) continue;
-              // Translate the killed name.
+              // A killed formal reaches this procedure only through a plain
+              // variable this CALL passes for it; a COMMON member keeps its
+              // name.
               std::string target = var;
-              if (args) {
-                for (std::size_t i = 0;
-                     i < cs->formals.size() && i < args->size(); ++i) {
-                  if (cs->formals[i] == var &&
-                      (*args)[i]->kind == ExprKind::VarRef) {
-                    target = (*args)[i]->name;
-                  }
-                }
+              for (std::size_t i = 0; i < cs->formals.size(); ++i) {
+                if (cs->formals[i] != var) continue;
+                const bool bound = args && i < args->size() &&
+                                   (*args)[i]->kind == ExprKind::VarRef;
+                target = bound ? (*args)[i]->name : std::string();
               }
-              newOut.insert(target);
+              if (!target.empty()) newOut.insert(target);
             }
           }
         }

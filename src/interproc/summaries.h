@@ -103,10 +103,6 @@ class SummaryBuilder {
     /// The call graph's shape changed (procedures or call sites added or
     /// removed): every summary was rebuilt and every analysis is stale.
     bool structureChanged = false;
-    /// Procedures whose ProcSummary differs from the pre-edit one.
-    std::set<std::string> changedSummaries;
-    /// Procedures that were re-run through summarization.
-    std::set<std::string> resummarized;
     /// Procedures whose dependence analysis is invalidated by the edit:
     /// the edited procedures plus every procedure with a call site whose
     /// callee summary changed. (Inherited-fact changes are diffed by the

@@ -2276,7 +2276,7 @@ validate::ValidationReport Session::validateDeletions(
     for (const Candidate& c : cands) jobs.push_back({c.loop, base});
     std::vector<validate::RelativeResult> results =
         validate::relativeCheckAll(*program_, jobs, serial,
-                                   opts.budget.schedules, opts.pool);
+                                   validate::kRelativeSchedules, opts.pool);
     for (std::size_t i = 0; i < cands.size(); ++i) {
       const Candidate& c = cands[i];
       validate::RelativeResult& rr = results[i];
@@ -2427,7 +2427,7 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
     // Every eligible loop's schedules run concurrently; results come back
     // in loop order.
     std::vector<validate::RelativeResult> results = validate::relativeCheckAll(
-        *program_, jobs, serial, opts.schedules, opts.pool);
+        *program_, jobs, serial, validate::kRelativeSchedules, opts.pool);
     for (std::size_t i = 0; i < checked.size(); ++i) {
       emit::LoopEmission& le = *checked[i];
       const validate::RelativeResult& rr = results[i];
@@ -2440,7 +2440,7 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
         le.refusal = "relative validation diverged: " + rr.detail;
       } else if (rr.ran) {
         std::ostringstream ev;
-        ev << "relative-ok: " << opts.schedules
+        ev << "relative-ok: " << validate::kRelativeSchedules
            << " shuffled schedule(s) agree with the serial run"
            << " (loop executed " << rr.serialExecutions << "x serially)";
         le.evidence = ev.str();

@@ -74,13 +74,8 @@ class ArithmeticIfRemoval : public Transformation {
     return Advice::ok(true, "replaces three-way branch with logical IFs");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     std::size_t index = 0;
     auto* container = containerOf(ws, t.stmt, &index);
     Stmt& s = *(*container)[index];
@@ -137,7 +132,6 @@ class ArithmeticIfRemoval : public Transformation {
       container->insert(container->begin() + static_cast<long>(index + i),
                         std::move(replacement[i]));
     }
-    ws.reanalyze();
     return true;
   }
 };
@@ -266,14 +260,11 @@ class ControlFlowStructuring : public Transformation {
                                 : "structures into IF-THEN");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Match m;
     std::vector<StmtPtr>* listPtr = nullptr;
-    if (!findAnywhere(ws, t, &m, &listPtr)) {
-      if (error) *error = "pattern not found";
-      return false;
-    }
+    findAnywhere(ws, t, &m, &listPtr);
     std::vector<StmtPtr>& list = *listPtr;
     Stmt& ifStmt = *list[m.ifIdx];
     fortran::ExprPtr cond = std::move(ifStmt.arms[0].condition);
@@ -312,7 +303,6 @@ class ControlFlowStructuring : public Transformation {
                list.begin() + static_cast<long>(eraseEnd));
     list.insert(list.begin() + static_cast<long>(m.ifIdx),
                 std::move(block));
-    ws.reanalyze();
     return true;
   }
 };

@@ -61,15 +61,9 @@ class Privatization : public Transformation {
     return Advice::no("unknown status");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     ws.actx.classificationOverrides[t.loop][t.variable] = true;
-    ws.reanalyze();
     return true;
   }
 };
@@ -94,7 +88,7 @@ class ScalarExpansion : public Transformation {
     const fortran::VarDecl* d = ws.proc.findDecl(t.variable);
     if (d && d->isArray()) return Advice::no("variable is already an array");
     const Stmt& s = *loop->stmt;
-    if (s.doStep && !s.doStep->isIntConst(1)) {
+    if (!unitStep(s)) {
       return Advice::no("only unit-step loops are expanded");
     }
     // A DO statement keeps assigning its control variable by name, so the
@@ -121,18 +115,20 @@ class ScalarExpansion : public Transformation {
       return Advice::unsafe(
           "value flows across iterations (expansion would change it)");
     }
+    // The expansion array takes the loop's bounds.
+    const std::string moved = boundsChangeAfterEntry(ws, s);
+    if (!moved.empty()) {
+      return Advice::unsafe(moved +
+                            "; an expansion array sized at procedure entry "
+                            "would not match the loop");
+    }
     bool prof = !ws.graph->parallelizable(*loop);
     return Advice::ok(prof, "expansion removes the scalar's anti/output "
                             "dependences");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     std::string expanded = freshName(ws.proc, t.variable + "$");
@@ -172,7 +168,6 @@ class ScalarExpansion : public Transformation {
       container->insert(container->begin() + static_cast<long>(index + 1),
                         std::move(copy));
     }
-    ws.reanalyze();
     return true;
   }
 };
@@ -220,13 +215,8 @@ class ArrayRenaming : public Transformation {
     return Advice::ok(true, "reads redirect to a pre-loop copy");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     // Copy the declaration first: push_back below may reallocate decls and
@@ -299,7 +289,6 @@ class ArrayRenaming : public Transformation {
         }
       });
     }
-    ws.reanalyze();
     return true;
   }
 };

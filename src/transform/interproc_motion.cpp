@@ -95,13 +95,8 @@ class LoopExtraction : public Transformation {
                       "possible)");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Stmt* callSite = nullptr;
     Procedure* callee = findCallee(ws, t, &callSite);
     Stmt* loop = soleOuterLoop(*callee);
@@ -170,7 +165,6 @@ class LoopExtraction : public Transformation {
     std::size_t index = 0;
     auto* container = containerOf(ws, t.stmt, &index);
     (*container)[index] = std::move(newLoop);
-    ws.reanalyze();
     return true;
   }
 };
@@ -218,21 +212,15 @@ class LoopEmbedding : public Transformation {
     auto simple = [](const Expr& e) {
       return e.kind == ExprKind::VarRef || e.kind == ExprKind::IntConst;
     };
-    if (!simple(*s.doLo) || !simple(*s.doHi) ||
-        (s.doStep && !s.doStep->isIntConst(1))) {
+    if (!simple(*s.doLo) || !simple(*s.doHi) || !unitStep(s)) {
       return Advice::no("loop bounds too complex to pass");
     }
     return Advice::ok(true, "amortizes call overhead; enables fusion "
                             "inside the callee");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     Stmt* call = nullptr;
@@ -292,7 +280,6 @@ class LoopEmbedding : public Transformation {
     std::size_t index = 0;
     auto* container = containerOf(ws, t.loop, &index);
     (*container)[index] = std::move(newCall);
-    ws.reanalyze();
     return true;
   }
 };

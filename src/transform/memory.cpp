@@ -13,20 +13,6 @@ using ir::Loop;
 
 namespace {
 
-bool unitStep(const Stmt& s) {
-  return !s.doStep || s.doStep->isIntConst(1);
-}
-
-void normalizeLoopForm(Stmt& loopStmt) {
-  if (loopStmt.doEndLabel == 0) return;
-  if (!loopStmt.body.empty() &&
-      loopStmt.body.back()->kind == StmtKind::Continue &&
-      loopStmt.body.back()->label == loopStmt.doEndLabel) {
-    loopStmt.body.pop_back();
-  }
-  loopStmt.doEndLabel = 0;
-}
-
 // ===========================================================================
 // Strip Mining
 // ===========================================================================
@@ -46,13 +32,8 @@ class StripMining : public Transformation {
     return Advice::ok(false, "always legal (iteration order preserved)");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     normalizeLoopForm(s);
@@ -82,7 +63,6 @@ class StripMining : public Transformation {
     s.doStep = fortran::makeIntConst(t.factor);
     s.body.clear();
     s.body.push_back(std::move(inner));
-    ws.reanalyze();
     return true;
   }
 };
@@ -116,13 +96,8 @@ class LoopUnrolling : public Transformation {
     return Advice::ok(false, "always legal (plus a remainder loop)");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     normalizeLoopForm(s);
@@ -172,7 +147,6 @@ class LoopUnrolling : public Transformation {
     s.doStep = fortran::makeIntConst(u);
     container->insert(container->begin() + static_cast<long>(index + 1),
                       std::move(remainder));
-    ws.reanalyze();
     return true;
   }
 };
@@ -207,13 +181,8 @@ class UnrollAndJam : public Transformation {
                              "iterations");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* outer = ws.loopOf(t.loop);
     Stmt& o = *outer->stmt;
     Stmt& inner = *o.body[0];
@@ -259,7 +228,6 @@ class UnrollAndJam : public Transformation {
     o.doStep = fortran::makeIntConst(u);
     container->insert(container->begin() + static_cast<long>(index + 1),
                       std::move(remainder));
-    ws.reanalyze();
     return true;
   }
 };
@@ -336,13 +304,8 @@ class ScalarReplacement : public Transformation {
                                  : "load once before the loop");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     bool written = false;
@@ -389,7 +352,6 @@ class ScalarReplacement : public Transformation {
         }
       });
     }
-    ws.reanalyze();
     return true;
   }
 };

@@ -37,15 +37,9 @@ class SequentialToParallel : public Transformation {
     return Advice::ok(true, "no active loop-carried dependences");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     ws.loopOf(t.loop)->stmt->isParallel = true;
-    ws.reanalyze();
     return true;
   }
 };
@@ -62,15 +56,9 @@ class ParallelToSequential : public Transformation {
     return Advice::ok(false, "always safe");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     ws.loopOf(t.loop)->stmt->isParallel = false;
-    ws.reanalyze();
     return true;
   }
 };
@@ -94,19 +82,11 @@ class LoopBoundsAdjusting : public Transformation {
         "changes the iteration space; requires user confirmation");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Loop* loop = ws.loopOf(t.loop);
-    if (!loop) {
-      if (error) *error = "target is not a loop";
-      return false;
-    }
-    // t.factor / t.splitPoint supply the new constant bounds.
-    Stmt& s = *loop->stmt;
-    s.doLo = fortran::makeIntConst(t.splitPoint);
-    s.doHi = fortran::makeIntConst(t.factor);
-    ws.reanalyze();
-    return true;
+  // Never reached: advise never answers safe. Session::editStatement
+  // rewrites a DO header without the check.
+  bool rewrite(Workspace& /*ws*/, const Target& /*t*/,
+               std::string* /*error*/) const override {
+    return false;
   }
 };
 
@@ -132,13 +112,8 @@ class StatementDeletion : public Transformation {
     return Advice::ok(false, "no flow dependences leave the statement");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* error) const override {
     std::size_t index = 0;
     auto* container = containerOf(ws, t.stmt, &index);
     if (!container) {
@@ -146,7 +121,6 @@ class StatementDeletion : public Transformation {
       return false;
     }
     container->erase(container->begin() + static_cast<long>(index));
-    ws.reanalyze();
     return true;
   }
 };
@@ -162,8 +136,8 @@ class StatementAddition : public Transformation {
                              "(editing hook)");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* error) const override {
     std::size_t index = 0;
     auto* container = containerOf(ws, t.stmt, &index);
     if (!container) {
@@ -173,7 +147,6 @@ class StatementAddition : public Transformation {
     auto fresh = fortran::makeStmt(StmtKind::Continue);
     container->insert(container->begin() + static_cast<long>(index + 1),
                       std::move(fresh));
-    ws.reanalyze();
     return true;
   }
 };

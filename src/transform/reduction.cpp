@@ -1,6 +1,3 @@
-#include <set>
-
-#include "ir/refs.h"
 #include "transform/catalog.h"
 
 namespace ps::transform {
@@ -103,58 +100,19 @@ class ReductionRecognition : public Transformation {
     Loop* loop = ws.loopOf(t.loop);
     if (!loop) return Advice::no("target is not a loop");
     const Stmt& s = *loop->stmt;
-    if (s.doStep && !s.doStep->isIntConst(1)) {
+    if (!unitStep(s)) {
       return Advice::no("only unit-step loops");
     }
     ReductionMatch m;
     if (!findReduction(loop, &m)) {
       return Advice::no("no sum-reduction update in the loop body");
     }
-    // The partial array takes the loop's bounds, and Fortran evaluates an
-    // array's bounds at procedure entry: they may read no variable that a
-    // statement of the procedure writes (assignment, DO control, READ or
-    // CALL actual), nor a COMMON member that a call may write (an unknown
-    // callee, or no oracle at all, counts as a writer).
-    std::set<std::string> boundVars;
-    auto collect = [&](const Expr& e) {
-      if (e.kind == ExprKind::VarRef || e.kind == ExprKind::ArrayRef) {
-        boundVars.insert(e.name);
-      }
-    };
-    s.doLo->forEach(collect);
-    s.doHi->forEach(collect);
-    std::set<std::string> commonBounds;
-    for (const std::string& v : boundVars) {
-      const fortran::VarDecl* d = ws.proc.findDecl(v);
-      if (d && !d->commonBlock.empty()) commonBounds.insert(v);
-    }
-    const dep::SideEffectOracle* oracle = ws.actx.oracle;
-    auto callWrites = [&](const Stmt& st, const std::string& callee,
-                          const std::string& var) {
-      if (!oracle || !oracle->knowsCallee(callee)) return true;
-      for (const dep::CallEffect& e : oracle->effectsOfCall(st, callee)) {
-        if (e.var == var && e.mayWrite) return true;
-      }
-      return false;
-    };
-    auto refuse = [](const std::string& var, const char* writer) {
-      return Advice::unsafe("the loop bounds read " + var + ", which " +
-                            writer +
-                            " writes; a partial-sum array sized at "
-                            "procedure entry would not match the loop");
-    };
-    for (const Stmt* st : ws.model->allStmts()) {
-      for (const ir::Ref& r : ir::collectRefs(*st)) {
-        if (r.isWrite() && boundVars.count(r.name)) {
-          return refuse(r.name, "the procedure");
-        }
-      }
-      if (commonBounds.empty()) continue;
-      for (const std::string& callee : ir::calledFunctions(*st)) {
-        for (const std::string& v : commonBounds) {
-          if (callWrites(*st, callee, v)) return refuse(v, "a callee");
-        }
-      }
+    // The partial array takes the loop's bounds.
+    const std::string moved = boundsChangeAfterEntry(ws, s);
+    if (!moved.empty()) {
+      return Advice::unsafe(moved +
+                            "; a partial-sum array sized at procedure entry "
+                            "would not match the loop");
     }
     // Check the rest of the loop is otherwise parallel: reductions are
     // profitable when they are the only impediment.
@@ -167,13 +125,8 @@ class ReductionRecognition : public Transformation {
                           " is reorderable (associative +)");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     ReductionMatch m;
@@ -220,7 +173,6 @@ class ReductionRecognition : public Transformation {
     sumLoop->body.push_back(std::move(add));
     container->insert(container->begin() + static_cast<long>(index + 1),
                       std::move(sumLoop));
-    ws.reanalyze();
     return true;
   }
 };
@@ -228,7 +180,7 @@ class ReductionRecognition : public Transformation {
 }  // namespace
 
 bool findSumReduction(const ir::Loop& loop, SumReduction* out) {
-  // findReduction takes a mutable loop because apply() reuses the match to
+  // findReduction takes a mutable loop because rewrite() reuses the match to
   // rewrite; the search itself never mutates.
   ReductionMatch m;
   if (!findReduction(const_cast<Loop*>(&loop), &m)) return false;

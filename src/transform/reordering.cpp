@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "dataflow/constants.h"
 #include "transform/catalog.h"
 
 namespace ps::transform {
@@ -39,18 +40,6 @@ bool bodyHasUnstructuredFlow(const Stmt& loopStmt) {
     });
   }
   return found;
-}
-
-/// Drop a trailing labeled CONTINUE terminator and convert to ENDDO form
-/// (needed before restructuring labeled loops).
-void normalizeLoopForm(Stmt& loopStmt) {
-  if (loopStmt.doEndLabel == 0) return;
-  if (!loopStmt.body.empty() &&
-      loopStmt.body.back()->kind == StmtKind::Continue &&
-      loopStmt.body.back()->label == loopStmt.doEndLabel) {
-    loopStmt.body.pop_back();
-  }
-  loopStmt.doEndLabel = 0;
 }
 
 /// Clone a DO header (bounds, var, step) onto a fresh statement.
@@ -216,13 +205,8 @@ class LoopDistribution : public Transformation {
                       std::to_string(groups.size()) + " distributed loops");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.applicable || !a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* error) const override {
     Loop* loop = ws.loopOf(t.loop);
     auto groups = partition(ws, *loop);
     Stmt& loopStmt = *loop->stmt;
@@ -250,7 +234,6 @@ class LoopDistribution : public Transformation {
       container->insert(container->begin() + static_cast<long>(index + g),
                         std::move(newLoops[g]));
     }
-    ws.reanalyze();
     return true;
   }
 };
@@ -306,13 +289,8 @@ class LoopInterchange : public Transformation {
     return Advice::ok(prof, prof ? "moves parallel loop outward" : "");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* outer = ws.loopOf(t.loop);
     Stmt* inner = innerOfPerfectNest(*outer->stmt);
     Stmt& o = *outer->stmt;
@@ -321,7 +299,6 @@ class LoopInterchange : public Transformation {
     std::swap(o.doHi, inner->doHi);
     std::swap(o.doStep, inner->doStep);
     std::swap(o.isParallel, inner->isParallel);
-    ws.reanalyze();
     return true;
   }
 };
@@ -370,7 +347,7 @@ class LoopFusion : public Transformation {
   }
 
   /// Perform the mechanics on whatever workspace is given (sandbox or
-  /// real): returns the fused loop's statement.
+  /// real) without reanalyzing it: returns the fused loop's statement.
   static Stmt* fuse(Workspace& ws, const Target& t) {
     std::size_t idx1 = 0;
     std::vector<StmtPtr>* container = nullptr;
@@ -387,8 +364,7 @@ class LoopFusion : public Transformation {
     }
     for (auto& b : s2.body) s1.body.push_back(std::move(b));
     container->erase(container->begin() + static_cast<long>(idx1 + 1));
-    ws.reanalyze();
-    return ws.model->stmt(t.loop);
+    return &s1;
   }
 
   Advice advise(Workspace& ws, const Target& t) const override {
@@ -413,6 +389,7 @@ class LoopFusion : public Transformation {
     Workspace& sandbox = trial.workspace();
     Stmt* fused = fuse(sandbox, tt);
     if (!fused) return Advice::no("fusion mechanics failed");
+    sandbox.reanalyze();
     Loop* fusedLoop = sandbox.loopOf(fused->id);
     bool hadParallel1 = ws.graph->parallelizable(*ws.loopOf(t.loop));
     bool hadParallel2 = ws.graph->parallelizable(*ws.loopOf(t.secondLoop));
@@ -431,13 +408,8 @@ class LoopFusion : public Transformation {
                                  : "fusion legal");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     return fuse(ws, t) != nullptr;
   }
 };
@@ -451,9 +423,23 @@ class LoopReversal : public Transformation {
   std::string name() const override { return "Loop Reversal"; }
   Category category() const override { return Category::Reordering; }
 
+  /// True when the step is absent or folds to the constant 1 or -1: only
+  /// then do the swapped bounds visit the same iterations.
+  static bool unitMagnitudeStep(const Stmt& s) {
+    if (!s.doStep) return true;
+    auto step = dataflow::ConstantAnalysis::evaluate(
+        *s.doStep,
+        [](const std::string&) { return dataflow::ConstVal::bottom(); });
+    return step && step->kind == dataflow::ConstVal::Kind::IntConst &&
+           (step->i == 1 || step->i == -1);
+  }
+
   Advice advise(Workspace& ws, const Target& t) const override {
     Loop* loop = ws.loopOf(t.loop);
     if (!loop) return Advice::no("target is not a loop");
+    if (!unitMagnitudeStep(*loop->stmt)) {
+      return Advice::no("only loops with step 1 or -1 are reversed");
+    }
     for (const auto* d : ws.graph->parallelismInhibitors(*loop)) {
       (void)d;
       return Advice::unsafe("loop carries a dependence; reversal flips it");
@@ -461,19 +447,13 @@ class LoopReversal : public Transformation {
     return Advice::ok(false, "legal (no carried dependences)");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Stmt& s = *ws.loopOf(t.loop)->stmt;
     std::swap(s.doLo, s.doHi);
     fortran::ExprPtr step =
         s.doStep ? std::move(s.doStep) : fortran::makeIntConst(1);
     s.doStep = fortran::makeUnary(fortran::UnOp::Neg, std::move(step));
-    ws.reanalyze();
     return true;
   }
 };
@@ -510,17 +490,11 @@ class StatementInterchange : public Transformation {
     return Advice::ok(false, "statements are independent");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     std::size_t i = 0;
     auto* c = containerOf(ws, t.stmt, &i);
     std::swap((*c)[i], (*c)[i + 1]);
-    ws.reanalyze();
     return true;
   }
 };
@@ -538,7 +512,7 @@ class LoopPeeling : public Transformation {
     Loop* loop = ws.loopOf(t.loop);
     if (!loop) return Advice::no("target is not a loop");
     const Stmt& s = *loop->stmt;
-    if (s.doStep && !s.doStep->isIntConst(1)) {
+    if (!unitStep(s)) {
       return Advice::no("only unit-step loops are peeled");
     }
     if (bodyHasUnstructuredFlow(s)) {
@@ -547,13 +521,8 @@ class LoopPeeling : public Transformation {
     return Advice::ok(false, "peels the first iteration under a guard");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     normalizeLoopForm(s);
@@ -577,7 +546,6 @@ class LoopPeeling : public Transformation {
                                  fortran::makeIntConst(1));
     container->insert(container->begin() + static_cast<long>(index),
                       std::move(guard));
-    ws.reanalyze();
     return true;
   }
 };
@@ -594,19 +562,14 @@ class LoopSplitting : public Transformation {
   Advice advise(Workspace& ws, const Target& t) const override {
     Loop* loop = ws.loopOf(t.loop);
     if (!loop) return Advice::no("target is not a loop");
-    if (loop->stmt->doStep && !loop->stmt->doStep->isIntConst(1)) {
+    if (!unitStep(*loop->stmt)) {
       return Advice::no("only unit-step loops are split");
     }
     return Advice::ok(false, "always legal");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Stmt& s = *loop->stmt;
     normalizeLoopForm(s);
@@ -629,7 +592,6 @@ class LoopSplitting : public Transformation {
     s.doHi = fortran::makeFuncCall("MIN0", std::move(minArgs));
     container->insert(container->begin() + static_cast<long>(index + 1),
                       std::move(second));
-    ws.reanalyze();
     return true;
   }
 };
@@ -648,21 +610,15 @@ class LoopSkewing : public Transformation {
     if (!outer) return Advice::no("target is not a loop");
     Stmt* inner = innerOfPerfectNest(*outer->stmt);
     if (!inner) return Advice::no("loop nest is not perfectly nested");
-    if ((inner->doStep && !inner->doStep->isIntConst(1)) ||
-        (outer->stmt->doStep && !outer->stmt->doStep->isIntConst(1))) {
+    if (!unitStep(*inner) || !unitStep(*outer->stmt)) {
       return Advice::no("only unit-step nests are skewed");
     }
     return Advice::ok(false,
                       "re-indexing; enables interchange on wavefronts");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* outer = ws.loopOf(t.loop);
     Stmt* inner = innerOfPerfectNest(*outer->stmt);
     long long f = t.factor;
@@ -683,7 +639,6 @@ class LoopSkewing : public Transformation {
     for (auto& b : inner->body) {
       substituteVar(*b, inner->doVar, *replacement);
     }
-    ws.reanalyze();
     return true;
   }
 };
@@ -743,7 +698,7 @@ class LoopAlignment : public Transformation {
   Advice advise(Workspace& ws, const Target& t) const override {
     Loop* loop = ws.loopOf(t.loop);
     if (!loop) return Advice::no("target is not a loop");
-    if (loop->stmt->doStep && !loop->stmt->doStep->isIntConst(1)) {
+    if (!unitStep(*loop->stmt)) {
       return Advice::no("only unit-step loops are aligned");
     }
     Pattern p;
@@ -755,13 +710,8 @@ class LoopAlignment : public Transformation {
                             "loop-independent");
   }
 
-  bool apply(Workspace& ws, const Target& t,
-             std::string* error) const override {
-    Advice a = advise(ws, t);
-    if (!a.safe) {
-      if (error) *error = a.explanation;
-      return false;
-    }
+  bool rewrite(Workspace& ws, const Target& t,
+               std::string* /*error*/) const override {
     Loop* loop = ws.loopOf(t.loop);
     Pattern p;
     match(ws, loop, &p);
@@ -807,7 +757,6 @@ class LoopAlignment : public Transformation {
     s.body.clear();
     s.body.push_back(std::move(g1));
     s.body.push_back(std::move(g2));
-    ws.reanalyze();
     return true;
   }
 };

@@ -1,5 +1,9 @@
 #include "transform/transform.h"
 
+#include <set>
+
+#include "ir/refs.h"
+
 namespace ps::transform {
 
 const char* categoryName(Category c) {
@@ -45,6 +49,18 @@ void Workspace::reanalyze() {
   ++reanalyses;
 }
 
+bool Transformation::apply(Workspace& ws, const Target& t,
+                           std::string* error) const {
+  const Advice advice = advise(ws, t);
+  if (!advice.safe) {
+    if (error) *error = advice.explanation;
+    return false;
+  }
+  if (!rewrite(ws, t, error)) return false;
+  ws.reanalyze();
+  return true;
+}
+
 namespace {
 
 /// Replace VarRef(name) nodes without descending into the replacement (a
@@ -79,6 +95,64 @@ void substituteVar(fortran::Stmt& stmt, const std::string& name,
       s.doVar = replacement.name;
     }
   });
+}
+
+bool unitStep(const fortran::Stmt& loopStmt) {
+  return !loopStmt.doStep || loopStmt.doStep->isIntConst(1);
+}
+
+void normalizeLoopForm(fortran::Stmt& loopStmt) {
+  if (loopStmt.doEndLabel == 0) return;
+  if (!loopStmt.body.empty() &&
+      loopStmt.body.back()->kind == fortran::StmtKind::Continue &&
+      loopStmt.body.back()->label == loopStmt.doEndLabel) {
+    loopStmt.body.pop_back();
+  }
+  loopStmt.doEndLabel = 0;
+}
+
+std::string boundsChangeAfterEntry(Workspace& ws,
+                                   const fortran::Stmt& loopStmt) {
+  std::set<std::string> boundVars;
+  auto collect = [&](const fortran::Expr& e) {
+    if (e.kind == fortran::ExprKind::VarRef ||
+        e.kind == fortran::ExprKind::ArrayRef) {
+      boundVars.insert(e.name);
+    }
+  };
+  loopStmt.doLo->forEach(collect);
+  loopStmt.doHi->forEach(collect);
+  std::set<std::string> commonBounds;
+  for (const std::string& v : boundVars) {
+    const fortran::VarDecl* d = ws.proc.findDecl(v);
+    if (d && !d->commonBlock.empty()) commonBounds.insert(v);
+  }
+  const dep::SideEffectOracle* oracle = ws.actx.oracle;
+  auto callWrites = [&](const fortran::Stmt& st, const std::string& callee,
+                        const std::string& var) {
+    if (!oracle || !oracle->knowsCallee(callee)) return true;
+    for (const dep::CallEffect& e : oracle->effectsOfCall(st, callee)) {
+      if (e.var == var && e.mayWrite) return true;
+    }
+    return false;
+  };
+  auto why = [](const std::string& var, const char* writer) {
+    return "the loop bounds read " + var + ", which " + writer + " writes";
+  };
+  for (const fortran::Stmt* st : ws.model->allStmts()) {
+    for (const ir::Ref& r : ir::collectRefs(*st)) {
+      if (r.isWrite() && boundVars.count(r.name)) {
+        return why(r.name, "the procedure");
+      }
+    }
+    if (commonBounds.empty()) continue;
+    for (const std::string& callee : ir::calledFunctions(*st)) {
+      for (const std::string& v : commonBounds) {
+        if (callWrites(*st, callee, v)) return why(v, "a callee");
+      }
+    }
+  }
+  return {};
 }
 
 std::vector<fortran::StmtPtr>* containerOf(Workspace& ws, fortran::StmtId id,

@@ -95,10 +95,18 @@ class Transformation {
   /// Evaluate the power-steering triple without modifying anything.
   [[nodiscard]] virtual Advice advise(Workspace& ws,
                                       const Target& t) const = 0;
-  /// Perform the mechanics. Returns false (with `error`) when the
-  /// precondition checks fail; on success the workspace is reanalyzed.
-  virtual bool apply(Workspace& ws, const Target& t,
-                     std::string* error) const = 0;
+  /// Power steering's one gate: refuse with advise's explanation unless
+  /// the advice is safe, else run the mechanics and reanalyze the
+  /// workspace once. Returns false (with `error`) on a refusal or when
+  /// the mechanics fail.
+  bool apply(Workspace& ws, const Target& t, std::string* error) const;
+
+ protected:
+  /// The mechanics alone. Runs only after advise answered safe for this
+  /// workspace and target; returns false (with `error`) when it cannot
+  /// proceed.
+  virtual bool rewrite(Workspace& ws, const Target& t,
+                       std::string* error) const = 0;
 };
 
 /// The transformation catalog (Figure 2). Lookup is by the display name
@@ -132,6 +140,23 @@ void substituteVar(fortran::Stmt& stmt, const std::string& name,
 /// Find the statement list containing `id` plus its index; null when absent.
 std::vector<fortran::StmtPtr>* containerOf(Workspace& ws, fortran::StmtId id,
                                            std::size_t* index);
+
+/// True when the DO statement's step is absent or the constant 1.
+[[nodiscard]] bool unitStep(const fortran::Stmt& loopStmt);
+
+/// Drop a trailing labeled CONTINUE terminator and convert to ENDDO form
+/// (needed before restructuring labeled loops).
+void normalizeLoopForm(fortran::Stmt& loopStmt);
+
+/// Fortran evaluates an array's bounds at procedure entry, so an array
+/// sized from a loop's bounds matches the loop only when those bounds read
+/// no variable that a statement of the procedure writes (assignment, DO
+/// control, READ or CALL actual), nor a COMMON member that a call may write
+/// (an unknown callee, or no oracle at all, counts as a writer). Returns why
+/// `loopStmt`'s bounds fail that ("the loop bounds read J, which the
+/// procedure writes"), or empty when they are fixed at entry.
+[[nodiscard]] std::string boundsChangeAfterEntry(
+    Workspace& ws, const fortran::Stmt& loopStmt);
 
 /// A fresh variable name derived from `base` that is unused in the
 /// procedure.

@@ -49,6 +49,10 @@ class TaskPool;
 
 namespace ps::validate {
 
+/// Shuffled schedules each relative check runs per loop, in validation and
+/// in emission alike.
+inline constexpr int kRelativeSchedules = 3;
+
 /// Work limits for one validation pass. Exhaustion degrades verdicts to
 /// Unvalidated (surfaced via Session::degradationReport), never grows
 /// memory unboundedly and never blocks the session.
@@ -56,7 +60,6 @@ struct ValidationBudget {
   long long maxEvents = 1'000'000;   // trace event cap
   long long maxElements = 1 << 18;   // distinct storage elements tracked
   int maxRelativeChecks = 8;         // loops relative-executed per pass
-  int schedules = 3;                 // shuffled schedules per checked loop
   long long maxSteps = 20'000'000;   // interpreter step cap per run
 };
 

@@ -245,6 +245,47 @@ TEST(Summaries, InterproceduralScalarKill) {
   EXPECT_TRUE(t->kills);  // the call is unconditional and SETT kills T
 }
 
+// INNER kills its formal P, but OUTER passes it the expression K*1, so the
+// kill reaches no variable of OUTER. OUTER's own formal P, which it writes
+// only for even K, must not inherit the kill by name: MAIN's loop would
+// then privatize P and run in parallel, and A(I) = A(I) + P would read a P
+// that no earlier iteration wrote (serial output 1.0 17.0).
+TEST(Summaries, KilledFormalReachesCallerOnlyThroughAPassedVariable) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(9)\n"
+      "      P = 0.0\n"
+      "      DO 10 I = 1, 9\n"
+      "        CALL OUTER(P, A, I)\n"
+      "        A(I) = A(I) + P\n"
+      "   10 CONTINUE\n"
+      "      WRITE(6, *) A(1), A(9)\n"
+      "      END\n"
+      "      SUBROUTINE OUTER(P, A, K)\n"
+      "      REAL A(9)\n"
+      "      CALL INNER(K*1)\n"
+      "      IF (MOD(K, 2) .EQ. 0) P = FLOAT(K)\n"
+      "      A(K) = FLOAT(K)\n"
+      "      END\n"
+      "      SUBROUTINE INNER(P)\n"
+      "      P = 1.0\n"
+      "      END\n");
+  SummaryBuilder sb(*prog);
+  EXPECT_TRUE(sb.summaryOf("INNER")->effectOn("P")->kills);
+  const VarEffect* p = sb.summaryOf("OUTER")->effectOn("P");
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(p->mayWrite);
+  EXPECT_FALSE(p->kills);  // written on one path only
+
+  fortran::Procedure* main = prog->findUnit("MAIN");
+  InterproceduralOracle oracle(sb, *main);
+  ir::ProcedureModel model(*main);
+  dep::AnalysisContext ctx;
+  ctx.oracle = &oracle;
+  auto g = dep::DependenceGraph::build(model, ctx);
+  EXPECT_FALSE(g.parallelizable(*model.topLevelLoops()[0]));
+}
+
 TEST(Summaries, CommonEffectsPropagate) {
   auto prog = parse(
       "      SUBROUTINE TOP\n"

@@ -58,31 +58,42 @@ StmtId nthStmt(const Workspace& ws, StmtKind kind, std::size_t n) {
   return fortran::kInvalidStmt;
 }
 
-/// Apply a transformation and verify the program still computes the same
-/// outputs (the interpreter is the ground truth for `safe`).
+/// Offer a transformation the way a user would: apply it when power
+/// steering allows, then require the program to compute the same outputs
+/// as before (the interpreter is the ground truth for `safe`). Returns
+/// whether it was applied; `error` receives the refusal.
+bool applyIfAllowedKeepsSemantics(
+    std::string_view src, const std::string& name,
+    const std::function<Target(Workspace&)>& mkTarget, std::string* error,
+    const std::string& unit = "", double tol = 1e-9) {
+  auto original = parse(src);
+  auto r0 = interp::Machine(*original).run();
+  EXPECT_TRUE(r0.ok) << r0.error;
+
+  Fixture f = make(src, unit);
+  const Transformation* tr = Registry::instance().byName(name);
+  EXPECT_NE(tr, nullptr) << name;
+  if (!tr) return false;
+  const bool applied = tr->apply(*f.ws, mkTarget(*f.ws), error);
+
+  auto r1 = interp::Machine(*f.prog).run();
+  EXPECT_TRUE(r1.ok) << r1.error << "\n" << fortran::printProgram(*f.prog);
+  EXPECT_TRUE(r1.ok && r0.outputEquals(r1, tol))
+      << name << " changed program semantics:\n"
+      << fortran::printProgram(*f.prog);
+  return applied;
+}
+
+/// Apply a transformation that power steering must allow, and verify the
+/// program still computes the same outputs.
 void applyAndCheckSemantics(std::string_view src, const std::string& name,
                             const std::function<Target(Workspace&)>& mkTarget,
                             const std::string& unit = "",
                             double tol = 1e-9) {
-  auto original = parse(src);
-  interp::Machine m0(*original);
-  auto r0 = m0.run();
-  ASSERT_TRUE(r0.ok) << r0.error;
-
-  Fixture f = make(src, unit);
-  const Transformation* tr = Registry::instance().byName(name);
-  ASSERT_NE(tr, nullptr) << name;
-  Target target = mkTarget(*f.ws);
   std::string error;
-  ASSERT_TRUE(tr->apply(*f.ws, target, &error)) << name << ": " << error;
-
-  interp::Machine m1(*f.prog);
-  auto r1 = m1.run();
-  ASSERT_TRUE(r1.ok) << r1.error << "\n"
-                     << fortran::printProgram(*f.prog);
-  EXPECT_TRUE(r0.outputEquals(r1, tol))
-      << name << " changed program semantics:\n"
-      << fortran::printProgram(*f.prog);
+  EXPECT_TRUE(
+      applyIfAllowedKeepsSemantics(src, name, mkTarget, &error, unit, tol))
+      << name << ": " << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,6 +125,105 @@ TEST(Registry, TaxonomyListsCategories) {
   EXPECT_NE(tax.find("Memory Optimizing"), std::string::npos);
   EXPECT_NE(tax.find("Miscellaneous"), std::string::npos);
   EXPECT_NE(tax.find("Loop Skewing"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The power-steering gate
+// ---------------------------------------------------------------------------
+
+// Loops of every shape the catalog looks for (a parallel pair, a
+// recurrence with a reduction and a temporary, a non-unit step, a perfect
+// nest, a loop around a CALL) and statements (an arithmetic IF, a GOTO
+// conditional, CALLs).
+const char* kGateProgram =
+    "      PROGRAM MAIN\n"
+    "      REAL A(10), B(10), C(10, 10)\n"
+    "      S = 0.0\n"
+    "      DO I = 1, 10\n"
+    "        A(I) = FLOAT(I)\n"
+    "        B(I) = A(I)*2.0\n"
+    "      ENDDO\n"
+    "      DO 20 I = 2, 10\n"
+    "        T = A(I - 1) + B(I)\n"
+    "        A(I) = T\n"
+    "        S = S + A(I)\n"
+    "   20 CONTINUE\n"
+    "      DO J = 1, 10, 2\n"
+    "        B(J) = A(J)\n"
+    "      ENDDO\n"
+    "      DO J = 1, 10\n"
+    "        DO I = 2, 10\n"
+    "          C(I, J) = C(I - 1, J) + 1.0\n"
+    "        ENDDO\n"
+    "      ENDDO\n"
+    "      DO K = 1, 10\n"
+    "        CALL SCALE(B, K)\n"
+    "      ENDDO\n"
+    "      IF (S) 30, 30, 40\n"
+    "   30 S = 1.0\n"
+    "   40 CONTINUE\n"
+    "      IF (S .GT. 5.0) GOTO 50\n"
+    "      S = S + 1.0\n"
+    "   50 CONTINUE\n"
+    "      CALL FILL(C, 10)\n"
+    "      WRITE(6, *) S, A(10), B(9), C(5, 5)\n"
+    "      END\n"
+    "      SUBROUTINE SCALE(B, K)\n"
+    "      REAL B(10)\n"
+    "      B(K) = B(K)*2.0\n"
+    "      END\n"
+    "      SUBROUTINE FILL(C, N)\n"
+    "      REAL C(10, 10)\n"
+    "      DO J = 1, N\n"
+    "        C(1, J) = 0.0\n"
+    "      ENDDO\n"
+    "      END\n";
+
+// Every transformation is applied through one gate: wherever advise does
+// not answer safe, apply refuses with advise's explanation and the program
+// stays as it was.
+TEST(Gate, EveryTransformationRefusesWhatAdviseDoesNotCallSafe) {
+  // Parsing assigns the same statement ids every time, so targets taken
+  // from one fixture name the same statements in the next.
+  Fixture probe = make(kGateProgram);
+  std::vector<Target> targets;
+  const auto& loops = probe.ws->model->loops();
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    for (const char* variable : {"", "S", "T", "A"}) {
+      Target t;
+      t.loop = loops[i]->stmt->id;
+      if (i + 1 < loops.size()) t.secondLoop = loops[i + 1]->stmt->id;
+      t.variable = variable;
+      targets.push_back(t);
+    }
+  }
+  for (const Stmt* s : probe.ws->model->allStmts()) {
+    Target t;
+    t.stmt = s->id;
+    targets.push_back(t);
+  }
+
+  int refusals = 0;
+  for (const Transformation* tr : Registry::instance().all()) {
+    Fixture f = make(kGateProgram);
+    const std::string before = fortran::printProgram(*f.prog);
+    for (const Target& t : targets) {
+      const Advice a = tr->advise(*f.ws, t);
+      if (a.safe) continue;
+      ++refusals;
+      std::string error = "(not set)";
+      EXPECT_FALSE(tr->apply(*f.ws, t, &error))
+          << tr->name() << ": " << a.explanation;
+      EXPECT_EQ(error, a.explanation) << tr->name();
+      if (fortran::printProgram(*f.prog) != before) {
+        ADD_FAILURE() << tr->name() << " changed the program although "
+                      << "advise said: " << a.explanation;
+        f.ws.reset();
+        f = make(kGateProgram);
+      }
+    }
+  }
+  EXPECT_GT(refusals, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +568,48 @@ TEST(Reversal, RefusesRecurrence) {
   EXPECT_FALSE(tr->advise(*f.ws, t).safe);
 }
 
+// DO I = 1, 10, 2 visits the odd iterations. Swapping its bounds and
+// negating the step would visit 10, 8, ..., 2 instead, so only a step of 1
+// or -1 is reversed.
+TEST(Reversal, RefusesNonUnitStep) {
+  std::string error;
+  EXPECT_FALSE(applyIfAllowedKeepsSemantics(
+      "      PROGRAM MAIN\n"
+      "      REAL A(10)\n"
+      "      DO I = 1, 10\n"
+      "        A(I) = 0.0\n"
+      "      ENDDO\n"
+      "      DO I = 1, 10, 2\n"
+      "        A(I) = FLOAT(I)\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(1), A(2), A(9), A(10)\n"
+      "      END\n",
+      "Loop Reversal", [](Workspace& ws) {
+        Target t;
+        t.loop = nthLoop(ws, 1);
+        return t;
+      },
+      &error));
+  EXPECT_EQ(error, "only loops with step 1 or -1 are reversed");
+}
+
+// slalom's DO 700 J = ..., -1 shape: a step of -1 is still reversed.
+TEST(Reversal, ReversesStepMinusOne) {
+  applyAndCheckSemantics(
+      "      PROGRAM MAIN\n"
+      "      REAL A(12)\n"
+      "      DO I = 12, 1, -1\n"
+      "        A(I) = FLOAT(I*I)\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(1), A(12)\n"
+      "      END\n",
+      "Loop Reversal", [](Workspace& ws) {
+        Target t;
+        t.loop = nthLoop(ws, 0);
+        return t;
+      });
+}
+
 TEST(StatementInterchange, SwapsIndependentRefusesDependent) {
   const char* src =
       "      PROGRAM MAIN\n"
@@ -690,6 +842,40 @@ TEST(ScalarExpansion, RefusesAccumulator) {
   t.loop = nthLoop(*f.ws, 0);
   t.variable = "S";
   EXPECT_FALSE(tr->advise(*f.ws, t).safe);
+}
+
+// The inner bound reads the outer DO variable J. An expansion array
+// T$X(1:J*5) would be sized at procedure entry, before J holds any
+// iteration's value, and the second J's iterations would run past it.
+TEST(ScalarExpansion, RefusesBoundsTheProcedureWrites) {
+  const char* src =
+      "      PROGRAM MAIN\n"
+      "      REAL A(10, 2)\n"
+      "      DO J = 1, 2\n"
+      "        DO I = 1, J*5\n"
+      "          T = FLOAT(I + J)\n"
+      "          A(I, J) = T*2.0\n"
+      "        ENDDO\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(5, 1), A(10, 2)\n"
+      "      END\n";
+  auto innerT = [](Workspace& ws) {
+    Target t;
+    t.loop = nthLoop(ws, 1);
+    t.variable = "T";
+    return t;
+  };
+  Fixture f = make(src);
+  const auto* tr = Registry::instance().byName("Scalar Expansion");
+  const Advice a = tr->advise(*f.ws, innerT(*f.ws));
+  EXPECT_TRUE(a.applicable) << a.explanation;
+  EXPECT_FALSE(a.safe) << a.explanation;
+  EXPECT_NE(a.explanation.find("read J,"), std::string::npos)
+      << a.explanation;
+  std::string error;
+  EXPECT_FALSE(
+      applyIfAllowedKeepsSemantics(src, "Scalar Expansion", innerT, &error));
+  EXPECT_EQ(error, a.explanation);
 }
 
 TEST(ArrayRenaming, BreaksAntiDependence) {
