@@ -118,11 +118,14 @@ done
 # -fsanitize=thread and run the parallel determinism suites (whole-program
 # batch + incremental edit storm) plus the task-pool and DepMemo stress
 # tests. Any data race in the pool, the task DAG, the sharded memo, the
-# pipelined summary nodes or the per-nest fan-out fails CI here.
+# pipelined summary nodes or the per-nest fan-out fails CI here. The
+# interprocedural suite runs the summary builder's phase on pools of 1-8
+# workers over every deck and generated decks.
 cmake -B build-tsan -S . -DPS_TSAN=ON
-cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test taskpool_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test emission_test
+cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test taskpool_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test emission_test interproc_test
 ./build-tsan/tests/taskpool_test
 ./build-tsan/tests/depmemo_concurrent_test
+./build-tsan/tests/interproc_test
 ./build-tsan/tests/parallel_analysis_test
 ./build-tsan/tests/edit_storm_test
 # Validation under TSan: the deck suite re-analyzes through the task pool

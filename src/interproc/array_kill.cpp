@@ -140,14 +140,6 @@ bool covered(const Expr& readSub, const std::vector<const Loop*>& readChain,
 
 std::vector<ArrayKill> findArrayKills(ir::ProcedureModel& model,
                                       const dep::DependenceGraph& graph,
-                                      const dep::SideEffectOracle* oracle) {
-  dep::AnalysisContext ctx;
-  ctx.oracle = oracle;
-  return findArrayKills(model, graph, &ctx);
-}
-
-std::vector<ArrayKill> findArrayKills(ir::ProcedureModel& model,
-                                      const dep::DependenceGraph& graph,
                                       const dep::AnalysisContext* ctx) {
   std::vector<ArrayKill> out;
   const fortran::Procedure& proc = model.procedure();

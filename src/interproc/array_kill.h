@@ -31,11 +31,6 @@ struct ArrayKill {
     ir::ProcedureModel& model, const dep::DependenceGraph& graph,
     const dep::AnalysisContext* ctx = nullptr);
 
-/// Back-compat convenience: oracle only.
-[[nodiscard]] std::vector<ArrayKill> findArrayKills(
-    ir::ProcedureModel& model, const dep::DependenceGraph& graph,
-    const dep::SideEffectOracle* oracle);
-
 }  // namespace ps::interproc
 
 #endif  // PS_INTERPROC_ARRAY_KILL_H

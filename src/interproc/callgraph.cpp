@@ -59,7 +59,9 @@ CallGraph CallGraph::build(const Program& program) {
     }
   }
   for (const auto& u : program.units) {
-    if (!emitted.count(u->name)) g.recursive_.push_back(u->name);
+    if (!emitted.count(u->name) && g.recursiveSet_.insert(u->name).second) {
+      g.recursive_.push_back(u->name);
+    }
   }
   return g;
 }

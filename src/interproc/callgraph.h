@@ -2,6 +2,7 @@
 #define PS_INTERPROC_CALLGRAPH_H
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,10 @@ class CallGraph {
   [[nodiscard]] const std::vector<std::string>& recursive() const {
     return recursive_;
   }
+  /// True when `name` is in recursive().
+  [[nodiscard]] bool isRecursive(const std::string& name) const {
+    return recursiveSet_.count(name) != 0;
+  }
 
   /// Callees referenced but not defined in the program (library routines).
   [[nodiscard]] const std::vector<std::string>& unresolved() const {
@@ -65,6 +70,7 @@ class CallGraph {
   std::map<std::string, std::vector<std::size_t>> byCallee_;
   std::vector<std::string> bottomUp_;
   std::vector<std::string> recursive_;
+  std::set<std::string> recursiveSet_;
   std::vector<std::string> unresolved_;
 };
 

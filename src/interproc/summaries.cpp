@@ -281,34 +281,18 @@ bool operator==(const ProcSummary& a, const ProcSummary& b) {
 
 SummaryBuilder::SummaryBuilder(fortran::Program& program)
     : SummaryBuilder(program, Deferred{}) {
-  summarizeAll();
+  summarizeInOrder();
 }
 
 SummaryBuilder::SummaryBuilder(fortran::Program& program, Deferred)
     : program_(program), callGraph_(CallGraph::build(program)) {
-  // Reserve a node per summarizable procedure up front: summarizeOne and
-  // finalizeRecursiveOne then only assign into existing slots, so the map
-  // structure is immutable during the parallel phase and lock-free
-  // concurrent reads are safe. Formal constants are call-site literals —
-  // pure AST — so they are computed here once and are immutable while the
-  // driver's tasks read them.
-  recursiveNames_.insert(callGraph_.recursive().begin(),
-                         callGraph_.recursive().end());
   preinsertSlots();
   computeFormalConstants();
 }
 
 void SummaryBuilder::preinsertSlots() {
-  for (const std::string& name : callGraph_.bottomUpOrder()) {
-    if (program_.findUnit(name)) summaries_[name].name = name;
-  }
-  for (const std::string& name : callGraph_.recursive()) {
-    if (program_.findUnit(name)) summaries_[name].name = name;
-  }
-}
-
-void SummaryBuilder::summarizeOne(const std::string& name) {
-  if (Procedure* proc = program_.findUnit(name)) summarize(*proc);
+  // Every unit is either bottom-up or recursive.
+  for (const auto& u : program_.units) summaries_[u->name].name = u->name;
 }
 
 ProcSummary SummaryBuilder::worstCaseSummary(const std::string& name,
@@ -337,27 +321,76 @@ ProcSummary SummaryBuilder::worstCaseSummary(const std::string& name,
   return s;
 }
 
-void SummaryBuilder::finalizeRecursiveOne(const std::string& name) {
-  Procedure* proc = program_.findUnit(name);
-  if (!proc) return;
-  summaries_[name] = worstCaseSummary(name, *proc);
-}
-
-void SummaryBuilder::summarizeAll() {
+std::map<std::string, std::vector<std::size_t>> SummaryBuilder::schedule(
+    support::TaskGraph& graph, SummarySource source) {
+  std::map<std::string, std::vector<std::size_t>> waits;
+  if (summarized_) return waits;
+  // Every node assigns into its procedure's pre-inserted slot. The names
+  // are referenced from the call graph, which no node changes.
+  std::map<std::string, std::size_t> node;
   for (const std::string& name : callGraph_.bottomUpOrder()) {
-    summarizeOne(name);
+    node[name] = graph.add([this, &name, source] {
+      Procedure* proc = program_.findUnit(name);
+      if (!proc) return;
+      std::optional<ProcSummary> stored =
+          source ? source(name) : std::nullopt;
+      if (stored) {
+        summaries_.at(name) = std::move(*stored);
+      } else {
+        summarize(*proc);
+      }
+    });
   }
   for (const std::string& name : callGraph_.recursive()) {
-    finalizeRecursiveOne(name);
+    node[name] = graph.add([this, &name] {
+      if (const Procedure* proc = program_.findUnit(name)) {
+        summaries_.at(name) = worstCaseSummary(name, *proc);
+      }
+    });
   }
-  computeGlobalFacts();
+  for (const CallSite& site : callGraph_.callSites()) {
+    if (callGraph_.isRecursive(site.caller) ||
+        callGraph_.isRecursive(site.callee)) {
+      continue;
+    }
+    auto callee = node.find(site.callee);
+    if (callee != node.end()) {
+      graph.addEdge(callee->second, node.at(site.caller));
+    }
+  }
+  const std::size_t census = graph.add([this] { computeGlobalFacts(); });
+  for (const auto& [name, n] : node) {
+    (void)name;
+    graph.addEdge(n, census);
+  }
+
+  // What each procedure's analysis reads: its side-effect oracle resolves
+  // call sites through its direct callees' summaries (sections already fold
+  // in transitive effects), and its inherited facts read the census only
+  // when it declares COMMON.
+  for (const auto& u : program_.units) {
+    auto [it, fresh] = waits.try_emplace(u->name);
+    if (!fresh) continue;  // the first unit of a name is the one analyzed
+    for (const CallSite* site : callGraph_.callsFrom(u->name)) {
+      auto callee = node.find(site->callee);
+      if (callee != node.end()) it->second.push_back(callee->second);
+    }
+    if (usesGlobalFacts(*u)) it->second.push_back(census);
+  }
+  return waits;
+}
+
+void SummaryBuilder::summarizeInOrder() {
+  support::TaskGraph phase;
+  (void)schedule(phase);
+  phase.runInOrder();
 }
 
 const ProcSummary* SummaryBuilder::phaseSummaryOf(
     const std::string& name) const {
-  // The recursive-name check comes FIRST: during the parallel phase a
-  // finalizeRecursiveOne task may be assigning that very slot.
-  if (recursiveNames_.count(name)) return nullptr;
+  // The recursive-name check comes FIRST: during the phase a worst-case
+  // node may be assigning that very slot.
+  if (callGraph_.isRecursive(name)) return nullptr;
   return summaryOf(name);
 }
 
@@ -376,9 +409,6 @@ bool SummaryBuilder::refreshCallGraph(const std::set<std::string>& procs) {
   CallGraph fresh = CallGraph::build(program_);
   const bool shapeKept = sameShape(callGraph_, fresh);
   callGraph_ = std::move(fresh);
-  recursiveNames_.clear();
-  recursiveNames_.insert(callGraph_.recursive().begin(),
-                         callGraph_.recursive().end());
   return shapeKept;
 }
 
@@ -399,7 +429,8 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     summaries_.clear();
     preinsertSlots();
     computeFormalConstants();
-    summarizeAll();
+    summarized_ = false;
+    summarizeInOrder();
     for (const auto& u : program_.units) up.staleAnalyses.insert(u->name);
     return up;
   }
@@ -463,13 +494,6 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
 const ProcSummary* SummaryBuilder::summaryOf(const std::string& name) const {
   auto it = summaries_.find(name);
   return it == summaries_.end() ? nullptr : &it->second;
-}
-
-bool SummaryBuilder::installSummary(const std::string& name, ProcSummary s) {
-  auto it = summaries_.find(name);
-  if (it == summaries_.end()) return false;
-  it->second = std::move(s);
-  return true;
 }
 
 bool SummaryBuilder::refMayWrite(const Stmt& s, const ir::Ref& r,
@@ -905,7 +929,7 @@ void SummaryBuilder::summarize(Procedure& proc) {
     }
   }
 
-  summaries_[proc.name] = std::move(sum);
+  summaries_.at(proc.name) = std::move(sum);
 }
 
 void SummaryBuilder::computeGlobalFacts() {

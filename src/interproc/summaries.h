@@ -1,6 +1,7 @@
 #ifndef PS_INTERPROC_SUMMARIES_H
 #define PS_INTERPROC_SUMMARIES_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "fortran/ast.h"
 #include "interproc/callgraph.h"
 #include "ir/refs.h"
+#include "support/taskpool.h"
 
 namespace ps::interproc {
 
@@ -55,46 +57,48 @@ struct ProcSummary {
 
 /// Builds summaries bottom-up over the call graph. Procedures on recursive
 /// cycles and calls to unresolved (library) routines get worst-case
-/// summaries.
+/// summaries. The bottom-up phase is written once, in schedule(): the eager
+/// constructor and a structural applyEdit run its nodes in insertion
+/// order, the session's analysis scheduler and warm open on a pool.
 class SummaryBuilder {
  public:
+  /// Summarizes the whole program: the schedule() phase, run in insertion
+  /// order.
   explicit SummaryBuilder(fortran::Program& program);
 
   /// Deferred construction for the analysis scheduler. Builds the call
-  /// graph, pre-inserts one summary slot per summarizable procedure — so
-  /// concurrent summarizeOne()/finalizeRecursiveOne() calls assign into
-  /// existing map nodes and never mutate the map structure — and computes
-  /// the (immutable, AST-only) formal constants, but summarizes nothing.
-  /// The driver must call summarizeOne() for every bottomUpOrder() name
-  /// sequenced callee-before-caller (the call-graph DAG) and
-  /// finalizeRecursiveOne() for every recursive() name (no ordering
-  /// constraint), then computeGlobalFacts() after all of those. The result
-  /// is identical to the eager constructor.
+  /// graph, pre-inserts one summary slot per summarizable procedure (so
+  /// concurrent phase nodes assign into existing map nodes and never
+  /// mutate the map structure) and computes the immutable, AST-only formal
+  /// constants, but summarizes nothing until a schedule() graph runs.
   struct Deferred {};
   SummaryBuilder(fortran::Program& program, Deferred);
 
-  /// True once computeGlobalFacts() has run, i.e. every summary is final:
-  /// always for the eager constructor, after the driver's last phase for a
-  /// Deferred builder.
-  [[nodiscard]] bool summarized() const { return summarized_; }
+  /// Where the phase may take a bottom-up procedure's summary from instead
+  /// of summarizing it: a verified stored summary, or nullopt to summarize
+  /// live. Called from the procedure's node, once its non-recursive
+  /// callees' summaries are final; concurrent calls name different
+  /// procedures.
+  using SummarySource =
+      std::function<std::optional<ProcSummary>(const std::string& name)>;
 
-  /// Summarize one procedure. Safe to call concurrently for different
-  /// procedures provided every callee's summarizeOne happened-before.
-  void summarizeOne(const std::string& name);
+  /// Add the summary phase to `graph`, unless the summaries are already
+  /// final (then nothing is added): one node per
+  /// callGraph().bottomUpOrder() procedure, with callee->caller edges
+  /// between non-recursive pairs (summarization reads a recursive callee
+  /// as worst case whenever it runs), one worst-case node per recursive
+  /// procedure, and the COMMON census after all of them. Insertion order
+  /// is topological, so runInOrder() is the sequential build. Returns, per
+  /// procedure name, the nodes its dependence analysis must wait on: its
+  /// direct callees' summary nodes (its side-effect oracle reads them)
+  /// plus the census when it declares COMMON (its inherited facts read
+  /// it); empty when nothing was added.
+  std::map<std::string, std::vector<std::size_t>> schedule(
+      support::TaskGraph& graph, SummarySource source = {});
 
-  /// Install the worst-case summary of ONE recursive procedure. Depends
-  /// only on that procedure's AST, so the driver may run these concurrently
-  /// with summarizeOne() calls — summarization never reads recursive slots
-  /// (they are filtered to worst-case regardless), and the slot was
-  /// pre-inserted by the constructor so no map node is created.
-  void finalizeRecursiveOne(const std::string& name);
-  /// The whole-program constant/relation census. Must run after every
-  /// summarizeOne()/finalizeRecursiveOne() — it resolves call actuals
-  /// through the final summaries.
-  void computeGlobalFacts();
   /// True when `proc` declares any COMMON variable, i.e. its inherited
-  /// facts can depend on computeGlobalFacts(). Procedures without COMMON
-  /// need not wait for the census (their inherited constants come from the
+  /// facts can depend on the COMMON census. Procedures without COMMON need
+  /// not wait for the census (their inherited constants come from the
   /// call-site-literal scan, which is immutable once constructed).
   [[nodiscard]] bool usesGlobalFacts(const fortran::Procedure& proc) const;
 
@@ -133,15 +137,6 @@ class SummaryBuilder {
   [[nodiscard]] const ProcSummary* summaryOf(const std::string& name) const;
   [[nodiscard]] const CallGraph& callGraph() const { return callGraph_; }
 
-  /// Warm-start shortcut: assign a deserialized summary into `name`'s
-  /// pre-inserted slot instead of running summarizeOne(). Only valid on a
-  /// Deferred builder, under the same callee-before-caller sequencing as
-  /// summarizeOne (the persistent store's content key chains callee
-  /// summary hashes, so a verified hit guarantees the bytes equal what
-  /// summarizeOne would produce). False when `name` has no slot (not a
-  /// summarizable procedure) — the caller must fall back to summarizeOne.
-  bool installSummary(const std::string& name, ProcSummary s);
-
   /// Constants inherited by a procedure from its call sites: a formal
   /// receives a constant when every call site passes the same literal.
   /// COMMON variables receive one when the whole program assigns them a
@@ -166,16 +161,18 @@ class SummaryBuilder {
 
  private:
   void summarize(fortran::Procedure& proc);
-  /// The sequential build: every summary bottom-up, the recursive worst
-  /// cases, then the census.
-  void summarizeAll();
+  /// The schedule() phase on the calling thread, in insertion order.
+  void summarizeInOrder();
+  /// The whole-program constant/relation census. Resolves call actuals
+  /// through the final summaries, so it runs after every other phase node.
+  void computeGlobalFacts();
   /// Bring callGraph_ up to date after `procs` changed: re-point their
   /// sites, or rebuild the graph when a callee sequence moved. False when
   /// the rebuilt graph's shape differs from the previous one.
   bool refreshCallGraph(const std::set<std::string>& procs);
   /// Formal constants from call-site literals (AST + call graph only, no
-  /// summaries involved) — computed at construction so the parallel driver
-  /// can read inherited constants concurrently with the census.
+  /// summaries involved) — computed at construction so analysis nodes can
+  /// read inherited constants concurrently with the census.
   void computeFormalConstants();
   /// Pre-insert one summary slot per summarizable procedure so the map
   /// structure never changes while summaries are assigned concurrently.
@@ -183,8 +180,8 @@ class SummaryBuilder {
   /// The callee-summary view DURING summarization: recursive procedures
   /// read as unknown (worst case) even when their slot is already filled,
   /// exactly as in the sequential eager build, which fills them last.
-  /// Keeps re-summarization bit-identical to a fresh build, and keeps
-  /// concurrent finalizeRecursiveOne() writes out of summarize()'s reads.
+  /// Keeps re-summarization bit-identical to a fresh build, and keeps the
+  /// concurrent worst-case nodes' writes out of summarize()'s reads.
   [[nodiscard]] const ProcSummary* phaseSummaryOf(
       const std::string& name) const;
   [[nodiscard]] ProcSummary worstCaseSummary(
@@ -200,8 +197,8 @@ class SummaryBuilder {
   CallGraph callGraph_;
   /// A transformation moved the call shape since the last summary update.
   bool shapeMoved_ = false;
+  /// Every summary and the census are final: schedule() adds nothing.
   bool summarized_ = false;
-  std::set<std::string> recursiveNames_;  // callGraph_.recursive(), as a set
   std::map<std::string, ProcSummary> summaries_;
   std::map<std::string, long long> globalConstants_;       // COMMON var -> value
   std::vector<dataflow::Relation> globalRelations_;        // COMMON relations

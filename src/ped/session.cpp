@@ -120,12 +120,19 @@ std::set<std::string> calleesOf(const interproc::CallGraph& cg,
 }
 
 /// A callee's link in a key chain: its summary fingerprint, or EXTERN when
-/// it has no summary (a library routine).
-void appendCalleeLink(std::string& m,
+/// it has no summary (a library routine). A callee missing from `fps` is
+/// fingerprinted from its final summary.
+void appendCalleeLink(std::string& m, const interproc::SummaryBuilder& sb,
                       const std::map<std::string, std::uint64_t>& fps,
                       const std::string& callee) {
   auto it = fps.find(callee);
-  m += it != fps.end() ? std::to_string(it->second) : "EXTERN";
+  if (it != fps.end()) {
+    m += std::to_string(it->second);
+  } else if (const interproc::ProcSummary* s = sb.summaryOf(callee)) {
+    m += std::to_string(interproc::summaryFingerprint(*s));
+  } else {
+    m += "EXTERN";
+  }
 }
 
 void appendBudgetKey(std::string& m, const dep::AnalysisBudget& b) {
@@ -163,23 +170,23 @@ void forEachUnit(support::TaskPool& pool, std::size_t n,
 
 std::string Session::pdbSummaryMaterial(std::size_t unit,
                                         const PdbKeyInputs& in) const {
-  // Everything summarizeOne(name) reads: the procedure's normalized text
-  // and, for each direct callee, either its (already final, bottom-up)
-  // summary bytes, a recursion marker (recursive callees read as unknown
-  // during summarization), or an external marker. Chaining callee summary
+  // Everything summarizing the procedure reads: its normalized text and,
+  // for each direct callee, either its (already final, bottom-up) summary
+  // bytes, a recursion marker (recursive callees read as unknown during
+  // summarization), or an external marker. Chaining callee summary
   // FINGERPRINTS makes the key Merkle-like: a change anywhere below the
   // procedure in the call graph flips its key.
   std::string m = "SUM|";
   m += in.text[unit];
   m += "|CALLEES|";
-  for (const auto& c :
-       calleesOf(summaries_->callGraph(), program_->units[unit]->name)) {
+  const interproc::CallGraph& cg = summaries_->callGraph();
+  for (const auto& c : calleesOf(cg, program_->units[unit]->name)) {
     m += c;
     m += '=';
-    if (in.recursive.count(c)) {
+    if (cg.isRecursive(c)) {
       m += "REC";
     } else {
-      appendCalleeLink(m, in.fingerprints, c);
+      appendCalleeLink(m, *summaries_, in.fingerprints, c);
     }
     m += ';';
   }
@@ -249,7 +256,7 @@ std::string Session::pdbGraphMaterial(std::size_t unit,
   for (const auto& c : calleesOf(summaries_->callGraph(), name)) {
     m += c;
     m += '=';
-    appendCalleeLink(m, in.fingerprints, c);
+    appendCalleeLink(m, *summaries_, in.fingerprints, c);
     m += ';';
   }
   return m;
@@ -352,8 +359,6 @@ bool Session::savePdb(const std::string& path) {
   // keys chain (exactly interproc::summaryFingerprint).
   PdbKeyInputs keys;
   keys.text.resize(n);
-  const interproc::CallGraph& cg = summaries_->callGraph();
-  keys.recursive.insert(cg.recursive().begin(), cg.recursive().end());
   std::vector<const interproc::ProcSummary*> summary(n);
   std::vector<std::string> summaryBytes(n);
   forEachUnit(pool, n, [&](std::size_t i) {
@@ -383,7 +388,7 @@ bool Session::savePdb(const std::string& path) {
     // Summaries: skip recursive procedures — their worst-case summaries
     // are cheap to recompute and read as unknown during summarization, so
     // caching them buys nothing and would complicate the key chain.
-    if (summary[i] && !keys.recursive.count(name)) {
+    if (summary[i] && !summaries_->callGraph().isRecursive(name)) {
       const std::string material = pdbSummaryMaterial(i, keys);
       summaryRecords[i] = {pdb::contentKey(material),
                            pdb::sealPayload(material, summaryBytes[i])};
@@ -557,54 +562,44 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
     });
   }
 
-  // Interprocedural summaries, callee-before-caller: a verified store hit
-  // installs the recorded summary; anything else (miss, quarantine,
-  // rejected store) summarizes live. Recursive procedures always take the
-  // live path — exactly mirroring the eager builder's phases. The chain is
-  // sequential: each key embeds its callees' final fingerprints, taken as
-  // each summary becomes final.
+  // Interprocedural summaries: the builder's phase on the pool, with the
+  // store as its source. A bottom-up procedure whose key (its text and its
+  // callees' final fingerprints) finds a verified record adopts it;
+  // anything else (miss, quarantine, unusable store) summarizes live, as
+  // do the recursive procedures. Each outcome lands in its unit's slot.
   session->summaries_ = std::make_unique<interproc::SummaryBuilder>(
       *session->program_, interproc::SummaryBuilder::Deferred{});
-  const interproc::CallGraph& cg = session->summaries_->callGraph();
-  keys.recursive.insert(cg.recursive().begin(), cg.recursive().end());
   std::map<std::string, std::size_t> unitIndex;  // first unit of a name
   for (std::size_t i = 0; i < nUnits; ++i) unitIndex.emplace(units[i]->name, i);
-  auto takeFingerprint = [&](const std::string& name) {
-    if (!usable) return;
-    if (const interproc::ProcSummary* sum =
-            session->summaries_->summaryOf(name)) {
-      keys.fingerprints[name] = interproc::summaryFingerprint(*sum);
-    }
-  };
-  for (const std::string& name : cg.bottomUpOrder()) {
-    bool installed = false;
-    if (usable) {
-      const std::string material =
-          session->pdbSummaryMaterial(unitIndex.at(name), keys);
-      if (auto body =
-              store.verifiedFind(pdb::RecordType::Summary, material)) {
-        pdb::Reader r(*body);
-        interproc::ProcSummary s;
-        if (interproc::readSummary(r, &s) && r.atEnd() &&
-            session->summaries_->installSummary(name, std::move(s))) {
-          installed = true;
-          ++ps.summaryHits;
-        } else {
-          ++ps.quarantined;
-        }
-      }
-    }
-    if (!installed) {
-      ++ps.summaryMisses;
-      session->summaries_->summarizeOne(name);
-    }
-    takeFingerprint(name);
+  enum class Found : char { NotAsked, Hit, Miss, Damaged };
+  std::vector<Found> found(nUnits, Found::NotAsked);
+  {
+    support::TaskGraph phase;
+    (void)session->summaries_->schedule(
+        phase,
+        [&](const std::string& name) -> std::optional<interproc::ProcSummary> {
+          const std::size_t i = unitIndex.at(name);
+          found[i] = Found::Miss;
+          if (!usable) return std::nullopt;
+          auto body = store.verifiedFind(pdb::RecordType::Summary,
+                                         session->pdbSummaryMaterial(i, keys));
+          if (!body) return std::nullopt;
+          pdb::Reader r(*body);
+          interproc::ProcSummary s;
+          if (!interproc::readSummary(r, &s) || !r.atEnd()) {
+            found[i] = Found::Damaged;
+            return std::nullopt;
+          }
+          found[i] = Found::Hit;
+          return s;
+        });
+    phase.run(pool);
   }
-  for (const std::string& name : cg.recursive()) {
-    session->summaries_->finalizeRecursiveOne(name);
-    takeFingerprint(name);
+  for (Found f : found) {
+    if (f == Found::Hit) ++ps.summaryHits;
+    if (f == Found::Miss || f == Found::Damaged) ++ps.summaryMisses;
+    if (f == Found::Damaged) ++ps.quarantined;
   }
-  session->summaries_->computeGlobalFacts();
 
   // Source assertion directives, as in load().
   session->replaySourceAssertions();
@@ -903,50 +898,13 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
     if (it != workspaces_.end()) slots[i].ws = it->second.get();
   }
 
-  // The summary phase, when the builder is not summarized yet, fills it in
-  // place. Summarize tasks are sequenced callee-before-caller where the
-  // caller actually reads the callee's summary; recursive procedures get
-  // independent worst-case tasks (summarization reads them as worst-case
-  // either way — phaseSummaryOf); the global-facts census waits on every
-  // summary. Each procedure's task below is gated on its own callees'
-  // summaries plus the census only when it declares COMMON, so a procedure
-  // whose callees are final starts while unrelated call-graph regions
-  // still summarize.
+  // The builder's summary phase, while the summaries are not final, then
+  // one node per procedure gated on the phase nodes it reads — so a
+  // procedure whose callees are final starts while unrelated call-graph
+  // regions still summarize.
   support::TaskGraph graph;
-  const interproc::CallGraph& cg = summaries_->callGraph();
-  std::map<std::string, std::size_t> summaryNode;
-  std::size_t censusNode = 0;
-  const bool summarize = !summaries_->summarized();
-  if (summarize) {
-    const std::set<std::string> recursiveSet(cg.recursive().begin(),
-                                             cg.recursive().end());
-    for (const std::string& name : cg.bottomUpOrder()) {
-      summaryNode[name] =
-          graph.add([this, &name] { summaries_->summarizeOne(name); });
-    }
-    for (const std::string& name : cg.recursive()) {
-      summaryNode[name] = graph.add(
-          [this, &name] { summaries_->finalizeRecursiveOne(name); });
-    }
-    for (const interproc::CallSite& site : cg.callSites()) {
-      // A recursive caller's worst-case task reads only its own AST; a
-      // recursive callee is read as worst-case during summarization.
-      // Neither constrains the summarize phase.
-      if (recursiveSet.count(site.caller) || recursiveSet.count(site.callee))
-        continue;
-      auto callee = summaryNode.find(site.callee);
-      auto caller = summaryNode.find(site.caller);
-      if (callee == summaryNode.end() || caller == summaryNode.end()) continue;
-      if (callee->second == caller->second) continue;
-      graph.addEdge(callee->second, caller->second);
-    }
-    censusNode = graph.add([this] { summaries_->computeGlobalFacts(); });
-    for (const auto& [name, node] : summaryNode) {
-      (void)name;
-      graph.addEdge(node, censusNode);
-    }
-  }
-
+  const std::map<std::string, std::vector<std::size_t>> summaryWaits =
+      summaries_->schedule(graph);
   for (std::size_t i = 0; i < procs.size(); ++i) {
     const std::size_t node = graph.add([this, i, &procs, &slots, pool] {
       Procedure& proc = *procs[i];
@@ -962,19 +920,9 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
       slot.ws->actx = std::move(ctx);
       slot.ws->reanalyze();
     });
-    if (!summarize) continue;
-    // The oracle resolves this procedure's call sites through its direct
-    // callees' (final) summaries; sections already fold in transitive
-    // effects, so direct-callee edges are the whole input set.
-    for (const interproc::CallSite* site : cg.callsFrom(procs[i]->name)) {
-      auto callee = summaryNode.find(site->callee);
-      if (callee != summaryNode.end()) graph.addEdge(callee->second, node);
-    }
-    // Inherited facts: formal constants are immutable after construction;
-    // the COMMON census is only read by procedures that declare COMMON.
-    if (summaries_->usesGlobalFacts(*procs[i])) {
-      graph.addEdge(censusNode, node);
-    }
+    auto waits = summaryWaits.find(procs[i]->name);
+    if (waits == summaryWaits.end()) continue;
+    for (std::size_t before : waits->second) graph.addEdge(before, node);
   }
   if (pool) {
     graph.run(*pool);
@@ -992,7 +940,6 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
     if (slot.built) {
       slot.ws = slot.built.get();
       workspaces_.emplace(name, std::move(slot.built));
-      ++reanalyses_;
     }
     stats_.accumulate(slot.stats);
     slot.ws->actx.statsSink = &stats_;
@@ -1100,15 +1047,6 @@ void Session::setIncrementalUpdates(bool on) {
     ws->actx.useMemo = on;
     ws->actx.memo = on ? memo_ : nullptr;
   }
-}
-
-int Session::reanalysisCount() const {
-  int n = reanalyses_;
-  for (const auto& [name, ws] : workspaces_) {
-    (void)name;
-    n += ws->reanalyses - 1;  // the constructor's build is counted above
-  }
-  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -2012,13 +1950,21 @@ bool Session::deleteStatement(StmtId id) {
 
 std::vector<LoopEstimate> Session::hotLoops() {
   ++counters_.programNavigations;
-  // Bottom-up procedure costs so call sites charge realistic amounts.
+  // Each procedure's cost after its callees', so call sites charge
+  // realistic amounts; a procedure on or above a recursive cycle has no
+  // cost entry, and its call sites charge the default.
+  const interproc::CallGraph& cg = summaries_->callGraph();
   std::map<std::string, double> procCosts;
-  for (const std::string& name : summaries_->callGraph().bottomUpOrder()) {
-    transform::Workspace& ws = wsFor(name);
-    PerformanceEstimator est(*ws.model, {}, &procCosts);
+  std::function<void(const std::string&)> cost = [&](const std::string& name) {
+    if (procCosts.count(name) || cg.isRecursive(name) ||
+        !program_->findUnit(name)) {
+      return;
+    }
+    for (const std::string& callee : calleesOf(cg, name)) cost(callee);
+    PerformanceEstimator est(*wsFor(name).model, {}, &procCosts);
     procCosts[name] = est.procedureCost();
-  }
+  };
+  for (const auto& u : program_->units) cost(u->name);
   std::vector<LoopEstimate> all;
   double grand = 0.0;
   for (const auto& u : program_->units) {
@@ -2058,7 +2004,6 @@ validate::ValidationReport Session::validateDeletions(
   trace.limits.maxElements = opts.budget.maxElements;
   interp::RunOptions ro = opts.run;
   ro.checkParallel = false;  // the serial reference semantics
-  ro.maxSteps = opts.budget.maxSteps;
   ro.trace = &trace;
 
   const auto t0 = Clock::now();
@@ -2139,7 +2084,6 @@ validate::ValidationReport Session::validateDeletions(
         tagUnvalidated(u->name, d, "trace run failed: " + serial.error);
       }
     }
-    lastValidation_ = rep;
     return rep;
   }
   rep.ran = true;
@@ -2270,10 +2214,8 @@ validate::ValidationReport Session::validateDeletions(
     if (cands.size() > maxChecks) cands.resize(maxChecks);
     // Every candidate's schedules run concurrently; the graph updates
     // below then apply the results in candidate order.
-    interp::RunOptions base = opts.run;
-    base.maxSteps = opts.budget.maxSteps;
     std::vector<validate::RelativeJob> jobs;
-    for (const Candidate& c : cands) jobs.push_back({c.loop, base});
+    for (const Candidate& c : cands) jobs.push_back({c.loop, opts.run});
     std::vector<validate::RelativeResult> results =
         validate::relativeCheckAll(*program_, jobs, serial,
                                    validate::kRelativeSchedules, opts.pool);
@@ -2337,7 +2279,6 @@ validate::ValidationReport Session::validateDeletions(
 
   rep.validateSeconds =
       std::chrono::duration<double>(Clock::now() - t1).count();
-  lastValidation_ = rep;
   return rep;
 }
 

@@ -187,9 +187,11 @@ class Session {
 
   /// Open `source` against shared server state: verified records restore
   /// from the shared store image, dependence tests flow through the shared
-  /// memo, and both the per-procedure restore of verified graph slices and
-  /// the settle of store misses run on the shared pool (a private pool of
-  /// `nThreads` workers when it is null).
+  /// memo, and the summary builder's phase (with the store as its summary
+  /// source), the per-procedure restore of verified graph slices and the
+  /// settle of store misses all run on the shared pool (a private pool of
+  /// `nThreads` workers when it is null). Summary and graph outcomes are
+  /// counted in per-unit slots and summed in unit order.
   /// Results are bit-identical to a solo cold load() + analyzeParallel()
   /// at any thread count — sharing changes where answers come from, never
   /// what they are.
@@ -397,8 +399,8 @@ class Session {
   struct ValidationOptions {
     validate::ValidationBudget budget;
     /// Base interpreter options for the traced serial run and the relative
-    /// executions (input values, step limit overridden by the budget).
-    interp::RunOptions run;
+    /// executions: input values and the step limit of each run.
+    interp::RunOptions run{.maxSteps = 20'000'000};
     /// Also relative-execute loops whose deletions make them parallel.
     bool relativeChecks = true;
     /// Pool the relative-execution runs fan out on; null = a private pool
@@ -424,14 +426,8 @@ class Session {
     return validateDeletions(ValidationOptions());
   }
 
-  /// Result of the most recent validateDeletions() pass.
-  [[nodiscard]] const validate::ValidationReport& lastValidation() const {
-    return lastValidation_;
-  }
-
   /// Deck name used for mark provenance and reports (set by loaders).
   void setDeckName(std::string name) { deckName_ = std::move(name); }
-  [[nodiscard]] const std::string& deckName() const { return deckName_; }
 
   // ---------------------------------------------------------------------
   // OpenMP emission (validated parallel output)
@@ -492,14 +488,15 @@ class Session {
   /// Whole-program analysis as a task DAG on a thread pool. Every analysis
   /// in a session — lazy first access, settles, rebuilds, this call — runs
   /// through one scheduler: given procedures in unit order, it adds the
-  /// interprocedural summary phase when the summaries are not computed yet
-  /// (summary tasks sequenced callee-before-caller by the call graph,
-  /// recursive procedures as independent worst-case tasks, then the
-  /// global-facts census), and one task per procedure (CFG, dominators,
-  /// dataflow, dependence testing, with per-nest dependence batteries
-  /// fanned out as subtasks) gated only on its own callees' summaries —
-  /// plus the census when the procedure declares COMMON — so analysis of
-  /// one call-graph region starts while unrelated regions still summarize.
+  /// summary builder's phase when the summaries are not computed yet
+  /// (SummaryBuilder::schedule: summary tasks sequenced callee-before-caller
+  /// by the call graph, recursive procedures as independent worst-case
+  /// tasks, then the COMMON census), and one task per procedure (CFG,
+  /// dominators, dataflow, dependence testing, with per-nest dependence
+  /// batteries fanned out as subtasks) gated only on its own callees'
+  /// summaries — plus the census when the procedure declares COMMON — so
+  /// analysis of one call-graph region starts while unrelated regions
+  /// still summarize.
   ///
   /// Interaction with setIncrementalUpdates: when incremental updates are
   /// on and deferred edits left a dirty set pending, only the dirty
@@ -531,7 +528,6 @@ class Session {
   /// which, with incremental updates on, schedules exactly the dirty set.
   /// Turning deferral off settles any pending edits immediately.
   void setDeferredAnalysis(bool on);
-  [[nodiscard]] bool deferredAnalysis() const { return deferredAnalysis_; }
   /// Settle all pending deferred edits on the calling thread: the scheduler
   /// re-analyzes each dirty materialized workspace, in unit order, with a
   /// fresh context (current inherited facts). The same run as the
@@ -543,8 +539,6 @@ class Session {
     return pendingDirty_;
   }
 
-  [[nodiscard]] int reanalysisCount() const;
-
   /// Toggle the incremental machinery: the session-shared dependence-test
   /// memo, which answers every test whose inputs an edit left unchanged.
   /// Off = the A2 rebuild-all baseline (every edit re-runs every test). The
@@ -552,9 +546,6 @@ class Session {
   /// analyzeOn always take the full-rebuild route (no memo) even when
   /// deferred edits left a dirty set pending.
   void setIncrementalUpdates(bool on);
-  [[nodiscard]] bool incrementalUpdates() const {
-    return incrementalUpdates_;
-  }
 
   /// Cumulative dependence-analysis counters across every (re)build this
   /// session performed: per-tier test counts, memo hits/misses, pairs
@@ -616,13 +607,15 @@ class Session {
 
   /// The one analysis scheduler. Analyzes `procs` (unit order, one unit per
   /// name): each task builds the procedure's workspace, or re-analyzes the
-  /// existing one under a fresh makeContext. When the summaries are not
-  /// computed yet, the summary phase runs first in the same DAG, filling
-  /// the builder in place. Stats, workspaces and marks merge in list order
-  /// on the calling thread, and every analyzed procedure leaves the dirty
-  /// set. With no pool the tasks run inline in insertion order (which is
-  /// topological) with ctx.pool null — the sequential reference. An empty
-  /// list only brings the summaries up to date.
+  /// existing one under a fresh makeContext. The DAG starts with the
+  /// builder's summary phase (SummaryBuilder::schedule, which adds nothing
+  /// once the summaries are final), and each procedure's task waits on the
+  /// phase nodes the builder names for it. Stats, workspaces and marks
+  /// merge in list order on the calling thread, and every analyzed
+  /// procedure leaves the dirty set. With no pool the tasks run inline in
+  /// insertion order (which is topological) with ctx.pool null — the
+  /// sequential reference. An empty list only brings the summaries up to
+  /// date.
   ParallelReport analyze(const std::vector<fortran::Procedure*>& procs,
                          support::TaskPool* pool);
   /// The first unit of each name, in unit order, for which `pick` holds.
@@ -650,12 +643,13 @@ class Session {
 
   /// What the per-procedure key materials of one save or open share,
   /// computed once per pass rather than once per material: every unit's
-  /// normalized text (unit order), the recursive procedures, and the xxh64
-  /// fingerprint of each final summary by procedure name — the callee
-  /// links of the Merkle key chain (interproc::summaryFingerprint).
+  /// normalized text (unit order) and, by procedure name, the xxh64
+  /// fingerprints of final summaries — the callee links of the Merkle key
+  /// chain (interproc::summaryFingerprint). savePdb fills the fingerprints
+  /// from the encodings it files anyway; a callee missing from them is
+  /// fingerprinted from its final summary when a key is rendered.
   struct PdbKeyInputs {
     std::vector<std::string> text;
-    std::set<std::string> recursive;
     std::map<std::string, std::uint64_t> fingerprints;
   };
 
@@ -761,7 +755,6 @@ class Session {
   dep::AnalysisBudget budget_;
 
   std::string deckName_;
-  validate::ValidationReport lastValidation_;
   emit::EmissionReport lastEmission_;
   /// Rejected edges the last validation pass left unchecked (feeds
   /// DegradationReport::unvalidated).
@@ -773,7 +766,6 @@ class Session {
   std::optional<SourceFilter> srcFilter_;
   std::optional<VariableFilter> varFilter_;
   UsageCounters counters_;
-  int reanalyses_ = 0;
   PdbStats pdbStats_;
 
   [[nodiscard]] std::string depSignature(const dep::Dependence& d) const;

@@ -98,7 +98,6 @@ class ServerSession {
   /// state until then.
   [[nodiscard]] ped::Session& session() { return *session_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t pendingEdits() const { return queue_.size(); }
   [[nodiscard]] const std::vector<SettleReport>& history() const {
     return history_;
   }

@@ -30,11 +30,7 @@ Workspace::Workspace(fortran::Program& programIn, fortran::Procedure& procIn,
       proc(procIn),
       actx(std::move(actxIn)),
       model(std::move(modelIn)),
-      graph(std::move(graphIn)) {
-  // Count as one (re)analysis so restored workspaces report like freshly
-  // built ones without inflating the session's incremental-reanalysis tally.
-  reanalyses = 1;
-}
+      graph(std::move(graphIn)) {}
 
 void Workspace::reanalyze() {
   // The parallel driver assigns ids once before fanning out per-procedure
@@ -46,7 +42,6 @@ void Workspace::reanalyze() {
   // inputs the edit left unchanged.
   graph = std::make_unique<dep::DependenceGraph>(
       dep::DependenceGraph::build(*model, actx));
-  ++reanalyses;
 }
 
 bool Transformation::apply(Workspace& ws, const Target& t,

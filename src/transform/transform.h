@@ -77,8 +77,6 @@ struct Workspace {
   dep::AnalysisContext actx;
   std::unique_ptr<ir::ProcedureModel> model;
   std::unique_ptr<dep::DependenceGraph> graph;
-  /// Number of reanalyses performed (the A2 ablation counts these).
-  int reanalyses = 0;
 
   void reanalyze();
   [[nodiscard]] ir::Loop* loopOf(fortran::StmtId id) const {

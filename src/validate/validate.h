@@ -60,7 +60,6 @@ struct ValidationBudget {
   long long maxEvents = 1'000'000;   // trace event cap
   long long maxElements = 1 << 18;   // distinct storage elements tracked
   int maxRelativeChecks = 8;         // loops relative-executed per pass
-  long long maxSteps = 20'000'000;   // interpreter step cap per run
 };
 
 enum class Verdict {

@@ -415,7 +415,7 @@ TEST(Wrapping, LongDirectiveStaysWithin72ColumnsAndRelexes) {
   // The lexer reassembles the continuations to the exact payload.
   DiagnosticEngine diags;
   fortran::Lexer lx(text, diags);
-  lx.run();
+  (void)lx.run();
   ASSERT_EQ(lx.ompDirectives().size(), 1u);
   EXPECT_EQ(lx.ompDirectives().front().text, payload);
 }

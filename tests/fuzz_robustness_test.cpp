@@ -66,11 +66,13 @@ void maybeValidate(ped::Session& s) {
   if (!fuzzValidate()) return;
   ped::Session::ValidationOptions opts;
   opts.budget.maxEvents = 200'000;   // keep the fuzz corpus fast
-  opts.budget.maxSteps = 2'000'000;
+  opts.run.maxSteps = 2'000'000;
   opts.budget.maxRelativeChecks = 2;
   validate::ValidationReport rep = s.validateDeletions(opts);
   // ran == false is fine (mutated decks crash); silence is what's banned.
-  if (!rep.ran) EXPECT_FALSE(rep.error.empty());
+  if (!rep.ran) {
+    EXPECT_FALSE(rep.error.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------

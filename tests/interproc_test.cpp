@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "dependence/graph.h"
 #include "fortran/parser.h"
 #include "fortran/pretty.h"
+#include "gen.h"
 #include "interproc/callgraph.h"
 #include "interproc/summaries.h"
 #include "support/diagnostics.h"
+#include "support/taskpool.h"
+#include "workloads/workloads.h"
 
 namespace ps::interproc {
 namespace {
@@ -573,6 +580,90 @@ TEST(IncrementalSummaries, ShapeMovedByATransformationRebuildsAtTheNextEdit) {
   rewrite(*prog, qBody, [](fortran::Stmt&) {});
   EXPECT_FALSE(sb.applyEdit({"Q"}).structureChanged);
   expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
+}
+
+// ---------------------------------------------------------------------------
+// The summary phase on a pool
+// ---------------------------------------------------------------------------
+
+/// Run a Deferred builder's schedule() phase on pools of 1, 2, 4 and 8
+/// workers and require every summary and every unit's inherited facts to
+/// equal the eager constructor's.
+void expectPooledPhaseMatchesEagerBuild(const std::string& source,
+                                        const std::string& label) {
+  auto reference = parse(source);
+  const SummaryBuilder eager(*reference);
+  for (int threads : {1, 2, 4, 8}) {
+    auto prog = parse(source);
+    SummaryBuilder sb(*prog, SummaryBuilder::Deferred{});
+    support::TaskPool pool(threads);
+    support::TaskGraph phase;
+    (void)sb.schedule(phase);
+    ASSERT_GT(phase.size(), 0u) << label;
+    phase.run(pool);
+    for (const auto& u : prog->units) {
+      const std::string at = label + " " + u->name + " @" +
+                             std::to_string(threads);
+      const ProcSummary* got = sb.summaryOf(u->name);
+      const ProcSummary* want = eager.summaryOf(u->name);
+      ASSERT_EQ(got != nullptr, want != nullptr) << at;
+      if (got) {
+        EXPECT_TRUE(*got == *want) << at;
+      }
+      EXPECT_EQ(sb.inheritedConstantsFor(u->name),
+                eager.inheritedConstantsFor(u->name))
+          << at;
+      EXPECT_EQ(sb.inheritedRelationsFor(u->name),
+                eager.inheritedRelationsFor(u->name))
+          << at;
+    }
+    // Final summaries: a second phase adds nothing and gates nothing.
+    support::TaskGraph again;
+    EXPECT_TRUE(sb.schedule(again).empty()) << label;
+    EXPECT_EQ(again.size(), 0u) << label;
+  }
+}
+
+TEST(SummaryPhase, PooledRunMatchesEagerBuildOnDecksAndGeneratedDecks) {
+  for (const workloads::Workload& w : workloads::all()) {
+    expectPooledPhaseMatchesEagerBuild(w.source, w.name);
+  }
+  for (unsigned seed : {1U, 2U, 3U}) {
+    expectPooledPhaseMatchesEagerBuild(
+        psbench::generateDeck(seed, 2000).source,
+        "generated seed " + std::to_string(seed));
+  }
+}
+
+TEST(SummaryPhase, AnalysisWaitsOnDirectCalleesAndTheCensusForCommon) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      COMMON /C/ N\n"
+      "      N = 8\n"
+      "      CALL MID\n"
+      "      END\n"
+      "      SUBROUTINE MID\n"
+      "      CALL LEAF\n"
+      "      CALL LEAF\n"
+      "      CALL LIBFN\n"
+      "      END\n"
+      "      SUBROUTINE LEAF\n"
+      "      END\n");
+  SummaryBuilder sb(*prog, SummaryBuilder::Deferred{});
+  support::TaskGraph phase;
+  const auto waits = sb.schedule(phase);
+  auto waitsOf = [&](const std::string& name) {
+    const std::vector<std::size_t>& w = waits.at(name);
+    return std::set<std::size_t>(w.begin(), w.end());
+  };
+  // Nodes: LEAF, MID, MAIN (bottom-up), then the census.
+  ASSERT_EQ(phase.size(), 4u);
+  EXPECT_EQ(waitsOf("LEAF"), std::set<std::size_t>{});
+  EXPECT_EQ(waitsOf("MID"), std::set<std::size_t>{0});
+  EXPECT_EQ(waitsOf("MAIN"), (std::set<std::size_t>{1, 3}));
+  phase.runInOrder();
+  EXPECT_EQ(sb.inheritedConstantsFor("MID").count("N"), 0u);
+  EXPECT_EQ(sb.inheritedConstantsFor("MAIN").at("N"), 8);
 }
 
 // ---------------------------------------------------------------------------

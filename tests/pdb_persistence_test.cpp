@@ -132,6 +132,31 @@ const Fixture& fixture() {
   return fx;
 }
 
+/// The pristine image with the in-payload verify hash of the middle record
+/// of `type` (records are filed in unit order) forged and the frame
+/// checksums recomputed, so the integrity layer accepts the frame and only
+/// the verify hash can catch it. `*count` receives the number of records
+/// of that type.
+std::string forgeMiddleVerifyHash(std::uint32_t type, std::size_t* count) {
+  std::string mutated = fixture().image;
+  std::vector<Frame> records;
+  for (const auto& f : walkFrames(mutated, nullptr)) {
+    if (f.type == type) records.push_back(f);
+  }
+  *count = records.size();
+  if (records.empty()) return mutated;
+  const Frame& f = records[records.size() / 2];
+  wrU64(&mutated, f.payloadOffset,
+        rdU64(mutated, f.payloadOffset) ^ 0x5A5A5A5A5A5A5A5AULL);
+  const std::string_view payload(mutated.data() + f.payloadOffset,
+                                 f.payloadLen);
+  const std::uint64_t xxh = ps::support::xxh64(payload);
+  const std::uint32_t crc = ps::support::crc32(payload);
+  wrU64(&mutated, f.payloadOffset + f.payloadLen, xxh);
+  wrU32(&mutated, f.payloadOffset + f.payloadLen + 8, crc);
+  return mutated;
+}
+
 /// Write `image` to a scratch store, open warm at `threads` threads, and
 /// require the full invariant: success + snapshot equality. Returns the
 /// session for counter checks.
@@ -272,22 +297,10 @@ TEST(PdbPersistence, ForgedVerifyHashIsQuarantinedExactlyOnceAtEveryWidth) {
   // frame: only the verify hash can catch it. The pooled restore must
   // count exactly that one quarantine and one miss, recompute the one
   // procedure, and restore every other slice, at any pool width.
-  std::string mutated = fixture().image;
-  std::vector<Frame> graphs;
-  for (const auto& f : walkFrames(mutated, nullptr)) {
-    if (f.type == 2) graphs.push_back(f);  // RecordType::Graph
-  }
-  ASSERT_EQ(graphs.size(), fixture().procedures);
-  ASSERT_GE(graphs.size(), 3u) << "need a procedure between two others";
-  const Frame& f = graphs[graphs.size() / 2];
-  wrU64(&mutated, f.payloadOffset,
-        rdU64(mutated, f.payloadOffset) ^ 0x5A5A5A5A5A5A5A5AULL);
-  const std::string_view payload(mutated.data() + f.payloadOffset,
-                                 f.payloadLen);
-  const std::uint64_t xxh = ps::support::xxh64(payload);
-  const std::uint32_t crc = ps::support::crc32(payload);
-  wrU64(&mutated, f.payloadOffset + f.payloadLen, xxh);
-  wrU32(&mutated, f.payloadOffset + f.payloadLen + 8, crc);
+  std::size_t graphs = 0;
+  const std::string mutated = forgeMiddleVerifyHash(2, &graphs);  // Graph
+  ASSERT_EQ(graphs, fixture().procedures);
+  ASSERT_GE(graphs, 3u) << "need a procedure between two others";
 
   for (int threads : {1, 2, 4, 8}) {
     auto s = openImage(mutated, "forged" + std::to_string(threads), threads);
@@ -298,6 +311,30 @@ TEST(PdbPersistence, ForgedVerifyHashIsQuarantinedExactlyOnceAtEveryWidth) {
     EXPECT_EQ(ps.graphMisses, 1u) << threads;
     EXPECT_EQ(ps.graphHits, fixture().procedures - 1) << threads;
     EXPECT_EQ(ps.summaryMisses, 0u) << threads;
+  }
+}
+
+TEST(PdbPersistence, ForgedSummaryVerifyHashIsQuarantinedExactlyOnceAtEveryWidth) {
+  // The same forgery on the summary record of a procedure in the middle of
+  // the unit list. The pooled summary phase must count one quarantine and
+  // one miss and summarize that procedure live; the live summary equals
+  // the stored one, so every caller's summary key and every graph key
+  // still hits.
+  std::size_t summaries = 0;
+  const std::string mutated = forgeMiddleVerifyHash(1, &summaries);  // Summary
+  ASSERT_GE(summaries, 3u) << "need a procedure between two others";
+
+  for (int threads : {1, 2, 4, 8}) {
+    auto s = openImage(mutated, "forgedsum" + std::to_string(threads),
+                       threads);
+    ASSERT_NE(s, nullptr);
+    const ped::PdbStats& ps = s->pdbStats();
+    EXPECT_FALSE(ps.storeRejected) << threads;
+    EXPECT_EQ(ps.quarantined, 1u) << threads;
+    EXPECT_EQ(ps.summaryMisses, 1u) << threads;
+    EXPECT_EQ(ps.summaryHits, summaries - 1) << threads;
+    EXPECT_EQ(ps.graphHits, fixture().procedures) << threads;
+    EXPECT_EQ(ps.graphMisses, 0u) << threads;
   }
 }
 

@@ -283,6 +283,35 @@ TEST(ValidateDeletions, BudgetOverflowDegradesToUnvalidatedNotSafe) {
   EXPECT_FALSE(s->degradationReport().unvalidated.empty());
 }
 
+// The caller's interpreter step cap governs the traced serial run: a cap one
+// below the program's serial step count leaves no complete run, so nothing
+// is concluded and every deletion is tagged unvalidated.
+TEST(ValidateDeletions, StepCapBelowSerialRunDegradesDeletionsToUnvalidated) {
+  auto s = loadSource(kRuntimeDep, "rtdep");
+  ASSERT_NE(s, nullptr);
+  ASSERT_GT(deleteLoopEdges(*s), 0);
+
+  ped::Session::ValidationOptions opts;
+  opts.run.input = {100.0};  // safe input: an uncapped run confirms safety
+  interp::RunOptions serial = opts.run;
+  serial.checkParallel = false;
+  const interp::RunResult full = s->profile(serial);
+  ASSERT_TRUE(full.ok) << full.error;
+  opts.run.maxSteps = full.steps - 1;
+  validate::ValidationReport rep = s->validateDeletions(opts);
+  EXPECT_FALSE(rep.ran);
+  EXPECT_FALSE(rep.error.empty());
+  EXPECT_EQ(rep.confirmedSafe, 0);
+
+  auto rejected = rejectedEdges(*s, "RTDEP");
+  ASSERT_FALSE(rejected.empty());
+  EXPECT_EQ(rep.unvalidated, static_cast<int>(rejected.size()));
+  for (const dep::Dependence* d : rejected) {
+    EXPECT_EQ(d->evidence.rfind("unvalidated: ", 0), 0u) << d->evidence;
+  }
+  EXPECT_EQ(s->degradationReport().unvalidated.size(), rejected.size());
+}
+
 // ---------------------------------------------------------------------------
 // Relative execution: the checker the trace matcher cannot replace.
 // ---------------------------------------------------------------------------
