@@ -66,7 +66,10 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # settles coalesced edit bursts from many sessions over one shared memo,
 # the one edit path the other suites do not cover. The dataflow suite indexes
 # dense rows by variable and definition ids, where an id past the end of a
-# row would corrupt memory silently without ASan.
+# row would corrupt memory silently without ASan. The edit storm runs 50
+# edits per deck here: the summary builder's census records and call graph
+# live across edits, so a missed recount or refresh turns into a
+# heap-use-after-free only once enough edits have freed statements.
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
@@ -77,7 +80,7 @@ asan_suites="property_test ped_session_test transform_test interproc_test
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do
-  ./build-asan/tests/"$t"
+  PS_STORM_EDITS=50 ./build-asan/tests/"$t"
 done
 scrub_pdb_cache
 

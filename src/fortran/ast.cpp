@@ -337,11 +337,13 @@ const Procedure* Program::findUnit(const std::string& name) const {
 }
 
 void Program::assignIds() {
-  for (auto& u : units) {
-    u->forEachStmtMutable([&](Stmt& s) {
-      if (s.id == kInvalidStmt) s.id = freshId();
-    });
-  }
+  for (auto& u : units) assignIds(*u);
+}
+
+void Program::assignIds(Procedure& unit) {
+  unit.forEachStmtMutable([&](Stmt& s) {
+    if (s.id == kInvalidStmt) s.id = freshId();
+  });
 }
 
 TypeKind implicitType(const std::string& name) {

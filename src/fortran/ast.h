@@ -254,6 +254,8 @@ struct Program {
   /// Assign fresh ids to any statement with an invalid id (after cloning or
   /// synthesizing statements).
   void assignIds();
+  /// The same for one unit's statements, when only that unit gained some.
+  void assignIds(Procedure& unit);
 };
 
 /// Implicit Fortran typing: I-N => INTEGER, else REAL.

@@ -70,7 +70,7 @@ namespace {
 
 std::vector<const CallSite*> sitesAt(
     const std::vector<CallSite>& sites,
-    const std::map<std::string, std::vector<std::size_t>>& index,
+    const std::unordered_map<std::string, std::vector<std::size_t>>& index,
     const std::string& key) {
   std::vector<const CallSite*> out;
   auto it = index.find(key);
@@ -119,10 +119,14 @@ bool CallGraph::refreshCaller(const Procedure& unit) {
 }
 
 std::string CallGraph::textual() const {
+  std::vector<std::string> callers;
+  callers.reserve(byCaller_.size());
+  for (const auto& [caller, indices] : byCaller_) callers.push_back(caller);
+  std::sort(callers.begin(), callers.end());
   std::string out;
-  for (const auto& [caller, indices] : byCaller_) {
+  for (const std::string& caller : callers) {
     out += caller + ":";
-    for (std::size_t i : indices) out += " " + sites_[i].callee;
+    for (std::size_t i : byCaller_.at(caller)) out += " " + sites_[i].callee;
     out += "\n";
   }
   return out;

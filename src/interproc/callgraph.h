@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fortran/ast.h"
@@ -66,8 +67,8 @@ class CallGraph {
  private:
   std::vector<CallSite> sites_;
   /// Indices into sites_, ascending, keyed by caller and by callee.
-  std::map<std::string, std::vector<std::size_t>> byCaller_;
-  std::map<std::string, std::vector<std::size_t>> byCallee_;
+  std::unordered_map<std::string, std::vector<std::size_t>> byCaller_;
+  std::unordered_map<std::string, std::vector<std::size_t>> byCallee_;
   std::vector<std::string> bottomUp_;
   std::vector<std::string> recursive_;
   std::set<std::string> recursiveSet_;

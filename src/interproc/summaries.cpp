@@ -229,7 +229,8 @@ std::string sectionKey(const std::optional<dep::Section>& s) {
 /// Call-graph "shape": the procedure set, their topological/recursive
 /// classification, and the (caller, callee) call-site multiset. Argument
 /// expressions are NOT part of the shape (they feed formal constants,
-/// which are recomputed on every update anyway).
+/// which every update recomputes for the callees of the units it
+/// recounts).
 bool sameShape(const CallGraph& a, const CallGraph& b) {
   if (a.bottomUpOrder() != b.bottomUpOrder()) return false;
   if (a.recursive() != b.recursive()) return false;
@@ -244,19 +245,23 @@ bool sameShape(const CallGraph& a, const CallGraph& b) {
   return edges(a) == edges(b);
 }
 
-/// Insert every procedure whose formal-constant entry differs between `a`
-/// and `b` (present in only one, or with different values) into `out`.
-void diffFormalConstants(
-    const std::map<std::string, std::map<std::string, long long>>& a,
-    const std::map<std::string, std::map<std::string, long long>>& b,
-    std::set<std::string>* out) {
-  for (const auto& [name, consts] : a) {
-    auto it = b.find(name);
-    if (it == b.end() || it->second != consts) out->insert(name);
+/// True when `a` and `b` agree on what a call may write: the same formals
+/// and the same effects with MOD set. That is all a census record reads of
+/// its callees' summaries (refMayWrite).
+bool sameWrites(const ProcSummary& a, const ProcSummary& b) {
+  if (a.formals != b.formals) return false;
+  auto nextWrite = [](auto it, auto end) {
+    while (it != end && !it->second.mayWrite) ++it;
+    return it;
+  };
+  auto ia = nextWrite(a.effects.begin(), a.effects.end());
+  auto ib = nextWrite(b.effects.begin(), b.effects.end());
+  while (ia != a.effects.end() && ib != b.effects.end()) {
+    if (ia->first != ib->first) return false;
+    ia = nextWrite(++ia, a.effects.end());
+    ib = nextWrite(++ib, b.effects.end());
   }
-  for (const auto& [name, consts] : b) {
-    if (!a.count(name)) out->insert(name);
-  }
+  return ia == a.effects.end() && ib == b.effects.end();
 }
 
 }  // namespace
@@ -286,13 +291,18 @@ SummaryBuilder::SummaryBuilder(fortran::Program& program)
 
 SummaryBuilder::SummaryBuilder(fortran::Program& program, Deferred)
     : program_(program), callGraph_(CallGraph::build(program)) {
-  preinsertSlots();
+  indexUnits();
   computeFormalConstants();
 }
 
-void SummaryBuilder::preinsertSlots() {
-  // Every unit is either bottom-up or recursive.
-  for (const auto& u : program_.units) summaries_[u->name].name = u->name;
+void SummaryBuilder::indexUnits() {
+  unitsNamed_.clear();
+  for (std::size_t i = 0; i < program_.units.size(); ++i) {
+    const std::string& name = program_.units[i]->name;
+    unitsNamed_[name].push_back(i);
+    // Every unit is either bottom-up or recursive.
+    summaries_[name].name = name;
+  }
 }
 
 ProcSummary SummaryBuilder::worstCaseSummary(const std::string& name,
@@ -414,20 +424,25 @@ bool SummaryBuilder::refreshCallGraph(const std::set<std::string>& procs) {
 
 void SummaryBuilder::refreshCallSites(const std::string& procName) {
   if (!refreshCallGraph({procName})) shapeMoved_ = true;
+  rewritten_.insert(procName);
 }
 
 SummaryBuilder::Update SummaryBuilder::applyEdit(
     const std::set<std::string>& editedProcs) {
   Update up;
-  const bool shapeKept = refreshCallGraph(editedProcs) && !shapeMoved_;
+  // A census that does not cover every unit (none yet, or units came and
+  // went) is rebuilt along with everything else.
+  const bool shapeKept = refreshCallGraph(editedProcs) && !shapeMoved_ &&
+                         census_.size() == program_.units.size();
   shapeMoved_ = false;
 
   if (!shapeKept) {
     // Procedures or call edges appeared/disappeared: rebuild everything
     // from scratch (rare for statement-level edits).
     up.structureChanged = true;
+    rewritten_.clear();
     summaries_.clear();
-    preinsertSlots();
+    indexUnits();
     computeFormalConstants();
     summarized_ = false;
     summarizeInOrder();
@@ -435,20 +450,26 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     return up;
   }
 
-  // Formal constants read call-site literals through the (now live) graph;
-  // recomputing them is linear in the call sites. Diffing against the
-  // previous table also catches literals a transformation moved.
-  const auto oldFormals = std::move(formalConstants_);
-  computeFormalConstants();
-  diffFormalConstants(oldFormals, formalConstants_,
-                      &up.formalConstantsChanged);
-
   // Procedures to re-summarize: the edited ones plus every caller of a
   // summary that actually changed. Their analyses are the stale ones.
   std::set<std::string> dirty = editedProcs;
-  auto markCallers = [&](const std::string& callee) {
+  // Units whose statements changed: the edited ones and those a
+  // transformation rewrote since the last update. Their call sites carry
+  // their callees' formal constants, and their census records read their
+  // statements. A census record also reads what a callee may write, for
+  // each CALL actual that names a census variable (refMayWrite), so a
+  // caller of a summary whose writes moved is recounted when one of its
+  // calls to it passes such an actual.
+  std::set<std::string> rewritten = editedProcs;
+  rewritten.merge(rewritten_);
+  rewritten_.clear();
+  std::set<std::string> recount = rewritten;
+  auto markCallers = [&](const std::string& callee, bool writesMoved) {
     for (const CallSite* cs : callGraph_.callsTo(callee)) {
       dirty.insert(cs->caller);
+      if (writesMoved && passesCensusName(*cs->stmt)) {
+        recount.insert(cs->caller);
+      }
     }
   };
 
@@ -458,8 +479,9 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     Procedure* proc = program_.findUnit(name);
     if (!proc) continue;
     ProcSummary ns = worstCaseSummary(name, *proc);
-    if (!(ns == summaries_[name])) markCallers(name);
-    summaries_[name] = std::move(ns);
+    ProcSummary& cur = summaries_[name];
+    if (!(ns == cur)) markCallers(name, !sameWrites(ns, cur));
+    cur = std::move(ns);
   }
 
   // Bottom-up: re-summarize the edited procedures plus every procedure one
@@ -475,17 +497,13 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
     if (!proc) continue;
     ProcSummary old = std::move(summaries_[name]);
     summarize(*proc);
-    if (!(summaries_[name] == old)) markCallers(name);
+    const ProcSummary& now = summaries_[name];
+    if (!(now == old)) markCallers(name, !sameWrites(now, old));
   }
 
-  // The census is a whole-program AST scan; rerun it unconditionally and
-  // report whether it moved, so callers diff only the contexts that can
-  // have changed.
-  const auto oldConstants = std::move(globalConstants_);
-  const auto oldRelations = std::move(globalRelations_);
-  computeGlobalFacts();
-  up.globalFactsChanged = oldConstants != globalConstants_ ||
-                          oldRelations != globalRelations_;
+  // Every other call site and census record is as it was.
+  up.formalConstantsChanged = refreshFormalConstants(rewritten);
+  up.globalFactsChanged = recountCensus(recount);
 
   up.staleAnalyses = std::move(dirty);
   return up;
@@ -932,105 +950,278 @@ void SummaryBuilder::summarize(Procedure& proc) {
   summaries_.at(proc.name) = std::move(sum);
 }
 
+namespace {
+
+/// A main program without a call has its first call past every statement.
+constexpr int kNoCall = 1 << 30;
+
+std::vector<std::string> commonNamesOf(const Procedure& unit) {
+  std::vector<std::string> names;
+  for (const auto& d : unit.decls) {
+    if (!d.commonBlock.empty()) names.push_back(d.name);
+  }
+  return names;
+}
+
+}  // namespace
+
 void SummaryBuilder::computeGlobalFacts() {
   // COMMON variables assigned exactly once in the whole program — in the
   // main program's initialization prefix (before the first call) — become
   // global constants/relations. The paper's arc3d case: "in the
   // initialization routine, the assignment JM = JMAX - 1 occurs, and this
   // relation holds for the rest of the program."
+  const std::size_t n = program_.units.size();
+  census_.assign(n, CensusRecord{});
+  commonDeclared_.clear();
+  mainUnit_ = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    census_[i].declared = commonNamesOf(*program_.units[i]);
+    for (const std::string& name : census_[i].declared) {
+      ++commonDeclared_[name];
+    }
+    if (program_.units[i]->kind == fortran::ProcKind::Program) mainUnit_ = i;
+  }
+  totalWrites_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    countWrites(i, census_[i]);
+    for (const auto& [name, count] : census_[i].writes) {
+      totalWrites_[name] += count;
+    }
+  }
   globalConstants_.clear();
   globalRelations_.clear();
-  std::set<std::string> commonNames;
-  for (const auto& u : program_.units) {
-    for (const auto& d : u->decls) {
-      if (!d.commonBlock.empty()) commonNames.insert(d.name);
-    }
-  }
-
-  const Procedure* mainUnit = nullptr;
-  for (const auto& u : program_.units) {
-    if (u->kind == fortran::ProcKind::Program) mainUnit = u.get();
-  }
-
-  // Write census: count, position of the write in the main unit's
-  // pre-order (-1 when written outside main).
-  struct WriteInfo {
-    int count = 0;
-    int mainPos = -1;
-    const Stmt* stmt = nullptr;
-  };
-  std::map<std::string, WriteInfo> writes;
-  std::map<fortran::StmtId, int> mainPos;
-  int firstCallPos = 1 << 30;
-  if (mainUnit) {
-    int idx = 0;
-    mainUnit->forEachStmt([&](const Stmt& s) {
-      mainPos[s.id] = idx;
-      if (!ir::calledFunctions(s).empty()) {
-        firstCallPos = std::min(firstCallPos, idx);
-      }
-      ++idx;
-    });
-  }
-  for (const auto& u : program_.units) {
-    u->forEachStmt([&](const Stmt& s) {
-      for (const Ref& r : ir::collectRefs(s)) {
-        if (!r.isWrite() || !commonNames.count(r.name)) continue;
-        if (r.kind == RefKind::CallActual &&
-            !refMayWrite(s, r, /*duringSummarize=*/false)) {
-          continue;
-        }
-        WriteInfo& w = writes[r.name];
-        ++w.count;
-        w.stmt = &s;
-        w.mainPos = (u.get() == mainUnit && mainPos.count(s.id))
-                        ? mainPos[s.id]
-                        : -1;
-      }
-    });
-  }
-
-  for (const auto& [name, w] : writes) {
-    if (w.count != 1 || w.mainPos < 0 || w.mainPos >= firstCallPos) continue;
-    const Stmt* s = w.stmt;
-    if (s->kind != StmtKind::Assign || s->lhs->kind != ExprKind::VarRef) {
-      continue;
-    }
-    LinearExpr form = dataflow::linearize(*s->rhs);
-    if (!form.affine) continue;
-    bool operandsStable = true;
-    for (const auto& [v, c] : form.coef) {
-      (void)c;
-      if (!commonNames.count(v)) {
-        operandsStable = false;
-        continue;
-      }
-      auto itW = writes.find(v);
-      if (itW != writes.end()) {
-        // The operand may only be written in main, before this assignment.
-        const WriteInfo& ow = itW->second;
-        bool allBefore = ow.mainPos >= 0 && ow.mainPos < w.mainPos &&
-                         ow.count == 1;
-        if (!allBefore) operandsStable = false;
-      }
-    }
-    if (form.isConstant()) {
-      globalConstants_[name] = form.constant;
-    } else if (operandsStable) {
-      globalRelations_.push_back({name, form});
+  if (mainUnit_ < n) {
+    for (const auto& [name, w] : census_[mainUnit_].single) {
+      (void)w;
+      (void)deriveFact(name);
     }
   }
   summarized_ = true;  // the census reads final summaries, so it runs last
+}
+
+void SummaryBuilder::countWrites(std::size_t index, CensusRecord& rec) const {
+  const Procedure& unit = *program_.units[index];
+  const bool isMain = index == mainUnit_;
+  rec.writes.clear();
+  rec.single.clear();
+  rec.firstCall = kNoCall;
+  // Main program only: each name's last write, by pre-order position.
+  std::map<std::string, std::pair<int, const Stmt*>> last;
+  int pos = 0;
+  std::vector<Ref> refs;
+  unit.forEachStmt([&](const Stmt& s) {
+    if (isMain && rec.firstCall == kNoCall &&
+        !ir::calledFunctions(s).empty()) {
+      rec.firstCall = pos;
+    }
+    refs.clear();
+    ir::appendRefs(s, refs);
+    for (const Ref& r : refs) {
+      if (!r.isWrite() || !commonDeclared_.count(r.name)) continue;
+      if (r.kind == RefKind::CallActual &&
+          !refMayWrite(s, r, /*duringSummarize=*/false)) {
+        continue;
+      }
+      ++rec.writes[r.name];
+      if (isMain) last[r.name] = {pos, &s};
+    }
+    ++pos;
+  });
+  for (const auto& [name, at] : last) {
+    if (rec.writes.at(name) != 1) continue;
+    SingleWrite& w = rec.single[name];
+    w.pos = at.first;
+    const Stmt& s = *at.second;
+    if (w.pos < rec.firstCall && s.kind == StmtKind::Assign &&
+        s.lhs->kind == ExprKind::VarRef) {
+      LinearExpr form = dataflow::linearize(*s.rhs);
+      if (form.affine) w.rhs = std::move(form);
+    }
+  }
+}
+
+bool SummaryBuilder::passesCensusName(const Stmt& s) const {
+  if (s.kind != StmtKind::Call) return false;
+  for (const auto& a : s.args) {
+    if ((a->kind == ExprKind::VarRef || a->kind == ExprKind::ArrayRef) &&
+        commonDeclared_.count(a->name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool SummaryBuilder::recountCensus(const std::set<std::string>& procs) {
+  std::set<std::string> moved;
+  for (const std::string& name : procs) {
+    auto it = unitsNamed_.find(name);
+    if (it == unitsNamed_.end()) continue;
+    for (std::size_t i : it->second) {
+      CensusRecord fresh;
+      fresh.declared = commonNamesOf(*program_.units[i]);
+      if (fresh.declared != census_[i].declared) {
+        // Every unit's writes count against the census names, which may
+        // have moved: take the whole census again.
+        const auto oldConstants = std::move(globalConstants_);
+        const auto oldRelations = std::move(globalRelations_);
+        computeGlobalFacts();
+        return oldConstants != globalConstants_ ||
+               oldRelations != globalRelations_;
+      }
+      countWrites(i, fresh);
+      replaceRecord(i, std::move(fresh), &moved);
+    }
+  }
+  if (moved.empty()) return false;
+  bool changed = false;
+  for (const std::string& name : moved) {
+    if (deriveFact(name)) changed = true;
+  }
+  // A relation also reads its operands' writes.
+  if (mainUnit_ == census_.size()) return changed;
+  for (const auto& [name, w] : census_[mainUnit_].single) {
+    if (!w.rhs || moved.count(name)) continue;
+    for (const auto& [var, coef] : w.rhs->coef) {
+      (void)coef;
+      if (!moved.count(var)) continue;
+      if (deriveFact(name)) changed = true;
+      break;
+    }
+  }
+  return changed;
+}
+
+void SummaryBuilder::replaceRecord(std::size_t index, CensusRecord fresh,
+                                   std::set<std::string>* moved) {
+  CensusRecord& old = census_[index];
+  // Merge the two name-ordered write maps; only a moved count touches the
+  // totals.
+  auto addWrites = [&](const std::string& name, int delta) {
+    moved->insert(name);
+    int& total = totalWrites_[name];
+    total += delta;
+    if (total == 0) totalWrites_.erase(name);
+  };
+  auto io = old.writes.begin();
+  auto in = fresh.writes.begin();
+  while (io != old.writes.end() || in != fresh.writes.end()) {
+    if (in == fresh.writes.end() ||
+        (io != old.writes.end() && io->first < in->first)) {
+      addWrites(io->first, -io->second);
+      ++io;
+    } else if (io == old.writes.end() || in->first < io->first) {
+      addWrites(in->first, in->second);
+      ++in;
+    } else {
+      if (io->second != in->second) {
+        addWrites(in->first, in->second - io->second);
+      }
+      ++io;
+      ++in;
+    }
+  }
+  if (index == mainUnit_) {
+    // A moved first call re-derives every single write of the main
+    // program; otherwise only the writes that moved.
+    const bool all = old.firstCall != fresh.firstCall;
+    for (const auto& [name, w] : old.single) {
+      auto it = fresh.single.find(name);
+      if (all || it == fresh.single.end() || !(it->second == w)) {
+        moved->insert(name);
+      }
+    }
+    for (const auto& [name, w] : fresh.single) {
+      (void)w;
+      if (!old.single.count(name)) moved->insert(name);
+    }
+  }
+  old = std::move(fresh);
+}
+
+bool SummaryBuilder::deriveFact(const std::string& name) {
+  // The fact: exactly one write program-wide, in the main program's
+  // prefix, of the form NAME = <affine>. A constant right-hand side makes
+  // a constant; otherwise a relation, when every operand is a COMMON name
+  // that is either never written or written once in the main program
+  // before this assignment.
+  const SingleWrite* w = nullptr;
+  if (mainUnit_ < census_.size()) {
+    const CensusRecord& m = census_[mainUnit_];
+    auto total = totalWrites_.find(name);
+    auto single = m.single.find(name);
+    if (total != totalWrites_.end() && total->second == 1 &&
+        single != m.single.end() && single->second.rhs) {
+      w = &single->second;
+    }
+  }
+  std::optional<long long> constant;
+  const LinearExpr* relation = nullptr;
+  if (w && w->rhs->isConstant()) {
+    constant = w->rhs->constant;
+  } else if (w) {
+    bool operandsStable = true;
+    for (const auto& [var, coef] : w->rhs->coef) {
+      (void)coef;
+      if (!commonDeclared_.count(var)) {
+        operandsStable = false;
+        break;
+      }
+      auto total = totalWrites_.find(var);
+      if (total == totalWrites_.end()) continue;  // never written
+      const auto& single = census_[mainUnit_].single;
+      auto ow = single.find(var);
+      if (total->second != 1 || ow == single.end() ||
+          ow->second.pos >= w->pos) {
+        operandsStable = false;
+        break;
+      }
+    }
+    if (operandsStable) relation = &*w->rhs;
+  }
+
+  bool changed = false;
+  auto ic = globalConstants_.find(name);
+  if (constant && (ic == globalConstants_.end() || ic->second != *constant)) {
+    globalConstants_[name] = *constant;
+    changed = true;
+  } else if (!constant && ic != globalConstants_.end()) {
+    globalConstants_.erase(ic);
+    changed = true;
+  }
+  auto rel = globalRelations_.find(name);
+  if (relation &&
+      (rel == globalRelations_.end() || !(rel->second == *relation))) {
+    globalRelations_[name] = *relation;
+    changed = true;
+  } else if (!relation && rel != globalRelations_.end()) {
+    globalRelations_.erase(rel);
+    changed = true;
+  }
+  return changed;
 }
 
 void SummaryBuilder::computeFormalConstants() {
   // Formal constants: every call site passes the same literal. Pure AST +
   // call graph — no summaries — so this is valid before summarization.
   formalConstants_.clear();
-  for (const auto& u : program_.units) {
-    auto calls = callGraph_.callsTo(u->name);
-    if (calls.empty()) continue;
-    for (std::size_t i = 0; i < u->params.size(); ++i) {
+  for (const auto& [name, indices] : unitsNamed_) {
+    (void)indices;
+    auto consts = formalConstantsOf(name);
+    if (!consts.empty()) formalConstants_[name] = std::move(consts);
+  }
+}
+
+std::map<std::string, long long> SummaryBuilder::formalConstantsOf(
+    const std::string& callee) const {
+  std::map<std::string, long long> out;
+  auto units = unitsNamed_.find(callee);
+  if (units == unitsNamed_.end()) return out;
+  const auto calls = callGraph_.callsTo(callee);
+  if (calls.empty()) return out;
+  for (std::size_t index : units->second) {
+    const Procedure& u = *program_.units[index];
+    for (std::size_t i = 0; i < u.params.size(); ++i) {
       bool allSame = true;
       bool haveValue = false;
       long long value = 0;
@@ -1053,11 +1244,35 @@ void SummaryBuilder::computeFormalConstants() {
           break;
         }
       }
-      if (allSame && haveValue) {
-        formalConstants_[u->name][u->params[i]] = value;
-      }
+      if (allSame && haveValue) out[u.params[i]] = value;
     }
   }
+  return out;
+}
+
+std::set<std::string> SummaryBuilder::refreshFormalConstants(
+    const std::set<std::string>& callers) {
+  std::set<std::string> callees;
+  for (const std::string& caller : callers) {
+    for (const CallSite* cs : callGraph_.callsFrom(caller)) {
+      callees.insert(cs->callee);
+    }
+  }
+  std::set<std::string> changed;
+  for (const std::string& callee : callees) {
+    auto fresh = formalConstantsOf(callee);
+    auto it = formalConstants_.find(callee);
+    if (it == formalConstants_.end() ? fresh.empty() : it->second == fresh) {
+      continue;
+    }
+    changed.insert(callee);
+    if (fresh.empty()) {
+      formalConstants_.erase(it);
+    } else {
+      formalConstants_[callee] = std::move(fresh);
+    }
+  }
+  return changed;
 }
 
 bool SummaryBuilder::usesGlobalFacts(const Procedure& proc) const {
@@ -1089,13 +1304,13 @@ std::vector<dataflow::Relation> SummaryBuilder::inheritedRelationsFor(
   // also keeps this readable concurrently with the census task (a
   // no-COMMON procedure's analysis need not wait for computeGlobalFacts).
   if (!usesGlobalFacts(proc)) return out;
-  for (const auto& r : globalRelations_) {
+  for (const auto& [name, value] : globalRelations_) {
     // The relation's variable must be visible here, and the procedure must
     // not be the one performing the assignment... single-assignment already
     // guarantees validity after the write; we additionally require the
     // variable to be in COMMON in this procedure.
-    const fortran::VarDecl* d = proc.findDecl(r.name);
-    if (d && !d->commonBlock.empty()) out.push_back(r);
+    const fortran::VarDecl* d = proc.findDecl(name);
+    if (d && !d->commonBlock.empty()) out.push_back({name, value});
   }
   return out;
 }

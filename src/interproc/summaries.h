@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dataflow/symbolic.h"
@@ -69,8 +70,9 @@ class SummaryBuilder {
   /// Deferred construction for the analysis scheduler. Builds the call
   /// graph, pre-inserts one summary slot per summarizable procedure (so
   /// concurrent phase nodes assign into existing map nodes and never
-  /// mutate the map structure) and computes the immutable, AST-only formal
-  /// constants, but summarizes nothing until a schedule() graph runs.
+  /// mutate the map structure) and computes the formal constants (AST and
+  /// call graph only), but summarizes nothing until a schedule() graph
+  /// runs.
   struct Deferred {};
   SummaryBuilder(fortran::Program& program, Deferred);
 
@@ -98,8 +100,9 @@ class SummaryBuilder {
 
   /// True when `proc` declares any COMMON variable, i.e. its inherited
   /// facts can depend on the COMMON census. Procedures without COMMON need
-  /// not wait for the census (their inherited constants come from the
-  /// call-site-literal scan, which is immutable once constructed).
+  /// not wait for the census: their inherited constants are formal
+  /// constants (call-site literals), which the constructor computes before
+  /// any phase node runs and only applyEdit recomputes.
   [[nodiscard]] bool usesGlobalFacts(const fortran::Procedure& proc) const;
 
   /// Result of an incremental summary update after a source edit.
@@ -123,15 +126,21 @@ class SummaryBuilder {
   /// re-summarizing only the edited procedures and the callers transitively
   /// reached by actual summary changes. The call graph is refreshed at the
   /// edited procedures (CallSite::stmt must track the live AST) and rebuilt
-  /// only when their callee sequences moved. Post-state is bit-identical to
-  /// a from-scratch eager build. Summaries are updated in place, so
-  /// InterproceduralOracles holding a reference to this builder stay valid.
+  /// only when their callee sequences moved. Only what can have moved is
+  /// recounted: the formal constants of the callees of the edited
+  /// procedures and of those refreshCallSites() named since the last
+  /// update, and the census records of those procedures and of every
+  /// caller of a summary whose writes changed. Post-state is bit-identical
+  /// to a from-scratch eager build. Summaries are updated in place, so
+  /// InterproceduralOracles holding a reference to this builder stay
+  /// valid.
   Update applyEdit(const std::set<std::string>& editedProcs);
 
   /// Keep the call graph live after a transformation rewrote `procName`'s
   /// body (it may have cloned or freed CALL statements). Summaries are left
-  /// as they are; when the call shape moved, the next applyEdit rebuilds
-  /// every summary as though the transformation had been an edit.
+  /// as they are; the next applyEdit recounts `procName`'s COMMON writes
+  /// and its callees' formal constants, and when the call shape moved it
+  /// rebuilds every summary as though the transformation had been an edit.
   void refreshCallSites(const std::string& procName);
 
   [[nodiscard]] const ProcSummary* summaryOf(const std::string& name) const;
@@ -160,12 +169,51 @@ class SummaryBuilder {
       const std::string& procName) const;
 
  private:
+  /// A census name's only write in the main program.
+  struct SingleWrite {
+    int pos = 0;  // pre-order position in the main program
+    /// The right-hand side's linear form, when the write is
+    /// `NAME = <affine>` before the main program's first call.
+    std::optional<dataflow::LinearExpr> rhs;
+    [[nodiscard]] bool operator==(const SingleWrite& o) const {
+      return pos == o.pos && rhs == o.rhs;
+    }
+  };
+  /// One unit's share of the COMMON census. It holds no pointer into the
+  /// AST, so it stays valid until the unit is recounted.
+  struct CensusRecord {
+    /// The names this unit declares in COMMON.
+    std::vector<std::string> declared;
+    /// Writes per census name (a name some unit declares in COMMON).
+    std::map<std::string, int> writes;
+    /// Main program only: the pre-order position of its first statement
+    /// that calls, and each name it writes exactly once.
+    int firstCall = 0;
+    std::map<std::string, SingleWrite> single;
+  };
+
   void summarize(fortran::Procedure& proc);
   /// The schedule() phase on the calling thread, in insertion order.
   void summarizeInOrder();
-  /// The whole-program constant/relation census. Resolves call actuals
-  /// through the final summaries, so it runs after every other phase node.
+  /// The whole-program constant/relation census: one record per unit and
+  /// the facts derived from them. Resolves call actuals through the final
+  /// summaries, so it runs after every other phase node.
   void computeGlobalFacts();
+  /// Count unit `index`'s writes of census names into `rec`.
+  void countWrites(std::size_t index, CensusRecord& rec) const;
+  /// True when `s` is a CALL with a census name as a variable actual: the
+  /// only place a census record reads its callees' summaries.
+  [[nodiscard]] bool passesCensusName(const fortran::Stmt& s) const;
+  /// Recount the units named in `procs` and re-derive the facts their
+  /// records can move. True when a fact changed.
+  bool recountCensus(const std::set<std::string>& procs);
+  /// Install `fresh` as unit `index`'s record, adjusting the write totals,
+  /// and add every census name whose inputs moved to `moved`.
+  void replaceRecord(std::size_t index, CensusRecord fresh,
+                     std::set<std::string>* moved);
+  /// Re-derive `name`'s constant or relation from the records. True when
+  /// it changed.
+  bool deriveFact(const std::string& name);
   /// Bring callGraph_ up to date after `procs` changed: re-point their
   /// sites, or rebuild the graph when a callee sequence moved. False when
   /// the rebuilt graph's shape differs from the previous one.
@@ -174,9 +222,17 @@ class SummaryBuilder {
   /// summaries involved) — computed at construction so analysis nodes can
   /// read inherited constants concurrently with the census.
   void computeFormalConstants();
-  /// Pre-insert one summary slot per summarizable procedure so the map
-  /// structure never changes while summaries are assigned concurrently.
-  void preinsertSlots();
+  /// The formal constants of the units named `callee`.
+  [[nodiscard]] std::map<std::string, long long> formalConstantsOf(
+      const std::string& callee) const;
+  /// Recompute the formal constants of every callee of `callers`; returns
+  /// the callees whose constants changed.
+  std::set<std::string> refreshFormalConstants(
+      const std::set<std::string>& callers);
+  /// Index the units by name and pre-insert one summary slot per
+  /// summarizable procedure, so the map structure never changes while
+  /// summaries are assigned concurrently.
+  void indexUnits();
   /// The callee-summary view DURING summarization: recursive procedures
   /// read as unknown (worst case) even when their slot is already filled,
   /// exactly as in the sequential eager build, which fills them last.
@@ -195,14 +251,28 @@ class SummaryBuilder {
 
   fortran::Program& program_;
   CallGraph callGraph_;
+  /// Indices into program_.units by unit name (a name may repeat).
+  std::unordered_map<std::string, std::vector<std::size_t>> unitsNamed_;
   /// A transformation moved the call shape since the last summary update.
   bool shapeMoved_ = false;
+  /// Units a transformation rewrote since the last summary update.
+  std::set<std::string> rewritten_;
   /// Every summary and the census are final: schedule() adds nothing.
   bool summarized_ = false;
   std::map<std::string, ProcSummary> summaries_;
-  std::map<std::string, long long> globalConstants_;       // COMMON var -> value
-  std::vector<dataflow::Relation> globalRelations_;        // COMMON relations
-  std::map<std::string, std::map<std::string, long long>> formalConstants_;
+  /// The census: one record per unit (program_.units order), the writes
+  /// per census name summed over every record, and per name the number
+  /// of COMMON declarations of it (the census names are its keys).
+  std::vector<CensusRecord> census_;
+  std::unordered_map<std::string, int> totalWrites_;
+  std::unordered_map<std::string, int> commonDeclared_;
+  /// The main program's index in program_.units (the last PROGRAM unit),
+  /// or units.size() when there is none.
+  std::size_t mainUnit_ = 0;
+  std::map<std::string, long long> globalConstants_;  // COMMON var -> value
+  std::map<std::string, dataflow::LinearExpr> globalRelations_;  // var -> form
+  std::unordered_map<std::string, std::map<std::string, long long>>
+      formalConstants_;
 };
 
 /// Adapts SummaryBuilder into the dependence builder's oracle interface,

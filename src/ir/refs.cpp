@@ -67,6 +67,11 @@ void collectWriteTarget(const Expr& e, const Stmt& stmt,
 
 std::vector<Ref> collectRefs(const Stmt& stmt) {
   std::vector<Ref> out;
+  appendRefs(stmt, out);
+  return out;
+}
+
+void appendRefs(const Stmt& stmt, std::vector<Ref>& out) {
   switch (stmt.kind) {
     case StmtKind::Assign:
       collectWriteTarget(*stmt.lhs, stmt, out);
@@ -111,15 +116,11 @@ std::vector<Ref> collectRefs(const Stmt& stmt) {
     default:
       break;  // Goto, Continue, Return, Stop, Assertion: no refs
   }
-  return out;
 }
 
 std::vector<Ref> collectRefsRecursive(const std::vector<Stmt*>& stmts) {
   std::vector<Ref> out;
-  for (const Stmt* s : stmts) {
-    auto refs = collectRefs(*s);
-    out.insert(out.end(), refs.begin(), refs.end());
-  }
+  for (const Stmt* s : stmts) appendRefs(*s, out);
   return out;
 }
 

@@ -46,6 +46,9 @@ struct Ref {
 /// induction-variable definition; CALL statements report actuals as
 /// CallActual; READ reports its items as writes.
 [[nodiscard]] std::vector<Ref> collectRefs(const fortran::Stmt& stmt);
+/// The same, appended to `out`, so a walk over many statements can reuse
+/// one buffer.
+void appendRefs(const fortran::Stmt& stmt, std::vector<Ref>& out);
 
 /// Collect refs for every statement in a list of statements, recursively.
 [[nodiscard]] std::vector<Ref> collectRefsRecursive(

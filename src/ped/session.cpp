@@ -119,22 +119,6 @@ std::set<std::string> calleesOf(const interproc::CallGraph& cg,
   return callees;
 }
 
-/// A callee's link in a key chain: its summary fingerprint, or EXTERN when
-/// it has no summary (a library routine). A callee missing from `fps` is
-/// fingerprinted from its final summary.
-void appendCalleeLink(std::string& m, const interproc::SummaryBuilder& sb,
-                      const std::map<std::string, std::uint64_t>& fps,
-                      const std::string& callee) {
-  auto it = fps.find(callee);
-  if (it != fps.end()) {
-    m += std::to_string(it->second);
-  } else if (const interproc::ProcSummary* s = sb.summaryOf(callee)) {
-    m += std::to_string(interproc::summaryFingerprint(*s));
-  } else {
-    m += "EXTERN";
-  }
-}
-
 void appendBudgetKey(std::string& m, const dep::AnalysisBudget& b) {
   m += "|BUDGET|";
   m += std::to_string(b.fmMaxConstraints);
@@ -168,6 +152,20 @@ void forEachUnit(support::TaskPool& pool, std::size_t n,
 
 }  // namespace
 
+void Session::PdbKeyInputs::appendCalleeLink(
+    std::string& m, const interproc::SummaryBuilder& sb,
+    const std::string& callee) const {
+  const interproc::ProcSummary* s = sb.summaryOf(callee);
+  if (!s) {
+    m += "EXTERN";
+    return;
+  }
+  auto fingerprint = [s] { return interproc::summaryFingerprint(*s); };
+  auto it = fingerprints.find(callee);
+  m += std::to_string(it != fingerprints.end() ? it->second.take(fingerprint)
+                                               : fingerprint());
+}
+
 std::string Session::pdbSummaryMaterial(std::size_t unit,
                                         const PdbKeyInputs& in) const {
   // Everything summarizing the procedure reads: its normalized text and,
@@ -186,7 +184,7 @@ std::string Session::pdbSummaryMaterial(std::size_t unit,
     if (cg.isRecursive(c)) {
       m += "REC";
     } else {
-      appendCalleeLink(m, *summaries_, in.fingerprints, c);
+      in.appendCalleeLink(m, *summaries_, c);
     }
     m += ';';
   }
@@ -256,7 +254,7 @@ std::string Session::pdbGraphMaterial(std::size_t unit,
   for (const auto& c : calleesOf(summaries_->callGraph(), name)) {
     m += c;
     m += '=';
-    appendCalleeLink(m, *summaries_, in.fingerprints, c);
+    in.appendCalleeLink(m, *summaries_, c);
     m += ';';
   }
   return m;
@@ -371,7 +369,8 @@ bool Session::savePdb(const std::string& path) {
   });
   for (std::size_t i = 0; i < n; ++i) {
     if (summary[i]) {
-      keys.fingerprints[units[i]->name] = support::xxh64(summaryBytes[i]);
+      (void)keys.fingerprints[units[i]->name].take(
+          [&] { return support::xxh64(summaryBytes[i]); });
     }
   }
 
@@ -560,6 +559,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
     forEachUnit(pool, nUnits, [&](std::size_t i) {
       keys.text[i] = fortran::printProcedure(*units[i]);
     });
+    for (const auto& u : units) (void)keys.fingerprints[u->name];
   }
 
   // Interprocedural summaries: the builder's phase on the pool, with the
@@ -591,6 +591,9 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
             return std::nullopt;
           }
           found[i] = Found::Hit;
+          // The body is the encoding savePdb hashed into callers' keys.
+          (void)keys.fingerprints.at(name).take(
+              [&] { return support::xxh64(*body); });
           return s;
         });
     phase.run(pool);
@@ -1838,9 +1841,10 @@ fortran::StmtPtr parseStatementInContext(const Procedure& proc,
 
 bool Session::finishEdit(const std::string& operation,
                          transform::Workspace& ws, Snapshot& snap) {
-  // Fresh statements were minted with invalid ids; assign program-wide
-  // before anything derives state from the AST.
-  program_->assignIds();
+  // Fresh statements were minted with invalid ids, all of them in the
+  // edited unit (every other statement's id is valid; see DESIGN.md, "Edit
+  // transactions"); assign them before anything derives state from the AST.
+  program_->assignIds(ws.proc);
 
   // Update the interprocedural summaries in place (oracles hold references
   // into the builder, so they stay valid) and compute the invalidated set:

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -644,13 +645,32 @@ class Session {
   /// What the per-procedure key materials of one save or open share,
   /// computed once per pass rather than once per material: every unit's
   /// normalized text (unit order) and, by procedure name, the xxh64
-  /// fingerprints of final summaries — the callee links of the Merkle key
-  /// chain (interproc::summaryFingerprint). savePdb fills the fingerprints
-  /// from the encodings it files anyway; a callee missing from them is
-  /// fingerprinted from its final summary when a key is rendered.
+  /// fingerprint of its final summary — the callee links of the Merkle key
+  /// chain (interproc::summaryFingerprint). savePdb sets every fingerprint
+  /// from the encodings it files anyway; a warm open sets a verified
+  /// hit's from its record body and takes any other from the final
+  /// summary on first use, once.
   struct PdbKeyInputs {
+    /// One procedure's fingerprint, taken at most once even when pool
+    /// tasks ask for it concurrently.
+    struct Fingerprint {
+      mutable std::once_flag once;
+      mutable std::uint64_t value = 0;
+      /// The fingerprint; `fn` computes it unless it is already taken.
+      template <typename Fn>
+      std::uint64_t take(Fn fn) const {
+        std::call_once(once, [&] { value = fn(); });
+        return value;
+      }
+    };
     std::vector<std::string> text;
-    std::map<std::string, std::uint64_t> fingerprints;
+    /// One slot per unit name, all inserted before any task reads them.
+    std::map<std::string, Fingerprint> fingerprints;
+
+    /// Append `callee`'s link to a key: its summary fingerprint, or EXTERN
+    /// when it has no summary (a library routine).
+    void appendCalleeLink(std::string& m, const interproc::SummaryBuilder& sb,
+                          const std::string& callee) const;
   };
 
   // Persistent-program-database content-key materials. Each renders every

@@ -1,10 +1,12 @@
 #include "support/audit.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "fortran/parser.h"
 #include "fortran/pretty.h"
+#include "support/bitset.h"
 
 namespace ps::audit {
 
@@ -85,18 +87,26 @@ void checkShape(const Procedure& proc, const Stmt& s, Report& out) {
 }  // namespace
 
 void auditProgram(const Program& prog, Report& out) {
-  std::set<StmtId> seen;
+  // Ids below the counter are marked in a dense bitmap; an id at or past
+  // it is already a violation and goes to a set.
+  DenseBitSet seen(prog.nextStmtId);
+  std::set<StmtId> beyond;
   for (const auto& unit : prog.units) {
     unit->forEachStmt([&](const Stmt& s) {
       if (s.id == fortran::kInvalidStmt) {
         out.add("stmt-id-valid", where(*unit, s) + " has invalid id");
       } else {
+        bool fresh = true;
         if (s.id >= prog.nextStmtId) {
           out.add("stmt-id-counter",
                   where(*unit, s) + " id beyond program counter " +
                       std::to_string(prog.nextStmtId));
+          fresh = beyond.insert(s.id).second;
+        } else {
+          fresh = !seen.test(s.id);
+          seen.set(s.id);
         }
-        if (!seen.insert(s.id).second) {
+        if (!fresh) {
           out.add("stmt-id-unique", where(*unit, s) + " duplicates an id");
         }
       }
@@ -176,39 +186,54 @@ void auditModel(const ir::ProcedureModel& model, Report& out) {
 void auditGraph(const dep::DependenceGraph& graph,
                 const ir::ProcedureModel& model, Report& out) {
   const std::string& proc = model.procedure().name;
-  std::set<std::uint32_t> ids;
+  // Edge ids are minted densely from 1, so ids below the graph's counter
+  // are marked in a bitmap (bounded by the edge count, in case a restored
+  // counter is damaged); any other id goes to a set.
+  const std::size_t dense =
+      std::min<std::size_t>(graph.nextEdgeId(), 8 * graph.all().size() + 64);
+  DenseBitSet seen(dense);
+  std::set<std::uint32_t> beyond;
   for (const dep::Dependence& d : graph.all()) {
-    std::string tag = proc + " dep#" + std::to_string(d.id) + " on " +
-                      (d.variable.empty() ? std::string("<control>")
-                                          : d.variable);
-    if (!ids.insert(d.id).second) {
-      out.add("dep-id-unique", tag + " duplicates an edge id");
+    // Rendered only for a failing check.
+    auto tag = [&] {
+      return proc + " dep#" + std::to_string(d.id) + " on " +
+             (d.variable.empty() ? std::string("<control>") : d.variable);
+    };
+    bool fresh = true;
+    if (d.id < dense) {
+      fresh = !seen.test(d.id);
+      seen.set(d.id);
+    } else {
+      fresh = beyond.insert(d.id).second;
+    }
+    if (!fresh) {
+      out.add("dep-id-unique", tag() + " duplicates an edge id");
     }
     if (!model.stmt(d.srcStmt)) {
-      out.add("dep-live-endpoint", tag + " source stmt#" +
+      out.add("dep-live-endpoint", tag() + " source stmt#" +
                                        std::to_string(d.srcStmt) +
                                        " is not in the procedure");
     }
     if (!model.stmt(d.dstStmt)) {
-      out.add("dep-live-endpoint", tag + " sink stmt#" +
+      out.add("dep-live-endpoint", tag() + " sink stmt#" +
                                        std::to_string(d.dstStmt) +
                                        " is not in the procedure");
     }
     if (d.level < 0 ||
         static_cast<std::size_t>(d.level) > d.vector.dirs.size()) {
-      out.add("dep-level", tag + " level " + std::to_string(d.level) +
+      out.add("dep-level", tag() + " level " + std::to_string(d.level) +
                                " outside its direction vector");
     }
     if (d.level > 0) {
       if (d.carrierLoop == fortran::kInvalidStmt ||
           !model.loopByDoStmt(d.carrierLoop)) {
-        out.add("dep-carrier", tag + " carried edge without a live carrier"
-                                     " loop");
+        out.add("dep-carrier", tag() + " carried edge without a live carrier"
+                                       " loop");
       }
     }
     if (d.commonLoop != fortran::kInvalidStmt &&
         !model.loopByDoStmt(d.commonLoop)) {
-      out.add("dep-carrier", tag + " common loop stmt#" +
+      out.add("dep-carrier", tag() + " common loop stmt#" +
                                  std::to_string(d.commonLoop) +
                                  " is not a live loop");
     }

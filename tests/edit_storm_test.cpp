@@ -17,9 +17,16 @@
 // After EVERY edit the observable analysis state — every field of every
 // dependence edge in every procedure, the degradation report, and a deep
 // audit — must be bit-identical across all six, and every session's summary
-// call graph must equal a fresh CallGraph::build. The deep audit must also
-// be clean, both on the deck as loaded and after every edit. This is the
-// suite's hard invariant; it also runs under TSan in CI.
+// call graph must equal a fresh CallGraph::build. The sequential session's
+// incrementally updated inherited facts (COMMON census and formal
+// constants) must equal those of the scratch session's fresh builder, for
+// every unit. The deep audit must also be clean, both on the deck as
+// loaded and after every edit. This is the suite's hard invariant; it also
+// runs under TSan in CI.
+//
+// The decks: the eight workloads plus two generated 2k-line decks
+// (psbench/gen.cpp, seeds 1 and 2), whose COMMON blocks are shared by many
+// units, as in the pipeline benchmark's edit-settle deck.
 //
 // The snapshot and the edit generator live in workloads/harness.{h,cpp},
 // shared with the persistent-program-database warm-start suites.
@@ -35,12 +42,49 @@
 #include <utility>
 #include <vector>
 
+#include "gen.h"
 #include "ped/session.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
 
 namespace ps::workloads {
 namespace {
+
+/// Generated decks are named by their seed; they are 2,000 lines long.
+const char* const kGeneratedPrefix = "generated_seed";
+
+/// A workload deck or a generated one, loaded; null on any failure.
+std::unique_ptr<ped::Session> loadStormDeck(const std::string& name) {
+  if (name.rfind(kGeneratedPrefix, 0) != 0) return loadDeck(name);
+  const auto seed = static_cast<unsigned>(
+      std::stoul(name.substr(std::string(kGeneratedPrefix).size())));
+  ps::DiagnosticEngine diags;
+  auto session =
+      ped::Session::load(psbench::generateDeck(seed, 2000).source, diags);
+  if (!session || diags.hasErrors()) return nullptr;
+  session->setDeckName(name);
+  return session;
+}
+
+/// Empty when every unit of `got` inherits the same constants and
+/// relations from its summary builder as the same unit of `want`;
+/// otherwise the first unit that differs.
+std::string inheritedFactsDrift(ped::Session& got, ped::Session& want) {
+  const auto& gu = got.program().units;
+  const auto& wu = want.program().units;
+  if (gu.size() != wu.size()) return "unit count differs";
+  for (std::size_t i = 0; i < gu.size(); ++i) {
+    if (got.summaries().inheritedConstantsFor(*gu[i]) !=
+        want.summaries().inheritedConstantsFor(*wu[i])) {
+      return gu[i]->name + ": inherited constants differ";
+    }
+    if (got.summaries().inheritedRelationsFor(*gu[i]) !=
+        want.summaries().inheritedRelationsFor(*wu[i])) {
+      return gu[i]->name + ": inherited relations differ";
+    }
+  }
+  return "";
+}
 
 int stormEdits() {
   if (const char* env = std::getenv("PS_STORM_EDITS")) {
@@ -54,9 +98,9 @@ class EditStorm : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
   const std::string deck = GetParam();
-  auto seq = loadDeck(deck);
-  auto full = loadDeck(deck);
-  auto fresh = loadDeck(deck);
+  auto seq = loadStormDeck(deck);
+  auto full = loadStormDeck(deck);
+  auto fresh = loadStormDeck(deck);
   ASSERT_NE(seq, nullptr);
   ASSERT_NE(full, nullptr);
   ASSERT_NE(fresh, nullptr);
@@ -68,7 +112,7 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
   std::vector<std::unique_ptr<ped::Session>> par;
   for (int t : threadCounts) {
     (void)t;
-    auto s = loadDeck(deck);
+    auto s = loadStormDeck(deck);
     ASSERT_NE(s, nullptr);
     s->setDeferredAnalysis(true);
     par.push_back(std::move(s));
@@ -88,6 +132,9 @@ TEST_P(EditStorm, ParallelIncrementalMatchesSequentialAndScratch) {
     EXPECT_EQ(callGraphDrift(*seq), "") << deck << " edit " << k;
     EXPECT_EQ(callGraphDrift(*full), "") << deck << " edit " << k;
     full->fullReanalysis();
+    // full's builder is fresh: the incremental census and formal constants
+    // must equal a full recount.
+    EXPECT_EQ(inheritedFactsDrift(*seq, *full), "") << deck << " edit " << k;
     const std::string want = analysisSnapshot(*seq);
     EXPECT_EQ(want, analysisSnapshot(*full))
         << deck << " edit " << k << ": incremental diverged from scratch";
@@ -130,7 +177,7 @@ TEST_P(EditStorm, RebuildLeavesNothingDirty) {
            [&](ped::Session& s) { s.setAnalysisBudget(tight); }},
       };
   for (const auto& [what, rebuild] : rebuilds) {
-    auto s = loadDeck(deck);
+    auto s = loadStormDeck(deck);
     ASSERT_NE(s, nullptr);
     s->analyzeParallel(1);
     s->setDeferredAnalysis(true);
@@ -146,7 +193,7 @@ TEST_P(EditStorm, RebuildLeavesNothingDirty) {
     rebuild(*s);
     EXPECT_TRUE(s->dirtyProcedures().empty()) << deck << " " << what;
 
-    auto scratch = loadDeck(deck);
+    auto scratch = loadStormDeck(deck);
     ASSERT_NE(scratch, nullptr);
     ASSERT_TRUE(applyStep(*scratch, step)) << deck;
     rebuild(*scratch);
@@ -160,6 +207,9 @@ TEST_P(EditStorm, RebuildLeavesNothingDirty) {
 std::vector<std::string> deckNames() {
   std::vector<std::string> names;
   for (const Workload& w : all()) names.push_back(w.name);
+  for (int seed : {1, 2}) {
+    names.push_back(kGeneratedPrefix + std::to_string(seed));
+  }
   return names;
 }
 

@@ -582,6 +582,93 @@ TEST(IncrementalSummaries, ShapeMovedByATransformationRebuildsAtTheNextEdit) {
   expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
 }
 
+/// Every unit inherits from `sb` what it would from a fresh build over the
+/// same program: the incremental census and formal constants equal a full
+/// recount.
+void expectFactsOfFreshBuild(const SummaryBuilder& sb, Program& prog) {
+  const SummaryBuilder fresh(prog);
+  for (const auto& u : prog.units) {
+    EXPECT_EQ(sb.inheritedConstantsFor(*u), fresh.inheritedConstantsFor(*u))
+        << u->name;
+    EXPECT_EQ(sb.inheritedRelationsFor(*u), fresh.inheritedRelationsFor(*u))
+        << u->name;
+  }
+}
+
+TEST(IncrementalSummaries, SecondCommonWriteInALeafDropsTheCensusConstant) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  const std::vector<std::string> commonUsers = {"MAIN", "R"};
+  for (const std::string& name : commonUsers) {
+    EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit(name)).at("N"), 100)
+        << name;
+  }
+
+  // R gains `N = 7`: N has two writes and is no program-wide constant.
+  fortran::Procedure& r = *prog->findUnit("R");
+  fortran::StmtPtr write = r.body[0]->clone();
+  write->lhs = fortran::makeVarRef("N");
+  write->rhs = fortran::makeIntConst(7);
+  r.body.push_back(std::move(write));
+  prog->assignIds();
+  SummaryBuilder::Update up = sb.applyEdit({"R"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_TRUE(up.globalFactsChanged);
+  for (const std::string& name : commonUsers) {
+    EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit(name)).count("N"), 0u)
+        << name;
+  }
+  expectFactsOfFreshBuild(sb, *prog);
+
+  // Deleting the second write restores the constant everywhere.
+  r.body.pop_back();
+  up = sb.applyEdit({"R"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_TRUE(up.globalFactsChanged);
+  for (const std::string& name : commonUsers) {
+    EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit(name)).at("N"), 100)
+        << name;
+  }
+  expectFactsOfFreshBuild(sb, *prog);
+}
+
+TEST(IncrementalSummaries, LeafWritingItsFormalMakesACallerActualAWrite) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("N"), 100);
+
+  // Q's `X = L` becomes `L = X`. Q now writes its formal, so MAIN's
+  // unedited `CALL Q(N)` is a second write of N.
+  rewrite(*prog, prog->findUnit("Q")->body[0],
+          [](fortran::Stmt& s) { std::swap(s.lhs, s.rhs); });
+  SummaryBuilder::Update up = sb.applyEdit({"Q"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_EQ(up.staleAnalyses, (std::set<std::string>{"MAIN", "Q"}));
+  EXPECT_TRUE(up.globalFactsChanged);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("MAIN")).count("N"), 0u);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).count("N"), 0u);
+  expectFactsOfFreshBuild(sb, *prog);
+}
+
+TEST(IncrementalSummaries, TransformedCallLiteralReachesTheNextEdit) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("M"), 5);
+
+  // A transformation rewrites MAIN's call literal: the session refreshes
+  // MAIN's call sites and updates no summary.
+  rewrite(*prog, callOfR(*prog),
+          [](fortran::Stmt& s) { s.args[1]->intValue = 6; });
+  sb.refreshCallSites("MAIN");
+  // The next edit is in Q, and still reports R's new constant.
+  rewrite(*prog, prog->findUnit("Q")->body[0], [](fortran::Stmt&) {});
+  SummaryBuilder::Update up = sb.applyEdit({"Q"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_EQ(up.formalConstantsChanged, std::set<std::string>{"R"});
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("M"), 6);
+  expectFactsOfFreshBuild(sb, *prog);
+}
+
 // ---------------------------------------------------------------------------
 // The summary phase on a pool
 // ---------------------------------------------------------------------------

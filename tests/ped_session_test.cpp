@@ -785,6 +785,52 @@ TEST(SessionTxn, GarbageEditIsRejectedBeforeMutation) {
   EXPECT_TRUE(s->auditNow(true).ok());
 }
 
+// The post-edit audit covers the whole program, not only the edited unit:
+// a broken invariant in MAIN fails an edit of WORK, which is rolled back.
+// Each case edits WORK's `T = B(I)*2.0`, which moves no summary, so MAIN is
+// not re-analyzed and keeps the state the test gave it.
+void expectEditOfWorkFailsOnMain(Session& s, const std::string& check) {
+  ASSERT_TRUE(s.selectProcedure("WORK"));
+  fortran::StmtId target = fortran::kInvalidStmt;
+  for (const auto& row : s.sourcePane()) {
+    if (row.text.find("T = B(I)") != std::string::npos) target = row.stmt;
+  }
+  ASSERT_NE(target, fortran::kInvalidStmt);
+  const std::string before = fortran::printProcedure(*s.program().units[1]);
+
+  EXPECT_FALSE(s.editStatement(target, "T = B(I)*3.0"));
+  ASSERT_FALSE(s.failures().empty());
+  const FailureReport& f = s.failures().back();
+  EXPECT_EQ(f.operation, "editStatement");
+  EXPECT_TRUE(f.rolledBack);
+  EXPECT_NE(f.detail.find(check + ": MAIN"), std::string::npos) << f.detail;
+  EXPECT_EQ(fortran::printProcedure(*s.program().units[1]), before);
+}
+
+TEST(SessionTxn, EditAuditCatchesDuplicateIdInAnotherUnit) {
+  auto s = load(kTwoProcs);
+  ASSERT_TRUE(s->selectProcedure("MAIN"));
+  (void)s->loops();
+  // MAIN's WRITE takes the id of MAIN's DO.
+  fortran::Procedure& main = *s->program().units[0];
+  ASSERT_EQ(main.name, "MAIN");
+  main.body.back()->id = main.body.front()->id;
+  expectEditOfWorkFailsOnMain(*s, "stmt-id-unique");
+}
+
+TEST(SessionTxn, EditAuditCatchesStaleModelInAnotherUnit) {
+  auto s = load(kTwoProcs);
+  ASSERT_TRUE(s->selectProcedure("MAIN"));
+  (void)s->loops();
+  // MAIN loses its WRITE behind its model's back. The statement stays
+  // alive until the end of the test, since the stale model indexes it.
+  fortran::Procedure& main = *s->program().units[0];
+  ASSERT_EQ(main.name, "MAIN");
+  fortran::StmtPtr removed = std::move(main.body.back());
+  main.body.pop_back();
+  expectEditOfWorkFailsOnMain(*s, "model-stmt-index");
+}
+
 TEST(SessionTxn, StarvedBudgetDegradesAndReports) {
   // Default budget: FM disproves the distance-50 MIV pair, nothing degrades.
   auto s = load(
