@@ -650,6 +650,36 @@ TEST(IncrementalSummaries, LeafWritingItsFormalMakesACallerActualAWrite) {
   expectFactsOfFreshBuild(sb, *prog);
 }
 
+TEST(IncrementalSummaries, OperandWriteDropsTheRelationThatNamesIt) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      COMMON /C/ N, M\n"
+      "      N = 100\n"
+      "      M = N - 1\n"
+      "      CALL R\n"
+      "      END\n"
+      "      SUBROUTINE R\n"
+      "      COMMON /C/ N, M\n"
+      "      X = M\n"
+      "      END\n");
+  SummaryBuilder sb(*prog);
+  const fortran::Procedure& r = *prog->findUnit("R");
+  ASSERT_EQ(sb.inheritedRelationsFor(r).size(), 1u);
+  EXPECT_EQ(sb.inheritedRelationsFor(r)[0].name, "M");
+
+  // R's `X = M` becomes `N = M`. M's own write did not move, but its
+  // operand N is now written twice, so M = N - 1 no longer holds on entry.
+  rewrite(*prog, prog->findUnit("R")->body[0], [](fortran::Stmt& s) {
+    s.lhs = fortran::makeVarRef("N");
+    s.rhs = fortran::makeVarRef("M");
+  });
+  SummaryBuilder::Update up = sb.applyEdit({"R"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_TRUE(up.globalFactsChanged);
+  EXPECT_TRUE(sb.inheritedRelationsFor(r).empty());
+  expectFactsOfFreshBuild(sb, *prog);
+}
+
 TEST(IncrementalSummaries, TransformedCallLiteralReachesTheNextEdit) {
   auto prog = parse(kCallLiterals);
   SummaryBuilder sb(*prog);
