@@ -56,20 +56,21 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 
 # AddressSanitizer stage: the suites that mutate the AST through edits,
 # transformations and rollbacks, plus the dependence builder they drive,
-# rebuilt with -fsanitize=address. Edits refresh the call graph only at the
-# edited procedure, so a transformation that frees a CALL without
-# refreshing it shows up here as a heap-use-after-free. The three store
-# suites feed damaged bytes into readGraphSlice, which runs in pool tasks
-# during a warm open. The parallel determinism suite moves workspaces
-# between the analysis scheduler's task slots and the session at 1-16
-# threads: an ownership bug there is invisible to TSan. The server storm
-# settles coalesced edit bursts from many sessions over one shared memo,
-# the one edit path the other suites do not cover. The dataflow suite indexes
-# dense rows by variable and definition ids, where an id past the end of a
-# row would corrupt memory silently without ASan. The edit storm runs 50
-# edits per deck here: the summary builder's census records and call graph
-# live across edits, so a missed recount or refresh turns into a
-# heap-use-after-free only once enough edits have freed statements.
+# rebuilt with -fsanitize=address. Every program change (an edit, a
+# transformation or a rollback) refreshes the call graph only at the unit it
+# changed, so a change that frees a CALL anywhere else shows up here as a
+# heap-use-after-free. The three store suites feed damaged bytes into
+# readGraphSlice, which runs in pool tasks during a warm open. The parallel
+# determinism suite moves workspaces between the analysis scheduler's task
+# slots and the session at 1-16 threads: an ownership bug there is invisible
+# to TSan. The server storm settles coalesced edit bursts from many sessions
+# over one shared memo, the one edit path the other suites do not cover. The
+# dataflow suite indexes dense rows by variable and definition ids, where an
+# id past the end of a row would corrupt memory silently without ASan. The
+# edit storm runs 50 edits per deck here: the summary builder's census
+# records and call graph live across edits, so a missed recount or refresh
+# turns into a heap-use-after-free only once enough edits have freed
+# statements.
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"

@@ -71,10 +71,6 @@ struct AnalysisContext {
   /// so the resulting graph is identical for any thread count). Null keeps
   /// the build fully sequential.
   support::TaskPool* pool = nullptr;
-  /// Skip the Program::assignIds() call in Workspace::reanalyze. Set only
-  /// by the parallel driver, which assigns ids once up front because the
-  /// Program is shared across concurrent per-procedure tasks.
-  bool idsPreassigned = false;
 };
 
 /// The dependence graph of one procedure, as PED computes and displays it.

@@ -422,25 +422,19 @@ bool SummaryBuilder::refreshCallGraph(const std::set<std::string>& procs) {
   return shapeKept;
 }
 
-void SummaryBuilder::refreshCallSites(const std::string& procName) {
-  if (!refreshCallGraph({procName})) shapeMoved_ = true;
-  rewritten_.insert(procName);
-}
-
 SummaryBuilder::Update SummaryBuilder::applyEdit(
     const std::set<std::string>& editedProcs) {
   Update up;
   // A census that does not cover every unit (none yet, or units came and
   // went) is rebuilt along with everything else.
-  const bool shapeKept = refreshCallGraph(editedProcs) && !shapeMoved_ &&
+  const bool shapeKept = refreshCallGraph(editedProcs) &&
                          census_.size() == program_.units.size();
-  shapeMoved_ = false;
 
   if (!shapeKept) {
-    // Procedures or call edges appeared/disappeared: rebuild everything
-    // from scratch (rare for statement-level edits).
+    // Procedures or call edges appeared or disappeared (a transformation
+    // that appends a unit, or its rollback): rebuild everything from
+    // scratch.
     up.structureChanged = true;
-    rewritten_.clear();
     summaries_.clear();
     indexUnits();
     computeFormalConstants();
@@ -453,17 +447,12 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
   // Procedures to re-summarize: the edited ones plus every caller of a
   // summary that actually changed. Their analyses are the stale ones.
   std::set<std::string> dirty = editedProcs;
-  // Units whose statements changed: the edited ones and those a
-  // transformation rewrote since the last update. Their call sites carry
-  // their callees' formal constants, and their census records read their
-  // statements. A census record also reads what a callee may write, for
-  // each CALL actual that names a census variable (refMayWrite), so a
-  // caller of a summary whose writes moved is recounted when one of its
-  // calls to it passes such an actual.
-  std::set<std::string> rewritten = editedProcs;
-  rewritten.merge(rewritten_);
-  rewritten_.clear();
-  std::set<std::string> recount = rewritten;
+  // The edited units' call sites carry their callees' formal constants,
+  // and their census records read their statements. A census record also
+  // reads what a callee may write, for each CALL actual that names a
+  // census variable (refMayWrite), so a caller of a summary whose writes
+  // moved is recounted when one of its calls to it passes such an actual.
+  std::set<std::string> recount = editedProcs;
   auto markCallers = [&](const std::string& callee, bool writesMoved) {
     for (const CallSite* cs : callGraph_.callsTo(callee)) {
       dirty.insert(cs->caller);
@@ -502,7 +491,7 @@ SummaryBuilder::Update SummaryBuilder::applyEdit(
   }
 
   // Every other call site and census record is as it was.
-  up.formalConstantsChanged = refreshFormalConstants(rewritten);
+  up.formalConstantsChanged = refreshFormalConstants(editedProcs);
   up.globalFactsChanged = recountCensus(recount);
 
   up.staleAnalyses = std::move(dirty);

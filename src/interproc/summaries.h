@@ -105,7 +105,8 @@ class SummaryBuilder {
   /// any phase node runs and only applyEdit recomputes.
   [[nodiscard]] bool usesGlobalFacts(const fortran::Procedure& proc) const;
 
-  /// Result of an incremental summary update after a source edit.
+  /// Result of an incremental summary update after a change to some
+  /// units' statements.
   struct Update {
     /// The call graph's shape changed (procedures or call sites added or
     /// removed): every summary was rebuilt and every analysis is stale.
@@ -122,26 +123,20 @@ class SummaryBuilder {
     bool globalFactsChanged = false;
   };
 
-  /// Re-establish all summaries after `editedProcs` had statements edited,
-  /// re-summarizing only the edited procedures and the callers transitively
-  /// reached by actual summary changes. The call graph is refreshed at the
-  /// edited procedures (CallSite::stmt must track the live AST) and rebuilt
-  /// only when their callee sequences moved. Only what can have moved is
-  /// recounted: the formal constants of the callees of the edited
-  /// procedures and of those refreshCallSites() named since the last
-  /// update, and the census records of those procedures and of every
-  /// caller of a summary whose writes changed. Post-state is bit-identical
-  /// to a from-scratch eager build. Summaries are updated in place, so
-  /// InterproceduralOracles holding a reference to this builder stay
-  /// valid.
+  /// Re-establish all summaries after the statements of `editedProcs`
+  /// changed — by a source edit, a transformation or a rollback, which
+  /// the session updates alike — re-summarizing only the edited procedures
+  /// and the callers transitively reached by actual summary changes. The
+  /// call graph is refreshed at the edited procedures (CallSite::stmt must
+  /// track the live AST) and rebuilt only when their callee sequences
+  /// moved; a moved call shape or unit count rebuilds every summary. Only
+  /// what can have moved is recounted: the formal constants of the callees
+  /// of the edited procedures, and the census records of those procedures
+  /// and of every caller of a summary whose writes changed. Post-state is
+  /// bit-identical to a from-scratch eager build. Summaries are updated in
+  /// place, so InterproceduralOracles holding a reference to this builder
+  /// stay valid.
   Update applyEdit(const std::set<std::string>& editedProcs);
-
-  /// Keep the call graph live after a transformation rewrote `procName`'s
-  /// body (it may have cloned or freed CALL statements). Summaries are left
-  /// as they are; the next applyEdit recounts `procName`'s COMMON writes
-  /// and its callees' formal constants, and when the call shape moved it
-  /// rebuilds every summary as though the transformation had been an edit.
-  void refreshCallSites(const std::string& procName);
 
   [[nodiscard]] const ProcSummary* summaryOf(const std::string& name) const;
   [[nodiscard]] const CallGraph& callGraph() const { return callGraph_; }
@@ -253,10 +248,6 @@ class SummaryBuilder {
   CallGraph callGraph_;
   /// Indices into program_.units by unit name (a name may repeat).
   std::unordered_map<std::string, std::vector<std::size_t>> unitsNamed_;
-  /// A transformation moved the call shape since the last summary update.
-  bool shapeMoved_ = false;
-  /// Units a transformation rewrote since the last summary update.
-  std::set<std::string> rewritten_;
   /// Every summary and the census are final: schedule() adds nothing.
   bool summarized_ = false;
   std::map<std::string, ProcSummary> summaries_;

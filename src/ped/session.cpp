@@ -527,7 +527,6 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
                                          int nThreads) {
   auto session = parse(source, diags);
   if (!session) return nullptr;
-  session->program_->assignIds();
   // Adopt the server's shared memo before anything touches memo state:
   // the pre-warm must land where lookups will read.
   if (shared.memo) session->memo_ = shared.memo;
@@ -833,7 +832,6 @@ dep::AnalysisContext Session::makeContext(const Procedure& proc,
   ctx.statsSink = sink;
   ctx.budget = budget_;
   ctx.pool = pool;
-  ctx.idsPreassigned = pool != nullptr;
   return ctx;
 }
 
@@ -862,7 +860,7 @@ transform::Workspace& Session::wsFor(const std::string& name) {
 
 transform::Workspace& Session::wsForEdit(const std::string& name) {
   auto it = workspaces_.find(name);
-  // No settle: edits only need the statement model, which finishEdit keeps
+  // No settle: edits only need the statement model, which finishChange keeps
   // fresh across deferred edits; settling here would serialize the graph
   // rebuild that deferral exists to postpone.
   if (it != workspaces_.end()) return *it->second;
@@ -881,10 +879,6 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
   const std::vector<support::TaskPool::IdleStats> idle0 =
       pool ? pool->idleStats() : std::vector<support::TaskPool::IdleStats>();
 
-  // Statement ids are assigned once, up front: the Program is shared by
-  // every concurrent per-procedure task, so the lazy assignment inside
-  // Workspace::reanalyze is disabled (ctx.idsPreassigned) for pool tasks.
-  program_->assignIds();
   // Per-procedure state, resolved here so the tasks never touch the
   // session's maps: the oracle and the workspace to re-analyze (null: build
   // one, into `built`).
@@ -947,7 +941,6 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
     stats_.accumulate(slot.stats);
     slot.ws->actx.statsSink = &stats_;
     slot.ws->actx.pool = nullptr;
-    slot.ws->actx.idsPreassigned = false;
     reapplyMarks(*slot.ws->graph);
     pendingDirty_.erase(name);  // analyzed means clean
   }
@@ -988,14 +981,6 @@ std::vector<Procedure*> Session::takeDirty() {
   return dirty;
 }
 
-void Session::resummarize() {
-  // The oracles reference the builder being replaced.
-  oracles_.clear();
-  summaries_ = std::make_unique<interproc::SummaryBuilder>(
-      *program_, interproc::SummaryBuilder::Deferred{});
-  rebuildMaterialized();
-}
-
 void Session::rebuildMaterialized() {
   std::vector<Procedure*> procs = unitsWhere(
       [this](const std::string& name) { return workspaces_.count(name) != 0; });
@@ -1021,8 +1006,12 @@ void Session::fullReanalysis() { (void)analyzeAll(nullptr); }
 
 ParallelReport Session::analyzeAll(support::TaskPool* pool) {
   workspaces_.clear();
+  pendingDirty_.clear();
   memo_ = std::make_shared<dep::DepMemo>();
-  resummarize();  // nothing is materialized, so nothing is rebuilt here
+  // The oracles reference the builder being replaced.
+  oracles_.clear();
+  summaries_ = std::make_unique<interproc::SummaryBuilder>(
+      *program_, interproc::SummaryBuilder::Deferred{});
   return analyze(unitsWhere([](const std::string&) { return true; }), pool);
 }
 
@@ -1104,43 +1093,29 @@ fortran::ProcedurePtr cloneUnit(const Procedure& unit) {
 
 }  // namespace
 
-Session::Snapshot Session::takeSnapshot(Procedure* only) const {
-  Snapshot snap;
-  snap.nextStmtId = program_->nextStmtId;
-  snap.unit = only;
-  if (only) {
-    snap.units.push_back(cloneUnit(*only));
-    return snap;
-  }
-  for (const auto& unit : program_->units) {
-    snap.units.push_back(cloneUnit(*unit));
-  }
-  return snap;
+Session::Snapshot Session::takeSnapshot(Procedure& unit) const {
+  return {&unit, cloneUnit(unit), program_->nextStmtId,
+          program_->units.size()};
 }
 
 void Session::restoreSnapshot(Snapshot&& snap) {
-  // Restore pre-existing units *in place*: Workspaces hold references to
-  // these Procedure objects, so their addresses must survive the rollback.
-  if (snap.unit) {
-    *snap.unit = std::move(*snap.units.front());
-  } else {
-    for (std::size_t i = 0;
-         i < snap.units.size() && i < program_->units.size(); ++i) {
-      *program_->units[i] = std::move(*snap.units[i]);
-    }
-    // Units added since the snapshot (Loop Extraction creates one) are
-    // dropped, together with any workspace built over them.
-    while (program_->units.size() > snap.units.size()) {
-      workspaces_.erase(program_->units.back()->name);
-      oracles_.erase(program_->units.back()->name);
-      program_->units.pop_back();
-    }
+  // The unit is restored *in place*: Workspaces hold references to
+  // Procedure objects, so its address must survive the rollback.
+  *snap.unit = std::move(*snap.copy);
+  // Units appended since the snapshot (Loop Extraction and Loop Embedding
+  // add one) are dropped, together with anything derived from them.
+  while (program_->units.size() > snap.units) {
+    const std::string& name = program_->units.back()->name;
+    workspaces_.erase(name);
+    oracles_.erase(name);
+    pendingDirty_.erase(name);
+    program_->units.pop_back();
   }
   program_->nextStmtId = snap.nextStmtId;
-
-  // Every derived structure may hold pointers into the replaced AST:
-  // replace the summaries and re-analyze each materialized workspace.
-  resummarize();
+  // A change back: the unit's model and graph held pointers into the
+  // replaced statements, and what was derived from its old text is
+  // updated as after any change.
+  updateDerived(*snap.unit, /*analyzed=*/false);
 }
 
 audit::Report Session::auditNow(bool deep) {
@@ -1170,20 +1145,6 @@ void Session::corruptIfArmed(Procedure& proc) {
   if (fault_ != Fault::CorruptState) return;
   fault_ = Fault::None;
   if (proc.body.size() >= 2) proc.body.back()->id = proc.body.front()->id;
-}
-
-bool Session::auditAfter(const std::string& operation, Snapshot* snap,
-                         std::string* error) {
-  audit::Report rep = auditNow(false);
-  if (rep.ok()) return true;
-  if (snap) restoreSnapshot(std::move(*snap));
-  recordFailure(operation, "audit violation: " + rep.str(),
-                snap != nullptr);
-  if (error) {
-    *error = "invariant audit failed after " + operation +
-             (snap ? " (rolled back): " : ": ") + rep.str();
-  }
-  return false;
 }
 
 void Session::setAnalysisBudget(const dep::AnalysisBudget& b) {
@@ -1743,11 +1704,12 @@ bool Session::applyTransformation(const std::string& name,
     return false;
   }
 
-  // Transactional apply: snapshot the whole program (statements, ids,
-  // labels, id counter) so any failure — the transformation's own, an
-  // injected fault, or a post-apply audit violation — restores the exact
-  // pre-apply state. Power steering must never leave a broken program.
-  Snapshot snap = takeSnapshot();
+  // Transactional apply: a transformation mutates only this workspace's
+  // unit and may append units, so the unit's snapshot lets any failure —
+  // the transformation's own, an injected fault, or a post-apply audit
+  // violation — restore the exact pre-apply state. Power steering must
+  // never leave a broken program.
+  Snapshot snap = takeSnapshot(ws.proc);
   std::string localError;
   if (!error) error = &localError;
 
@@ -1774,20 +1736,7 @@ bool Session::applyTransformation(const std::string& name,
   }
 
   reapplyMarks(*ws.graph);
-  // Interprocedural transformations add units: replace the summaries so
-  // every procedure's analysis sees them.
-  if (name == "Loop Extraction" || name == "Loop Embedding") {
-    resummarize();
-  } else {
-    // The rewrite may have cloned or freed CALL statements: keep the call
-    // graph pointing at live ones (checkInterfaces and the next edit's
-    // summary update read them).
-    summaries_->refreshCallSites(current_);
-  }
-
-  corruptIfArmed(ws.proc);
-  if (!auditAfter(name, &snap, error)) return false;
-
+  if (!finishChange(name, snap, /*analyzed=*/true, error)) return false;
   ++counters_.transformationsApplied;
   return true;
 }
@@ -1830,8 +1779,8 @@ fortran::StmtPtr parseStatementInContext(const Procedure& proc,
     return nullptr;
   }
   fortran::StmtPtr out = std::move(prog->units[0]->body.front());
-  // The scratch program minted its own ids; clear them so the real
-  // program's assignIds() issues fresh, non-colliding ones.
+  // The scratch program minted its own ids; clear them so the edit numbers
+  // the statement in the real program.
   out->forEachMutable(
       [](fortran::Stmt& s) { s.id = fortran::kInvalidStmt; });
   return out;
@@ -1839,28 +1788,26 @@ fortran::StmtPtr parseStatementInContext(const Procedure& proc,
 
 }  // namespace
 
-bool Session::finishEdit(const std::string& operation,
-                         transform::Workspace& ws, Snapshot& snap) {
-  // Fresh statements were minted with invalid ids, all of them in the
-  // edited unit (every other statement's id is valid; see DESIGN.md, "Edit
-  // transactions"); assign them before anything derives state from the AST.
-  program_->assignIds(ws.proc);
-
+void Session::updateDerived(Procedure& unit, bool analyzed) {
   // Update the interprocedural summaries in place (oracles hold references
   // into the builder, so they stay valid) and compute the invalidated set:
-  // the edited procedure, every procedure with a call site whose callee
+  // the changed unit, every procedure with a call site whose callee
   // summary actually changed, and — below — every materialized workspace
   // whose inherited facts moved (the census can shift without any summary
   // changing, e.g. a COMMON variable losing its single-assignment status).
-  interproc::SummaryBuilder::Update up = summaries_->applyEdit({current_});
+  interproc::SummaryBuilder::Update up = summaries_->applyEdit({unit.name});
   if (up.structureChanged) {
     for (const auto& u : program_->units) pendingDirty_.insert(u->name);
   } else {
+    // The gate re-analyzed a transformed unit already, under the facts it
+    // inherited before the change: like every other workspace outside the
+    // dirty set, it is stale only when those moved.
+    if (analyzed) up.staleAnalyses.erase(unit.name);
     pendingDirty_.insert(up.staleAnalyses.begin(), up.staleAnalyses.end());
     // Every materialized workspace outside the dirty set holds the facts
-    // the builder had before this edit, so only procedures whose inherited
-    // inputs moved can differ: those with changed formal constants and,
-    // when the census moved, every COMMON user.
+    // the builder had before this change, so only procedures whose
+    // inherited inputs moved can differ: those with changed formal
+    // constants and, when the census moved, every COMMON user.
     std::set<std::string> moved = std::move(up.formalConstantsChanged);
     if (up.globalFactsChanged) {
       for (const auto& [name, w] : workspaces_) {
@@ -1880,16 +1827,33 @@ bool Session::finishEdit(const std::string& operation,
     }
   }
 
-  if (deferredAnalysis_) {
-    // Panes, containerOf and the auditor need a statement model over the
-    // post-edit AST; the expensive part — the dependence graphs — is what
-    // stays pending until settleEdits()/analyzeParallel().
-    ws.model = std::make_unique<ir::ProcedureModel>(ws.proc);
-  } else {
+  if (!deferredAnalysis_) {
     settleEdits();
+    return;
   }
-  corruptIfArmed(ws.proc);
-  return auditAfter(operation, &snap, nullptr);
+  // Panes, containerOf and the auditor need a statement model over the
+  // changed unit (the gate built a transformed unit's); the expensive
+  // part — the dependence graphs — is what stays pending until
+  // settleEdits()/analyzeParallel().
+  if (!analyzed) {
+    workspaces_.at(unit.name)->model =
+        std::make_unique<ir::ProcedureModel>(unit);
+  }
+}
+
+bool Session::finishChange(const std::string& operation, Snapshot& snap,
+                           bool analyzed, std::string* error) {
+  updateDerived(*snap.unit, analyzed);
+  corruptIfArmed(*snap.unit);
+  const audit::Report rep = auditNow(false);
+  if (rep.ok()) return true;
+  restoreSnapshot(std::move(snap));
+  recordFailure(operation, "audit violation: " + rep.str(), true);
+  if (error) {
+    *error = "invariant audit failed after " + operation +
+             " (rolled back): " + rep.str();
+  }
+  return false;
 }
 
 bool Session::editStatement(StmtId id, const std::string& newText) {
@@ -1908,10 +1872,11 @@ bool Session::editStatement(StmtId id, const std::string& newText) {
     recordFailure("editStatement", "does not parse: " + newText, false);
     return false;
   }
-  Snapshot snap = takeSnapshot(&ws.proc);
+  Snapshot snap = takeSnapshot(ws.proc);
   fresh->label = (*container)[index]->label;  // labels survive edits
   (*container)[index] = std::move(fresh);
-  return finishEdit("editStatement", ws, snap);
+  program_->assignIds(ws.proc);
+  return finishChange("editStatement", snap, /*analyzed=*/false, nullptr);
 }
 
 bool Session::insertStatementAfter(StmtId id, const std::string& text) {
@@ -1928,10 +1893,12 @@ bool Session::insertStatementAfter(StmtId id, const std::string& text) {
     recordFailure("insertStatementAfter", "does not parse: " + text, false);
     return false;
   }
-  Snapshot snap = takeSnapshot(&ws.proc);
+  Snapshot snap = takeSnapshot(ws.proc);
   container->insert(container->begin() + static_cast<long>(index + 1),
                     std::move(fresh));
-  return finishEdit("insertStatementAfter", ws, snap);
+  program_->assignIds(ws.proc);
+  return finishChange("insertStatementAfter", snap, /*analyzed=*/false,
+                      nullptr);
 }
 
 bool Session::deleteStatement(StmtId id) {
@@ -1943,9 +1910,9 @@ bool Session::deleteStatement(StmtId id) {
                   false);
     return false;
   }
-  Snapshot snap = takeSnapshot(&ws.proc);
+  Snapshot snap = takeSnapshot(ws.proc);
   container->erase(container->begin() + static_cast<long>(index));
-  return finishEdit("deleteStatement", ws, snap);
+  return finishChange("deleteStatement", snap, /*analyzed=*/false, nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -629,10 +629,6 @@ class Session {
   /// Drop every analysis result and start a fresh private memo, then
   /// analyze the whole program against fresh summaries.
   ParallelReport analyzeAll(support::TaskPool* pool);
-  /// Replace the summary builder with an unsummarized one over the current
-  /// program (the call shape moved, or a rollback replaced the AST) and
-  /// rebuild every materialized workspace from scratch against it.
-  void resummarize();
   /// Re-analyze every materialized workspace under a fresh context, after
   /// an input all of them read changed. Leaves the dirty set empty.
   void rebuildMaterialized();
@@ -693,40 +689,44 @@ class Session {
                                    dep::TestStats* sink,
                                    support::TaskPool* pool) const;
 
-  /// Id-preserving deep copy of the program (units, statement ids, labels,
-  /// nextStmtId) taken before any mutating operation.
+  /// What one program change can alter, taken before it: an edit mutates
+  /// only its unit, and a transformation only its workspace's unit, to
+  /// which it may append units (Loop Extraction and Loop Embedding add
+  /// one; neither touches the callee). So a snapshot is an id-preserving
+  /// copy of that unit, the id counter and the unit count.
   struct Snapshot {
-    std::vector<fortran::ProcedurePtr> units;
-    fortran::StmtId nextStmtId = 1;
-    /// Set when `units` holds a copy of this one unit only.
     fortran::Procedure* unit = nullptr;
+    fortran::ProcedurePtr copy;
+    fortran::StmtId nextStmtId = 1;
+    std::size_t units = 0;
   };
-  /// Copies every unit, or only `only`: a statement edit mutates nothing
-  /// but that unit's body and the id counter.
-  [[nodiscard]] Snapshot takeSnapshot(fortran::Procedure* only = nullptr) const;
-  /// Restore the program from a snapshot *in place* — pre-existing Procedure
-  /// objects keep their addresses (Workspaces hold references to them) and
-  /// units added since a whole-program snapshot are dropped. The summaries
-  /// are replaced and every materialized workspace is re-analyzed (its
-  /// model and graph held pointers into the replaced AST).
+  [[nodiscard]] Snapshot takeSnapshot(fortran::Procedure& unit) const;
+  /// Roll back to a snapshot: put the unit's copy back *in place* (its
+  /// Procedure object keeps its address; Workspaces hold references to
+  /// it), drop the units appended since with their workspaces and oracles,
+  /// and restore the id counter. Then the change back updates derived
+  /// state like any change of the unit (updateDerived), without an audit.
   void restoreSnapshot(Snapshot&& snap);
-  /// Post-operation audit hook: runs the cheap audit; on a violation rolls
-  /// back to `snap` (when given), records a FailureReport and returns false.
-  bool auditAfter(const std::string& operation, Snapshot* snap,
-                  std::string* error);
   void recordFailure(std::string operation, std::string detail,
                      bool rolledBack);
   /// Fire an armed Fault::CorruptState on `proc` (a duplicate statement id
   /// the post-operation audit must catch).
   void corruptIfArmed(fortran::Procedure& proc);
-  /// Shared tail of the three edit operations: re-assign statement ids,
-  /// update the interprocedural summaries in place, fold the resulting
-  /// invalidation set (stale analyses + materialized workspaces whose
-  /// inherited facts moved) into pendingDirty_, then either settle now or
-  /// leave the set pending (deferred mode). Ends with the post-edit audit,
-  /// which rolls back to `snap` (a snapshot of the edited unit) on failure.
-  bool finishEdit(const std::string& operation, transform::Workspace& ws,
-                  Snapshot& snap);
+  /// The one update of derived state after `unit`'s statements changed by
+  /// an edit, a transformation or a rollback: update the interprocedural
+  /// summaries in place, fold the resulting invalidation set (stale
+  /// analyses + materialized workspaces whose inherited facts moved) into
+  /// pendingDirty_, then either settle now or, in deferred mode, refresh
+  /// the unit's statement model and leave the set pending. `analyzed`: the
+  /// transformation gate already re-analyzed the unit's workspace, which
+  /// then joins the dirty set only when its inherited facts moved.
+  void updateDerived(fortran::Procedure& unit, bool analyzed);
+  /// Shared tail of the three edits and every transformation, after
+  /// `snap`'s unit changed: updateDerived, an armed CorruptState, then the
+  /// cheap audit, which on a violation rolls back to `snap`, records a
+  /// FailureReport and returns false (with `error`).
+  bool finishChange(const std::string& operation, Snapshot& snap,
+                    bool analyzed, std::string* error);
 
   std::unique_ptr<fortran::Program> program_;
   DiagnosticEngine diags_;

@@ -33,10 +33,6 @@ Workspace::Workspace(fortran::Program& programIn, fortran::Procedure& procIn,
       graph(std::move(graphIn)) {}
 
 void Workspace::reanalyze() {
-  // The parallel driver assigns ids once before fanning out per-procedure
-  // tasks (the Program is shared across them); everywhere else the
-  // assignment is idempotent and cheap.
-  if (!actx.idsPreassigned) program.assignIds();
   model = std::make_unique<ir::ProcedureModel>(proc);
   // A whole-procedure build; the memo in actx answers every test whose
   // inputs the edit left unchanged.
@@ -51,7 +47,15 @@ bool Transformation::apply(Workspace& ws, const Target& t,
     if (error) *error = advice.explanation;
     return false;
   }
+  const std::size_t units = ws.program.units.size();
   if (!rewrite(ws, t, error)) return false;
+  // Number what the mechanics minted, in unit order: the rewritten unit's
+  // statements, then those of any unit it appended. Every other statement
+  // of the program has its id already.
+  ws.program.assignIds(ws.proc);
+  for (std::size_t i = units; i < ws.program.units.size(); ++i) {
+    ws.program.assignIds(*ws.program.units[i]);
+  }
   ws.reanalyze();
   return true;
 }

@@ -94,9 +94,10 @@ class Transformation {
   [[nodiscard]] virtual Advice advise(Workspace& ws,
                                       const Target& t) const = 0;
   /// Power steering's one gate: refuse with advise's explanation unless
-  /// the advice is safe, else run the mechanics and reanalyze the
-  /// workspace once. Returns false (with `error`) on a refusal or when
-  /// the mechanics fail.
+  /// the advice is safe, else run the mechanics, number the statements
+  /// they minted (the workspace's unit, then any unit they appended) and
+  /// reanalyze the workspace once. Returns false (with `error`) on a
+  /// refusal or when the mechanics fail.
   bool apply(Workspace& ws, const Target& t, std::string* error) const;
 
  protected:

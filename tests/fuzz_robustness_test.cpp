@@ -22,6 +22,7 @@
 #include "ped/session.h"
 #include "support/audit.h"
 #include "support/diagnostics.h"
+#include "workloads/harness.h"
 #include "workloads/workloads.h"
 
 namespace ps {
@@ -273,21 +274,43 @@ TEST(FuzzRobustness, FaultInjectedTransformCyclesRollBackCleanly) {
     if (loops.empty()) continue;
     auto loopId = loops[pick(rng, loops.size())].id;
 
-    std::string before = fortran::printProgram(session->program());
-
-    // A fault-injected apply must fail, roll back, and leave the program
-    // byte-identical.
-    session->injectFaultOnce(pick(rng, 2) == 0 ? ped::Fault::MidApply
-                                               : ped::Fault::CorruptState);
+    // The transformation to fault: one of the loop's applicable and safe
+    // guidance entries, else Loop Reversal, so the rollback undoes what
+    // the catalog really does to a unit (cloned, moved and deleted
+    // statements).
+    std::string name = "Loop Reversal";
     transform::Target t;
     t.loop = loopId;
+    std::vector<ped::Session::GuidanceEntry> offered;
+    for (auto& e : session->guidance(loopId, /*safeOnly=*/false)) {
+      if (e.advice.applicable && e.advice.safe) offered.push_back(std::move(e));
+    }
+    if (!offered.empty()) {
+      const ped::Session::GuidanceEntry& e = offered[pick(rng, offered.size())];
+      name = e.transformation;
+      t = e.target;
+    }
+
+    const std::string procedure = session->currentProcedure();
+    const std::string before = fortran::printProgram(session->program());
+    const std::string analysis = workloads::analysisSnapshot(*session);
+    ASSERT_TRUE(session->selectProcedure(procedure));
+
+    // A fault-injected apply must fail, roll back, and leave the program
+    // and its analysis byte-identical.
+    session->injectFaultOnce(pick(rng, 2) == 0 ? ped::Fault::MidApply
+                                               : ped::Fault::CorruptState);
     std::string error;
-    bool ok = session->applyTransformation("Loop Reversal", t, &error);
+    bool ok = session->applyTransformation(name, t, &error);
     if (!ok) {
       EXPECT_EQ(fortran::printProgram(session->program()), before)
-          << "cycle " << i << " (" << w.name << "): rollback not clean";
+          << "cycle " << i << " (" << w.name << ", " << name
+          << "): rollback not clean";
       ASSERT_FALSE(session->failures().empty());
       EXPECT_TRUE(session->failures().back().rolledBack);
+      EXPECT_EQ(workloads::analysisSnapshot(*session), analysis)
+          << "cycle " << i << " (" << w.name << ", " << name << ")";
+      ASSERT_TRUE(session->selectProcedure(procedure));
     }
     EXPECT_TRUE(session->auditNow(true).ok()) << "cycle " << i;
 

@@ -563,25 +563,6 @@ TEST(IncrementalSummaries, CalleeEditTakesTheStructureChangedPath) {
   expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
 }
 
-TEST(IncrementalSummaries, ShapeMovedByATransformationRebuildsAtTheNextEdit) {
-  auto prog = parse(kCallLiterals);
-  SummaryBuilder sb(*prog);
-  // Unrolling-style duplication of the CALL: the graph is live at once...
-  fortran::Stmt& loop = *prog->findUnit("MAIN")->body[1];
-  loop.body.push_back(loop.body[0]->clone());
-  prog->assignIds();
-  sb.refreshCallSites("MAIN");
-  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
-  // ...and the next edit, even one that moves no call, rebuilds every
-  // summary, as it would had the duplication been an edit.
-  fortran::StmtPtr& qBody = prog->findUnit("Q")->body[0];
-  rewrite(*prog, qBody, [](fortran::Stmt&) {});
-  EXPECT_TRUE(sb.applyEdit({"Q"}).structureChanged);
-  rewrite(*prog, qBody, [](fortran::Stmt&) {});
-  EXPECT_FALSE(sb.applyEdit({"Q"}).structureChanged);
-  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
-}
-
 /// Every unit inherits from `sb` what it would from a fresh build over the
 /// same program: the incremental census and formal constants equal a full
 /// recount.
@@ -593,6 +574,23 @@ void expectFactsOfFreshBuild(const SummaryBuilder& sb, Program& prog) {
     EXPECT_EQ(sb.inheritedRelationsFor(*u), fresh.inheritedRelationsFor(*u))
         << u->name;
   }
+}
+
+TEST(IncrementalSummaries, DuplicatedCallIsStructuralInItsOwnUpdateOnly) {
+  auto prog = parse(kCallLiterals);
+  SummaryBuilder sb(*prog);
+  // Unrolling-style duplication of the CALL, updated at once, as the
+  // session updates every transformation: the call shape moved.
+  fortran::Stmt& loop = *prog->findUnit("MAIN")->body[1];
+  loop.body.push_back(loop.body[0]->clone());
+  prog->assignIds();
+  EXPECT_TRUE(sb.applyEdit({"MAIN"}).structureChanged);
+  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
+  expectFactsOfFreshBuild(sb, *prog);
+  // The next edit moves no call and leaves nothing to rebuild.
+  rewrite(*prog, prog->findUnit("Q")->body[0], [](fortran::Stmt&) {});
+  EXPECT_FALSE(sb.applyEdit({"Q"}).structureChanged);
+  expectSameGraph(sb.callGraph(), CallGraph::build(*prog));
 }
 
 TEST(IncrementalSummaries, SecondCommonWriteInALeafDropsTheCensusConstant) {
@@ -680,22 +678,24 @@ TEST(IncrementalSummaries, OperandWriteDropsTheRelationThatNamesIt) {
   expectFactsOfFreshBuild(sb, *prog);
 }
 
-TEST(IncrementalSummaries, TransformedCallLiteralReachesTheNextEdit) {
+TEST(IncrementalSummaries, TransformedCallLiteralIsReportedByItsOwnUpdate) {
   auto prog = parse(kCallLiterals);
   SummaryBuilder sb(*prog);
   EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("M"), 5);
 
-  // A transformation rewrites MAIN's call literal: the session refreshes
-  // MAIN's call sites and updates no summary.
+  // A transformation rewrites MAIN's call literal, and MAIN is updated at
+  // once: the update reports R's new constant.
   rewrite(*prog, callOfR(*prog),
           [](fortran::Stmt& s) { s.args[1]->intValue = 6; });
-  sb.refreshCallSites("MAIN");
-  // The next edit is in Q, and still reports R's new constant.
-  rewrite(*prog, prog->findUnit("Q")->body[0], [](fortran::Stmt&) {});
-  SummaryBuilder::Update up = sb.applyEdit({"Q"});
+  SummaryBuilder::Update up = sb.applyEdit({"MAIN"});
   EXPECT_FALSE(up.structureChanged);
   EXPECT_EQ(up.formalConstantsChanged, std::set<std::string>{"R"});
   EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("M"), 6);
+  // The next edit is in Q, and has nothing of MAIN's left to report.
+  rewrite(*prog, prog->findUnit("Q")->body[0], [](fortran::Stmt&) {});
+  up = sb.applyEdit({"Q"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_TRUE(up.formalConstantsChanged.empty());
   expectFactsOfFreshBuild(sb, *prog);
 }
 

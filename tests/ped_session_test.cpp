@@ -874,21 +874,35 @@ TEST(SessionTxn, StarvedBudgetDegradesAndReports) {
 }
 
 TEST(SessionTxn, SnapshotRestoresUnitsAddedByExtraction) {
-  // Loop Extraction pushes a new unit; a fault after it must drop the unit
-  // again on rollback. Exercised indirectly: fault-injected apply on a
-  // program, then procedureNames() must be unchanged.
+  // Loop Extraction of MAIN's `CALL WORK(A, B, 50)` appends WORK$B (WORK is
+  // a single outer loop, so advise answers safe). An audit violation after
+  // the apply must roll back to the one-unit snapshot: MAIN's statements,
+  // the id counter, and the unit list without WORK$B.
   auto s = load(kTwoProcs);
-  auto namesBefore = s->procedureNames();
-  ASSERT_TRUE(s->selectProcedure("WORK"));
-  auto loops = s->loops();
-  ASSERT_EQ(loops.size(), 1u);
+  ASSERT_TRUE(s->selectProcedure("MAIN"));
+  fortran::StmtId call = fortran::kInvalidStmt;
+  for (const auto& row : s->sourcePane()) {
+    if (row.text.find("CALL WORK(") != std::string::npos) call = row.stmt;
+  }
+  ASSERT_NE(call, fortran::kInvalidStmt);
+  const std::vector<std::string> namesBefore = s->procedureNames();
+  const fortran::StmtId nextBefore = s->program().nextStmtId;
+  const std::string before = fortran::printProgram(s->program());
 
   s->injectFaultOnce(Fault::CorruptState);
   transform::Target t;
-  t.loop = loops[0].id;
+  t.stmt = call;
   std::string error;
-  (void)s->applyTransformation("Loop Extraction", t, &error);
+  EXPECT_FALSE(s->applyTransformation("Loop Extraction", t, &error));
+  ASSERT_FALSE(s->failures().empty());
+  const FailureReport& f = s->failures().back();
+  EXPECT_EQ(f.operation, "Loop Extraction");
+  EXPECT_TRUE(f.rolledBack);
+  EXPECT_NE(f.detail.find("audit violation"), std::string::npos) << f.detail;
+
   EXPECT_EQ(s->procedureNames(), namesBefore);
+  EXPECT_EQ(s->program().nextStmtId, nextBefore);
+  EXPECT_EQ(fortran::printProgram(s->program()), before);
   EXPECT_TRUE(s->auditNow(true).ok());
 }
 

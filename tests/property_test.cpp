@@ -197,6 +197,67 @@ TEST_P(WorkloadProperty, AnalyzerParallelLoopsRunRaceFree) {
   }
 }
 
+/// Where `have` and a fresh builder over the same program disagree for
+/// `unit` (its summary, inherited constants or inherited relations), or
+/// empty.
+std::string summaryDrift(const interproc::SummaryBuilder& have,
+                         const interproc::SummaryBuilder& fresh,
+                         const fortran::Procedure& unit) {
+  const interproc::ProcSummary* a = have.summaryOf(unit.name);
+  const interproc::ProcSummary* b = fresh.summaryOf(unit.name);
+  if ((a == nullptr) != (b == nullptr) || (a && !(*a == *b))) {
+    return unit.name + ": summary";
+  }
+  if (have.inheritedConstantsFor(unit) != fresh.inheritedConstantsFor(unit)) {
+    return unit.name + ": inherited constants";
+  }
+  if (have.inheritedRelationsFor(unit) != fresh.inheritedRelationsFor(unit)) {
+    return unit.name + ": inherited relations";
+  }
+  return "";
+}
+
+TEST_P(WorkloadProperty, EveryTransformationLeavesFreshDerivedState) {
+  // Every applicable and safe guidance entry on every loop, each applied to
+  // a fresh, fully analyzed session, settled at once and deferred: a
+  // transformation updates derived state the way an edit does, so the
+  // summaries and inherited facts equal a fresh builder's over the
+  // transformed program, and the settled graphs equal a full reanalysis.
+  auto probe = workloads::loadDeck(GetParam());
+  ASSERT_NE(probe, nullptr);
+  int applied = 0;
+  for (const std::string& proc : probe->procedureNames()) {
+    ASSERT_TRUE(probe->selectProcedure(proc));
+    for (const auto& loop : probe->loops()) {
+      for (const auto& entry : probe->guidance(loop.id, /*safeOnly=*/false)) {
+        if (!entry.advice.applicable || !entry.advice.safe) continue;
+        for (const bool deferred : {false, true}) {
+          SCOPED_TRACE(entry.transformation + " in " + proc + " at loop " +
+                       std::to_string(loop.id) +
+                       (deferred ? " (deferred)" : ""));
+          auto s = workloads::loadDeck(GetParam());
+          s->setDeferredAnalysis(deferred);
+          (void)s->analyzeParallel(1);
+          ASSERT_TRUE(s->selectProcedure(proc));
+          std::string error;
+          if (s->applyTransformation(entry.transformation, entry.target,
+                                     &error)) {
+            ++applied;
+          }
+          const interproc::SummaryBuilder fresh(s->program());
+          for (const auto& unit : s->program().units) {
+            EXPECT_EQ(summaryDrift(s->summaries(), fresh, *unit), "");
+          }
+          const std::string settled = workloads::analysisSnapshot(*s);
+          s->fullReanalysis();
+          EXPECT_EQ(settled, workloads::analysisSnapshot(*s));
+        }
+      }
+    }
+  }
+  EXPECT_GT(applied, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     All, WorkloadProperty,
     ::testing::Values("spec77", "neoss", "nxsns", "dpmin", "slab2d",

@@ -174,6 +174,38 @@ TEST_P(WarmStart, SummariesOnDemandRightAfterLoad) {
   EXPECT_EQ(analysisSnapshot(*warm), analysisSnapshot(*analyzed)) << deck;
 }
 
+// A transformation updates the summaries the way an edit does, so a store
+// saved right after one holds what a cold build of the transformed text
+// computes: peeling INITF's loop moves INITF's write section of FLN.
+TEST(WarmStartAfterTransformation, PeeledLoopReopensLikeAColdBuild) {
+  auto s = loadDeck("spec77");
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->selectProcedure("INITF"));
+  const std::vector<ped::Session::LoopRow> loops = s->loops();
+  ASSERT_FALSE(loops.empty());
+  transform::Target t;
+  t.loop = loops[0].id;
+  std::string error;
+  ASSERT_TRUE(s->applyTransformation("Loop Peeling", t, &error)) << error;
+  ScopedFile store("spec77.peeled.pspdb");
+  ASSERT_TRUE(s->savePdb(store.path()));
+  const std::string text = fortran::printProgram(s->program());
+
+  DiagnosticEngine coldDiags;
+  auto cold = ped::Session::load(text, coldDiags);
+  ASSERT_NE(cold, nullptr);
+  ASSERT_FALSE(coldDiags.hasErrors()) << coldDiags.dump();
+  cold->analyzeParallel(1);
+  DiagnosticEngine diags;
+  auto warm = ped::Session::openWarm(text, store.path(), diags, 1);
+  ASSERT_NE(warm, nullptr);
+  EXPECT_FALSE(warm->pdbStats().storeRejected);
+  for (const std::string& name : cold->procedureNames()) {
+    EXPECT_EQ(warm->showSummary(name), cold->showSummary(name)) << name;
+  }
+  EXPECT_EQ(analysisSnapshot(*warm), analysisSnapshot(*cold));
+}
+
 std::vector<std::string> deckNames() {
   std::vector<std::string> names;
   for (const Workload& w : all()) names.push_back(w.name);
