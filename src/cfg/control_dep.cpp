@@ -13,20 +13,18 @@ ControlDependence ControlDependence::build(const FlowGraph& g) {
 
   // For each edge (a -> b) where b does not post-dominate a, every node on
   // the post-dominator-tree path from b up to (but not including) pdom(a)
-  // is control dependent on a.
+  // is control dependent on a. Pairs are ordered by flow-graph node, which
+  // follows the model's pre-order: statement ids minted after parsing do
+  // not, and a re-parse of the printed unit must list the same order.
+  std::vector<std::pair<int, int>> pairs;
   for (int a = 0; a < g.numNodes(); ++a) {
-    if (!g.isBranch(a)) continue;
-    const fortran::Stmt* branchStmt = g.stmtOf(a);
-    if (!branchStmt) continue;
+    if (!g.isBranch(a) || !g.stmtOf(a)) continue;
     for (int b : g.successors(a)) {
       if (pdom.dominates(b, a)) continue;
       if (!pdom.reachable(b) || !pdom.reachable(a)) continue;
       int stop = pdom.idom(a);
       for (int runner = b; runner != stop;) {
-        const fortran::Stmt* s = g.stmtOf(runner);
-        if (s && s->id != branchStmt->id) {
-          cd.deps_.push_back({branchStmt->id, s->id});
-        }
+        if (runner != a && g.stmtOf(runner)) pairs.emplace_back(a, runner);
         int up = pdom.idom(runner);
         if (up == runner) break;  // hit the root
         runner = up;
@@ -34,17 +32,12 @@ ControlDependence ControlDependence::build(const FlowGraph& g) {
     }
   }
   // Dedup (a node can be reached along several branch edges of `a`).
-  std::sort(cd.deps_.begin(), cd.deps_.end(),
-            [](const ControlDep& x, const ControlDep& y) {
-              return std::tie(x.branch, x.dependent) <
-                     std::tie(y.branch, y.dependent);
-            });
-  cd.deps_.erase(std::unique(cd.deps_.begin(), cd.deps_.end(),
-                             [](const ControlDep& x, const ControlDep& y) {
-                               return x.branch == y.branch &&
-                                      x.dependent == y.dependent;
-                             }),
-                 cd.deps_.end());
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  cd.deps_.reserve(pairs.size());
+  for (const auto& [a, b] : pairs) {
+    cd.deps_.push_back({g.stmtOf(a)->id, g.stmtOf(b)->id});
+  }
   return cd;
 }
 

@@ -336,6 +336,27 @@ const Procedure* Program::findUnit(const std::string& name) const {
   return nullptr;
 }
 
+ProcedurePtr cloneUnit(const Procedure& unit) {
+  auto copy = std::make_unique<Procedure>();
+  copy->kind = unit.kind;
+  copy->name = unit.name;
+  copy->params = unit.params;
+  copy->returnType = unit.returnType;
+  copy->loc = unit.loc;
+  for (const auto& d : unit.decls) copy->decls.push_back(d.clone());
+  for (const auto& s : unit.body) copy->body.push_back(s->clone());
+  // Restore the ids by parallel pre-order traversal (clone preserves
+  // shape).
+  std::vector<StmtId> ids;
+  unit.forEachStmt([&](const Stmt& s) { ids.push_back(s.id); });
+  std::size_t i = 0;
+  copy->forEachStmtMutable([&](Stmt& s) {
+    if (i < ids.size()) s.id = ids[i];
+    ++i;
+  });
+  return copy;
+}
+
 void Program::assignIds() {
   for (auto& u : units) assignIds(*u);
 }

@@ -240,6 +240,11 @@ struct Procedure {
 
 using ProcedurePtr = std::unique_ptr<Procedure>;
 
+/// Deep copy of one unit that keeps every statement's id (Stmt::clone()
+/// drops them): a rollback or a sandbox names the same statements by the
+/// same ids.
+[[nodiscard]] ProcedurePtr cloneUnit(const Procedure& unit);
+
 /// A whole Fortran program: one or more program units plus the next free
 /// statement id (the counter travels with the program so transformations can
 /// mint fresh ids).

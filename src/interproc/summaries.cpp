@@ -188,37 +188,131 @@ struct SectionAccum {
   }
 };
 
-/// Substitute formal references by actual expressions in a callee-scope
-/// expression; returns null when a variable is neither a mapped formal nor
-/// a pass-through (COMMON) name.
-ExprPtr substituteFormals(const Expr& e,
-                          const std::map<std::string, const Expr*>& map,
-                          const std::set<std::string>& passThrough) {
-  switch (e.kind) {
-    case ExprKind::VarRef: {
-      auto it = map.find(e.name);
-      if (it != map.end()) return it->second->clone();
-      if (passThrough.count(e.name)) return e.clone();
-      return nullptr;
-    }
-    case ExprKind::IntConst:
-    case ExprKind::RealConst:
-    case ExprKind::LogicalConst:
-      return e.clone();
-    case ExprKind::Binary: {
-      ExprPtr l = substituteFormals(*e.lhs, map, passThrough);
-      ExprPtr r = substituteFormals(*e.rhs, map, passThrough);
-      if (!l || !r) return nullptr;
-      return fortran::makeBinary(e.binOp, std::move(l), std::move(r));
-    }
-    case ExprKind::Unary: {
-      ExprPtr v = substituteFormals(*e.lhs, map, passThrough);
-      if (!v) return nullptr;
-      return fortran::makeUnary(e.unOp, std::move(v));
-    }
-    default:
-      return nullptr;
+/// Calls fn(actuals, isCall) for every call of `callee` in `s`: the CALL
+/// statement itself (isCall) and every reference to the function.
+template <class Fn>
+void forEachCall(const Stmt& s, const std::string& callee, Fn&& fn) {
+  if (s.kind == StmtKind::Call && s.callee == callee) fn(s.args, true);
+  s.forEachExpr([&](const Expr& e) {
+    if (e.kind == ExprKind::FuncCall && e.name == callee) fn(e.args, false);
+  });
+}
+
+/// The caller variable a callee's effect on one of its names lands on.
+struct Landing {
+  std::string name;
+  /// The actual the name's formal is bound to; null for a name the call
+  /// does not bind (a COMMON member or the function result).
+  const Expr* actual = nullptr;
+
+  [[nodiscard]] bool byName() const { return actual == nullptr; }
+  /// The callee's section maps onto the caller's array only when the call
+  /// passes it whole; an element actual moves the section's origin.
+  [[nodiscard]] bool whole() const {
+    return !actual || actual->kind == ExprKind::VarRef;
   }
+};
+
+/// One call of a callee, bound to the caller: the callee's formals paired
+/// by position with the call's actuals. Every reader of a callee summary
+/// maps the summary onto a call through this binding and keeps only its own
+/// policy for what the landed effect means.
+class CallBinding {
+ public:
+  CallBinding(const ProcSummary& callee, const std::vector<ExprPtr>& actuals)
+      : callee_(callee), actuals_(actuals) {}
+
+  /// Where the callee's effect on its name `var` lands: on a variable or
+  /// array-element actual, nowhere for an expression or a missing actual,
+  /// and on the same name for a COMMON member or the function result.
+  [[nodiscard]] std::optional<Landing> land(const std::string& var) const {
+    const Expr* actual = nullptr;
+    if (!isFormal(var, &actual)) return Landing{var, nullptr};
+    if (actual && (actual->kind == ExprKind::VarRef ||
+                   actual->kind == ExprKind::ArrayRef)) {
+      return Landing{actual->name, actual};
+    }
+    return std::nullopt;
+  }
+
+  /// The callee's section `sec` of a name that lands `at`, in the caller's
+  /// terms: each bound with the bound formals replaced by their actuals,
+  /// and unknown when it names anything else than a caller COMMON name
+  /// (`common`). Null when `sec` is unknown or the landing is not whole.
+  [[nodiscard]] std::optional<dep::Section> translate(
+      const std::optional<dep::Section>& sec, const Landing& at,
+      const std::set<std::string>& common) const {
+    if (!sec || !at.whole()) return std::nullopt;
+    dep::Section s;
+    s.array = at.name;
+    for (const auto& d : sec->dims) {
+      ExprPtr lo = d && d->lo ? substitute(*d->lo, common) : nullptr;
+      ExprPtr hi = d && d->hi ? substitute(*d->hi, common) : nullptr;
+      if (!lo || !hi) {
+        s.dims.emplace_back();
+        continue;
+      }
+      dep::SectionDim sd;
+      sd.lo = std::move(lo);
+      sd.hi = std::move(hi);
+      s.dims.emplace_back(std::move(sd));
+    }
+    return s;
+  }
+
+ private:
+  /// True when `var` is one of the callee's formals; `*actual` is then the
+  /// call's actual at its position, or null when the call passes none.
+  bool isFormal(const std::string& var, const Expr** actual) const {
+    for (std::size_t i = 0; i < callee_.formals.size(); ++i) {
+      if (callee_.formals[i] != var) continue;
+      *actual = i < actuals_.size() ? actuals_[i].get() : nullptr;
+      return true;
+    }
+    return false;
+  }
+
+  /// A callee-scope expression in the caller's terms, or null.
+  ExprPtr substitute(const Expr& e, const std::set<std::string>& common) const {
+    switch (e.kind) {
+      case ExprKind::VarRef: {
+        const Expr* actual = nullptr;
+        if (isFormal(e.name, &actual)) {
+          return actual ? actual->clone() : nullptr;
+        }
+        return common.count(e.name) ? e.clone() : nullptr;
+      }
+      case ExprKind::IntConst:
+      case ExprKind::RealConst:
+      case ExprKind::LogicalConst:
+        return e.clone();
+      case ExprKind::Binary: {
+        ExprPtr l = substitute(*e.lhs, common);
+        ExprPtr r = substitute(*e.rhs, common);
+        if (!l || !r) return nullptr;
+        return fortran::makeBinary(e.binOp, std::move(l), std::move(r));
+      }
+      case ExprKind::Unary: {
+        ExprPtr v = substitute(*e.lhs, common);
+        if (!v) return nullptr;
+        return fortran::makeUnary(e.unOp, std::move(v));
+      }
+      default:
+        return nullptr;
+    }
+  }
+
+  const ProcSummary& callee_;
+  const std::vector<ExprPtr>& actuals_;
+};
+
+/// The names `proc` declares in COMMON.
+std::set<std::string> commonNamesIn(const Procedure& proc) {
+  std::set<std::string> names;
+  for (const auto& d : proc.decls) {
+    if (!d.commonBlock.empty()) names.insert(d.name);
+  }
+  return names;
 }
 
 /// Canonical text of a section option, for structural comparison.
@@ -506,32 +600,22 @@ const ProcSummary* SummaryBuilder::summaryOf(const std::string& name) const {
 bool SummaryBuilder::refMayWrite(const Stmt& s, const ir::Ref& r,
                                  bool duringSummarize) const {
   // Resolve a CallActual's write status through the callee summaries; true
-  // (conservative) when any callee is unknown or reports MOD.
+  // (conservative) when any callee is unknown or a write of one of its
+  // calls lands on the name.
+  bool writes = false;
   for (const std::string& callee : ir::calledFunctions(s)) {
     const ProcSummary* cs =
         duringSummarize ? phaseSummaryOf(callee) : summaryOf(callee);
     if (!cs) return true;
-    const std::vector<ExprPtr>* args = nullptr;
-    if (s.kind == StmtKind::Call && s.callee == callee) {
-      args = &s.args;
-    } else {
-      s.forEachExpr([&](const Expr& e) {
-        if (e.kind == ExprKind::FuncCall && e.name == callee) args = &e.args;
-      });
-    }
-    if (!args) return true;
-    for (std::size_t i = 0; i < cs->formals.size() && i < args->size();
-         ++i) {
-      const Expr& a = *(*args)[i];
-      if ((a.kind == ExprKind::VarRef || a.kind == ExprKind::ArrayRef) &&
-          a.name == r.name) {
-        const VarEffect* eff = cs->effectOn(cs->formals[i]);
-        if (eff && eff->mayWrite) return true;
+    forEachCall(s, callee, [&](const std::vector<ExprPtr>& actuals, bool) {
+      const CallBinding call(*cs, actuals);
+      for (const auto& [var, eff] : cs->effects) {
+        if (!eff.mayWrite) continue;
+        const auto at = call.land(var);
+        if (at && at->name == r.name) writes = true;
       }
-    }
-    // COMMON pass-through.
-    const VarEffect* eff = cs->effectOn(r.name);
-    if (eff && eff->mayWrite) return true;
+    });
+    if (writes) return true;
   }
   return false;
 }
@@ -617,26 +701,49 @@ void SummaryBuilder::summarize(Procedure& proc) {
     }
   }
 
-  // Effects of nested calls, translated into this scope.
+  // Effects of nested calls, translated into this scope. A callee section
+  // of a name that lands `at` is widened over the call's loop `chain`.
+  const std::set<std::string> common = commonNamesIn(proc);
+  auto widen = [&](const CallBinding& call,
+                   const std::optional<dep::Section>& sec, const Landing& at,
+                   const std::vector<const ir::Loop*>& chain, bool isWrite) {
+    SectionAccum& acc = (isWrite ? writeAcc : readAcc)[at.name];
+    const std::optional<dep::Section> local = call.translate(sec, at, common);
+    if (!local) {
+      acc.collapse();
+      return;
+    }
+    acc.ensure(local->dims.size());
+    acc.any = true;
+    for (std::size_t d = 0; d < local->dims.size(); ++d) {
+      if (!local->dims[d]) {
+        acc.dims[d].reset();
+        acc.dimKnown[d] = false;
+        continue;
+      }
+      LinearExpr loF = dataflow::linearize(*local->dims[d]->lo);
+      LinearExpr hiF = dataflow::linearize(*local->dims[d]->hi);
+      LinearExpr loW, hiW, loW2, hiW2;
+      bool known = acc.dimKnown[d];
+      if (loF.affine && hiF.affine &&
+          widenOverLoops(loF, chain, stable, &loW, &hiW2) &&
+          widenOverLoops(hiF, chain, stable, &loW2, &hiW)) {
+        mergeDim(acc.dims[d], known, loW, hiW);
+        acc.dimKnown[d] = known;
+      } else {
+        acc.dims[d].reset();
+        acc.dimKnown[d] = false;
+      }
+    }
+  };
   for (const Stmt* s : model.allStmts()) {
     for (const std::string& callee : ir::calledFunctions(*s)) {
       const ProcSummary* cs = phaseSummaryOf(callee);
       auto chain = loopChainOf(s);
-      // Argument expressions at this call.
-      const std::vector<ExprPtr>* args = nullptr;
-      if (s->kind == StmtKind::Call && s->callee == callee) {
-        args = &s->args;
-      } else {
-        s->forEachExpr([&](const Expr& e) {
-          if (e.kind == ExprKind::FuncCall && e.name == callee) {
-            args = &e.args;
-          }
-        });
-      }
-      if (!cs) {
-        // Unknown callee: worst case on array/variable actuals and COMMON.
-        if (args) {
-          for (const auto& a : *args) {
+      forEachCall(*s, callee, [&](const std::vector<ExprPtr>& actuals, bool) {
+        if (!cs) {
+          // Unknown callee: worst case on array/variable actuals.
+          for (const auto& a : actuals) {
             if ((a->kind == ExprKind::VarRef ||
                  a->kind == ExprKind::ArrayRef) &&
                 visible.count(a->name)) {
@@ -650,101 +757,35 @@ void SummaryBuilder::summarize(Procedure& proc) {
               }
             }
           }
+          return;
         }
-        for (const auto& d : proc.decls) {
-          if (d.commonBlock.empty()) continue;
-          VarEffect& e = sum.effects[d.name];
-          e.isArray = d.isArray();
-          e.mayRead = e.mayWrite = true;
-          if (e.isArray) {
-            readAcc[d.name].collapse();
-            writeAcc[d.name].collapse();
+        const CallBinding call(*cs, actuals);
+        for (const auto& [var, eff] : cs->effects) {
+          const auto at = call.land(var);
+          if (!at || (!visible.count(at->name) && !proc.findDecl(at->name))) {
+            continue;
           }
+          VarEffect& e = sum.effects[at->name];
+          const fortran::VarDecl* decl = proc.findDecl(at->name);
+          e.isArray = (decl && decl->isArray()) || eff.isArray;
+          e.mayRead = e.mayRead || eff.mayRead;
+          e.mayWrite = e.mayWrite || eff.mayWrite;
+          if (!e.isArray) continue;
+          if (eff.mayRead) widen(call, eff.readSection, *at, chain, false);
+          if (eff.mayWrite) widen(call, eff.writeSection, *at, chain, true);
         }
-        continue;
-      }
-
-      std::map<std::string, const Expr*> formalMap;
-      if (args) {
-        for (std::size_t i = 0;
-             i < cs->formals.size() && i < args->size(); ++i) {
-          formalMap[cs->formals[i]] = (*args)[i].get();
+      });
+      if (cs) continue;
+      // Unknown callee: worst case on COMMON.
+      for (const auto& d : proc.decls) {
+        if (d.commonBlock.empty()) continue;
+        VarEffect& e = sum.effects[d.name];
+        e.isArray = d.isArray();
+        e.mayRead = e.mayWrite = true;
+        if (e.isArray) {
+          readAcc[d.name].collapse();
+          writeAcc[d.name].collapse();
         }
-      }
-
-      for (const auto& [var, eff] : cs->effects) {
-        // Resolve the callee-scope name into this scope.
-        std::string target;
-        bool wholeArray = true;
-        auto itF = formalMap.find(var);
-        if (itF != formalMap.end()) {
-          const Expr* actual = itF->second;
-          if (actual->kind == ExprKind::VarRef) {
-            target = actual->name;
-          } else if (actual->kind == ExprKind::ArrayRef) {
-            target = actual->name;   // element/offset passed: lose the
-            wholeArray = false;       // section mapping
-          } else {
-            continue;  // expression actual: no externally visible effect
-          }
-        } else {
-          target = var;  // COMMON pass-through
-        }
-        if (!visible.count(target) && !proc.findDecl(target)) continue;
-
-        VarEffect& e = sum.effects[target];
-        const fortran::VarDecl* decl = proc.findDecl(target);
-        e.isArray = (decl && decl->isArray()) || eff.isArray;
-        e.mayRead = e.mayRead || eff.mayRead;
-        e.mayWrite = e.mayWrite || eff.mayWrite;
-
-        if (!e.isArray) continue;
-        // Translate and widen the callee's sections.
-        std::set<std::string> passThrough;
-        for (const auto& d : proc.decls) {
-          if (!d.commonBlock.empty()) passThrough.insert(d.name);
-        }
-        auto translate = [&](const std::optional<dep::Section>& sec,
-                             bool isWrite) {
-          SectionAccum& acc = (isWrite ? writeAcc : readAcc)[target];
-          if (!sec || !wholeArray) {
-            acc.collapse();
-            return;
-          }
-          acc.ensure(sec->dims.size());
-          acc.any = true;
-          for (std::size_t d = 0; d < sec->dims.size(); ++d) {
-            if (!sec->dims[d] || !sec->dims[d]->lo || !sec->dims[d]->hi) {
-              acc.dims[d].reset();
-              acc.dimKnown[d] = false;
-              continue;
-            }
-            ExprPtr lo =
-                substituteFormals(*sec->dims[d]->lo, formalMap, passThrough);
-            ExprPtr hi =
-                substituteFormals(*sec->dims[d]->hi, formalMap, passThrough);
-            if (!lo || !hi) {
-              acc.dims[d].reset();
-              acc.dimKnown[d] = false;
-              continue;
-            }
-            LinearExpr loF = dataflow::linearize(*lo);
-            LinearExpr hiF = dataflow::linearize(*hi);
-            LinearExpr loW, hiW, loW2, hiW2;
-            bool known = acc.dimKnown[d];
-            if (loF.affine && hiF.affine &&
-                widenOverLoops(loF, chain, stable, &loW, &hiW2) &&
-                widenOverLoops(hiF, chain, stable, &loW2, &hiW)) {
-              mergeDim(acc.dims[d], known, loW, hiW);
-              acc.dimKnown[d] = known;
-            } else {
-              acc.dims[d].reset();
-              acc.dimKnown[d] = false;
-            }
-          }
-        };
-        if (eff.mayRead) translate(eff.readSection, false);
-        if (eff.mayWrite) translate(eff.writeSection, true);
       }
     }
   }
@@ -805,22 +846,20 @@ void SummaryBuilder::summarize(Procedure& proc) {
           for (const std::string& callee : ir::calledFunctions(*s)) {
             const ProcSummary* cs = phaseSummaryOf(callee);
             if (!cs) continue;
-            const std::vector<ExprPtr>* args =
-                (s->kind == StmtKind::Call) ? &s->args : nullptr;
-            for (const auto& [var, eff] : cs->effects) {
-              if (!eff.kills || eff.isArray) continue;
-              // A killed formal reaches this procedure only through a plain
-              // variable this CALL passes for it; a COMMON member keeps its
-              // name.
-              std::string target = var;
-              for (std::size_t i = 0; i < cs->formals.size(); ++i) {
-                if (cs->formals[i] != var) continue;
-                const bool bound = args && i < args->size() &&
-                                   (*args)[i]->kind == ExprKind::VarRef;
-                target = bound ? (*args)[i]->name : std::string();
+            forEachCall(*s, callee, [&](const std::vector<ExprPtr>& actuals,
+                                        bool isCall) {
+              const CallBinding call(*cs, actuals);
+              for (const auto& [var, eff] : cs->effects) {
+                if (!eff.kills || eff.isArray) continue;
+                // A killed formal reaches this procedure only through a
+                // plain variable a CALL passes for it; a COMMON member keeps
+                // its name.
+                const auto at = call.land(var);
+                if (at && (at->byName() || (isCall && at->whole()))) {
+                  newOut.insert(at->name);
+                }
               }
-              if (!target.empty()) newOut.insert(target);
-            }
+            });
           }
         }
         if (!visited[un] || newOut != out[un]) {
@@ -866,23 +905,17 @@ void SummaryBuilder::summarize(Procedure& proc) {
               break;
             }
             if (r.kind == RefKind::CallActual) {
-              // Consult the callee: exposed read and/or kill through the
-              // call.
+              // Consult the CALL's own callee: exposed read and/or kill
+              // through the formals it passes the variable for.
               bool calleeExposed = true, calleeKills = false;
-              for (const std::string& callee : ir::calledFunctions(*s)) {
-                const ProcSummary* cs = phaseSummaryOf(callee);
-                if (!cs) continue;
-                const std::vector<ExprPtr>* args =
-                    (s->kind == StmtKind::Call) ? &s->args : nullptr;
-                if (!args) continue;
-                for (std::size_t i = 0;
-                     i < cs->formals.size() && i < args->size(); ++i) {
-                  if ((*args)[i]->kind == ExprKind::VarRef &&
-                      (*args)[i]->name == var) {
-                    const VarEffect* fe = cs->effectOn(cs->formals[i]);
-                    calleeExposed = fe ? fe->exposedRead : false;
-                    calleeKills = fe && fe->kills;
-                  }
+              if (const ProcSummary* cs = phaseSummaryOf(s->callee)) {
+                const CallBinding call(*cs, s->args);
+                for (const std::string& formal : cs->formals) {
+                  const auto at = call.land(formal);
+                  if (!at || !at->whole() || at->name != var) continue;
+                  const VarEffect* fe = cs->effectOn(formal);
+                  calleeExposed = fe && fe->exposedRead;
+                  calleeKills = fe && fe->kills;
                 }
               }
               if (calleeExposed) {
@@ -944,14 +977,6 @@ namespace {
 /// A main program without a call has its first call past every statement.
 constexpr int kNoCall = 1 << 30;
 
-std::vector<std::string> commonNamesOf(const Procedure& unit) {
-  std::vector<std::string> names;
-  for (const auto& d : unit.decls) {
-    if (!d.commonBlock.empty()) names.push_back(d.name);
-  }
-  return names;
-}
-
 }  // namespace
 
 void SummaryBuilder::computeGlobalFacts() {
@@ -965,7 +990,7 @@ void SummaryBuilder::computeGlobalFacts() {
   commonDeclared_.clear();
   mainUnit_ = n;
   for (std::size_t i = 0; i < n; ++i) {
-    census_[i].declared = commonNamesOf(*program_.units[i]);
+    census_[i].declared = commonNamesIn(*program_.units[i]);
     for (const std::string& name : census_[i].declared) {
       ++commonDeclared_[name];
     }
@@ -1048,7 +1073,7 @@ bool SummaryBuilder::recountCensus(const std::set<std::string>& procs) {
     if (it == unitsNamed_.end()) continue;
     for (std::size_t i : it->second) {
       CensusRecord fresh;
-      fresh.declared = commonNamesOf(*program_.units[i]);
+      fresh.declared = commonNamesIn(*program_.units[i]);
       if (fresh.declared != census_[i].declared) {
         // Every unit's writes count against the census names, which may
         // have moved: take the whole census again.
@@ -1335,94 +1360,48 @@ std::vector<dep::CallEffect> InterproceduralOracle::effectsOfCall(
   std::vector<dep::CallEffect> out;
   const ProcSummary* cs = summaries_.summaryOf(callee);
   if (!cs) return out;
-
-  const std::vector<ExprPtr>* args = nullptr;
-  if (stmt.kind == StmtKind::Call && stmt.callee == callee) {
-    args = &stmt.args;
-  } else {
-    stmt.forEachExpr([&](const Expr& e) {
-      if (e.kind == ExprKind::FuncCall && e.name == callee) args = &e.args;
-    });
-  }
-
-  std::map<std::string, const Expr*> formalMap;
-  if (args) {
-    for (std::size_t i = 0; i < cs->formals.size() && i < args->size();
-         ++i) {
-      formalMap[cs->formals[i]] = (*args)[i].get();
-    }
-  }
-  std::set<std::string> passThrough;
-  for (const auto& d : caller_.decls) {
-    if (!d.commonBlock.empty()) passThrough.insert(d.name);
-  }
-  // Caller locals referenced by actual expressions are also valid symbols
-  // after substitution; substituteFormals only needs passThrough for
-  // callee-scope names that are NOT formals (i.e. COMMON).
-
-  for (const auto& [var, eff] : cs->effects) {
-    std::string target;
-    bool wholeArray = true;
-    auto itF = formalMap.find(var);
-    if (itF != formalMap.end()) {
-      const Expr* actual = itF->second;
-      if (actual->kind == ExprKind::VarRef) {
-        target = actual->name;
-      } else if (actual->kind == ExprKind::ArrayRef) {
-        target = actual->name;
-        wholeArray = false;
-      } else {
-        continue;
-      }
-    } else {
-      target = var;
-      if (!passThrough.count(target)) continue;  // not visible here
-    }
-
-    auto translateSection =
-        [&](const std::optional<dep::Section>& sec)
-        -> std::optional<dep::Section> {
-      if (!sec || !wholeArray) return std::nullopt;
-      dep::Section s;
-      s.array = target;
-      for (const auto& d : sec->dims) {
-        if (!d || !d->lo || !d->hi) {
-          s.dims.emplace_back();
-          continue;
-        }
-        ExprPtr lo = substituteFormals(*d->lo, formalMap, passThrough);
-        ExprPtr hi = substituteFormals(*d->hi, formalMap, passThrough);
-        if (!lo || !hi) {
-          s.dims.emplace_back();
-          continue;
-        }
-        dep::SectionDim sd;
-        sd.lo = std::move(lo);
-        sd.hi = std::move(hi);
-        s.dims.emplace_back(std::move(sd));
-      }
-      return s;
+  const std::set<std::string> common = commonNamesIn(caller_);
+  forEachCall(stmt, callee, [&](const std::vector<ExprPtr>& actuals, bool) {
+    // A second call that passes the same actuals repeats an earlier call's
+    // effects; each is reported once.
+    const std::size_t earlier = out.size();
+    auto add = [&](dep::CallEffect e) {
+      const auto end = out.begin() + static_cast<std::ptrdiff_t>(earlier);
+      const bool repeated =
+          std::any_of(out.begin(), end, [&](const dep::CallEffect& o) {
+            return o.var == e.var && o.isArray == e.isArray &&
+                   o.mayRead == e.mayRead && o.mayWrite == e.mayWrite &&
+                   o.exposedRead == e.exposedRead && o.kills == e.kills &&
+                   sectionKey(o.section) == sectionKey(e.section);
+          });
+      if (!repeated) out.push_back(std::move(e));
     };
-
-    if (eff.mayRead) {
-      dep::CallEffect e;
-      e.var = target;
-      e.isArray = eff.isArray;
-      e.mayRead = true;
-      e.exposedRead = eff.exposedRead;
-      e.section = translateSection(eff.readSection);
-      out.push_back(std::move(e));
+    const CallBinding call(*cs, actuals);
+    for (const auto& [var, eff] : cs->effects) {
+      // A name the call does not bind reaches the caller only when the
+      // caller declares it in COMMON.
+      const auto at = call.land(var);
+      if (!at || (at->byName() && !common.count(at->name))) continue;
+      if (eff.mayRead) {
+        dep::CallEffect e;
+        e.var = at->name;
+        e.isArray = eff.isArray;
+        e.mayRead = true;
+        e.exposedRead = eff.exposedRead;
+        e.section = call.translate(eff.readSection, *at, common);
+        add(std::move(e));
+      }
+      if (eff.mayWrite) {
+        dep::CallEffect e;
+        e.var = at->name;
+        e.isArray = eff.isArray;
+        e.mayWrite = true;
+        e.kills = eff.kills;
+        e.section = call.translate(eff.writeSection, *at, common);
+        add(std::move(e));
+      }
     }
-    if (eff.mayWrite) {
-      dep::CallEffect e;
-      e.var = target;
-      e.isArray = eff.isArray;
-      e.mayWrite = true;
-      e.kills = eff.kills;
-      e.section = translateSection(eff.writeSection);
-      out.push_back(std::move(e));
-    }
-  }
+  });
   return out;
 }
 

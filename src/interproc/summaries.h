@@ -178,7 +178,7 @@ class SummaryBuilder {
   /// AST, so it stays valid until the unit is recounted.
   struct CensusRecord {
     /// The names this unit declares in COMMON.
-    std::vector<std::string> declared;
+    std::set<std::string> declared;
     /// Writes per census name (a name some unit declares in COMMON).
     std::map<std::string, int> writes;
     /// Main program only: the pre-order position of its first statement

@@ -43,7 +43,9 @@
 
 namespace ps::pdb {
 
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// 3: every statement reference in a record or key goes by (unit, pre-order
+/// ordinal), and a mark names its two references.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kEndianTag = 0x01020304;
 inline constexpr std::uint64_t kKeySeed = 0;
 inline constexpr std::uint64_t kVerifySeed = 0x5ca1ab1e0ddba11ULL;

@@ -130,6 +130,50 @@ void appendBudgetKey(std::string& m, const dep::AnalysisBudget& b) {
   m += std::to_string(b.maxSymbolicRelations);
 }
 
+/// Statements as the store names them: by unit index and pre-order
+/// ordinal. Ids minted after parsing do not follow pre-order, and a warm
+/// open numbers its fresh parse in pre-order, so no record or key may name
+/// a statement by id.
+class StmtPlaces {
+ public:
+  explicit StmtPlaces(const fortran::Program& p) {
+    for (std::size_t u = 0; u < p.units.size(); ++u) {
+      units_.push_back(ir::preorderStatements(*p.units[u]));
+      for (const auto& [id, ordinal] : ir::stableOrdinals(*p.units[u])) {
+        place_[id] = {static_cast<std::uint32_t>(u), ordinal};
+      }
+    }
+  }
+  [[nodiscard]] bool has(StmtId id) const { return place_.count(id) != 0; }
+  /// Key text for `id`'s place: "unit:ordinal", or "?" when it has none.
+  [[nodiscard]] std::string str(StmtId id) const {
+    auto it = place_.find(id);
+    if (it == place_.end()) return "?";
+    return std::to_string(it->second.first) + ':' +
+           std::to_string(it->second.second);
+  }
+  /// Write `id`'s place; a statement that is gone is written as nowhere.
+  void write(pdb::Writer& w, StmtId id) const {
+    auto it = place_.find(id);
+    w.u32(it == place_.end() ? kNowhere : it->second.first);
+    w.u32(it == place_.end() ? kNowhere : it->second.second);
+  }
+  /// Read a place: the id of the statement there, or kInvalidStmt.
+  [[nodiscard]] StmtId read(pdb::Reader& r) const {
+    const std::uint32_t unit = r.u32();
+    const std::uint32_t ordinal = r.u32();
+    if (unit >= units_.size() || ordinal >= units_[unit].size()) {
+      return fortran::kInvalidStmt;
+    }
+    return units_[unit][ordinal]->id;
+  }
+
+ private:
+  static constexpr std::uint32_t kNowhere = 0xFFFFFFFFu;
+  std::vector<std::vector<const Stmt*>> units_;
+  std::map<StmtId, std::pair<std::uint32_t, std::uint32_t>> place_;
+};
+
 /// Run fn(0), ..., fn(n - 1) on the pool and wait for all of them. The
 /// units go out as a few contiguous ranges per worker: one task per unit
 /// would cost more in scheduling than the few microseconds of work each
@@ -197,7 +241,8 @@ std::string Session::pdbGraphMaterial(std::size_t unit,
   // reads under this session: normalized text, the session fact base
   // (assertions), inherited interprocedural facts, the analysis budget,
   // classification overrides (loop ids rendered as stable ordinals), the
-  // persistent dependence marks (reapplyMarks mutates stored edges), and
+  // persistent dependence marks with their reasons and evidence
+  // (reapplyMarks writes them into stored edges), and
   // the final summaries of every direct callee (the side-effect oracle's
   // inputs).
   const Procedure& proc = *program_->units[unit];
@@ -240,16 +285,7 @@ std::string Session::pdbGraphMaterial(std::size_t unit,
     }
   }
   m += "|MARKS|";
-  for (const auto& [sig, rec] : marks_) {
-    m += sig;
-    m += '=';
-    m += std::to_string(static_cast<int>(rec.mark));
-    m += ',';
-    m += rec.reason;
-    m += ',';
-    m += rec.evidence;  // reapplyMarks writes it into stored edges
-    m += ';';
-  }
+  m += in.marks;
   m += "|SUMS|";
   for (const auto& c : calleesOf(summaries_->callGraph(), name)) {
     m += c;
@@ -276,11 +312,47 @@ std::string Session::pdbMemoMaterial() const {
   return m;
 }
 
+std::string Session::pdbMarksKey(bool full) const {
+  // Rendered marks are sorted: the table is ordered by statement id, and
+  // a warm session numbers the same statements differently.
+  if (marks_.empty()) return "";
+  const StmtPlaces places(*program_);
+  std::vector<std::string> rendered;
+  for (const auto& [key, rec] : marks_) {
+    if (!places.has(key.src) || !places.has(key.dst)) continue;
+    std::string r = dep::depTypeName(key.type);
+    r += '|';
+    r += key.variable;
+    for (const StmtId id : {key.src, key.dst}) {
+      r += '|';
+      r += places.str(id);
+    }
+    for (const int v : {key.level, key.srcRef, key.dstRef}) {
+      r += '|';
+      r += std::to_string(v);
+    }
+    r += '=';
+    r += std::to_string(static_cast<int>(rec.mark));
+    if (full) {
+      r += ',';
+      r += rec.reason;
+      r += ',';
+      r += rec.evidence;
+    }
+    r += ';';
+    rendered.push_back(std::move(r));
+  }
+  std::sort(rendered.begin(), rendered.end());
+  std::string m;
+  for (const std::string& r : rendered) m += r;
+  return m;
+}
+
 std::string Session::pdbMarksMaterial() const {
-  // Marks are keyed by statement-id signatures, which are only meaningful
-  // against the exact program text that produced them (ids are assigned in
-  // parse order). Digesting every unit's normalized text plus the fact
-  // base means a stored mark set can only restore onto the same program.
+  // Marks name statements by (unit, ordinal), which is only meaningful
+  // against the exact program text that produced them. Digesting every
+  // unit's normalized text plus the fact base means a stored mark set can
+  // only restore onto the same program.
   std::string m = "MARKS|";
   for (const auto& u : program_->units) {
     m += fortran::printProcedure(*u);
@@ -317,19 +389,18 @@ std::string Session::pdbEmissionMaterial() const {
     m += ';';
   }
   m += "|MARKTAB|";
-  for (const auto& [sig, rec] : marks_) {
-    m += sig;
-    m += '=';
-    m += std::to_string(static_cast<int>(rec.mark));
-    m += ';';
-  }
+  m += pdbMarksKey(/*full=*/false);
   m += "|OVR|";
+  const std::optional<StmtPlaces> places =
+      overrides_.empty() ? std::nullopt
+                         : std::make_optional<StmtPlaces>(*program_);
   for (const auto& [proc, byLoop] : overrides_) {
     for (const auto& [loop, byName] : byLoop) {
+      const std::string at = places->str(loop);
       for (const auto& [name, asPrivate] : byName) {
         m += proc;
         m += ':';
-        m += std::to_string(loop);
+        m += at;
         m += ':';
         m += name;
         m += '=';
@@ -373,6 +444,8 @@ bool Session::savePdb(const std::string& path) {
           [&] { return support::xxh64(summaryBytes[i]); });
     }
   }
+
+  keys.marks = pdbMarksKey(/*full=*/true);
 
   // Second pass: every unit's sealed records. A sealed payload starts with
   // the 8-byte verify hash, so an empty one means "no record".
@@ -430,17 +503,31 @@ bool Session::savePdb(const std::string& path) {
   // evidence: without this record a warm open restores graph slices whose
   // edges carry marks, but loses the session-side mark table that keeps
   // them alive across re-analysis (and keys every graph record).
+  // Statements go by (unit, ordinal); a mark whose statement is gone is
+  // dropped.
+  std::optional<StmtPlaces> places;
+  if (!marks_.empty() || lastEmission_.ran) places.emplace(*program_);
   if (!marks_.empty()) {
     const std::string material = pdbMarksMaterial();
+    std::vector<std::pair<const MarkKey*, const MarkRecord*>> kept;
+    for (const auto& [key, rec] : marks_) {
+      if (places->has(key.src) && places->has(key.dst)) {
+        kept.emplace_back(&key, &rec);
+      }
+    }
     pdb::Writer w;
-    w.u32(static_cast<std::uint32_t>(marks_.size()));
-    for (const auto& [sig, rec] : marks_) {
-      w.str(sig);
-      w.u8(static_cast<std::uint8_t>(rec.mark));
-      w.str(rec.reason);
-      w.str(rec.origin);
-      w.str(rec.deck);
-      w.str(rec.evidence);
+    w.u32(static_cast<std::uint32_t>(kept.size()));
+    for (const auto& [key, rec] : kept) {
+      w.u8(static_cast<std::uint8_t>(key->type));
+      w.str(key->variable);
+      places->write(w, key->src);
+      places->write(w, key->dst);
+      for (const int v : {key->level, key->srcRef, key->dstRef}) w.i64(v);
+      w.u8(static_cast<std::uint8_t>(rec->mark));
+      w.str(rec->reason);
+      w.str(rec->origin);
+      w.str(rec->deck);
+      w.str(rec->evidence);
     }
     store.add(pdb::RecordType::Marks, pdb::contentKey(material),
               pdb::sealPayload(material, w.data()));
@@ -454,7 +541,7 @@ bool Session::savePdb(const std::string& path) {
     // The PARALLEL marks themselves: they are session state (user
     // assertions and applied transformations), invisible to the key above,
     // so the record carries them and attach reapplies them.
-    std::vector<std::uint32_t> parallelLoops;
+    std::vector<StmtId> parallelLoops;
     for (const auto& u : program_->units) {
       u->forEachStmt([&](const Stmt& s) {
         if (s.kind == StmtKind::Do && s.isParallel) {
@@ -463,11 +550,11 @@ bool Session::savePdb(const std::string& path) {
       });
     }
     w.u32(static_cast<std::uint32_t>(parallelLoops.size()));
-    for (std::uint32_t id : parallelLoops) w.u32(id);
+    for (const StmtId id : parallelLoops) places->write(w, id);
     w.u32(static_cast<std::uint32_t>(lastEmission_.loops.size()));
     for (const auto& le : lastEmission_.loops) {
       w.str(le.procedure);
-      w.u32(le.loop);
+      places->write(w, le.loop);
       w.str(le.headline);
       w.u8(le.emitted ? 1 : 0);
       w.str(le.emitted ? le.payload : le.refusal);
@@ -481,8 +568,8 @@ bool Session::savePdb(const std::string& path) {
         w.str(be.type);
         w.str(be.variable);
         w.u32(static_cast<std::uint32_t>(be.level));
-        w.u32(be.srcStmt);
-        w.u32(be.dstStmt);
+        places->write(w, be.srcStmt);
+        places->write(w, be.dstStmt);
         w.str(be.mark);
       }
     }
@@ -615,13 +702,21 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   if (usable && store.holds(pdb::RecordType::Marks)) {
     const std::string material = session->pdbMarksMaterial();
     if (auto body = store.verifiedFind(pdb::RecordType::Marks, material)) {
+      const StmtPlaces places(*session->program_);
       pdb::Reader r(*body);
       const std::uint32_t n = r.u32();
       constexpr std::uint32_t kMaxMarks = 1U << 20;
       bool valid = r.ok() && n <= kMaxMarks;
-      std::map<std::string, MarkRecord> restored;
+      std::map<MarkKey, MarkRecord> restored;
       for (std::uint32_t i = 0; valid && i < n; ++i) {
-        std::string sig = r.str();
+        MarkKey key;
+        const std::uint8_t type = r.u8();
+        key.variable = r.str();
+        key.src = places.read(r);
+        key.dst = places.read(r);
+        for (int* v : {&key.level, &key.srcRef, &key.dstRef}) {
+          *v = static_cast<int>(r.i64());
+        }
         const std::uint8_t mark = r.u8();
         MarkRecord rec;
         rec.reason = r.str();
@@ -629,12 +724,16 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
         rec.deck = r.str();
         rec.evidence = r.str();
         if (!r.ok() ||
-            mark > static_cast<std::uint8_t>(dep::DepMark::Rejected)) {
+            type > static_cast<std::uint8_t>(dep::DepType::Control) ||
+            mark > static_cast<std::uint8_t>(dep::DepMark::Rejected) ||
+            key.src == fortran::kInvalidStmt ||
+            key.dst == fortran::kInvalidStmt) {
           valid = false;
           break;
         }
+        key.type = static_cast<dep::DepType>(type);
         rec.mark = static_cast<dep::DepMark>(mark);
-        restored[std::move(sig)] = std::move(rec);
+        restored[std::move(key)] = std::move(rec);
       }
       if (valid && r.atEnd()) {
         session->marks_ = std::move(restored);
@@ -643,6 +742,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
       }
     }
   }
+  keys.marks = session->pdbMarksKey(/*full=*/true);
 
   // OpenMP emission evidence. Keyed on the program text + the just-restored
   // mark table (+ overrides, empty on a fresh open), so it only restores
@@ -651,13 +751,14 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
   if (usable && store.holds(pdb::RecordType::Emission)) {
     const std::string material = session->pdbEmissionMaterial();
     if (auto body = store.verifiedFind(pdb::RecordType::Emission, material)) {
+      const StmtPlaces places(*session->program_);
       pdb::Reader r(*body);
       constexpr std::uint32_t kMaxLoops = 1U << 20;
       const std::uint32_t np = r.u32();
       bool valid = r.ok() && np <= kMaxLoops;
-      std::vector<std::uint32_t> parallelLoops;
+      std::vector<StmtId> parallelLoops;
       for (std::uint32_t i = 0; valid && i < np; ++i) {
-        parallelLoops.push_back(r.u32());
+        parallelLoops.push_back(places.read(r));
       }
       const std::uint32_t n = valid ? r.u32() : 0;
       valid = valid && r.ok() && n <= kMaxLoops;
@@ -665,7 +766,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
       for (std::uint32_t i = 0; valid && i < n; ++i) {
         emit::LoopEmission le;
         le.procedure = r.str();
-        le.loop = r.u32();
+        le.loop = places.read(r);
         le.headline = r.str();
         le.emitted = r.u8() != 0;
         std::string text = r.str();
@@ -685,8 +786,8 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
           be.type = r.str();
           be.variable = r.str();
           be.level = static_cast<int>(r.u32());
-          be.srcStmt = r.u32();
-          be.dstStmt = r.u32();
+          be.srcStmt = places.read(r);
+          be.dstStmt = places.read(r);
           be.mark = r.str();
           le.blocking.push_back(std::move(be));
         }
@@ -706,8 +807,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
         // the restored session matches the saving one's loop markings. The
         // printed text carries the markers, so a marked unit's text is
         // printed again for its graph key.
-        std::set<std::uint32_t> ids(parallelLoops.begin(),
-                                    parallelLoops.end());
+        std::set<StmtId> ids(parallelLoops.begin(), parallelLoops.end());
         for (std::size_t i = 0; i < nUnits; ++i) {
           bool marked = false;
           units[i]->forEachStmtMutable([&](Stmt& s) {
@@ -778,7 +878,7 @@ std::unique_ptr<Session> Session::attach(std::string_view source,
           *session->program_, u,
           session->makeContext(u, oracles[i], &session->stats_, nullptr),
           std::move(model), std::move(graph));
-      session->reapplyMarks(*restored[i]->graph);
+      session->reapplyMarks(*restored[i]);
     });
   }
   for (std::size_t i = 0; i < nUnits; ++i) {
@@ -941,7 +1041,7 @@ ParallelReport Session::analyze(const std::vector<Procedure*>& procs,
     stats_.accumulate(slot.stats);
     slot.ws->actx.statsSink = &stats_;
     slot.ws->actx.pool = nullptr;
-    reapplyMarks(*slot.ws->graph);
+    reapplyMarks(*slot.ws);
     pendingDirty_.erase(name);  // analyzed means clean
   }
 
@@ -1042,18 +1142,28 @@ void Session::setIncrementalUpdates(bool on) {
 }
 
 // ---------------------------------------------------------------------------
-// Dependence marks (survive reanalysis by signature)
+// Dependence marks (survive reanalysis by MarkKey)
 // ---------------------------------------------------------------------------
 
-std::string Session::depSignature(const dep::Dependence& d) const {
-  return std::string(dep::depTypeName(d.type)) + "|" + d.variable + "|" +
-         std::to_string(d.srcStmt) + "|" + std::to_string(d.dstStmt) + "|" +
-         std::to_string(d.level);
+Session::MarkKey Session::markKey(const dep::Dependence& d,
+                                  const ir::ProcedureModel& model) {
+  auto refIndex = [&](StmtId id, const Expr* ref) {
+    const Stmt* s = ref ? model.stmt(id) : nullptr;
+    return s ? ir::exprIndexIn(*s, *ref) : -1;
+  };
+  return {d.type,
+          d.variable,
+          d.srcStmt,
+          d.dstStmt,
+          d.level,
+          refIndex(d.srcStmt, d.srcRef),
+          refIndex(d.dstStmt, d.dstRef)};
 }
 
-void Session::reapplyMarks(dep::DependenceGraph& g) const {
-  for (auto& d : g.allMutable()) {
-    auto it = marks_.find(depSignature(d));
+void Session::reapplyMarks(transform::Workspace& ws) const {
+  if (marks_.empty()) return;
+  for (auto& d : ws.graph->allMutable()) {
+    auto it = marks_.find(markKey(d, *ws.model));
     if (it != marks_.end()) {
       d.mark = it->second.mark;
       d.reason = it->second.reason;
@@ -1066,35 +1176,8 @@ void Session::reapplyMarks(dep::DependenceGraph& g) const {
 // Transactions & invariant auditing
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Id-preserving deep copy of one unit.
-fortran::ProcedurePtr cloneUnit(const Procedure& unit) {
-  auto copy = std::make_unique<Procedure>();
-  copy->kind = unit.kind;
-  copy->name = unit.name;
-  copy->params = unit.params;
-  copy->returnType = unit.returnType;
-  copy->loc = unit.loc;
-  for (const auto& d : unit.decls) copy->decls.push_back(d.clone());
-  for (const auto& s : unit.body) copy->body.push_back(s->clone());
-  // Stmt::clone() deliberately drops ids; restore them by parallel
-  // pre-order traversal (clone preserves shape) so a rollback reproduces
-  // the exact pre-operation id assignment.
-  std::vector<StmtId> ids;
-  unit.forEachStmt([&](const Stmt& s) { ids.push_back(s.id); });
-  std::size_t i = 0;
-  copy->forEachStmtMutable([&](Stmt& s) {
-    if (i < ids.size()) s.id = ids[i];
-    ++i;
-  });
-  return copy;
-}
-
-}  // namespace
-
 Session::Snapshot Session::takeSnapshot(Procedure& unit) const {
-  return {&unit, cloneUnit(unit), program_->nextStmtId,
+  return {&unit, fortran::cloneUnit(unit), program_->nextStmtId,
           program_->units.size()};
 }
 
@@ -1440,7 +1523,7 @@ bool Session::markDependence(std::uint32_t id, dep::DepMark mark,
   d->reason = reason;
   // A re-mark supersedes any validation evidence attached to the old mark.
   d->evidence.clear();
-  marks_[depSignature(*d)] = {mark, reason, origin, deckName_, ""};
+  marks_[markKey(*d, *ws.model)] = {mark, reason, origin, deckName_, ""};
   if (mark == dep::DepMark::Rejected) ++counters_.dependenceDeletions;
   return true;
 }
@@ -1467,7 +1550,7 @@ int Session::markAllMatching(const DependenceFilter& f, dep::DepMark mark,
     d.mark = mark;
     d.reason = reason;
     d.evidence.clear();
-    marks_[depSignature(d)] = {mark, reason, origin, deckName_, ""};
+    marks_[markKey(d, *ws.model)] = {mark, reason, origin, deckName_, ""};
     ++n;
     if (mark == dep::DepMark::Rejected) ++counters_.dependenceDeletions;
   }
@@ -1735,7 +1818,7 @@ bool Session::applyTransformation(const std::string& name,
     return false;
   }
 
-  reapplyMarks(*ws.graph);
+  reapplyMarks(ws);
   if (!finishChange(name, snap, /*analyzed=*/true, error)) return false;
   ++counters_.transformationsApplied;
   return true;
@@ -1990,23 +2073,25 @@ validate::ValidationReport Session::validateDeletions(
 
   // Tag one deleted edge as explicitly unchecked: evidence on the edge and
   // its mark record, plus a DegradationReport::unvalidated row.
-  auto tagUnvalidated = [&](const std::string& proc, dep::Dependence& d,
-                            const std::string& why) {
+  auto tagUnvalidated = [&](const transform::Workspace& ws,
+                            dep::Dependence& d, const std::string& why) {
     d.evidence = "unvalidated: " + why;
-    auto it = marks_.find(depSignature(d));
+    auto it = marks_.find(markKey(d, *ws.model));
     if (it != marks_.end()) it->second.evidence = d.evidence;
-    unvalidatedDeletions_.push_back(
-        {proc, d.id, dep::depTypeName(d.type), d.variable, d.level});
+    unvalidatedDeletions_.push_back({ws.proc.name, d.id,
+                                     dep::depTypeName(d.type), d.variable,
+                                     d.level});
     ++rep.unvalidated;
   };
 
   // Auto-restore one refuted deletion, naming the deletion's provenance
   // (who deleted it, in which deck, and their stated reason) in the
   // structured failure report.
-  auto restoreDeletion = [&](const std::string& proc, dep::Dependence& d,
-                             const std::string& evidence,
+  auto restoreDeletion = [&](const transform::Workspace& ws,
+                             dep::Dependence& d, const std::string& evidence,
                              const std::string& how) {
-    const std::string sig = depSignature(d);
+    const std::string& proc = ws.proc.name;
+    const MarkKey sig = markKey(d, *ws.model);
     std::string origin = "user";
     std::string deck = deckName_;
     std::string why = d.reason;
@@ -2052,7 +2137,7 @@ validate::ValidationReport Session::validateDeletions(
       for (auto& d : ws.graph->allMutable()) {
         if (d.mark != dep::DepMark::Rejected) continue;
         ++rep.checked;
-        tagUnvalidated(u->name, d, "trace run failed: " + serial.error);
+        tagUnvalidated(ws, d, "trace run failed: " + serial.error);
       }
     }
     return rep;
@@ -2109,7 +2194,7 @@ validate::ValidationReport Session::validateDeletions(
         if (rejected) {
           f.verdict = validate::Verdict::RefutedDeletion;
           ++rep.refuted;
-          restoreDeletion(name, d, f.evidence,
+          restoreDeletion(ws, d, f.evidence,
                           "trace witness refutes deletion");
           ++rep.restored;
         } else {
@@ -2121,7 +2206,7 @@ validate::ValidationReport Session::validateDeletions(
         f.verdict = validate::Verdict::Unvalidated;
         f.evidence = "edge shape unsupported by the trace matcher";
         if (rejected) {
-          tagUnvalidated(name, d, f.evidence);
+          tagUnvalidated(ws, d, f.evidence);
         } else {
           ++rep.unvalidated;
         }
@@ -2129,7 +2214,7 @@ validate::ValidationReport Session::validateDeletions(
         f.verdict = validate::Verdict::Unvalidated;
         f.evidence = "trace incomplete (budget overflow)";
         if (rejected) {
-          tagUnvalidated(name, d, f.evidence);
+          tagUnvalidated(ws, d, f.evidence);
         } else {
           ++rep.unvalidated;
         }
@@ -2138,7 +2223,7 @@ validate::ValidationReport Session::validateDeletions(
         f.evidence = "trace: no witness in " + std::to_string(rep.events) +
                      " events (complete trace)";
         d.evidence = f.evidence;
-        auto it = marks_.find(depSignature(d));
+        auto it = marks_.find(markKey(d, *ws.model));
         if (it != marks_.end()) it->second.evidence = d.evidence;
         safe.insert({name, d.id});
         ++rep.confirmedSafe;
@@ -2237,7 +2322,7 @@ validate::ValidationReport Session::validateDeletions(
           f.verdict = validate::Verdict::RefutedDeletion;
           f.evidence = "relative execution: " + rr.detail;
           ++rep.refuted;
-          restoreDeletion(c.proc, *d, f.evidence,
+          restoreDeletion(ws, *d, f.evidence,
                           "relative execution diverged");
           ++rep.restored;
           safe.erase({c.proc, d->id});

@@ -662,6 +662,9 @@ class Session {
     std::vector<std::string> text;
     /// One slot per unit name, all inserted before any task reads them.
     std::map<std::string, Fingerprint> fingerprints;
+    /// The mark table in store terms (pdbMarksKey), every graph key's
+    /// MARKS section.
+    std::string marks;
 
     /// Append `callee`'s link to a key: its summary fingerprint, or EXTERN
     /// when it has no summary (a library routine).
@@ -681,6 +684,10 @@ class Session {
   [[nodiscard]] std::string pdbMemoMaterial() const;
   [[nodiscard]] std::string pdbMarksMaterial() const;
   [[nodiscard]] std::string pdbEmissionMaterial() const;
+  /// The mark table as key material: each mark with its statements by
+  /// (unit, ordinal) and, with `full`, its reason and evidence, in the
+  /// order of that rendering. A mark whose statement is gone is left out.
+  [[nodiscard]] std::string pdbMarksKey(bool full) const;
   /// A fresh analysis context for `proc`: the session's facts, overrides,
   /// budget, memo and the builder's inherited facts. Pure, so pool tasks
   /// may call it; the oracle and stats sink are supplied by the caller.
@@ -741,7 +748,21 @@ class Session {
   std::map<std::string, std::map<std::string, std::string>>
       classificationReasons_;
   std::vector<Assertion> assertions_;
-  /// Dependence marks survive reanalysis keyed by a stable signature.
+  /// What names one dependence edge across re-analyses: its type,
+  /// variable, endpoints and level, and its two references by their index
+  /// among their statement's expressions (ir::exprIndexIn, -1 for none),
+  /// which tell apart edges that agree on everything else.
+  struct MarkKey {
+    dep::DepType type = dep::DepType::True;
+    std::string variable;
+    fortran::StmtId src = fortran::kInvalidStmt;
+    fortran::StmtId dst = fortran::kInvalidStmt;
+    int level = 0;
+    int srcRef = -1;
+    int dstRef = -1;
+    [[nodiscard]] auto operator<=>(const MarkKey&) const = default;
+  };
+  /// Dependence marks survive reanalysis keyed by MarkKey.
   struct MarkRecord {
     dep::DepMark mark = dep::DepMark::Pending;
     std::string reason;
@@ -751,7 +772,7 @@ class Session {
     std::string deck;
     std::string evidence;
   };
-  std::map<std::string, MarkRecord> marks_;  // key: dep signature
+  std::map<MarkKey, MarkRecord> marks_;
 
   /// Dependence-test memo shared by every workspace (and trial sandbox) of
   /// this session, across procedures and rebuilds — and, when the session
@@ -788,8 +809,9 @@ class Session {
   UsageCounters counters_;
   PdbStats pdbStats_;
 
-  [[nodiscard]] std::string depSignature(const dep::Dependence& d) const;
-  void reapplyMarks(dep::DependenceGraph& g) const;
+  [[nodiscard]] static MarkKey markKey(const dep::Dependence& d,
+                                       const ir::ProcedureModel& model);
+  void reapplyMarks(transform::Workspace& ws) const;
 };
 
 }  // namespace ps::ped

@@ -378,16 +378,11 @@ class LoopFusion : public Transformation {
     // the fused loop into a statement of the first loop (a forward
     // loop-independent dependence turned backward-carried).
     Trial trial(ws);
-    Target tt = t;
-    tt.loop = trial.mapped(t.loop);
-    tt.secondLoop = trial.mapped(t.secondLoop);
     Loop* l2 = ws.loopOf(t.secondLoop);
     std::set<StmtId> fromSecond;
-    for (const Stmt* s : l2->bodyStmts) {
-      fromSecond.insert(trial.mapped(s->id));
-    }
+    for (const Stmt* s : l2->bodyStmts) fromSecond.insert(s->id);
     Workspace& sandbox = trial.workspace();
-    Stmt* fused = fuse(sandbox, tt);
+    Stmt* fused = fuse(sandbox, t);
     if (!fused) return Advice::no("fusion mechanics failed");
     sandbox.reanalyze();
     Loop* fusedLoop = sandbox.loopOf(fused->id);

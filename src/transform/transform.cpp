@@ -171,44 +171,17 @@ std::string freshName(const fortran::Procedure& proc,
 }
 
 Trial::Trial(const Workspace& ws) {
-  auto clone = std::make_unique<fortran::Procedure>();
-  clone->kind = ws.proc.kind;
-  clone->name = ws.proc.name;
-  clone->params = ws.proc.params;
-  clone->returnType = ws.proc.returnType;
-  for (const auto& d : ws.proc.decls) clone->decls.push_back(d.clone());
-  for (const auto& s : ws.proc.body) clone->body.push_back(s->clone());
-  fortran::Procedure* raw = clone.get();
-  program_.units.push_back(std::move(clone));
-  program_.assignIds();
-  // Map ids by parallel pre-order traversal (clone preserves shape).
-  std::vector<fortran::StmtId> originalIds, cloneIds;
-  ws.proc.forEachStmt(
-      [&](const fortran::Stmt& s) { originalIds.push_back(s.id); });
-  raw->forEachStmt(
-      [&](const fortran::Stmt& s) { cloneIds.push_back(s.id); });
-  for (std::size_t i = 0; i < originalIds.size() && i < cloneIds.size();
-       ++i) {
-    idMap_[originalIds[i]] = cloneIds[i];
-  }
+  // The clone keeps the unit's ids, so targets, overrides and graph
+  // endpoints name the same statements in the sandbox; ids it mints come
+  // after every id of the workspace's program.
+  program_.units.push_back(fortran::cloneUnit(ws.proc));
+  program_.nextStmtId = ws.program.nextStmtId;
   // The sandbox sees the same user context but no interprocedural oracle
   // (it owns only this one unit).
   dep::AnalysisContext actx = ws.actx;
   actx.oracle = nullptr;
-  // Translate classification overrides to sandbox ids.
-  actx.classificationOverrides.clear();
-  for (const auto& [loopId, overrides] : ws.actx.classificationOverrides) {
-    auto it = idMap_.find(loopId);
-    if (it != idMap_.end()) {
-      actx.classificationOverrides[it->second] = overrides;
-    }
-  }
-  ws_ = std::make_unique<Workspace>(program_, *raw, std::move(actx));
-}
-
-fortran::StmtId Trial::mapped(fortran::StmtId original) const {
-  auto it = idMap_.find(original);
-  return it == idMap_.end() ? fortran::kInvalidStmt : it->second;
+  ws_ = std::make_unique<Workspace>(program_, *program_.units.back(),
+                                    std::move(actx));
 }
 
 }  // namespace ps::transform

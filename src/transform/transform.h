@@ -179,18 +179,16 @@ struct SumReduction {
 
 /// A scratch clone of the workspace's procedure for trial application:
 /// fusion safety, for instance, is decided by fusing in the sandbox and
-/// inspecting the resulting dependence graph.
+/// inspecting the resulting dependence graph. The clone keeps every
+/// statement's id.
 class Trial {
  public:
   explicit Trial(const Workspace& ws);
   [[nodiscard]] Workspace& workspace() { return *ws_; }
-  /// The sandbox id corresponding to an original statement id.
-  [[nodiscard]] fortran::StmtId mapped(fortran::StmtId original) const;
 
  private:
   fortran::Program program_;
   std::unique_ptr<Workspace> ws_;
-  std::map<fortran::StmtId, fortran::StmtId> idMap_;
 };
 
 }  // namespace ps::transform

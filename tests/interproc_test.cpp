@@ -293,6 +293,99 @@ TEST(Summaries, KilledFormalReachesCallerOnlyThroughAPassedVariable) {
   EXPECT_FALSE(g.parallelizable(*model.topLevelLoops()[0]));
 }
 
+/// True when `unit`'s first top-level loop is parallelizable under the
+/// interprocedural oracle, with `privates` classified private for it.
+bool firstLoopParallel(const SummaryBuilder& sb, fortran::Procedure& unit,
+                       const std::set<std::string>& privates = {}) {
+  InterproceduralOracle oracle(sb, unit);
+  ir::ProcedureModel model(unit);
+  dep::AnalysisContext ctx;
+  ctx.oracle = &oracle;
+  const ir::Loop& loop = *model.topLevelLoops()[0];
+  for (const std::string& name : privates) {
+    ctx.classificationOverrides[loop.stmt->id][name] = true;
+  }
+  auto g = dep::DependenceGraph::build(model, ctx);
+  return g.parallelizable(loop);
+}
+
+// F kills its own formal C, and F is referenced inside CALL S's argument
+// list. The kill lands on F's actual Y, not on the CALL's first actual X:
+// P only may write X (S writes it when K is 1). Iterations 2-10 of MAIN's
+// loop read the Z iteration 1 wrote (serial output 7 7 7).
+TEST(Summaries, FunctionInCallArgumentsKillsOnlyItsOwnActual) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL V(10)\n"
+      "      Z = 0.0\n"
+      "      DO 10 I = 1, 10\n"
+      "        CALL P(Z, I)\n"
+      "        V(I) = Z\n"
+      "   10 CONTINUE\n"
+      "      PRINT *, V(1), V(5), V(10)\n"
+      "      END\n"
+      "      SUBROUTINE P(X, K)\n"
+      "      CALL S(X, F(Y), K)\n"
+      "      END\n"
+      "      SUBROUTINE S(A, B, K)\n"
+      "      IF (K .EQ. 1) A = B\n"
+      "      END\n"
+      "      REAL FUNCTION F(C)\n"
+      "      C = 7.0\n"
+      "      F = C\n"
+      "      END\n");
+  SummaryBuilder sb(*prog);
+  EXPECT_TRUE(sb.summaryOf("F")->effectOn("C")->kills);
+  const VarEffect* x = sb.summaryOf("P")->effectOn("X");
+  ASSERT_NE(x, nullptr);
+  EXPECT_TRUE(x->mayWrite);
+  EXPECT_FALSE(x->kills);
+  EXPECT_FALSE(firstLoopParallel(sb, *prog->findUnit("MAIN")));
+}
+
+// G increments its formal. Both references bind G to their own actual, so
+// G(A) writes A in every iteration (serial output 2 11). W is reset in
+// every iteration, so classifying it private is right, and the loop must
+// still carry A. Two references that pass the same actual report its
+// effects once.
+TEST(Summaries, EveryReferenceToAFunctionBindsItsOwnActuals) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL V(10)\n"
+      "      A = 0.0\n"
+      "      DO 10 I = 1, 10\n"
+      "        W = 0.0\n"
+      "        T = G(A) + G(W)\n"
+      "        V(I) = T\n"
+      "   10 CONTINUE\n"
+      "      U = G(A) + G(A)\n"
+      "      PRINT *, V(1), V(10), U\n"
+      "      END\n"
+      "      REAL FUNCTION G(C)\n"
+      "      C = C + 1.0\n"
+      "      G = C\n"
+      "      END\n");
+  SummaryBuilder sb(*prog);
+  fortran::Procedure* main = prog->findUnit("MAIN");
+  InterproceduralOracle oracle(sb, *main);
+  auto effectsOn = [&](const std::string& lhs) {
+    std::vector<dep::CallEffect> effects;
+    main->forEachStmt([&](const fortran::Stmt& s) {
+      if (s.kind == fortran::StmtKind::Assign && s.lhs->name == lhs) {
+        effects = oracle.effectsOfCall(s, "G");
+      }
+    });
+    return effects;
+  };
+  std::set<std::string> written;
+  for (const dep::CallEffect& e : effectsOn("T")) {
+    if (e.mayWrite) written.insert(e.var);
+  }
+  EXPECT_EQ(written, (std::set<std::string>{"A", "W"}));
+  EXPECT_EQ(effectsOn("U").size(), 2u);  // A: one read, one write
+  EXPECT_FALSE(firstLoopParallel(sb, *main, {"W"}));
+}
+
 TEST(Summaries, CommonEffectsPropagate) {
   auto prog = parse(
       "      SUBROUTINE TOP\n"
