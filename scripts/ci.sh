@@ -67,6 +67,9 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # over one shared memo, the one edit path the other suites do not cover. The
 # dataflow suite indexes dense rows by variable and definition ids, where an
 # id past the end of a row would corrupt memory silently without ASan. The
+# procedure model is one pre-order row table that hands out row pointers
+# and positions, and its suite checks every lookup on every deck, after an
+# edit and after a transformation, so an index past a row shows up here. The
 # edit storm runs 50 edits per deck here: the summary builder's census
 # records and call graph live across edits, so a missed recount or refresh
 # turns into a heap-use-after-free only once enough edits have freed
@@ -77,7 +80,7 @@ cmake -B build-asan -S . \
 asan_suites="property_test ped_session_test transform_test interproc_test
   composition_test edit_storm_test fuzz_robustness_test dependence_test
   pdb_persistence_test warm_start_test io_atomic_test parallel_analysis_test
-  server_storm_test dataflow_test"
+  server_storm_test dataflow_test ir_model_test"
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do

@@ -97,11 +97,11 @@ class Builder {
 FlowGraph FlowGraph::build(const ir::ProcedureModel& model) {
   FlowGraph g;
   const auto& all = model.allStmts();
-  g.stmts_.assign(all.size() + 2, nullptr);
-  g.succ_.assign(all.size() + 2, {});
-  g.pred_.assign(all.size() + 2, {});
+  g.stmts_.assign(all.size() + kFirstStmt, nullptr);
+  g.succ_.assign(all.size() + kFirstStmt, {});
+  g.pred_.assign(all.size() + kFirstStmt, {});
   for (std::size_t i = 0; i < all.size(); ++i) {
-    int node = static_cast<int>(i) + 2;
+    int node = static_cast<int>(i) + kFirstStmt;
     g.stmts_[static_cast<std::size_t>(node)] = all[i];
     g.nodeOf_[all[i]->id] = node;
   }

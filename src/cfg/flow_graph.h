@@ -15,11 +15,13 @@ namespace ps::cfg {
 /// statements, so the constant factor is irrelevant.
 ///
 /// Node 0 is the synthetic entry, node 1 the synthetic exit; every other
-/// node corresponds to one statement.
+/// node corresponds to one statement: node kFirstStmt + i is the model's
+/// allStmts()[i].
 class FlowGraph {
  public:
   static constexpr int kEntry = 0;
   static constexpr int kExit = 1;
+  static constexpr int kFirstStmt = 2;
 
   /// Build the CFG for a procedure. Handles structured constructs (DO, block
   /// IF) and unstructured ones (GOTO, arithmetic IF) uniformly: labels may

@@ -1,7 +1,7 @@
 #include "fortran/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
+#include <utility>
 
 #include "support/text.h"
 
@@ -9,12 +9,13 @@ namespace ps::fortran {
 
 namespace {
 
-bool isIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool isIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+using ps::text::isAlpha;
+using ps::text::isDigit;
+using ps::text::isSpace;
+using ps::text::toUpper;
+
+bool isIdentStart(char c) { return isAlpha(c) || c == '_'; }
+bool isIdentChar(char c) { return isAlpha(c) || isDigit(c) || c == '_'; }
 
 /// True if the line is a comment line under fixed- or free-form rules.
 bool isCommentLine(std::string_view line) {
@@ -100,10 +101,10 @@ Lexer::Lexer(std::string_view source, DiagnosticEngine& diags)
 
 std::vector<Token> Lexer::run() {
   std::vector<Token> tokens;
-  auto lines = ps::text::splitLines(source_);
+  const std::vector<std::string_view> lines = ps::text::splitLines(source_);
   bool pendingContinuation = false;  // previous line ended with '&'
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
+    const std::string_view line = lines[i];
     const int lineNo = static_cast<int>(i) + 1;
 
     if (isCommentLine(line)) {
@@ -128,7 +129,7 @@ std::vector<Token> Lexer::run() {
     if (line.size() >= 6) {
       bool blankLabelField = true;
       for (int c = 0; c < 5 && c < static_cast<int>(line.size()); ++c) {
-        if (!std::isspace(static_cast<unsigned char>(line[c]))) {
+        if (!isSpace(line[c])) {
           blankLabelField = false;
           break;
         }
@@ -169,7 +170,7 @@ std::vector<Token> Lexer::run() {
   Token eof;
   eof.kind = Tok::EndOfFile;
   eof.loc = {static_cast<int>(lines.size()) + 1, 1};
-  tokens.push_back(eof);
+  tokens.push_back(std::move(eof));
   return tokens;
 }
 
@@ -179,19 +180,16 @@ void Lexer::lexLine(std::string_view line, int lineNo, bool continuation,
   // Leading statement label (only when not a continuation line).
   if (!continuation) {
     std::size_t p = 0;
-    while (p < line.size() && std::isspace(static_cast<unsigned char>(line[p])))
-      ++p;
+    while (p < line.size() && isSpace(line[p])) ++p;
     std::size_t digitsBegin = p;
-    while (p < line.size() && std::isdigit(static_cast<unsigned char>(line[p])))
-      ++p;
-    if (p > digitsBegin && p < line.size() &&
-        (std::isspace(static_cast<unsigned char>(line[p])))) {
+    while (p < line.size() && isDigit(line[p])) ++p;
+    if (p > digitsBegin && p < line.size() && isSpace(line[p])) {
       Token t;
       t.kind = Tok::Label;
       t.text = std::string(line.substr(digitsBegin, p - digitsBegin));
       t.intValue = std::atoll(t.text.c_str());
       t.loc = {lineNo, static_cast<int>(digitsBegin) + 1};
-      out.push_back(t);
+      out.push_back(std::move(t));
       pos = p;
     }
   }
@@ -207,7 +205,7 @@ void Lexer::lexLine(std::string_view line, int lineNo, bool continuation,
     out.pop_back();
     nl.intValue = 1;  // continuation flag consumed by run()
   }
-  out.push_back(nl);
+  out.push_back(std::move(nl));
 }
 
 void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
@@ -219,7 +217,7 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
   while (i < body.size()) {
     char c = body[i];
     if (c == '!') break;  // trailing comment
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (isSpace(c)) {
       ++i;
       continue;
     }
@@ -230,14 +228,11 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
       // trailing comment follows; a mid-line '&' is a stray character and
       // must not swallow the statement boundary.
       std::size_t rest = i + 1;
-      while (rest < body.size() &&
-             std::isspace(static_cast<unsigned char>(body[rest]))) {
-        ++rest;
-      }
+      while (rest < body.size() && isSpace(body[rest])) ++rest;
       if (rest >= body.size() || body[rest] == '!') {
         t.kind = Tok::Identifier;
         t.text = "&";
-        out.push_back(t);
+        out.push_back(std::move(t));
         break;
       }
       diags_.error(loc(i), "unexpected character '&'");
@@ -248,32 +243,28 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
       std::size_t b = i;
       while (i < body.size() && isIdentChar(body[i])) ++i;
       t.kind = Tok::Identifier;
-      t.text = ps::text::upper(body.substr(b, i - b));
-      out.push_back(t);
+      t.text.assign(body.data() + b, i - b);
+      for (char& ch : t.text) ch = toUpper(ch);
+      out.push_back(std::move(t));
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < body.size() &&
-         std::isdigit(static_cast<unsigned char>(body[i + 1])))) {
+    if (isDigit(c) || (c == '.' && i + 1 < body.size() &&
+                       isDigit(body[i + 1]))) {
       std::size_t b = i;
       bool isReal = false;
-      while (i < body.size() &&
-             std::isdigit(static_cast<unsigned char>(body[i])))
-        ++i;
+      while (i < body.size() && isDigit(body[i])) ++i;
       // A '.' begins a fractional part only if not the start of an operator
       // like ".EQ." — i.e. if the next char is a digit, 'D'/'E' exponent, or
       // end/non-letter.
       if (i < body.size() && body[i] == '.') {
         bool opLike = false;
-        if (i + 1 < body.size() &&
-            std::isalpha(static_cast<unsigned char>(body[i + 1]))) {
+        if (i + 1 < body.size() && isAlpha(body[i + 1])) {
           // Could be ".EQ." etc. or "1.E5". Exponent letters are D/E followed
           // by digit/sign; operator letters are followed by more letters.
-          char l1 = static_cast<char>(
-              std::toupper(static_cast<unsigned char>(body[i + 1])));
+          char l1 = toUpper(body[i + 1]);
           if ((l1 == 'D' || l1 == 'E') && i + 2 < body.size() &&
-              (std::isdigit(static_cast<unsigned char>(body[i + 2])) ||
-               body[i + 2] == '+' || body[i + 2] == '-')) {
+              (isDigit(body[i + 2]) || body[i + 2] == '+' ||
+               body[i + 2] == '-')) {
             opLike = false;
           } else {
             opLike = true;
@@ -282,43 +273,36 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
         if (!opLike) {
           isReal = true;
           ++i;
-          while (i < body.size() &&
-                 std::isdigit(static_cast<unsigned char>(body[i])))
-            ++i;
+          while (i < body.size() && isDigit(body[i])) ++i;
         }
       }
       if (i < body.size()) {
-        char e = static_cast<char>(
-            std::toupper(static_cast<unsigned char>(body[i])));
+        char e = toUpper(body[i]);
         if (e == 'E' || e == 'D') {
           std::size_t save = i;
           ++i;
           if (i < body.size() && (body[i] == '+' || body[i] == '-')) ++i;
-          if (i < body.size() &&
-              std::isdigit(static_cast<unsigned char>(body[i]))) {
+          if (i < body.size() && isDigit(body[i])) {
             isReal = true;
-            while (i < body.size() &&
-                   std::isdigit(static_cast<unsigned char>(body[i])))
-              ++i;
+            while (i < body.size() && isDigit(body[i])) ++i;
           } else {
             i = save;  // not an exponent (e.g. "100END" won't occur, but be safe)
           }
         }
       }
-      std::string spelling(body.substr(b, i - b));
+      t.text.assign(body.data() + b, i - b);
       if (isReal) {
         t.kind = Tok::RealLiteral;
-        std::string canon = spelling;
+        std::string canon = t.text;
         for (char& ch : canon) {
           if (ch == 'd' || ch == 'D') ch = 'E';
         }
         t.realValue = std::strtod(canon.c_str(), nullptr);
       } else {
         t.kind = Tok::IntLiteral;
-        t.intValue = std::atoll(spelling.c_str());
+        t.intValue = std::atoll(t.text.c_str());
       }
-      t.text = spelling;
-      out.push_back(t);
+      out.push_back(std::move(t));
       continue;
     }
     if (c == '.') {
@@ -345,7 +329,7 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
         if (k != Tok::EndOfFile) {
           t.kind = k;
           t.text = "." + word + ".";
-          out.push_back(t);
+          out.push_back(std::move(t));
           i = close + 1;
           continue;
         }
@@ -376,7 +360,7 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
       }
       t.kind = Tok::StringLiteral;
       t.text = std::move(value);
-      out.push_back(t);
+      out.push_back(std::move(t));
       continue;
     }
     switch (c) {
@@ -433,7 +417,7 @@ void Lexer::lexBody(std::string_view body, int lineNo, int colBase,
     }
     t.text = std::string(body.substr(i, 1));
     ++i;
-    out.push_back(t);
+    out.push_back(std::move(t));
   }
 }
 

@@ -1,7 +1,9 @@
 #include "interproc/summaries.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string_view>
 
 #include "cfg/flow_graph.h"
 #include "dataflow/constants.h"
@@ -306,6 +308,135 @@ class CallBinding {
   const std::vector<ExprPtr>& actuals_;
 };
 
+/// Calls fn(name) for each variable actual of a reference to a function
+/// in `callees` (the user routines `s` calls) that the function's summary,
+/// from `summaryOf`, writes. ir::collectRefs reports these actuals as
+/// reads; a CALL's actuals are CallActual references instead.
+template <class Lookup, class Fn>
+void forEachFunctionActualWrite(const Stmt& s,
+                                const std::vector<std::string>& callees,
+                                Lookup&& summaryOf, Fn&& fn) {
+  for (const std::string& callee : callees) {
+    const ProcSummary* cs = summaryOf(callee);
+    if (!cs) continue;
+    forEachCall(s, callee, [&](const std::vector<ExprPtr>& actuals,
+                               bool isCall) {
+      if (isCall) return;
+      const CallBinding call(*cs, actuals);
+      for (const auto& [var, eff] : cs->effects) {
+        if (!eff.mayWrite) continue;
+        const auto at = call.land(var);
+        if (at && !at->byName()) fn(at->name);
+      }
+    });
+  }
+}
+
+/// One row of bits per flow-graph node, all in one buffer.
+class BitRows {
+ public:
+  BitRows(int rows, std::size_t bits)
+      : bits_(bits),
+        words_((bits + 63) / 64),
+        data_(static_cast<std::size_t>(rows) * words_, 0) {}
+
+  [[nodiscard]] std::size_t bits() const { return bits_; }
+  [[nodiscard]] std::size_t words() const { return words_; }
+  std::uint64_t* operator[](int node) {
+    return data_.data() + static_cast<std::size_t>(node) * words_;
+  }
+  const std::uint64_t* operator[](int node) const {
+    return data_.data() + static_cast<std::size_t>(node) * words_;
+  }
+  void set(int node, std::size_t bit) {
+    (*this)[node][bit >> 6] |= std::uint64_t{1} << (bit & 63);
+  }
+  static bool test(const std::uint64_t* row, std::size_t bit) {
+    return (row[bit >> 6] >> (bit & 63)) & 1;
+  }
+
+ private:
+  std::size_t bits_;
+  std::size_t words_;
+  std::vector<std::uint64_t> data_;
+};
+
+/// The names written on every path from the entry to the exit: `gen`
+/// propagated in reverse post-order until nothing changes, each node
+/// taking the intersection over the predecessors visited so far.
+std::vector<std::uint64_t> mustWriteAtExit(const cfg::FlowGraph& fg,
+                                           const BitRows& gen) {
+  const std::size_t words = gen.words();
+  BitRows out(fg.numNodes(), gen.bits());
+  std::vector<char> visited(static_cast<std::size_t>(fg.numNodes()), 0);
+  visited[cfg::FlowGraph::kEntry] = 1;
+  const std::vector<int> order = fg.reversePostOrder();
+  std::vector<std::uint64_t> in(words);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int node : order) {
+      if (node == cfg::FlowGraph::kEntry) continue;
+      bool first = true;
+      for (int p : fg.predecessors(node)) {
+        if (!visited[static_cast<std::size_t>(p)]) continue;
+        for (std::size_t w = 0; w < words; ++w) {
+          in[w] = first ? out[p][w] : in[w] & out[p][w];
+        }
+        first = false;
+      }
+      if (first) continue;  // unreachable so far
+      for (std::size_t w = 0; w < words; ++w) in[w] |= gen[node][w];
+      char& seen = visited[static_cast<std::size_t>(node)];
+      if (!seen || !std::equal(in.begin(), in.end(), out[node])) {
+        seen = 1;
+        std::copy(in.begin(), in.end(), out[node]);
+        changed = true;
+      }
+    }
+  }
+  return {out[cfg::FlowGraph::kExit], out[cfg::FlowGraph::kExit] + words};
+}
+
+/// The names read before any write on some path from the entry: a name
+/// reaches a node unless a node that `block`s it comes first on every
+/// path, and is exposed where it reaches a node that `expose`s it.
+std::vector<std::uint64_t> exposedReads(const cfg::FlowGraph& fg,
+                                        const BitRows& expose,
+                                        const BitRows& block) {
+  const std::size_t words = expose.words();
+  BitRows reach(fg.numNodes(), expose.bits());
+  for (std::size_t b = 0; b < expose.bits(); ++b) {
+    reach.set(cfg::FlowGraph::kEntry, b);
+  }
+  const std::vector<int> order = fg.reversePostOrder();
+  std::vector<std::uint64_t> in(words);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int node : order) {
+      if (node == cfg::FlowGraph::kEntry) continue;
+      std::fill(in.begin(), in.end(), 0);
+      for (int p : fg.predecessors(node)) {
+        for (std::size_t w = 0; w < words; ++w) {
+          in[w] |= reach[p][w] & ~block[p][w];
+        }
+      }
+      if (!std::equal(in.begin(), in.end(), reach[node])) {
+        std::copy(in.begin(), in.end(), reach[node]);
+        changed = true;
+      }
+    }
+  }
+  std::vector<std::uint64_t> exposed(words, 0);
+  for (int node : order) {
+    for (std::size_t w = 0; w < words; ++w) {
+      exposed[w] |= reach[node][w] & expose[node][w];
+    }
+  }
+  return exposed;
+}
+
 /// The names `proc` declares in COMMON.
 std::set<std::string> commonNamesIn(const Procedure& proc) {
   std::set<std::string> names;
@@ -597,13 +728,15 @@ const ProcSummary* SummaryBuilder::summaryOf(const std::string& name) const {
   return it == summaries_.end() ? nullptr : &it->second;
 }
 
-bool SummaryBuilder::refMayWrite(const Stmt& s, const ir::Ref& r,
+bool SummaryBuilder::refMayWrite(const Stmt& s,
+                                 const std::vector<std::string>& callees,
+                                 const ir::Ref& r,
                                  bool duringSummarize) const {
   // Resolve a CallActual's write status through the callee summaries; true
   // (conservative) when any callee is unknown or a write of one of its
   // calls lands on the name.
   bool writes = false;
-  for (const std::string& callee : ir::calledFunctions(s)) {
+  for (const std::string& callee : callees) {
     const ProcSummary* cs =
         duringSummarize ? phaseSummaryOf(callee) : summaryOf(callee);
     if (!cs) return true;
@@ -626,6 +759,15 @@ void SummaryBuilder::summarize(Procedure& proc) {
   sum.formals = proc.params;
 
   ir::ProcedureModel model(proc);
+  const auto& stmts = model.allStmts();
+  // The user routines each statement calls, by pre-order position.
+  std::vector<std::vector<std::string>> callees(stmts.size());
+  for (std::size_t i = 0; i < stmts.size(); ++i) {
+    callees[i] = ir::calledFunctions(*stmts[i]);
+  }
+  auto phaseLookup = [this](const std::string& name) {
+    return phaseSummaryOf(name);
+  };
 
   // Externally visible names and stable names.
   std::set<std::string> visible;
@@ -636,18 +778,26 @@ void SummaryBuilder::summarize(Procedure& proc) {
   if (proc.kind == fortran::ProcKind::Function) visible.insert(proc.name);
 
   // Names written in this procedure. A call actual only counts as written
-  // when the callee's summary says so (or the callee is unknown) — without
-  // this, every variable ever passed to a call would lose its "stable"
-  // status and sections would collapse.
+  // when the callee's summary says so (or, for a CALL, the callee is
+  // unknown) — without this, every variable ever passed to a call would
+  // lose its "stable" status and sections would collapse.
   std::set<std::string> writtenSomewhere;
-  for (const Stmt* s : model.allStmts()) {
-    for (const Ref& r : ir::collectRefs(*s)) {
+  std::vector<Ref> refs;
+  for (std::size_t i = 0; i < stmts.size(); ++i) {
+    const Stmt& s = *stmts[i];
+    refs.clear();
+    ir::appendRefs(s, refs);
+    for (const Ref& r : refs) {
       if (!r.isWrite()) continue;
-      if (r.kind == RefKind::CallActual) {
-        if (!refMayWrite(*s, r, /*duringSummarize=*/true)) continue;
+      if (r.kind == RefKind::CallActual &&
+          !refMayWrite(s, callees[i], r, /*duringSummarize=*/true)) {
+        continue;
       }
       writtenSomewhere.insert(r.name);
     }
+    forEachFunctionActualWrite(
+        s, callees[i], phaseLookup,
+        [&](const std::string& name) { writtenSomewhere.insert(name); });
   }
   std::set<std::string> stable;
   for (const auto& d : proc.decls) {
@@ -736,8 +886,9 @@ void SummaryBuilder::summarize(Procedure& proc) {
       }
     }
   };
-  for (const Stmt* s : model.allStmts()) {
-    for (const std::string& callee : ir::calledFunctions(*s)) {
+  for (std::size_t i = 0; i < stmts.size(); ++i) {
+    const Stmt* s = stmts[i];
+    for (const std::string& callee : callees[i]) {
       const ProcSummary* cs = phaseSummaryOf(callee);
       auto chain = loopChainOf(s);
       forEachCall(*s, callee, [&](const std::vector<ExprPtr>& actuals, bool) {
@@ -799,173 +950,144 @@ void SummaryBuilder::summarize(Procedure& proc) {
     if (itW != writeAcc.end()) eff.writeSection = itW->second.toSection(var);
   }
 
-  // Flow-sensitive scalar KILL: must-write on every path entry->exit.
-  {
-    cfg::FlowGraph fg = cfg::FlowGraph::build(model);
-    const int n = fg.numNodes();
-    std::vector<std::set<std::string>> out(static_cast<std::size_t>(n));
-    std::vector<bool> visited(static_cast<std::size_t>(n), false);
-    visited[cfg::FlowGraph::kEntry] = true;
-    auto order = fg.reversePostOrder();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int node : order) {
-        if (node == cfg::FlowGraph::kEntry) continue;
-        auto un = static_cast<std::size_t>(node);
-        std::set<std::string> in;
-        bool first = true;
-        for (int p : fg.predecessors(node)) {
-          auto up = static_cast<std::size_t>(p);
-          if (!visited[up]) continue;
-          if (first) {
-            in = out[up];
-            first = false;
-          } else {
-            std::set<std::string> merged;
-            for (const auto& v : in) {
-              if (out[up].count(v)) merged.insert(v);
-            }
-            in = std::move(merged);
-          }
+  // Flow-sensitive scalar KILL and upward exposure, on bit rows: bit b is
+  // the b-th scalar effect in name order, the only names either result
+  // reports. Arrays are exposed wherever they are read (conservative).
+  std::vector<VarEffect*> scalars;
+  std::vector<std::string_view> scalarNames;  // sorted, as the map is
+  for (auto& [var, eff] : sum.effects) {
+    if (eff.isArray) {
+      eff.exposedRead = eff.mayRead;
+      continue;
+    }
+    scalars.push_back(&eff);
+    scalarNames.push_back(var);
+  }
+  if (!scalars.empty()) {
+    const cfg::FlowGraph fg = cfg::FlowGraph::build(model);
+    auto bitOf = [&](std::string_view name) -> std::ptrdiff_t {
+      auto it = std::lower_bound(scalarNames.begin(), scalarNames.end(), name);
+      if (it == scalarNames.end() || *it != name) return -1;
+      return it - scalarNames.begin();
+    };
+    // Per statement node: gen, the names it writes for sure (an
+    // assignment's or READ's scalar target, and what a callee kills);
+    // expose, the names it reads first (a read, or a CALL actual whose
+    // callee reads the formal first or is unknown); block, the names it
+    // writes otherwise (a write, a DO definition, or a CALL actual whose
+    // callee kills the formal).
+    BitRows gen(fg.numNodes(), scalars.size());
+    BitRows expose(fg.numNodes(), scalars.size());
+    BitRows block(fg.numNodes(), scalars.size());
+    for (std::size_t i = 0; i < stmts.size(); ++i) {
+      const Stmt& s = *stmts[i];
+      const int node = cfg::FlowGraph::kFirstStmt + static_cast<int>(i);
+      auto mark = [&](BitRows& rows, std::string_view name) {
+        const std::ptrdiff_t b = bitOf(name);
+        if (b >= 0) rows.set(node, static_cast<std::size_t>(b));
+      };
+      if (s.kind == StmtKind::Assign && s.lhs->kind == ExprKind::VarRef) {
+        mark(gen, s.lhs->name);
+      }
+      if (s.kind == StmtKind::Read) {
+        for (const auto& item : s.args) {
+          if (item->kind == ExprKind::VarRef) mark(gen, item->name);
         }
-        if (first) continue;  // unreachable so far
-        const Stmt* s = fg.stmtOf(node);
-        std::set<std::string> newOut = in;
-        if (s) {
-          if (s->kind == StmtKind::Assign &&
-              s->lhs->kind == ExprKind::VarRef) {
-            newOut.insert(s->lhs->name);
-          }
-          if (s->kind == StmtKind::Read) {
-            for (const auto& item : s->args) {
-              if (item->kind == ExprKind::VarRef) newOut.insert(item->name);
+      }
+      // A nested call's KILL set propagates.
+      for (const std::string& callee : callees[i]) {
+        const ProcSummary* cs = phaseSummaryOf(callee);
+        if (!cs) continue;
+        forEachCall(s, callee, [&](const std::vector<ExprPtr>& actuals,
+                                   bool isCall) {
+          const CallBinding call(*cs, actuals);
+          for (const auto& [var, eff] : cs->effects) {
+            if (!eff.kills || eff.isArray) continue;
+            // A killed formal reaches this procedure only through a plain
+            // variable a CALL passes for it; a COMMON member keeps its
+            // name.
+            const auto at = call.land(var);
+            if (at && (at->byName() || (isCall && at->whole()))) {
+              mark(gen, at->name);
             }
           }
-          // A nested call's KILL set propagates.
-          for (const std::string& callee : ir::calledFunctions(*s)) {
-            const ProcSummary* cs = phaseSummaryOf(callee);
-            if (!cs) continue;
-            forEachCall(*s, callee, [&](const std::vector<ExprPtr>& actuals,
-                                        bool isCall) {
-              const CallBinding call(*cs, actuals);
-              for (const auto& [var, eff] : cs->effects) {
-                if (!eff.kills || eff.isArray) continue;
-                // A killed formal reaches this procedure only through a
-                // plain variable a CALL passes for it; a COMMON member keeps
-                // its name.
-                const auto at = call.land(var);
-                if (at && (at->byName() || (isCall && at->whole()))) {
-                  newOut.insert(at->name);
-                }
+        });
+      }
+      refs.clear();
+      ir::appendRefs(s, refs);
+      for (const Ref& r : refs) {
+        switch (r.kind) {
+          case RefKind::Read:
+            mark(expose, r.name);
+            break;
+          case RefKind::CallActual: {
+            // Consult the CALL's own callee: exposed read and/or kill
+            // through the formals it passes the variable for.
+            bool calleeExposed = true, calleeKills = false;
+            if (const ProcSummary* cs = phaseSummaryOf(s.callee)) {
+              const CallBinding call(*cs, s.args);
+              for (const std::string& formal : cs->formals) {
+                const auto at = call.land(formal);
+                if (!at || !at->whole() || at->name != r.name) continue;
+                const VarEffect* fe = cs->effectOn(formal);
+                calleeExposed = fe && fe->exposedRead;
+                calleeKills = fe && fe->kills;
               }
-            });
+            }
+            if (calleeExposed) {
+              mark(expose, r.name);
+            } else if (calleeKills) {
+              mark(block, r.name);
+            }
+            break;
           }
-        }
-        if (!visited[un] || newOut != out[un]) {
-          visited[un] = true;
-          out[un] = std::move(newOut);
-          changed = true;
+          case RefKind::Write:
+          case RefKind::DoVarDef:
+            mark(block, r.name);
+            break;
         }
       }
     }
-    const auto& killed = out[cfg::FlowGraph::kExit];
-    for (auto& [var, eff] : sum.effects) {
-      if (!eff.isArray && killed.count(var)) eff.kills = true;
+    const std::vector<std::uint64_t> killed = mustWriteAtExit(fg, gen);
+    const std::vector<std::uint64_t> exposed =
+        exposedReads(fg, expose, block);
+    for (std::size_t b = 0; b < scalars.size(); ++b) {
+      VarEffect& eff = *scalars[b];
+      eff.kills = BitRows::test(killed.data(), b);
+      // The nxsns "scalar killed in a procedure invoked inside a loop"
+      // refinement: a read only after a kill on every path is not exposed.
+      eff.exposedRead = eff.mayRead && BitRows::test(exposed.data(), b);
     }
+  }
 
-    // Upward-exposed reads for visible scalars: a read reachable from the
-    // entry before any killing write (the nxsns "scalar killed in a
-    // procedure invoked inside a loop" refinement).
-    for (auto& [var, eff] : sum.effects) {
-      if (eff.isArray) {
-        eff.exposedRead = eff.mayRead;  // arrays: conservative
-        continue;
+  // Array KILL: the write section covers the whole declared extent.
+  for (auto& [var, eff] : sum.effects) {
+    if (!eff.isArray || !eff.writeSection) continue;
+    const fortran::VarDecl* decl = proc.findDecl(var);
+    if (!decl || decl->dims.empty()) continue;
+    bool covers = true;
+    for (std::size_t d = 0;
+         d < decl->dims.size() && d < eff.writeSection->dims.size(); ++d) {
+      const auto& sd = eff.writeSection->dims[d];
+      if (!sd || !sd->lo || !sd->hi) {
+        covers = false;
+        break;
       }
-      if (!eff.mayRead) {
-        eff.exposedRead = false;
-        continue;
+      // Declared range: [lower or 1, upper].
+      ExprPtr declLo = decl->dims[d].lower ? decl->dims[d].lower->clone()
+                                           : fortran::makeIntConst(1);
+      if (!decl->dims[d].upper) {
+        covers = false;
+        break;
       }
-      // Forward BFS from entry; stop paths at killing statements.
-      std::vector<int> work{cfg::FlowGraph::kEntry};
-      std::set<int> seen;
-      bool exposed = false;
-      while (!work.empty() && !exposed) {
-        int node = work.back();
-        work.pop_back();
-        if (seen.count(node)) continue;
-        seen.insert(node);
-        const Stmt* s = fg.stmtOf(node);
-        bool killsHere = false;
-        if (s) {
-          for (const Ref& r : ir::collectRefs(*s)) {
-            if (r.name != var) continue;
-            if (r.kind == RefKind::Read) {
-              exposed = true;
-              break;
-            }
-            if (r.kind == RefKind::CallActual) {
-              // Consult the CALL's own callee: exposed read and/or kill
-              // through the formals it passes the variable for.
-              bool calleeExposed = true, calleeKills = false;
-              if (const ProcSummary* cs = phaseSummaryOf(s->callee)) {
-                const CallBinding call(*cs, s->args);
-                for (const std::string& formal : cs->formals) {
-                  const auto at = call.land(formal);
-                  if (!at || !at->whole() || at->name != var) continue;
-                  const VarEffect* fe = cs->effectOn(formal);
-                  calleeExposed = fe && fe->exposedRead;
-                  calleeKills = fe && fe->kills;
-                }
-              }
-              if (calleeExposed) {
-                exposed = true;
-                break;
-              }
-              if (calleeKills) killsHere = true;
-            }
-            if (r.kind == RefKind::Write || r.kind == RefKind::DoVarDef) {
-              killsHere = true;
-            }
-          }
-        }
-        if (exposed) break;
-        if (killsHere) continue;
-        for (int succ : fg.successors(node)) {
-          if (!seen.count(succ)) work.push_back(succ);
-        }
+      if (!sd->lo->structurallyEquals(*declLo) ||
+          !sd->hi->structurallyEquals(*decl->dims[d].upper)) {
+        covers = false;
+        break;
       }
-      eff.exposedRead = exposed;
     }
-    // Array KILL: the write section covers the whole declared extent.
-    for (auto& [var, eff] : sum.effects) {
-      if (!eff.isArray || !eff.writeSection) continue;
-      const fortran::VarDecl* decl = proc.findDecl(var);
-      if (!decl || decl->dims.empty()) continue;
-      bool covers = true;
-      for (std::size_t d = 0;
-           d < decl->dims.size() && d < eff.writeSection->dims.size(); ++d) {
-        const auto& sd = eff.writeSection->dims[d];
-        if (!sd || !sd->lo || !sd->hi) {
-          covers = false;
-          break;
-        }
-        // Declared range: [lower or 1, upper].
-        ExprPtr declLo = decl->dims[d].lower ? decl->dims[d].lower->clone()
-                                             : fortran::makeIntConst(1);
-        if (!decl->dims[d].upper) {
-          covers = false;
-          break;
-        }
-        if (!sd->lo->structurallyEquals(*declLo) ||
-            !sd->hi->structurallyEquals(*decl->dims[d].upper)) {
-          covers = false;
-          break;
-        }
-      }
-      if (covers && decl->dims.size() <= eff.writeSection->dims.size()) {
-        eff.kills = true;  // caveat: assumes the covering loops execute
-      }
+    if (covers && decl->dims.size() <= eff.writeSection->dims.size()) {
+      eff.kills = true;  // caveat: assumes the covering loops execute
     }
   }
 
@@ -1024,22 +1146,30 @@ void SummaryBuilder::countWrites(std::size_t index, CensusRecord& rec) const {
   std::map<std::string, std::pair<int, const Stmt*>> last;
   int pos = 0;
   std::vector<Ref> refs;
+  auto lookup = [this](const std::string& name) { return summaryOf(name); };
   unit.forEachStmt([&](const Stmt& s) {
-    if (isMain && rec.firstCall == kNoCall &&
-        !ir::calledFunctions(s).empty()) {
+    const std::vector<std::string> callees = ir::calledFunctions(s);
+    if (isMain && rec.firstCall == kNoCall && !callees.empty()) {
       rec.firstCall = pos;
     }
+    auto count = [&](const std::string& name) {
+      ++rec.writes[name];
+      if (isMain) last[name] = {pos, &s};
+    };
     refs.clear();
     ir::appendRefs(s, refs);
     for (const Ref& r : refs) {
       if (!r.isWrite() || !commonDeclared_.count(r.name)) continue;
       if (r.kind == RefKind::CallActual &&
-          !refMayWrite(s, r, /*duringSummarize=*/false)) {
+          !refMayWrite(s, callees, r, /*duringSummarize=*/false)) {
         continue;
       }
-      ++rec.writes[r.name];
-      if (isMain) last[r.name] = {pos, &s};
+      count(r.name);
     }
+    forEachFunctionActualWrite(s, callees, lookup,
+                               [&](const std::string& name) {
+                                 if (commonDeclared_.count(name)) count(name);
+                               });
     ++pos;
   });
   for (const auto& [name, at] : last) {
@@ -1056,14 +1186,23 @@ void SummaryBuilder::countWrites(std::size_t index, CensusRecord& rec) const {
 }
 
 bool SummaryBuilder::passesCensusName(const Stmt& s) const {
-  if (s.kind != StmtKind::Call) return false;
-  for (const auto& a : s.args) {
-    if ((a->kind == ExprKind::VarRef || a->kind == ExprKind::ArrayRef) &&
-        commonDeclared_.count(a->name)) {
-      return true;
+  auto passes = [&](const std::vector<ExprPtr>& args) {
+    for (const auto& a : args) {
+      if ((a->kind == ExprKind::VarRef || a->kind == ExprKind::ArrayRef) &&
+          commonDeclared_.count(a->name)) {
+        return true;
+      }
     }
-  }
-  return false;
+    return false;
+  };
+  if (s.kind == StmtKind::Call && passes(s.args)) return true;
+  bool passed = false;
+  s.forEachExpr([&](const Expr& e) {
+    if (e.kind == ExprKind::FuncCall && !passed && !ir::isIntrinsic(e.name)) {
+      passed = passes(e.args);
+    }
+  });
+  return passed;
 }
 
 bool SummaryBuilder::recountCensus(const std::set<std::string>& procs) {

@@ -196,8 +196,9 @@ class SummaryBuilder {
   void computeGlobalFacts();
   /// Count unit `index`'s writes of census names into `rec`.
   void countWrites(std::size_t index, CensusRecord& rec) const;
-  /// True when `s` is a CALL with a census name as a variable actual: the
-  /// only place a census record reads its callees' summaries.
+  /// True when a call in `s` (the CALL or a function reference) has a
+  /// census name as a variable actual: the only place a census record
+  /// reads its callees' summaries.
   [[nodiscard]] bool passesCensusName(const fortran::Stmt& s) const;
   /// Recount the units named in `procs` and re-derive the facts their
   /// records can move. True when a fact changed.
@@ -238,10 +239,13 @@ class SummaryBuilder {
   [[nodiscard]] ProcSummary worstCaseSummary(
       const std::string& name, const fortran::Procedure& proc) const;
   /// True when a CallActual reference may actually be written, per the
-  /// callee summaries (conservative for unknown callees). During
-  /// summarization recursive callees read as unknown (see phaseSummaryOf);
-  /// the census sees their worst-case summaries.
-  [[nodiscard]] bool refMayWrite(const fortran::Stmt& s, const ir::Ref& r,
+  /// summaries of `callees`, the user routines `s` calls (conservative for
+  /// unknown callees). During summarization recursive callees read as
+  /// unknown (see phaseSummaryOf); the census sees their worst-case
+  /// summaries.
+  [[nodiscard]] bool refMayWrite(const fortran::Stmt& s,
+                                 const std::vector<std::string>& callees,
+                                 const ir::Ref& r,
                                  bool duringSummarize) const;
 
   fortran::Program& program_;

@@ -1,9 +1,10 @@
 #ifndef PS_IR_MODEL_H
 #define PS_IR_MODEL_H
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fortran/ast.h"
@@ -34,8 +35,27 @@ struct Loop {
 /// links and label map. The model holds raw pointers into the procedure's
 /// AST; rebuild it after any structural edit (PED re-analyzes the enclosing
 /// procedure after each edit, so models are short-lived by design).
+///
+/// The statements are one table in pre-order: allStmts()[i] and rows()[i]
+/// describe the same statement. An id or a label is found by a binary
+/// search in a sorted (key, position) index, then read from its row. Ids
+/// and labels are the ones the statements carried when the model was
+/// built. When two statements share an id or a label, a lookup answers for
+/// the last of them in pre-order (parentStmt: the last that has a parent),
+/// except loopByDoStmt, which answers for the first DO.
 class ProcedureModel {
  public:
+  /// One statement's place in the procedure.
+  struct Row {
+    fortran::Stmt* parent = nullptr;  // the DO or IF whose body holds it
+    Loop* enclosing = nullptr;        // the innermost loop around it
+    Loop* heads = nullptr;            // the loop a DO heads, else null
+    /// The sibling list that holds it (the procedure body, a DO body or an
+    /// IF arm) and its index there.
+    std::vector<fortran::StmtPtr>* container = nullptr;
+    std::size_t index = 0;
+  };
+
   explicit ProcedureModel(fortran::Procedure& proc);
 
   [[nodiscard]] fortran::Procedure& procedure() const { return proc_; }
@@ -66,25 +86,27 @@ class ProcedureModel {
   [[nodiscard]] const std::vector<fortran::Stmt*>& allStmts() const {
     return allStmts_;
   }
+  /// One row per statement, in the order of allStmts().
+  [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
 
   /// Count of executable statements (used for Table 1's "lines" flavor of
   /// accounting in tests).
   [[nodiscard]] std::size_t stmtCount() const { return allStmts_.size(); }
 
  private:
+  /// Sorted (key, pre-order position) pairs; equal keys in pre-order.
+  template <class Key>
+  using KeyIndex = std::vector<std::pair<Key, std::uint32_t>>;
+
   void index(std::vector<fortran::StmtPtr>& stmts, fortran::Stmt* parent,
              Loop* loop);
 
   fortran::Procedure& proc_;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::map<fortran::StmtId, fortran::Stmt*> byId_;
-  std::map<fortran::StmtId, fortran::Stmt*> parent_;
-  std::map<fortran::StmtId, Loop*> enclosing_;
-  std::map<fortran::StmtId, std::pair<std::vector<fortran::StmtPtr>*,
-                                      std::size_t>>
-      container_;
-  std::map<int, fortran::Stmt*> labels_;
   std::vector<fortran::Stmt*> allStmts_;
+  std::vector<Row> rows_;
+  KeyIndex<fortran::StmtId> ids_;
+  KeyIndex<int> labelIndex_;
 };
 
 }  // namespace ps::ir

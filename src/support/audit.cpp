@@ -1,7 +1,6 @@
 #include "support/audit.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "fortran/parser.h"
@@ -84,6 +83,17 @@ void checkShape(const Procedure& proc, const Stmt& s, Report& out) {
   }
 }
 
+/// Calls fn(s) for every statement of `stmts` and their nested bodies, in
+/// pre-order, by direct recursion.
+template <class Fn>
+void walkStmts(const std::vector<fortran::StmtPtr>& stmts, Fn& fn) {
+  for (const auto& s : stmts) {
+    fn(*s);
+    walkStmts(s->body, fn);
+    for (const auto& arm : s->arms) walkStmts(arm.body, fn);
+  }
+}
+
 }  // namespace
 
 void auditProgram(const Program& prog, Report& out) {
@@ -92,7 +102,7 @@ void auditProgram(const Program& prog, Report& out) {
   DenseBitSet seen(prog.nextStmtId);
   std::set<StmtId> beyond;
   for (const auto& unit : prog.units) {
-    unit->forEachStmt([&](const Stmt& s) {
+    auto check = [&](const Stmt& s) {
       if (s.id == fortran::kInvalidStmt) {
         out.add("stmt-id-valid", where(*unit, s) + " has invalid id");
       } else {
@@ -111,30 +121,35 @@ void auditProgram(const Program& prog, Report& out) {
         }
       }
       checkShape(*unit, s, out);
-    });
+    };
+    walkStmts(unit->body, check);
   }
 }
 
 void auditModel(const ir::ProcedureModel& model, Report& out) {
   const Procedure& proc = model.procedure();
-  // The model's pre-order index must agree with a fresh traversal.
-  std::vector<const Stmt*> fresh;
-  proc.forEachStmt([&](const Stmt& s) { fresh.push_back(&s); });
+  // The model's pre-order index must agree with a fresh traversal, compared
+  // in place.
   const auto& indexed = model.allStmts();
-  if (fresh.size() != indexed.size()) {
+  std::size_t walked = 0;
+  std::size_t diverged = indexed.size();
+  auto compare = [&](const Stmt& s) {
+    if (diverged == indexed.size() && walked < indexed.size() &&
+        indexed[walked] != &s) {
+      diverged = walked;
+    }
+    ++walked;
+  };
+  walkStmts(proc.body, compare);
+  if (walked != indexed.size()) {
     out.add("model-stmt-index",
             proc.name + ": model indexes " +
                 std::to_string(indexed.size()) + " statements, AST has " +
-                std::to_string(fresh.size()));
-  } else {
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-      if (fresh[i] != indexed[i]) {
-        out.add("model-stmt-index",
-                proc.name + ": model statement " + std::to_string(i) +
-                    " diverges from AST pre-order (stale model?)");
-        break;
-      }
-    }
+                std::to_string(walked));
+  } else if (diverged != indexed.size()) {
+    out.add("model-stmt-index",
+            proc.name + ": model statement " + std::to_string(diverged) +
+                " diverges from AST pre-order (stale model?)");
   }
   // Id lookups resolve to the very same nodes.
   for (const Stmt* s : indexed) {
@@ -143,43 +158,51 @@ void auditModel(const ir::ProcedureModel& model, Report& out) {
               where(proc, *s) + " does not resolve to itself");
     }
   }
-  // Every DO statement owns exactly one loop node; links are consistent.
-  std::map<StmtId, int> doLoops;
+  // Every DO statement's row names a loop node headed by that DO, every
+  // loop node heads a DO, and there are as many loop nodes as DOs, so each
+  // DO owns exactly one. The row also checks the loop's links: its parent
+  // is the loop around the DO, and its body is the slice of the pre-order
+  // table that follows the DO.
+  const auto& rows = model.rows();
+  std::size_t dos = 0;
+  for (std::size_t i = 0; i < indexed.size(); ++i) {
+    const Stmt* s = indexed[i];
+    if (s->kind != StmtKind::Do) continue;
+    ++dos;
+    const ir::Loop* l = rows[i].heads;
+    if (!l || l->stmt != s) {
+      out.add("loop-tree", where(proc, *s) + " has no loop-tree node");
+      continue;
+    }
+    if (l->parent != rows[i].enclosing) {
+      out.add("loop-tree",
+              where(proc, *s) + " not contained in its parent loop");
+    }
+    if (l->bodyStmts.size() > indexed.size() - i - 1 ||
+        !std::equal(l->bodyStmts.begin(), l->bodyStmts.end(),
+                    indexed.begin() + static_cast<std::ptrdiff_t>(i) + 1)) {
+      out.add("loop-tree",
+              where(proc, *s) + " body references a dead statement");
+    }
+  }
   for (const auto& loopPtr : model.loops()) {
     const ir::Loop* l = loopPtr.get();
     if (!l->stmt || l->stmt->kind != StmtKind::Do) {
       out.add("loop-tree", proc.name + ": loop node without a DO statement");
       continue;
     }
-    ++doLoops[l->stmt->id];
     int expected = l->parent ? l->parent->level + 1 : 1;
     if (l->level != expected) {
       out.add("loop-tree", where(proc, *l->stmt) + " level " +
                                std::to_string(l->level) + ", expected " +
                                std::to_string(expected));
     }
-    if (l->parent && !l->parent->contains(l->stmt->id)) {
-      out.add("loop-tree",
-              where(proc, *l->stmt) + " not contained in its parent loop");
-    }
-    for (const Stmt* b : l->bodyStmts) {
-      if (model.stmt(b->id) != b) {
-        out.add("loop-tree",
-                where(proc, *l->stmt) + " body references a dead statement");
-        break;
-      }
-    }
   }
-  for (const Stmt* s : indexed) {
-    if (s->kind != StmtKind::Do) continue;
-    auto it = doLoops.find(s->id);
-    if (it == doLoops.end()) {
-      out.add("loop-tree", where(proc, *s) + " has no loop-tree node");
-    } else if (it->second != 1) {
-      out.add("loop-tree", where(proc, *s) + " has " +
-                               std::to_string(it->second) +
-                               " loop-tree nodes");
-    }
+  if (model.loops().size() != dos) {
+    out.add("loop-tree", proc.name + ": " + std::to_string(dos) +
+                             " DO statements, " +
+                             std::to_string(model.loops().size()) +
+                             " loop-tree nodes");
   }
 }
 

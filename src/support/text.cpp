@@ -1,36 +1,34 @@
 #include "support/text.h"
 
-#include <cctype>
-
 namespace ps::text {
 
 std::string upper(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) c = toUpper(c);
   return out;
 }
 
 std::string lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = toLower(c);
   return out;
 }
 
 std::string_view trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && isSpace(s[b])) ++b;
+  while (e > b && isSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
-std::vector<std::string> splitLines(std::string_view s) {
-  std::vector<std::string> lines;
+std::vector<std::string_view> splitLines(std::string_view s) {
+  std::vector<std::string_view> lines;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= s.size(); ++i) {
     if (i == s.size() || s[i] == '\n') {
       std::string_view line = s.substr(start, i - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      lines.emplace_back(line);
+      lines.push_back(line);
       start = i + 1;
     }
   }
@@ -58,8 +56,7 @@ bool startsWith(std::string_view s, std::string_view prefix) {
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(a[i])) !=
-        std::toupper(static_cast<unsigned char>(b[i]))) {
+    if (toUpper(a[i]) != toUpper(b[i])) {
       return false;
     }
   }

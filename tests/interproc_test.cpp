@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "cfg/flow_graph.h"
 #include "dependence/graph.h"
 #include "fortran/parser.h"
 #include "fortran/pretty.h"
 #include "gen.h"
+#include "interp/machine.h"
 #include "interproc/callgraph.h"
 #include "interproc/summaries.h"
+#include "ir/model.h"
+#include "ir/refs.h"
 #include "support/diagnostics.h"
 #include "support/taskpool.h"
 #include "workloads/workloads.h"
@@ -17,13 +23,234 @@
 namespace ps::interproc {
 namespace {
 
+using fortran::Expr;
+using fortran::ExprKind;
+using fortran::ExprPtr;
 using fortran::Program;
+using fortran::Stmt;
+using fortran::StmtKind;
 
+// ---------------------------------------------------------------------------
+// Reference scalar KILL and upward exposure
+// ---------------------------------------------------------------------------
+
+/// A callee's summary as summarization sees it: null for a recursive or
+/// unknown callee.
+using CalleeLookup = std::function<const ProcSummary*(const std::string&)>;
+
+/// Calls fn(actuals, isCall) for every call of `callee` in `s`.
+void forEachCallOf(const Stmt& s, const std::string& callee,
+                   const std::function<void(const std::vector<ExprPtr>&,
+                                            bool)>& fn) {
+  if (s.kind == StmtKind::Call && s.callee == callee) fn(s.args, true);
+  s.forEachExpr([&](const Expr& e) {
+    if (e.kind == ExprKind::FuncCall && e.name == callee) fn(e.args, false);
+  });
+}
+
+/// Where a callee's effect on its name `var` lands in one call: the
+/// variable or array-element actual bound to a formal (`whole` for a plain
+/// variable), nothing for an expression or a missing actual, and the same
+/// name (`byName`) for a COMMON member or the function result.
+struct RefLanding {
+  std::string name;
+  bool byName = false;
+  bool whole = false;
+};
+std::optional<RefLanding> landIn(const ProcSummary& callee,
+                                 const std::vector<ExprPtr>& actuals,
+                                 const std::string& var) {
+  for (std::size_t i = 0; i < callee.formals.size(); ++i) {
+    if (callee.formals[i] != var) continue;
+    const Expr* a = i < actuals.size() ? actuals[i].get() : nullptr;
+    if (a && (a->kind == ExprKind::VarRef || a->kind == ExprKind::ArrayRef)) {
+      return RefLanding{a->name, false, a->kind == ExprKind::VarRef};
+    }
+    return std::nullopt;
+  }
+  return RefLanding{var, true, true};
+}
+
+/// The summary builder's scalar KILL and upward exposure as computed before
+/// bit rows: a must-write fixpoint with a std::set<std::string> per
+/// flow-graph node (the names killed on every path to the exit), and for
+/// each scalar that `sum` says is read, a search from the entry that stops
+/// at the statements killing it (true when it meets a read first).
+struct ReferenceKill {
+  std::set<std::string> killed;
+  std::map<std::string, bool> exposed;
+};
+ReferenceKill referenceKillAndExposure(fortran::Procedure& proc,
+                                       const ProcSummary& sum,
+                                       const CalleeLookup& calleeOf) {
+  ReferenceKill ref;
+  ir::ProcedureModel model(proc);
+  cfg::FlowGraph fg = cfg::FlowGraph::build(model);
+  const int n = fg.numNodes();
+  std::vector<std::set<std::string>> out(static_cast<std::size_t>(n));
+  std::vector<bool> visited(static_cast<std::size_t>(n), false);
+  visited[cfg::FlowGraph::kEntry] = true;
+  const auto order = fg.reversePostOrder();
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int node : order) {
+      if (node == cfg::FlowGraph::kEntry) continue;
+      const auto un = static_cast<std::size_t>(node);
+      std::set<std::string> in;
+      bool first = true;
+      for (int p : fg.predecessors(node)) {
+        const auto up = static_cast<std::size_t>(p);
+        if (!visited[up]) continue;
+        if (first) {
+          in = out[up];
+          first = false;
+        } else {
+          std::set<std::string> merged;
+          for (const auto& v : in) {
+            if (out[up].count(v)) merged.insert(v);
+          }
+          in = std::move(merged);
+        }
+      }
+      if (first) continue;
+      const Stmt* s = fg.stmtOf(node);
+      std::set<std::string> next = in;
+      if (s) {
+        if (s->kind == StmtKind::Assign && s->lhs->kind == ExprKind::VarRef) {
+          next.insert(s->lhs->name);
+        }
+        if (s->kind == StmtKind::Read) {
+          for (const auto& item : s->args) {
+            if (item->kind == ExprKind::VarRef) next.insert(item->name);
+          }
+        }
+        for (const std::string& callee : ir::calledFunctions(*s)) {
+          const ProcSummary* cs = calleeOf(callee);
+          if (!cs) continue;
+          forEachCallOf(*s, callee, [&](const std::vector<ExprPtr>& actuals,
+                                        bool isCall) {
+            for (const auto& [var, eff] : cs->effects) {
+              if (!eff.kills || eff.isArray) continue;
+              const auto at = landIn(*cs, actuals, var);
+              if (at && (at->byName || (isCall && at->whole))) {
+                next.insert(at->name);
+              }
+            }
+          });
+        }
+      }
+      if (!visited[un] || next != out[un]) {
+        visited[un] = true;
+        out[un] = std::move(next);
+        changed = true;
+      }
+    }
+  }
+  ref.killed = out[cfg::FlowGraph::kExit];
+
+  for (const auto& [var, eff] : sum.effects) {
+    if (eff.isArray || !eff.mayRead) continue;
+    std::vector<int> work{cfg::FlowGraph::kEntry};
+    std::set<int> seen;
+    bool exposed = false;
+    while (!work.empty() && !exposed) {
+      const int node = work.back();
+      work.pop_back();
+      if (!seen.insert(node).second) continue;
+      const Stmt* s = fg.stmtOf(node);
+      bool killsHere = false;
+      if (s) {
+        for (const ir::Ref& r : ir::collectRefs(*s)) {
+          if (r.name != var) continue;
+          if (r.kind == ir::RefKind::Read) {
+            exposed = true;
+            break;
+          }
+          if (r.kind == ir::RefKind::CallActual) {
+            bool calleeExposed = true, calleeKills = false;
+            if (const ProcSummary* cs = calleeOf(s->callee)) {
+              for (const std::string& formal : cs->formals) {
+                const auto at = landIn(*cs, s->args, formal);
+                if (!at || !at->whole || at->name != var) continue;
+                const VarEffect* fe = cs->effectOn(formal);
+                calleeExposed = fe && fe->exposedRead;
+                calleeKills = fe && fe->kills;
+              }
+            }
+            if (calleeExposed) {
+              exposed = true;
+              break;
+            }
+            if (calleeKills) killsHere = true;
+          }
+          if (r.kind == ir::RefKind::Write ||
+              r.kind == ir::RefKind::DoVarDef) {
+            killsHere = true;
+          }
+        }
+      }
+      if (exposed || killsHere) continue;
+      for (int succ : fg.successors(node)) {
+        if (!seen.count(succ)) work.push_back(succ);
+      }
+    }
+    ref.exposed[var] = exposed;
+  }
+  return ref;
+}
+
+/// Summarize `source` and require every scalar effect's KILL and upward
+/// exposure of every summarized procedure to equal the reference's.
+void expectKillAndExposureMatchReference(std::string_view source,
+                                         const std::string& label) {
+  ps::DiagnosticEngine diags;
+  auto prog = fortran::parseSource(source, diags);
+  if (diags.hasErrors()) return;
+  const SummaryBuilder sb(*prog);
+  const CallGraph& cg = sb.callGraph();
+  const CalleeLookup calleeOf = [&](const std::string& name) {
+    return cg.isRecursive(name) ? nullptr : sb.summaryOf(name);
+  };
+  for (const auto& unit : prog->units) {
+    // Recursive procedures get worst-case summaries; a repeated name is
+    // summarized from its first unit.
+    if (cg.isRecursive(unit->name) ||
+        prog->findUnit(unit->name) != unit.get()) {
+      continue;
+    }
+    const ProcSummary* sum = sb.summaryOf(unit->name);
+    ASSERT_NE(sum, nullptr) << label << " " << unit->name;
+    const ReferenceKill ref = referenceKillAndExposure(*unit, *sum, calleeOf);
+    for (const auto& [var, eff] : sum->effects) {
+      if (eff.isArray) continue;
+      const std::string at = label + " " + unit->name + " " + var;
+      EXPECT_EQ(eff.kills, ref.killed.count(var) > 0) << at;
+      const auto it = ref.exposed.find(var);
+      EXPECT_EQ(eff.exposedRead, it != ref.exposed.end() && it->second) << at;
+    }
+  }
+}
+
+/// Every program this suite parses also has its KILL and exposure checked
+/// against the reference, on a copy of its own.
 std::unique_ptr<Program> parse(std::string_view src) {
   ps::DiagnosticEngine diags;
   auto prog = fortran::parseSource(src, diags);
   EXPECT_FALSE(diags.hasErrors()) << diags.dump();
+  expectKillAndExposureMatchReference(src, "parsed program");
   return prog;
+}
+
+TEST(SummaryKillReference, DecksAndGeneratedDecksMatch) {
+  for (const workloads::Workload& w : workloads::all()) {
+    expectKillAndExposureMatchReference(w.source, w.name);
+  }
+  for (unsigned seed : {1U, 2U, 3U}) {
+    expectKillAndExposureMatchReference(
+        psbench::generateDeck(seed, 2000).source,
+        "generated seed " + std::to_string(seed));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,6 +613,30 @@ TEST(Summaries, EveryReferenceToAFunctionBindsItsOwnActuals) {
   EXPECT_FALSE(firstLoopParallel(sb, *main, {"W"}));
 }
 
+// F assigns its formal, so M is not stable in G once Y = F(M) has run: the
+// loop's write section of A cannot be stated as A(1:M).
+TEST(Summaries, FunctionReferenceWriteMakesItsActualUnstable) {
+  auto prog = parse(
+      "      SUBROUTINE G(A, M)\n"
+      "      REAL A(100)\n"
+      "      Y = F(M)\n"
+      "      DO I = 1, M\n"
+      "        A(I) = 0.0\n"
+      "      ENDDO\n"
+      "      END\n"
+      "      REAL FUNCTION F(K)\n"
+      "      K = K + 1\n"
+      "      F = 1.0\n"
+      "      END\n");
+  SummaryBuilder sb(*prog);
+  const VarEffect* a = sb.summaryOf("G")->effectOn("A");
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->writeSection.has_value());
+  ASSERT_EQ(a->writeSection->dims.size(), 1u);
+  EXPECT_FALSE(a->writeSection->dims[0].has_value())
+      << a->writeSection->str();
+}
+
 TEST(Summaries, CommonEffectsPropagate) {
   auto prog = parse(
       "      SUBROUTINE TOP\n"
@@ -532,6 +783,35 @@ TEST(Globals, CommonConstantFromInit) {
   auto consts = sb.inheritedConstantsFor(*prog->findUnit("WORK"));
   ASSERT_TRUE(consts.count("JMAX"));
   EXPECT_EQ(consts["JMAX"], 50);
+}
+
+// F assigns its formal, so X = F(N) writes N after N = 10, and a serial
+// run prints 20. collectRefs reports a function reference's actuals as
+// reads; the census must still count F's write of N and give WORK no
+// constant for it.
+TEST(Globals, FunctionReferenceWritingACommonActualDropsTheConstant) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      COMMON /C/ N\n"
+      "      N = 10\n"
+      "      X = F(N)\n"
+      "      CALL WORK\n"
+      "      END\n"
+      "      REAL FUNCTION F(K)\n"
+      "      K = 20\n"
+      "      F = 1.0\n"
+      "      END\n"
+      "      SUBROUTINE WORK\n"
+      "      COMMON /C/ N\n"
+      "      PRINT *, N\n"
+      "      END\n");
+  interp::Machine machine(*prog);
+  const interp::RunResult run = machine.run();
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_EQ(run.output.size(), 1u);
+  EXPECT_EQ(run.output[0], 20.0);
+  SummaryBuilder sb(*prog);
+  EXPECT_FALSE(sb.inheritedConstantsFor(*prog->findUnit("WORK")).count("N"));
 }
 
 TEST(Globals, Arc3dRelationThroughCommon) {
@@ -737,6 +1017,35 @@ TEST(IncrementalSummaries, LeafWritingItsFormalMakesACallerActualAWrite) {
   EXPECT_EQ(up.staleAnalyses, (std::set<std::string>{"MAIN", "Q"}));
   EXPECT_TRUE(up.globalFactsChanged);
   EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("MAIN")).count("N"), 0u);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).count("N"), 0u);
+  expectFactsOfFreshBuild(sb, *prog);
+}
+
+TEST(IncrementalSummaries, FunctionWritingItsFormalMakesACallerActualAWrite) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      COMMON /C/ N\n"
+      "      N = 100\n"
+      "      X = G(N)\n"
+      "      CALL R\n"
+      "      END\n"
+      "      SUBROUTINE R\n"
+      "      COMMON /C/ N\n"
+      "      PRINT *, N\n"
+      "      END\n"
+      "      REAL FUNCTION G(L)\n"
+      "      G = L\n"
+      "      END\n");
+  SummaryBuilder sb(*prog);
+  EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).at("N"), 100);
+
+  // G's `G = L` becomes `L = G`. G now writes its formal, so MAIN's
+  // unedited `X = G(N)` is a second write of N.
+  rewrite(*prog, prog->findUnit("G")->body[0],
+          [](fortran::Stmt& s) { std::swap(s.lhs, s.rhs); });
+  SummaryBuilder::Update up = sb.applyEdit({"G"});
+  EXPECT_FALSE(up.structureChanged);
+  EXPECT_TRUE(up.globalFactsChanged);
   EXPECT_EQ(sb.inheritedConstantsFor(*prog->findUnit("R")).count("N"), 0u);
   expectFactsOfFreshBuild(sb, *prog);
 }
