@@ -70,6 +70,9 @@ PS_STORM_EDITS=200 ./build/tests/edit_storm_test
 # procedure model is one pre-order row table that hands out row pointers
 # and positions, and its suite checks every lookup on every deck, after an
 # edit and after a transformation, so an index past a row shows up here. The
+# interpreter, validation and emission suites run relative execution's
+# shuffled schedules, where a schedule's proof that the others would replay
+# it keeps cell references across a loop activation. The
 # edit storm runs 50 edits per deck here: the summary builder's census
 # records and call graph live across edits, so a missed recount or refresh
 # turns into a heap-use-after-free only once enough edits have freed
@@ -80,7 +83,8 @@ cmake -B build-asan -S . \
 asan_suites="property_test ped_session_test transform_test interproc_test
   composition_test edit_storm_test fuzz_robustness_test dependence_test
   pdb_persistence_test warm_start_test io_atomic_test parallel_analysis_test
-  server_storm_test dataflow_test ir_model_test"
+  server_storm_test dataflow_test ir_model_test interp_test validation_test
+  emission_test"
 # shellcheck disable=SC2086  # the list is split on purpose
 cmake --build build-asan -j --target $asan_suites
 for t in $asan_suites; do

@@ -1,6 +1,7 @@
 #include "cfg/flow_graph.h"
 
 #include <algorithm>
+#include <climits>
 
 namespace ps::cfg {
 
@@ -16,10 +17,9 @@ namespace {
 /// normally.
 class Builder {
  public:
-  Builder(FlowGraph& g, const ir::ProcedureModel& model,
-          std::vector<std::vector<int>>& succ,
-          std::map<StmtId, int>& nodeOf)
-      : g_(g), model_(model), succ_(succ), nodeOf_(nodeOf) {}
+  Builder(const FlowGraph& g, const ir::ProcedureModel& model,
+          std::vector<std::vector<int>>& succ)
+      : g_(g), model_(model), succ_(succ) {}
 
   void addEdge(int from, int to) {
     auto& s = succ_[static_cast<std::size_t>(from)];
@@ -29,27 +29,27 @@ class Builder {
   int labelNode(int label) const {
     const Stmt* t = model_.labelTarget(label);
     if (!t) return FlowGraph::kExit;  // jump to a missing label: treat as exit
-    auto it = nodeOf_.find(t->id);
-    return it == nodeOf_.end() ? FlowGraph::kExit : it->second;
+    const int node = g_.nodeOf(t->id);
+    return node < 0 ? FlowGraph::kExit : node;
   }
 
   /// First node executed when entering this statement list; `follow` when
   /// the list is empty.
   int headOf(const std::vector<StmtPtr>& stmts, int follow) const {
     if (stmts.empty()) return follow;
-    return nodeOf_.at(stmts.front()->id);
+    return g_.nodeOf(stmts.front()->id);
   }
 
   void buildList(const std::vector<StmtPtr>& stmts, int follow) {
     for (std::size_t i = 0; i < stmts.size(); ++i) {
-      int next = (i + 1 < stmts.size()) ? nodeOf_.at(stmts[i + 1]->id)
+      int next = (i + 1 < stmts.size()) ? g_.nodeOf(stmts[i + 1]->id)
                                         : follow;
       buildStmt(*stmts[i], next);
     }
   }
 
   void buildStmt(const Stmt& s, int next) {
-    int node = nodeOf_.at(s.id);
+    int node = g_.nodeOf(s.id);
     switch (s.kind) {
       case StmtKind::Goto:
         addEdge(node, labelNode(s.gotoTarget));
@@ -86,10 +86,9 @@ class Builder {
   }
 
  private:
-  FlowGraph& g_;
+  const FlowGraph& g_;
   const ir::ProcedureModel& model_;
   std::vector<std::vector<int>>& succ_;
-  std::map<StmtId, int>& nodeOf_;
 };
 
 }  // namespace
@@ -100,13 +99,15 @@ FlowGraph FlowGraph::build(const ir::ProcedureModel& model) {
   g.stmts_.assign(all.size() + kFirstStmt, nullptr);
   g.succ_.assign(all.size() + kFirstStmt, {});
   g.pred_.assign(all.size() + kFirstStmt, {});
+  g.nodeIndex_.reserve(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     int node = static_cast<int>(i) + kFirstStmt;
     g.stmts_[static_cast<std::size_t>(node)] = all[i];
-    g.nodeOf_[all[i]->id] = node;
+    g.nodeIndex_.emplace_back(all[i]->id, node);
   }
+  std::sort(g.nodeIndex_.begin(), g.nodeIndex_.end());
 
-  Builder b(g, model, g.succ_, g.nodeOf_);
+  Builder b(g, model, g.succ_);
   auto& body = model.procedure().body;
   b.addEdge(kEntry, b.headOf(body, kExit));
   b.buildList(body, kExit);
@@ -125,8 +126,10 @@ const fortran::Stmt* FlowGraph::stmtOf(int node) const {
 }
 
 int FlowGraph::nodeOf(StmtId id) const {
-  auto it = nodeOf_.find(id);
-  return it == nodeOf_.end() ? -1 : it->second;
+  auto it = std::upper_bound(nodeIndex_.begin(), nodeIndex_.end(),
+                             std::pair<StmtId, int>{id, INT_MAX});
+  if (it == nodeIndex_.begin() || std::prev(it)->first != id) return -1;
+  return std::prev(it)->second;
 }
 
 void FlowGraph::addEdge(int from, int to) {

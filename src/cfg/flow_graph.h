@@ -1,7 +1,7 @@
 #ifndef PS_CFG_FLOW_GRAPH_H
 #define PS_CFG_FLOW_GRAPH_H
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "fortran/ast.h"
@@ -57,7 +57,9 @@ class FlowGraph {
   std::vector<std::vector<int>> succ_;
   std::vector<std::vector<int>> pred_;
   std::vector<const fortran::Stmt*> stmts_;  // index = node
-  std::map<fortran::StmtId, int> nodeOf_;
+  /// (statement id, node), sorted. A duplicated id answers for the last of
+  /// its statements in pre-order, which has the highest node.
+  std::vector<std::pair<fortran::StmtId, int>> nodeIndex_;
 };
 
 }  // namespace ps::cfg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <set>
 #include <unordered_map>
@@ -404,6 +405,16 @@ struct AddressHash {
   }
 };
 
+/// A cell's stored representation, for exact comparison of values: an
+/// INTEGER or LOGICAL as its value, a REAL as its bit pattern.
+std::uint64_t cellBits(const Storage& st, std::size_t at) {
+  if (st.isInt()) return static_cast<std::uint64_t>(st.intCells[at]);
+  if (st.isLogical()) return static_cast<std::uint64_t>(st.logicalCells[at]);
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &st.realCells[at], sizeof bits);
+  return bits;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -448,65 +459,181 @@ struct Machine::Impl {
     std::vector<Slot> slots;
   };
 
-  /// Cross-iteration access tracking for one active PARALLEL DO.
+  /// Cross-iteration access tracking for one active PARALLEL DO. Iterations
+  /// run one after another, so each iteration's writes of a cell are
+  /// contiguous.
   struct ParallelCtx {
+    /// One cell's accesses in this activation. Iterations are normalized
+    /// indices; -1 = none.
+    struct Cell {
+      long long firstWriter = -1;
+      long long secondWriter = -1;   // the first write by another iteration
+      long long exposedReader = -1;  // the first read before its own write
+      long long otherReader = -1;    // the first such read by another one
+      long long lastWriter = -1;     // the iteration of the latest write
+      const std::string* var = nullptr;  // the first write's variable
+      /// Written cells only. A cell two iterations write lives outside
+      /// them (in the loop's frame, a caller's or COMMON), so it is still
+      /// alive when the activation completes.
+      Storage* storage = nullptr;
+      /// The value the first writer left, and whether a later writer left
+      /// another one.
+      std::uint64_t firstLeft = 0;
+      bool leftDiffer = false;
+      /// A later writer's first write named a variable the clauses do not
+      /// privatize: in another order it could be the first writer.
+      bool unprivatizedWriter = false;
+    };
+
     const Stmt* loop = nullptr;
     /// Directive clauses supplied for this loop (null = none): conflicts on
     /// clause-privatized variables are resolved by the directive, like the
     /// induction variable's.
     const LoopClauses* clauses = nullptr;
     long long iteration = 0;
-    std::unordered_map<CellRef::Address,
-                       std::pair<long long, const std::string*>, AddressHash>
-        firstWriter;  // address -> (iteration, variable)
-    std::unordered_map<CellRef::Address, long long, AddressHash> secondWriter;
-    std::unordered_map<CellRef::Address, long long, AddressHash>
-        exposedReader;
-    std::unordered_map<CellRef::Address, long long, AddressHash>
-        lastWriteIter;  // address -> iteration of its latest write
+    std::unordered_map<CellRef::Address, Cell, AddressHash> cells;
     std::unordered_set<CellRef::Address, AddressHash> ivAddresses;
+    /// The loop's own induction variable: its value after the loop is
+    /// stored explicitly. Serial 0 names no storage.
+    CellRef::Address ownIv{0, 0};
+    /// LASTPRIVATE copy-out targets, and whether the sequentially-last
+    /// iteration wrote each.
+    std::vector<std::pair<CellRef, bool>> copyOut;
 
     void beginIteration(long long iter) { iteration = iter; }
     void onRead(const CellRef::Address& a) {
-      auto w = lastWriteIter.find(a);
-      if (w != lastWriteIter.end() && w->second == iteration) return;
-      exposedReader.emplace(a, iteration);  // the first one wins
-    }
-    void onWrite(const CellRef::Address& a, const std::string* var) {
-      lastWriteIter[a] = iteration;
-      auto [it, fresh] = firstWriter.try_emplace(a, iteration, var);
-      if (!fresh && it->second.first != iteration) {
-        secondWriter.emplace(a, iteration);  // the first one wins
+      Cell& cell = cells[a];
+      if (cell.lastWriter == iteration) return;
+      if (cell.exposedReader < 0) {
+        cell.exposedReader = iteration;
+      } else if (cell.otherReader < 0 && cell.exposedReader != iteration) {
+        cell.otherReader = iteration;
       }
+    }
+    void onWrite(const CellRef& c, const std::string* var) {
+      Cell& cell = cells[c.address()];
+      if (cell.firstWriter < 0) {
+        cell.firstWriter = iteration;
+        cell.var = var;
+        cell.storage = c.storage;
+      } else if (cell.lastWriter != iteration) {
+        // This iteration's first write: the cell still holds the value the
+        // previous writer left.
+        const std::uint64_t left = cellBits(*c.storage, c.offset);
+        if (cell.secondWriter < 0) {
+          cell.secondWriter = iteration;
+          cell.firstLeft = left;
+        } else if (left != cell.firstLeft) {
+          cell.leftDiffer = true;
+        }
+        if (var != cell.var && *var != *cell.var &&
+            !(clauses && clauses->privatized.count(*var))) {
+          cell.unprivatizedWriter = true;
+        }
+      }
+      cell.lastWriter = iteration;
+    }
+    void noteCopyOut(const CellRef& c) {
+      auto it = cells.find(c.address());
+      copyOut.push_back(
+          {c, it != cells.end() && it->second.lastWriter == iteration});
     }
     /// Races in address order (the report order is part of the result).
     void finish(std::vector<Race>& races) const {
-      std::vector<CellRef::Address> order;
-      order.reserve(firstWriter.size());
-      for (const auto& entry : firstWriter) order.push_back(entry.first);
-      std::sort(order.begin(), order.end());
+      std::vector<const std::pair<const CellRef::Address, Cell>*> order;
+      for (const auto& entry : cells) {
+        if (entry.second.firstWriter >= 0) order.push_back(&entry);
+      }
+      std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+        return a->first < b->first;
+      });
       std::set<std::string> reported;
-      for (const CellRef::Address& addr : order) {
-        const auto& [iter, var] = firstWriter.at(addr);
-        if (ivAddresses.count(addr)) continue;  // implicitly private
-        if (clauses && clauses->privatized.count(*var)) continue;
-        auto er = exposedReader.find(addr);
-        if (er != exposedReader.end() && er->second != iter) {
-          if (reported.insert(*var).second) {
-            races.push_back({loop->id, *var, iter, er->second, false});
+      for (const auto* entry : order) {
+        const Cell& cell = entry->second;
+        const std::string& var = *cell.var;
+        if (ivAddresses.count(entry->first)) continue;  // implicitly private
+        if (clauses && clauses->privatized.count(var)) continue;
+        if (cell.exposedReader >= 0 &&
+            cell.exposedReader != cell.firstWriter) {
+          if (reported.insert(var).second) {
+            races.push_back(
+                {loop->id, var, cell.firstWriter, cell.exposedReader, false});
           }
           continue;
         }
-        auto sw = secondWriter.find(addr);
-        if (sw != secondWriter.end()) {
-          if (reported.insert(*var).second) {
-            races.push_back({loop->id, *var, iter, sw->second, true});
+        if (cell.secondWriter >= 0) {
+          if (reported.insert(var).second) {
+            races.push_back(
+                {loop->id, var, cell.firstWriter, cell.secondWriter, true});
           }
         }
       }
     }
+    /// The proof's verdict on this completed activation (see
+    /// RunResult::orderIndependent). False when an iteration read a cell
+    /// before writing it that another iteration writes, or when another
+    /// order could make the race detector see a first writer it does not
+    /// privatize. Otherwise appends to `dependent` every cell whose value
+    /// after the loop and its copy-out depends on the order: one that
+    /// iterations left different values in, or a LASTPRIVATE target that
+    /// some iteration but not the sequentially-last one wrote.
+    bool orderIndependent(std::vector<CellRef>& dependent) const {
+      auto copiedOut = [&](const CellRef::Address& a) {
+        return std::any_of(copyOut.begin(), copyOut.end(), [&](const auto& t) {
+          return t.first.address() == a;
+        });
+      };
+      for (const auto& [addr, cell] : cells) {
+        if (cell.firstWriter < 0) continue;
+        if (cell.exposedReader >= 0 &&
+            (cell.exposedReader != cell.firstWriter || cell.otherReader >= 0 ||
+             cell.secondWriter >= 0)) {
+          return false;  // cross-iteration flow
+        }
+        if (cell.secondWriter < 0 || addr == ownIv) continue;
+        if (cell.unprivatizedWriter && !ivAddresses.count(addr)) return false;
+        if (copiedOut(addr)) continue;
+        if (cell.leftDiffer ||
+            cellBits(*cell.storage, addr.second) != cell.firstLeft) {
+          dependent.push_back({cell.storage, addr.second});
+        }
+      }
+      for (const auto& [target, lastWrote] : copyOut) {
+        auto it = cells.find(target.address());
+        if (!lastWrote && it != cells.end() && it->second.firstWriter >= 0) {
+          dependent.push_back(target);
+        }
+      }
+      return true;
+    }
   };
   std::vector<ParallelCtx> parallelStack;
+
+  /// The shuffled loop's proof (RunResult::orderIndependent): still
+  /// holding, and whether an activation of the loop has begun and not yet
+  /// completed. Cells an activation leaves order-dependent are flagged in
+  /// Storage::orderDependent until overwritten; reading one ends the proof.
+  bool proving = false;
+  bool activationOpen = false;
+
+  /// The active context of `loop` when it is the innermost one.
+  ParallelCtx* contextOf(const Stmt* loop) {
+    return !parallelStack.empty() && parallelStack.back().loop == loop
+               ? &parallelStack.back()
+               : nullptr;
+  }
+
+  /// Reading a cell an activation left order-dependent ends the proof;
+  /// writing it clears the flag.
+  void checkOrderDependent(const CellRef& c, bool isWrite) {
+    std::vector<char>& dep = c.storage->orderDependent;
+    if (dep.empty() || !dep[c.offset]) return;
+    if (isWrite) {
+      dep[c.offset] = 0;
+    } else {
+      proving = false;
+    }
+  }
 
   /// Statement currently executing (runtime diagnostics and trace events
   /// are attributed to it).
@@ -527,6 +654,7 @@ struct Machine::Impl {
   Impl(const Program& p, const RunOptions& o) : program(p), opts(o) {
     rng.seed(o.shuffleSeed);
     trace = o.trace;
+    proving = o.checkParallel && o.shuffledLoop != fortran::kInvalidStmt;
     CompileEnv env{p, o, {}};
     units.reserve(p.units.size());
     for (const auto& u : p.units) units.push_back(Compiler(env, *u).compile());
@@ -634,6 +762,9 @@ struct Machine::Impl {
     if (var.common >= 0) {
       Storage& st = commons[static_cast<std::size_t>(var.common)];
       if (st.serial == 0) {
+        // Its type and shape come from the first unit to touch it, which
+        // inside a shuffled activation depends on the order.
+        if (activationOpen) proving = false;
         st.serial = nextStorageSerial++;
         st.type = decl->type == TypeKind::DoublePrecision ? TypeKind::Real
                                                           : decl->type;
@@ -725,11 +856,12 @@ struct Machine::Impl {
     const SlotInfo& var = f.code->slots[static_cast<std::size_t>(slot)];
     for (auto& ctx : parallelStack) {
       if (isWrite) {
-        ctx.onWrite(c.address(), var.name);
+        ctx.onWrite(c, var.name);
       } else {
         ctx.onRead(c.address());
       }
     }
+    if (proving) checkOrderDependent(c, isWrite);
     if (trace) traceAccess(var, c, isWrite);
   }
 
@@ -969,6 +1101,7 @@ struct Machine::Impl {
     if (isFunction) {
       // Function result lives in the variable named after the function.
       CellRef cell = baseOf(f, code.resultSlot, nullptr);
+      if (proving) checkOrderDependent(cell, /*isWrite=*/false);
       return cell.storage->load(cell.offset);
     }
     return Value::ofReal(0.0);
@@ -1007,6 +1140,7 @@ struct Machine::Impl {
         return;
       }
       case StmtKind::Read: {
+        if (activationOpen) proving = false;
         for (int item : op.items) {
           Value v = nextInput();
           store(f, nodes[static_cast<std::size_t>(item)], v);
@@ -1014,6 +1148,7 @@ struct Machine::Impl {
         return;
       }
       case StmtKind::Write: {
+        if (activationOpen) proving = false;
         for (int item : op.items) {
           result.output.push_back(eval(f, item).asReal());
         }
@@ -1048,21 +1183,20 @@ struct Machine::Impl {
   /// sequentially-last iteration finishes executing (whenever the shuffle
   /// scheduled it); raw cell access so the runtime bookkeeping itself never
   /// feeds the race detector or the trace.
-  void captureLastPrivate(Frame& f, LoopState& ls) {
+  void captureLastPrivate(Frame& f, LoopState& ls, ParallelCtx* ctx) {
     if (!ls.clauses || ls.clauses->lastPrivate.empty()) return;
     ls.lastVals.clear();
     for (int slot : *ls.lastPrivate) {
       CellRef c = baseOf(f, slot, nullptr);
       ls.lastVals.push_back(c.storage->load(c.offset));
+      if (ctx && proving) ctx->noteCopyOut(c);
     }
   }
 
   void setLoopVar(Frame& f, const Op& op, LoopState& ls, long long k) {
     long long idx = ls.perm.empty() ? k : ls.perm[static_cast<std::size_t>(k)];
-    if (ls.parallel && !parallelStack.empty() &&
-        parallelStack.back().loop == op.stmt) {
-      parallelStack.back().beginIteration(idx);
-    }
+    ParallelCtx* own = ls.parallel ? contextOf(op.stmt) : nullptr;
+    if (own) own->beginIteration(idx);
     // Register the induction variable's cell as implicitly private in
     // every active parallel context (a parallel DO privatizes its own IV;
     // inner sequential IVs are killed every iteration, so their write-write
@@ -1070,6 +1204,7 @@ struct Machine::Impl {
     {
       CellRef c = baseOf(f, op.var, nullptr);
       for (auto& ctx : parallelStack) ctx.ivAddresses.insert(c.address());
+      if (own) own->ownIv = c.address();
     }
     if (ls.realIv) {
       storeVar(f, op.var,
@@ -1156,6 +1291,10 @@ struct Machine::Impl {
             std::shuffle(ls.perm.begin(), ls.perm.end(), rng);
           }
           if (ls.parallel) {
+            // An earlier activation that never completed ends the proof; a
+            // zero-trip one completes at once.
+            if (activationOpen) proving = false;
+            activationOpen = proving && ls.trip > 0;
             // Drop a stale context for the same loop (GOTO exits).
             while (!parallelStack.empty() &&
                    parallelStack.back().loop == &s) {
@@ -1200,7 +1339,9 @@ struct Machine::Impl {
             const long long idx =
                 ls.perm.empty() ? ls.k
                                 : ls.perm[static_cast<std::size_t>(ls.k)];
-            if (idx == ls.trip - 1) captureLastPrivate(f, ls);
+            if (idx == ls.trip - 1) {
+              captureLastPrivate(f, ls, contextOf(op.stmt));
+            }
           }
           ++ls.k;
           if (ls.k < ls.trip) {
@@ -1218,10 +1359,22 @@ struct Machine::Impl {
             } else {
               storeVar(f, op.var, Value::ofInt(ls.lo + ls.trip * ls.step));
             }
-            if (ls.parallel && !parallelStack.empty() &&
-                parallelStack.back().loop == op.stmt) {
-              parallelStack.back().finish(result.races);
+            if (ParallelCtx* ctx = ls.parallel ? contextOf(op.stmt) : nullptr) {
+              ctx->finish(result.races);
+              if (proving) {
+                std::vector<CellRef> dependent;
+                proving = activationOpen && ctx->orderIndependent(dependent);
+                activationOpen = false;
+                // The copy-out below stores without clearing these flags.
+                for (const CellRef& c : dependent) {
+                  std::vector<char>& flags = c.storage->orderDependent;
+                  if (flags.empty()) flags.assign(c.storage->size(), 0);
+                  flags[c.offset] = 1;
+                }
+              }
               parallelStack.pop_back();
+            } else if (ls.parallel) {
+              proving = false;
             }
             // LASTPRIVATE copy-out: the sequentially-last iteration's
             // values win, whatever order the shuffle executed.
@@ -1285,6 +1438,9 @@ RunResult Machine::run(const RunOptions& opts) {
     impl.result.errorStmt =
         impl.curStmt ? impl.curStmt->id : fortran::kInvalidStmt;
   }
+  // Races are reported with the iterations this order met first.
+  impl.result.orderIndependent = impl.result.ok && impl.result.races.empty() &&
+                                 impl.proving && !impl.activationOpen;
   impl.foldCounts();
   return std::move(impl.result);
 }

@@ -52,6 +52,16 @@ struct RunResult {
   /// Races detected in PARALLEL DO loops (empty when none or when race
   /// checking is off).
   std::vector<Race> races;
+  /// Set only on a completed race-free run with RunOptions::shuffledLoop
+  /// under checkParallel: true when every activation of that loop was
+  /// order-independent, so a run with any other shuffle seed would give the
+  /// same `ok`, no races and the same `output`. An activation is
+  /// order-independent when it ran all its iterations, executed no READ or
+  /// WRITE, no iteration read a cell before writing it that another
+  /// iteration writes, and no cell whose value after the loop depends on
+  /// the order is read before it is overwritten. False whenever the run
+  /// cannot show this.
+  bool orderIndependent = false;
 
   [[nodiscard]] bool outputEquals(const RunResult& other,
                                   double tol = 1e-9) const;

@@ -48,6 +48,10 @@ struct Storage {
   /// Column-major extents and lower bounds per dimension (empty = scalar).
   std::vector<long long> extents;
   std::vector<long long> lowerBounds;
+  /// Per cell, set while the cell holds a value a shuffled loop left
+  /// depending on its iteration order, until something overwrites it
+  /// (RunResult::orderIndependent). Empty = no such cell.
+  std::vector<char> orderDependent;
 
   [[nodiscard]] bool isInt() const {
     return type == fortran::TypeKind::Integer;

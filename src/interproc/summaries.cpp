@@ -310,18 +310,27 @@ class CallBinding {
 
 /// Calls fn(name) for each variable actual of a reference to a function
 /// in `callees` (the user routines `s` calls) that the function's summary,
-/// from `summaryOf`, writes. ir::collectRefs reports these actuals as
-/// reads; a CALL's actuals are CallActual references instead.
+/// from `summaryOf`, writes, and for every variable or array-element
+/// actual of a function without a summary (it may write any of them, as
+/// refMayWrite assumes of a CALL). ir::collectRefs reports these actuals
+/// as reads; a CALL's actuals are CallActual references instead.
 template <class Lookup, class Fn>
 void forEachFunctionActualWrite(const Stmt& s,
                                 const std::vector<std::string>& callees,
                                 Lookup&& summaryOf, Fn&& fn) {
   for (const std::string& callee : callees) {
     const ProcSummary* cs = summaryOf(callee);
-    if (!cs) continue;
     forEachCall(s, callee, [&](const std::vector<ExprPtr>& actuals,
                                bool isCall) {
       if (isCall) return;
+      if (!cs) {
+        for (const auto& a : actuals) {
+          if (a->kind == ExprKind::VarRef || a->kind == ExprKind::ArrayRef) {
+            fn(a->name);
+          }
+        }
+        return;
+      }
       const CallBinding call(*cs, actuals);
       for (const auto& [var, eff] : cs->effects) {
         if (!eff.mayWrite) continue;

@@ -5,6 +5,7 @@
 #include <climits>
 #include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
 
 #include "support/taskpool.h"
@@ -175,6 +176,9 @@ namespace {
 /// What one shuffled schedule of one loop showed against the serial run.
 struct ScheduleOutcome {
   bool diverged = false;
+  /// The run proved that every other schedule replays it
+  /// (interp::RunResult::orderIndependent).
+  bool independent = false;
   std::string detail;
   std::vector<std::string> raceVariables;
 };
@@ -194,6 +198,7 @@ ScheduleOutcome runSchedule(const fortran::Program& program,
   interp::Machine m(program);
   const interp::RunResult r = m.run(o);
   ScheduleOutcome out;
+  out.independent = r.orderIndependent;
   std::ostringstream os;
   if (!r.ok) {
     // The reordered schedule crashed a run the serial order completes:
@@ -297,36 +302,52 @@ std::vector<RelativeResult> relativeCheckAll(
   // Earliest diverging schedule per job: a later schedule that has not
   // started yet is skipped, since assembly never looks past it.
   std::vector<std::atomic<int>> firstDiverged(jobs.size());
+  auto schedule = [&](std::size_t j, int k) {
+    return [&, j, k] {
+      std::atomic<int>& first = firstDiverged[j];
+      if (k > first.load(std::memory_order_relaxed)) return;
+      ScheduleOutcome o =
+          runSchedule(program, jobs[j].loop, jobs[j].base, serial, k);
+      if (o.diverged) {
+        int cur = first.load(std::memory_order_relaxed);
+        while (k < cur && !first.compare_exchange_weak(
+                              cur, k, std::memory_order_relaxed)) {
+        }
+      }
+      outcomes[j][static_cast<std::size_t>(k)] = std::move(o);
+    };
+  };
+  std::unique_ptr<support::TaskPool> own;
+  auto runAll = [&](std::vector<std::function<void()>> thunks) {
+    if (thunks.empty()) return;
+    if (!pool) {
+      own = std::make_unique<support::TaskPool>(0);
+      pool = own.get();
+    }
+    pool->runAll(std::move(thunks));
+  };
+
+  // Phase 1: schedule 0 of every job.
   std::vector<std::function<void()>> thunks;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     results.push_back(startResult(program, jobs[j].loop, serial));
     if (!results.back().ran) continue;
     outcomes[j].resize(perJob);
     firstDiverged[j].store(schedules, std::memory_order_relaxed);
-    for (int k = 0; k < schedules; ++k) {
-      thunks.push_back([&, j, k] {
-        std::atomic<int>& first = firstDiverged[j];
-        if (k > first.load(std::memory_order_relaxed)) return;
-        ScheduleOutcome o =
-            runSchedule(program, jobs[j].loop, jobs[j].base, serial, k);
-        if (o.diverged) {
-          int cur = first.load(std::memory_order_relaxed);
-          while (k < cur && !first.compare_exchange_weak(
-                                cur, k, std::memory_order_relaxed)) {
-          }
-        }
-        outcomes[j][static_cast<std::size_t>(k)] = std::move(o);
-      });
-    }
+    if (perJob > 0) thunks.push_back(schedule(j, 0));
   }
-  if (!thunks.empty()) {
-    if (pool) {
-      pool->runAll(std::move(thunks));
-    } else {
-      support::TaskPool own(0);
-      own.runAll(std::move(thunks));
-    }
+  runAll(std::move(thunks));
+  // Phase 2: the other schedules of every job whose schedule 0 agreed
+  // without proving that they would replay it. A diverged schedule 0 is
+  // the answer already, and a proof makes the rest agree too.
+  thunks.clear();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (perJob < 2 || !results[j].ran) continue;
+    const ScheduleOutcome& zero = outcomes[j].front();
+    if (zero.diverged || zero.independent) continue;
+    for (int k = 1; k < schedules; ++k) thunks.push_back(schedule(j, k));
   }
+  runAll(std::move(thunks));
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (results[j].ran) assemble(results[j], outcomes[j]);
   }

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "fortran/parser.h"
+#include "gen.h"
 #include "support/diagnostics.h"
+#include "workloads/workloads.h"
 
 namespace ps::cfg {
 namespace {
@@ -261,6 +266,68 @@ TEST(ControlDependence, NestedLoopsChainOfControllers) {
   // else non-loop).
   ASSERT_FALSE(controllers.empty());
   EXPECT_FALSE(cd.hasNonLoopController(assign->id, model));
+}
+
+// ---------------------------------------------------------------------------
+// nodeOf answers what the per-statement map the graph used to keep did
+// ---------------------------------------------------------------------------
+
+/// Every statement's node against a map filled in pre-order, as the graph
+/// filled its own: the last statement with an id wins, and an id no
+/// statement has answers -1.
+void expectNodeOfMatchesMap(fortran::Procedure& proc) {
+  const ir::ProcedureModel model(proc);
+  const FlowGraph g = FlowGraph::build(model);
+  std::map<fortran::StmtId, int> ref;
+  const auto& all = model.allStmts();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ref[all[i]->id] = static_cast<int>(i) + FlowGraph::kFirstStmt;
+  }
+  fortran::StmtId maxId = 0;
+  for (const Stmt* s : all) {
+    EXPECT_EQ(g.nodeOf(s->id), ref.at(s->id)) << proc.name << " stmt" << s->id;
+    maxId = std::max(maxId, s->id);
+  }
+  EXPECT_EQ(g.nodeOf(maxId + 1), -1) << proc.name;
+  EXPECT_EQ(g.nodeOf(fortran::kInvalidStmt), -1) << proc.name;
+}
+
+TEST(FlowGraphNodeIndex, MatchesTheMapOnEveryDeckAndAGeneratedDeck) {
+  std::size_t units = 0;
+  for (const auto& w : workloads::all()) {
+    auto prog = parse(w.source);
+    for (auto& unit : prog->units) expectNodeOfMatchesMap(*unit);
+    units += prog->units.size();
+  }
+  auto generated = parse(psbench::generateDeck(1, 2000).source);
+  ASSERT_GT(generated->units.size(), 100u);
+  for (auto& unit : generated->units) expectNodeOfMatchesMap(*unit);
+  EXPECT_GT(units, 8u);
+}
+
+TEST(FlowGraphNodeIndex, DuplicatedIdAnswersForTheLastStatement) {
+  auto prog = parse(
+      "      SUBROUTINE S(A, N)\n"
+      "      REAL A(N)\n"
+      "      DO 10 I = 1, N\n"
+      "        IF (A(I) .GT. 0.0) A(I) = 0.0\n"
+      "   10 CONTINUE\n"
+      "      X = 1.0\n"
+      "      Y = 2.0\n"
+      "      END\n");
+  fortran::Procedure& proc = *prog->units[0];
+  Stmt* loop = proc.body[0].get();
+  Stmt* nestedAssign = loop->body[0]->arms[0].body[0].get();
+  Stmt* x = proc.body[1].get();
+  Stmt* y = proc.body[2].get();
+  // Y takes the DO's id and X the nested assignment's.
+  y->id = loop->id;
+  x->id = nestedAssign->id;
+  expectNodeOfMatchesMap(proc);
+  const ir::ProcedureModel model(proc);
+  const FlowGraph g = FlowGraph::build(model);
+  EXPECT_EQ(g.stmtOf(g.nodeOf(loop->id)), y);
+  EXPECT_EQ(g.stmtOf(g.nodeOf(nestedAssign->id)), x);
 }
 
 }  // namespace

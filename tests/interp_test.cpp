@@ -6,6 +6,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "emit/emit.h"
@@ -511,6 +512,390 @@ TEST(Parallel, OutputComparisonAcrossSchedules) {
   ASSERT_TRUE(r1.ok && r2.ok);
   EXPECT_TRUE(r1.outputEquals(r2));
   EXPECT_TRUE(r1.races.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Schedule independence: one shuffled run proves the others replay it
+// ---------------------------------------------------------------------------
+
+/// The first PARALLEL-marked DO of the program: the loop each case shuffles.
+fortran::StmtId parallelLoopOf(const Program& prog) {
+  fortran::StmtId id = fortran::kInvalidStmt;
+  for (const auto& u : prog.units) {
+    u->forEachStmt([&](const fortran::Stmt& s) {
+      if (s.kind == fortran::StmtKind::Do && s.isParallel &&
+          id == fortran::kInvalidStmt) {
+        id = s.id;
+      }
+    });
+  }
+  return id;
+}
+
+RunResult runShuffled(const Program& prog, const LoopClauses& clauses,
+                      unsigned seed) {
+  RunOptions o;
+  o.shuffledLoop = parallelLoopOf(prog);
+  o.parallelClauses[o.shuffledLoop] = clauses;
+  o.shuffleSeed = seed;
+  Machine m(prog);
+  return m.run(o);
+}
+
+/// What the proof promises: every other shuffle gives the same ok flag,
+/// races and output, bit for bit.
+void expectReplays(const Program& prog, const LoopClauses& clauses,
+                   const RunResult& r) {
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    const RunResult other = runShuffled(prog, clauses, seed);
+    EXPECT_EQ(other.ok, r.ok) << "seed " << seed;
+    EXPECT_EQ(other.output, r.output) << "seed " << seed;
+    EXPECT_EQ(other.races.size(), r.races.size()) << "seed " << seed;
+    EXPECT_TRUE(other.orderIndependent) << "seed " << seed;
+  }
+}
+
+constexpr char kPrivateTemp[] =
+    "      PROGRAM MAIN\n"
+    "      REAL A(20), B(20)\n"
+    "      DO I = 1, 20\n"
+    "        B(I) = FLOAT(I)\n"
+    "      ENDDO\n"
+    "      PARALLEL DO I = 1, 20\n"
+    "        T = B(I)*2.0\n"
+    "        A(I) = T + 1.0\n"
+    "      ENDDO\n"
+    "      WRITE(6, *) A(20), I\n";
+
+TEST(OrderProof, DeadPrivateTemporaryIsIndependent) {
+  // Every iteration leaves another value in T, but nothing reads T again;
+  // I's value after the loop is stored explicitly.
+  auto prog = parse(std::string(kPrivateTemp) + "      END\n");
+  const LoopClauses clauses{{"T"}, {}};
+  const RunResult r = runShuffled(*prog, clauses, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_TRUE(r.orderIndependent);
+  expectReplays(*prog, clauses, r);
+}
+
+TEST(OrderProof, PrivateTemporaryReadAfterTheLoopIsNot) {
+  auto prog = parse(std::string(kPrivateTemp) +
+                    "      WRITE(6, *) T\n"
+                    "      END\n");
+  const LoopClauses clauses{{"T"}, {}};
+  const RunResult r = runShuffled(*prog, clauses, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());  // T is privatized
+  EXPECT_FALSE(r.orderIndependent);
+  // T holds whatever the iteration that ran last left: another shuffle
+  // prints another value.
+  bool moved = false;
+  for (unsigned seed = 1; seed <= 8 && !moved; ++seed) {
+    moved = runShuffled(*prog, clauses, seed).output != r.output;
+  }
+  EXPECT_TRUE(moved);
+}
+
+TEST(OrderProof, EqualValuesLeftByEveryIterationAreIndependent) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(20)\n"
+      "      PARALLEL DO I = 1, 20\n"
+      "        T = FLOAT(I)*2.0\n"
+      "        A(I) = T + 1.0\n"
+      "        T = 0.0\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(20), T\n"
+      "      END\n");
+  const LoopClauses clauses{{"T"}, {}};
+  const RunResult r = runShuffled(*prog, clauses, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.orderIndependent);
+  expectReplays(*prog, clauses, r);
+}
+
+TEST(OrderProof, FirstAndLastWritersAgreeingDoesNotHideAnother) {
+  // T ends each iteration at I's parity: on a schedule whose first and
+  // last iterations share it, a middle one still left the other value.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      PARALLEL DO I = 1, 6\n"
+      "        T = FLOAT(MOD(I, 2))\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) T\n"
+      "      END\n");
+  for (unsigned seed = 1; seed <= 32; ++seed) {
+    const RunResult r = runShuffled(*prog, {{"T"}, {}}, seed);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.orderIndependent) << "seed " << seed;
+  }
+}
+
+TEST(OrderProof, ReductionIsNot) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL B(20)\n"
+      "      DO I = 1, 20\n"
+      "        B(I) = 1.0/FLOAT(I)\n"
+      "      ENDDO\n"
+      "      S = 0.0\n"
+      "      PARALLEL DO I = 1, 20\n"
+      "        S = S + B(I)\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) S\n"
+      "      END\n");
+  const RunResult r = runShuffled(*prog, {{"S"}, {}}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());  // S is privatized
+  EXPECT_FALSE(r.orderIndependent);
+}
+
+TEST(OrderProof, WriteInTheBodyIsNot) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(5)\n"
+      "      PARALLEL DO I = 1, 5\n"
+      "        A(I) = FLOAT(I)\n"
+      "        WRITE(6, *) A(I)\n"
+      "      ENDDO\n"
+      "      END\n");
+  const RunResult r = runShuffled(*prog, {}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_FALSE(r.orderIndependent);
+}
+
+TEST(OrderProof, GotoExitIsNot) {
+  // Which iterations ran before the exit depends on the order. Nothing
+  // runs after it, so only the unfinished activation shows.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(20)\n"
+      "      PARALLEL DO 10 I = 1, 20\n"
+      "        A(I) = FLOAT(I)\n"
+      "        IF (I .EQ. 5) GOTO 20\n"
+      "10    CONTINUE\n"
+      "20    CONTINUE\n"
+      "      END\n");
+  const RunResult r = runShuffled(*prog, {}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_FALSE(r.orderIndependent);
+}
+
+TEST(OrderProof, LastPrivateTheLastIterationSkipsIsNot) {
+  // Only iteration 3 writes X. The copy-out takes X as it stands when the
+  // sequentially-last iteration ends: B(3) when iteration 3 ran before it,
+  // the entry value otherwise.
+  auto src = [](const char* writer) {
+    return std::string(
+               "      PROGRAM MAIN\n"
+               "      REAL A(10), B(10)\n"
+               "      DO I = 1, 10\n"
+               "        B(I) = FLOAT(I)\n"
+               "      ENDDO\n"
+               "      X = -1.0\n"
+               "      PARALLEL DO I = 1, 10\n"
+               "        IF (I .EQ. ") +
+           writer +
+           ") X = B(I)\n"
+           "        A(I) = B(I)\n"
+           "      ENDDO\n"
+           "      WRITE(6, *) X\n"
+           "      END\n";
+  };
+  const LoopClauses clauses{{"X"}, {"X"}};
+  auto skipped = parse(src("3"));
+  const RunResult r = runShuffled(*skipped, clauses, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_FALSE(r.orderIndependent);
+
+  // When the last iteration writes X, the copy-out is the same in every
+  // order.
+  auto written = parse(src("10"));
+  const RunResult w = runShuffled(*written, clauses, 12345);
+  ASSERT_TRUE(w.ok) << w.error;
+  ASSERT_EQ(w.output, std::vector<double>{10.0});
+  EXPECT_TRUE(w.orderIndependent);
+  expectReplays(*written, clauses, w);
+}
+
+TEST(OrderProof, SecondExposedReaderIsNot) {
+  // Iteration 2 reads X and then writes it; the others only read it. The
+  // race detector keeps the first exposed reader of a cell, so on a
+  // schedule that runs iteration 2 first it reports nothing, while the
+  // other iterations read the value iteration 2 left.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(3)\n"
+      "      X = 1.0\n"
+      "      PARALLEL DO I = 1, 3\n"
+      "        A(I) = X\n"
+      "        IF (I .EQ. 2) X = 2.0\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(1), A(3)\n"
+      "      END\n");
+  int quiet = 0;
+  for (unsigned seed = 1; seed <= 32; ++seed) {
+    const RunResult r = runShuffled(*prog, {}, seed);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.orderIndependent) << "seed " << seed;
+    if (r.races.empty()) ++quiet;
+  }
+  EXPECT_GT(quiet, 0);  // some schedule hides the flow from the detector
+}
+
+TEST(OrderProof, InnerBoundResetAfterTheLoopIsIndependent) {
+  // J ends each iteration at I + 1, so its value after the loop depends on
+  // the order; the reset overwrites it before anything reads it.
+  auto src = [](const char* after) {
+    return std::string(
+               "      PROGRAM MAIN\n"
+               "      REAL A(10, 10)\n"
+               "      PARALLEL DO I = 1, 10\n"
+               "        DO J = 1, I\n"
+               "          A(J, I) = FLOAT(J + I)\n"
+               "        ENDDO\n"
+               "      ENDDO\n") +
+           after +
+           "      WRITE(6, *) A(3, 7), J\n"
+           "      END\n";
+  };
+  auto reset = parse(src("      J = 0\n"));
+  const RunResult r = runShuffled(*reset, {}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_TRUE(r.orderIndependent);
+  expectReplays(*reset, {}, r);
+
+  auto kept = parse(src(""));
+  const RunResult k = runShuffled(*kept, {}, 12345);
+  ASSERT_TRUE(k.ok) << k.error;
+  EXPECT_FALSE(k.orderIndependent);
+}
+
+TEST(OrderProof, RacyRunIsNot) {
+  // Without the PRIVATE clause every iteration's write of T is a race,
+  // reported with the iterations this order met first.
+  auto prog = parse(std::string(kPrivateTemp) + "      END\n");
+  const RunResult r = runShuffled(*prog, {}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_FALSE(r.races.empty());
+  EXPECT_FALSE(r.orderIndependent);
+}
+
+TEST(OrderProof, WriterUnderAnUnprivatizedNameIsNot) {
+  // Odd iterations write T through SETT's formal X, which the clauses do
+  // not privatize: on a schedule whose first writer is an even iteration
+  // the detector skips T, on another it reports a race on X.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(6)\n"
+      "      PARALLEL DO I = 1, 6\n"
+      "        IF (MOD(I, 2) .EQ. 0) THEN\n"
+      "          T = FLOAT(I)\n"
+      "        ELSE\n"
+      "          CALL SETT(T, I)\n"
+      "        ENDIF\n"
+      "        A(I) = T\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) A(1), A(2)\n"
+      "      END\n"
+      "      SUBROUTINE SETT(X, I)\n"
+      "      X = FLOAT(I)\n"
+      "      END\n");
+  int quiet = 0, racy = 0;
+  for (unsigned seed = 1; seed <= 32; ++seed) {
+    const RunResult r = runShuffled(*prog, {{"T"}, {}}, seed);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.orderIndependent) << "seed " << seed;
+    ++(r.races.empty() ? quiet : racy);
+  }
+  EXPECT_GT(quiet, 0);
+  EXPECT_GT(racy, 0);
+}
+
+TEST(OrderProof, CommonFirstTouchedInsideTheLoopIsNot) {
+  // W's storage takes its type from the first unit to touch it: INTEGER
+  // when TA runs first, REAL when TB does.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      PARALLEL DO I = 1, 2\n"
+      "        IF (I .EQ. 1) CALL TA\n"
+      "        IF (I .EQ. 2) CALL TB\n"
+      "      ENDDO\n"
+      "      CALL SHOW\n"
+      "      END\n"
+      "      SUBROUTINE TA\n"
+      "      INTEGER Q\n"
+      "      COMMON /W/ Q(2)\n"
+      "      Q(1) = 2.5\n"
+      "      END\n"
+      "      SUBROUTINE TB\n"
+      "      COMMON /W/ Q(2)\n"
+      "      Q(2) = 3.5\n"
+      "      END\n"
+      "      SUBROUTINE SHOW\n"
+      "      COMMON /W/ Q(2)\n"
+      "      WRITE(6, *) Q(1), Q(2)\n"
+      "      END\n");
+  std::set<std::vector<double>> outputs;
+  for (unsigned seed = 1; seed <= 16; ++seed) {
+    const RunResult r = runShuffled(*prog, {}, seed);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.races.empty());
+    EXPECT_FALSE(r.orderIndependent) << "seed " << seed;
+    outputs.insert(r.output);
+  }
+  EXPECT_EQ(outputs.size(), 2u);
+}
+
+TEST(OrderProof, FunctionResultLeftByTheLoopIsNot) {
+  // F returns whatever the iteration that ran last assigned it.
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      X = F(4)\n"
+      "      WRITE(6, *) X\n"
+      "      END\n"
+      "      REAL FUNCTION F(N)\n"
+      "      PARALLEL DO I = 1, N\n"
+      "        F = FLOAT(I)\n"
+      "      ENDDO\n"
+      "      END\n");
+  const RunResult r = runShuffled(*prog, {{"F"}, {}}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_FALSE(r.orderIndependent);
+}
+
+TEST(OrderProof, ZeroTripActivationIsIndependent) {
+  auto prog = parse(
+      "      PROGRAM MAIN\n"
+      "      REAL A(10)\n"
+      "      N = 0\n"
+      "      PARALLEL DO I = 1, N\n"
+      "        A(I) = X\n"
+      "        X = FLOAT(I)\n"
+      "      ENDDO\n"
+      "      WRITE(6, *) X, I\n"
+      "      END\n");
+  const RunResult r = runShuffled(*prog, {}, 12345);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.loopActivations.at(parallelLoopOf(*prog)), 1);
+  EXPECT_TRUE(r.orderIndependent);
+  expectReplays(*prog, {}, r);
+}
+
+TEST(OrderProof, OnlyShuffledRunsCarryIt) {
+  auto prog = parse(std::string(kPrivateTemp) + "      END\n");
+  Machine m(*prog);
+  EXPECT_FALSE(m.run().orderIndependent);  // PARALLEL markings, no loop named
+  RunOptions serial;
+  serial.checkParallel = false;
+  serial.shuffledLoop = parallelLoopOf(*prog);
+  EXPECT_FALSE(m.run(serial).orderIndependent);
 }
 
 // ---------------------------------------------------------------------------

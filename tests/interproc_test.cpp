@@ -637,6 +637,28 @@ TEST(Summaries, FunctionReferenceWriteMakesItsActualUnstable) {
       << a->writeSection->str();
 }
 
+// EXTF has no unit, so Y = EXTF(M) may write M, as CALL EXTS(M) may: M
+// is not stable in G, and the loop's write section of A cannot be stated
+// as A(1:M).
+TEST(Summaries, UnresolvedFunctionReferenceMakesItsActualUnstable) {
+  for (const char* ref : {"      Y = EXTF(M)\n", "      CALL EXTS(M)\n"}) {
+    auto prog = parse(std::string("      SUBROUTINE G(A, M)\n"
+                                  "      REAL A(100)\n") +
+                      ref +
+                      "      DO I = 1, M\n"
+                      "        A(I) = 0.0\n"
+                      "      ENDDO\n"
+                      "      END\n");
+    SummaryBuilder sb(*prog);
+    const VarEffect* a = sb.summaryOf("G")->effectOn("A");
+    ASSERT_NE(a, nullptr) << ref;
+    ASSERT_TRUE(a->writeSection.has_value()) << ref;
+    ASSERT_EQ(a->writeSection->dims.size(), 1u) << ref;
+    EXPECT_FALSE(a->writeSection->dims[0].has_value())
+        << ref << a->writeSection->str();
+  }
+}
+
 TEST(Summaries, CommonEffectsPropagate) {
   auto prog = parse(
       "      SUBROUTINE TOP\n"
@@ -812,6 +834,31 @@ TEST(Globals, FunctionReferenceWritingACommonActualDropsTheConstant) {
   EXPECT_EQ(run.output[0], 20.0);
   SummaryBuilder sb(*prog);
   EXPECT_FALSE(sb.inheritedConstantsFor(*prog->findUnit("WORK")).count("N"));
+}
+
+// EXTF and EXTS have no unit: either reference may assign N after
+// N = 10, so WORK inherits no constant for it, whether the routine is
+// called or referenced as a function. Passing an element of K instead
+// leaves N's constant alone.
+TEST(Globals, UnresolvedFunctionReferenceDropsTheConstant) {
+  for (const char* ref : {"      X = EXTF(N)\n", "      CALL EXTS(N)\n",
+                          "      X = EXTF(K(1)) + 1.0\n"}) {
+    auto prog = parse(std::string("      PROGRAM MAIN\n"
+                                  "      COMMON /C/ N, K(2)\n"
+                                  "      N = 10\n"
+                                  "      K(1) = 5\n") +
+                      ref +
+                      "      CALL WORK\n"
+                      "      END\n"
+                      "      SUBROUTINE WORK\n"
+                      "      COMMON /C/ N, K(2)\n"
+                      "      PRINT *, N\n"
+                      "      END\n");
+    SummaryBuilder sb(*prog);
+    const auto consts = sb.inheritedConstantsFor(*prog->findUnit("WORK"));
+    const bool passesN = std::string(ref).find("(N)") != std::string::npos;
+    EXPECT_EQ(consts.count("N"), passesN ? 0u : 1u) << ref;
+  }
 }
 
 TEST(Globals, Arc3dRelationThroughCommon) {

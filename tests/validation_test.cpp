@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -567,6 +569,280 @@ TEST(RelativeExecution, ChecksLeaveProgramUntouchedAndBatchMatchesSingle) {
     EXPECT_EQ(parallelFlags(prog), flags) << deck;
     EXPECT_EQ(fortran::printProgram(prog), text) << deck;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Schedule 0's proof skips only runs that would have agreed.
+// ---------------------------------------------------------------------------
+
+/// relativeCheckAll as it ran before a shuffled run could prove the others
+/// redundant: every schedule of every job runs, and each job's result is
+/// its schedules in order up to the first divergence.
+std::vector<validate::RelativeResult> everyScheduleRelativeCheckAll(
+    const fortran::Program& program,
+    const std::vector<validate::RelativeJob>& jobs,
+    const interp::RunResult& serial, int schedules, support::TaskPool& pool) {
+  struct Outcome {
+    bool diverged = false;
+    std::string detail;
+    std::vector<std::string> raceVariables;
+  };
+  auto runSchedule = [&](const validate::RelativeJob& job, int k) {
+    interp::RunOptions o = job.base;
+    o.trace = nullptr;
+    o.checkParallel = true;
+    o.shuffledLoop = job.loop;
+    o.shuffleSeed =
+        job.base.shuffleSeed + 0x9e3779b9u * static_cast<unsigned>(k + 1);
+    interp::Machine m(program);
+    const interp::RunResult r = m.run(o);
+    Outcome out;
+    std::ostringstream os;
+    if (!r.ok) {
+      out.diverged = true;
+      os << "schedule " << k << " failed at stmt" << r.errorStmt << ": "
+         << r.error;
+      out.detail = os.str();
+      return out;
+    }
+    for (const interp::Race& race : r.races) {
+      if (race.loop != job.loop) continue;
+      out.diverged = true;
+      out.raceVariables.push_back(race.variable);
+      if (out.detail.empty()) {
+        std::ostringstream ros;
+        ros << "schedule " << k << ": cross-iteration "
+            << (race.outputOnly ? "write-write" : "read-write")
+            << " conflict on " << race.variable << " (iterations "
+            << race.iterationA << "," << race.iterationB << ")";
+        out.detail = ros.str();
+      }
+    }
+    if (!serial.outputEquals(r)) {
+      out.diverged = true;
+      std::size_t at = 0;
+      const std::size_t n = std::min(serial.output.size(), r.output.size());
+      while (at < n && serial.output[at] == r.output[at]) ++at;
+      os << "schedule " << k << ": output diverged at position " << at;
+      if (at < n) {
+        os << " (serial " << serial.output[at] << " vs parallel "
+           << r.output[at] << ")";
+      } else {
+        os << " (lengths " << serial.output.size() << " vs "
+           << r.output.size() << ")";
+      }
+      if (!out.detail.empty()) out.detail += "; ";
+      out.detail += os.str();
+    }
+    return out;
+  };
+
+  std::vector<std::vector<Outcome>> outcomes(
+      jobs.size(), std::vector<Outcome>(static_cast<std::size_t>(schedules)));
+  std::vector<std::function<void()>> thunks;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (int k = 0; k < schedules; ++k) {
+      thunks.push_back([&, j, k] {
+        outcomes[j][static_cast<std::size_t>(k)] = runSchedule(jobs[j], k);
+      });
+    }
+  }
+  pool.runAll(std::move(thunks));
+
+  std::vector<validate::RelativeResult> results;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    validate::RelativeResult rr;
+    rr.loop = jobs[j].loop;
+    bool found = false;
+    for (const auto& u : program.units) {
+      u->forEachStmt([&](const fortran::Stmt& s) {
+        found = found || (s.id == rr.loop && s.kind == fortran::StmtKind::Do);
+      });
+    }
+    if (!found) {
+      rr.detail = "loop statement not found";
+      results.push_back(std::move(rr));
+      continue;
+    }
+    rr.ran = true;
+    if (auto it = serial.loopActivations.find(rr.loop);
+        it != serial.loopActivations.end()) {
+      rr.serialExecutions = it->second;
+    }
+    for (Outcome& o : outcomes[j]) {
+      if (!o.diverged) continue;
+      rr.diverged = true;
+      rr.detail = std::move(o.detail);
+      rr.raceVariables = std::move(o.raceVariables);
+      break;
+    }
+    std::sort(rr.raceVariables.begin(), rr.raceVariables.end());
+    rr.raceVariables.erase(
+        std::unique(rr.raceVariables.begin(), rr.raceVariables.end()),
+        rr.raceVariables.end());
+    results.push_back(std::move(rr));
+  }
+  return results;
+}
+
+/// The relative jobs emitOpenMP runs on a session: every loop its clause
+/// plan emits, with that loop's clauses, against the plain serial run.
+struct RelativeBatch {
+  interp::RunResult serial;
+  std::vector<validate::RelativeJob> jobs;
+  std::vector<bool> reduction;  // per job: the plan has a REDUCTION clause
+};
+
+RelativeBatch emissionBatch(ped::Session& s) {
+  emit::EmitOptions plan;
+  plan.relativeValidation = false;
+  plan.roundTrip = false;
+  const emit::EmissionReport rep = s.emitOpenMP(plan);
+  RelativeBatch b;
+  interp::RunOptions so = plan.run;
+  so.checkParallel = false;
+  b.serial = s.profile(so);
+  for (const emit::LoopEmission& le : rep.loops) {
+    if (!le.emitted) continue;
+    validate::RelativeJob job;
+    job.loop = le.loop;
+    job.base = plan.run;
+    job.base.parallelClauses[le.loop] = le.interpClauses;
+    b.jobs.push_back(std::move(job));
+    b.reduction.push_back(std::any_of(
+        le.clauses.begin(), le.clauses.end(), [](const emit::Clause& c) {
+          return c.kind == emit::ClauseKind::Reduction;
+        }));
+  }
+  return b;
+}
+
+std::string renderRelative(const std::vector<validate::RelativeResult>& rs) {
+  std::string out;
+  for (const validate::RelativeResult& r : rs) {
+    out += "stmt" + std::to_string(r.loop) + " ran=" + std::to_string(r.ran) +
+           " diverged=" + std::to_string(r.diverged) + " x" +
+           std::to_string(r.serialExecutions) + " " + r.detail;
+    for (const std::string& v : r.raceVariables) out += " " + v;
+    out += "\n";
+  }
+  return out;
+}
+
+/// The batch answers what running every schedule answers, at pool widths 1
+/// and 4; and wherever schedule 0 proves the others redundant, running
+/// them directly gives its ok flag, races and output.
+void expectBatchMatchesEverySchedule(const fortran::Program& prog,
+                                     const RelativeBatch& b,
+                                     const std::string& what) {
+  ASSERT_TRUE(b.serial.ok) << what << ": " << b.serial.error;
+  for (int width : {1, 4}) {
+    support::TaskPool pool(width);
+    const auto got = validate::relativeCheckAll(
+        prog, b.jobs, b.serial, validate::kRelativeSchedules, &pool);
+    const auto want = everyScheduleRelativeCheckAll(
+        prog, b.jobs, b.serial, validate::kRelativeSchedules, pool);
+    EXPECT_EQ(renderRelative(got), renderRelative(want))
+        << what << " at pool width " << width;
+  }
+  for (const validate::RelativeJob& job : b.jobs) {
+    auto schedule = [&](unsigned k) {
+      interp::RunOptions o = job.base;
+      o.shuffledLoop = job.loop;
+      o.shuffleSeed = job.base.shuffleSeed + 0x9e3779b9u * (k + 1);
+      interp::Machine m(prog);
+      return m.run(o);
+    };
+    const interp::RunResult first = schedule(0);
+    if (!first.orderIndependent) continue;
+    for (unsigned k = 1; k < validate::kRelativeSchedules; ++k) {
+      const interp::RunResult r = schedule(k);
+      EXPECT_EQ(r.ok, first.ok) << what << " stmt" << job.loop;
+      EXPECT_EQ(r.output, first.output) << what << " stmt" << job.loop;
+      ASSERT_EQ(r.races.size(), first.races.size())
+          << what << " stmt" << job.loop;
+      for (std::size_t i = 0; i < r.races.size(); ++i) {
+        EXPECT_EQ(r.races[i].variable, first.races[i].variable);
+        EXPECT_EQ(r.races[i].iterationA, first.races[i].iterationA);
+        EXPECT_EQ(r.races[i].iterationB, first.races[i].iterationB);
+        EXPECT_EQ(r.races[i].outputOnly, first.races[i].outputOnly);
+      }
+    }
+  }
+}
+
+TEST_P(ValidationDecks, TwoPhaseRelativeCheckMatchesEverySchedule) {
+  const std::string deck = GetParam();
+  // The validate-emit marking: every loop PARALLEL, so emission plans both
+  // directives and refusals (the benchmark's deletions are all refuted and
+  // restored before it emits).
+  auto s = loadDeck(deck);
+  ASSERT_NE(s, nullptr);
+  (void)markParallelLoops(*s, /*forceAllLoops=*/true);
+  expectBatchMatchesEverySchedule(s->program(), emissionBatch(*s), deck);
+
+  // With every pending edge deleted and nothing restored, the plan emits
+  // loops the shuffled schedules refute.
+  auto d = loadDeck(deck);
+  ASSERT_NE(d, nullptr);
+  (void)markParallelLoops(*d, /*forceAllLoops=*/true);
+  deleteEveryPendingEdge(*d);
+  expectBatchMatchesEverySchedule(d->program(), emissionBatch(*d),
+                                  deck + " with deletions");
+}
+
+TEST(RelativeExecution, TwoPhaseCheckMatchesEveryScheduleOnDivergingFixtures) {
+  for (const char* src : {kInterprocRecurrence, kRuntimeDep}) {
+    auto s = loadSource(src, "fixture");
+    ASSERT_NE(s, nullptr);
+    RelativeBatch b;
+    interp::RunOptions serialOpts;
+    serialOpts.checkParallel = false;
+    serialOpts.input = {1.0};
+    b.serial = s->profile(serialOpts);
+    for (const auto& u : s->program().units) {
+      u->forEachStmt([&](const fortran::Stmt& st) {
+        if (st.kind == fortran::StmtKind::Do) {
+          b.jobs.push_back({st.id, {.input = {1.0}}});
+        }
+      });
+    }
+    ASSERT_FALSE(b.jobs.empty());
+    expectBatchMatchesEverySchedule(s->program(), b, s->procedureNames()[0]);
+    support::TaskPool pool(1);
+    const auto rs = validate::relativeCheckAll(
+        s->program(), b.jobs, b.serial, validate::kRelativeSchedules, &pool);
+    EXPECT_TRUE(std::any_of(rs.begin(), rs.end(),
+                            [](const auto& r) { return r.diverged; }));
+  }
+}
+
+// Pins what the proof covers on the benchmark's emission: every emitted
+// loop without a REDUCTION clause proves schedule independence in its first
+// shuffled run, and no REDUCTION loop does (a sum's order moves its bits).
+TEST(RelativeExecution, FirstScheduleProvesEveryEmittedLoopWithoutReduction) {
+  int emitted = 0, proved = 0;
+  for (const Workload& w : all()) {
+    auto s = loadDeck(w.name);
+    ASSERT_NE(s, nullptr) << w.name;
+    (void)markParallelLoops(*s, /*forceAllLoops=*/true);
+    const RelativeBatch b = emissionBatch(*s);
+    for (std::size_t i = 0; i < b.jobs.size(); ++i) {
+      const validate::RelativeJob& job = b.jobs[i];
+      interp::RunOptions o = job.base;
+      o.shuffledLoop = job.loop;
+      o.shuffleSeed = job.base.shuffleSeed + 0x9e3779b9u;
+      interp::Machine m(s->program());
+      const interp::RunResult r = m.run(o);
+      ASSERT_TRUE(r.ok) << w.name << " stmt" << job.loop;
+      ++emitted;
+      proved += r.orderIndependent ? 1 : 0;
+      EXPECT_EQ(r.orderIndependent, !b.reduction[i])
+          << w.name << " stmt" << job.loop;
+    }
+  }
+  EXPECT_EQ(emitted, 53);
+  EXPECT_EQ(proved, 46);
 }
 
 // At least one deck must actually yield witnessed pending edges, or the
