@@ -1,7 +1,5 @@
 #include "dataflow/linear.h"
 
-#include <algorithm>
-
 #include "ir/refs.h"
 
 namespace ps::dataflow {
@@ -26,15 +24,6 @@ LinearExpr& LinearExpr::add(const LinearExpr& o, long long scale) {
     }
   }
   return *this;
-}
-
-bool LinearExpr::hasSymbolicsBesides(
-    const std::vector<std::string>& ivs) const {
-  for (const auto& [v, c] : coef) {
-    (void)c;
-    if (std::find(ivs.begin(), ivs.end(), v) == ivs.end()) return true;
-  }
-  return false;
 }
 
 std::string LinearExpr::str() const {

@@ -38,9 +38,6 @@ struct LinearExpr {
 
   LinearExpr& add(const LinearExpr& o, long long scale = 1);
   [[nodiscard]] bool isConstant() const { return affine && coef.empty(); }
-  /// All terms other than the given induction variables are symbolic.
-  [[nodiscard]] bool hasSymbolicsBesides(
-      const std::vector<std::string>& ivs) const;
 
   [[nodiscard]] std::string str() const;
   [[nodiscard]] bool operator==(const LinearExpr& o) const {

@@ -2,32 +2,11 @@
 
 #include <numeric>
 #include <set>
-
-#include "support/taskpool.h"
+#include <vector>
 
 namespace ps::dep {
 
 using dataflow::LinearExpr;
-
-namespace {
-
-/// FM elimination churns O(lower*upper) combined constraints per variable;
-/// backing the scratch vectors with the calling thread's arena keeps that
-/// churn off the global heap, which is what lets parallel per-nest testers
-/// scale (the element LinearExprs still own their coefficient maps — the
-/// arena absorbs the vector buffers, the dominant reallocation traffic).
-using ScratchVec =
-    std::vector<LinearExpr, support::ArenaAllocator<LinearExpr>>;
-
-/// Rewinds the thread arena to the solve-entry mark once the scratch
-/// vectors (declared after it) have been destroyed.
-struct ArenaScope {
-  support::Arena& arena = support::threadArena();
-  support::Arena::Mark mark = arena.mark();
-  ~ArenaScope() { arena.rewind(mark); }
-};
-
-}  // namespace
 
 std::string Constraint::str() const {
   const char* rel = kind == Kind::Ge0 ? " >= 0"
@@ -56,11 +35,9 @@ long long gcdAll(const LinearExpr& e) {
 }  // namespace
 
 void FourierMotzkin::solve(std::vector<Constraint> cs) {
-  ArenaScope scope;
-  support::ArenaAllocator<LinearExpr> alloc(&scope.arena);
   // Normalize: integer Gt0 -> Ge0 with constant-1; Eq0 -> GCD check + two
   // Ge0 constraints.
-  ScratchVec ge(alloc);  // each means expr >= 0
+  std::vector<LinearExpr> ge;  // each means expr >= 0
   for (auto& c : cs) {
     if (!c.expr.affine) continue;  // cannot reason about it: drop (sound)
     switch (c.kind) {
@@ -113,7 +90,7 @@ void FourierMotzkin::solve(std::vector<Constraint> cs) {
       degraded_ = true;
       return;
     }
-    ScratchVec lower(alloc), upper(alloc), rest(alloc);
+    std::vector<LinearExpr> lower, upper, rest;
     for (const auto& e : ge) {
       long long a = e.coefOf(v);
       if (a > 0) {

@@ -253,9 +253,6 @@ class DependenceTester {
       const std::map<std::string, dataflow::LinearExpr>& bSub, int level);
 
   [[nodiscard]] const TestStats& stats() const { return stats_; }
-  [[nodiscard]] int numCommonLoops() const {
-    return static_cast<int>(loops_.size());
-  }
 
  private:
   /// Linearize one side of a dimension with iteration tagging for `level`.

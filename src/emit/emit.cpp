@@ -1,14 +1,17 @@
 #include "emit/emit.h"
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <sstream>
 
 #include "cfg/flow_graph.h"
 #include "dataflow/liveness.h"
 #include "dependence/graph.h"
+#include "fortran/lexer.h"
 #include "fortran/pretty.h"
 #include "ir/refs.h"
+#include "support/diagnostics.h"
 #include "transform/transform.h"
 
 namespace ps::emit {
@@ -270,6 +273,205 @@ std::string EmissionReport::str() const {
     }
   }
   return os.str();
+}
+
+namespace {
+
+/// Relative validation: the serial run is the reference semantics; every
+/// eligible loop must agree with it under shuffled schedules WITH the
+/// directive's data-sharing clauses applied.
+void validateLoops(const fortran::Program& program, const EmitOptions& opts,
+                   EmissionReport& rep) {
+  interp::RunOptions so = opts.run;
+  so.checkParallel = false;
+  so.trace = nullptr;
+  so.parallelClauses.clear();
+  interp::RunResult serial;
+  {
+    interp::Machine m(program);
+    serial = m.run(so);
+  }
+  std::vector<LoopEmission*> checked;
+  std::vector<validate::RelativeJob> jobs;
+  for (auto& le : rep.loops) {
+    if (!le.emitted) continue;
+    if (!serial.ok) {
+      // No reference run, no validated emission: explicit refusal, never
+      // an unvalidated directive.
+      le.emitted = false;
+      le.refusal = "serial baseline failed: " + serial.error;
+      continue;
+    }
+    validate::RelativeJob job;
+    job.loop = le.loop;
+    job.base = opts.run;
+    job.base.trace = nullptr;
+    job.base.parallelClauses.clear();
+    job.base.parallelClauses[le.loop] = le.interpClauses;
+    checked.push_back(&le);
+    jobs.push_back(std::move(job));
+  }
+  // Every eligible loop's schedules run concurrently; results come back in
+  // loop order.
+  std::vector<validate::RelativeResult> results = validate::relativeCheckAll(
+      program, jobs, serial, validate::kRelativeSchedules, opts.pool);
+  for (std::size_t i = 0; i < checked.size(); ++i) {
+    LoopEmission& le = *checked[i];
+    const validate::RelativeResult& rr = results[i];
+    le.relativeChecked = rr.ran;
+    le.serialExecutions = rr.serialExecutions;
+    if (rr.diverged) {
+      le.relativeDiverged = true;
+      le.emitted = false;
+      le.evidence = rr.detail;
+      le.refusal = "relative validation diverged: " + rr.detail;
+    } else if (rr.ran) {
+      std::ostringstream ev;
+      ev << "relative-ok: " << validate::kRelativeSchedules
+         << " shuffled schedule(s) agree with the serial run"
+         << " (loop executed " << rr.serialExecutions << "x serially)";
+      le.evidence = ev.str();
+    }
+  }
+}
+
+/// The round trip of a rendered deck whose directives are `directives`.
+void roundTrip(const fortran::Program& program,
+               const std::map<fortran::StmtId, std::string>& directives,
+               const EmitOptions& opts, const Reanalyze& reanalyze,
+               EmissionReport& rep) {
+  rep.roundTripChecked = true;
+  rep.roundTripOk = true;
+  rep.roundTripThreads = opts.roundTripThreads;
+  auto fail = [&](const std::string& why) {
+    rep.roundTripOk = false;
+    if (!rep.roundTripDetail.empty()) rep.roundTripDetail += "; ";
+    rep.roundTripDetail += why;
+  };
+
+  // 1. Re-lex: the deck's "!$OMP" lines (continuations rejoined) must
+  // reassemble to exactly the payloads that were emitted.
+  {
+    DiagnosticEngine ld;
+    fortran::Lexer lx(rep.deckText, ld);
+    (void)lx.run();
+    if (ld.hasErrors()) fail("emitted deck does not re-lex cleanly");
+    std::vector<std::string> got;
+    for (const auto& d : lx.ompDirectives()) got.push_back(d.text);
+    std::vector<std::string> want;
+    for (const auto& [id, payload] : directives) want.push_back(payload);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    if (got != want) {
+      fail("re-lexed directives differ from emitted payloads (" +
+           std::to_string(got.size()) + " lexed vs " +
+           std::to_string(want.size()) + " emitted)");
+    }
+  }
+
+  // 2. Stripping the directive lines from the deck must yield the plain
+  // print byte-for-byte (directives are whole inserted lines, nothing else
+  // may differ).
+  fortran::PrettyOptions plain;
+  plain.emitParallelMarkers = false;
+  const std::string stripped = fortran::printProgram(program, plain);
+  {
+    std::string manual;
+    std::istringstream in(rep.deckText);
+    std::string lineText;
+    while (std::getline(in, lineText)) {
+      std::string_view t = lineText;
+      while (!t.empty() && (t.front() == ' ' || t.front() == '\t')) {
+        t.remove_prefix(1);
+      }
+      if (t.size() >= 5 && (t.substr(0, 5) == "!$OMP")) continue;
+      manual += lineText;
+      manual += '\n';
+    }
+    if (manual != stripped) {
+      fail("directive-stripped deck is not byte-identical to the plain "
+           "print");
+    }
+  }
+
+  // 3. Fresh re-analysis: the deck (directives re-lex as comments) must
+  // produce a dependence graph byte-identical to the stripped source, at
+  // every requested thread count.
+  const std::optional<std::string> baseline = reanalyze(stripped, 1);
+  if (!baseline) {
+    fail("stripped source failed to re-parse");
+    return;
+  }
+  for (int n : opts.roundTripThreads) {
+    const std::optional<std::string> fresh = reanalyze(rep.deckText, n);
+    if (!fresh) {
+      fail("emitted deck failed to re-parse");
+      break;
+    }
+    if (*fresh != *baseline) {
+      fail("dependence graph of the re-analyzed deck differs from the "
+           "stripped source at " +
+           std::to_string(n) + " thread(s)");
+      break;
+    }
+  }
+}
+
+}  // namespace
+
+EmissionReport emitDeck(const fortran::Program& program,
+                        const std::vector<ProcedureContext>& contexts,
+                        const EmitOptions& opts, const Reanalyze& reanalyze) {
+  using Clock = std::chrono::steady_clock;
+  EmissionReport rep;
+  rep.ran = true;
+
+  const auto t0 = Clock::now();
+  for (const ProcedureContext& pc : contexts) {
+    for (auto& le : planProcedure(pc)) rep.loops.push_back(std::move(le));
+  }
+  rep.emitSeconds = std::chrono::duration<double>(Clock::now() - t0).count();
+
+  bool anyEligible = false;
+  for (const auto& le : rep.loops) anyEligible |= le.emitted;
+  if (opts.relativeValidation && anyEligible) {
+    const auto t1 = Clock::now();
+    validateLoops(program, opts, rep);
+    rep.validateSeconds =
+        std::chrono::duration<double>(Clock::now() - t1).count();
+  }
+
+  rep.loopsConsidered = static_cast<int>(rep.loops.size());
+  for (const auto& le : rep.loops) {
+    if (!le.emitted) {
+      ++rep.loopsRefused;
+      continue;
+    }
+    ++rep.loopsEmitted;
+    for (const Clause& c : le.clauses) {
+      ++rep.clauseHistogram[clauseKindName(c.kind)];
+    }
+  }
+
+  // Render the deck: plain DO loops (no PARALLEL markers — the directives
+  // carry the parallelism) with the surviving directives ahead of their
+  // loops, wrapped at the fixed-form 72-column limit.
+  std::map<fortran::StmtId, std::string> directives;
+  for (const auto& le : rep.loops) {
+    if (le.emitted) directives[le.loop] = le.payload;
+  }
+  fortran::PrettyOptions deckOpts;
+  deckOpts.emitParallelMarkers = false;
+  deckOpts.ompDirectives = &directives;
+  rep.deckText = fortran::printProgram(program, deckOpts);
+
+  if (opts.roundTrip) {
+    const auto t2 = Clock::now();
+    roundTrip(program, directives, opts, reanalyze, rep);
+    rep.roundTripSeconds =
+        std::chrono::duration<double>(Clock::now() - t2).count();
+  }
+  return rep;
 }
 
 }  // namespace ps::emit

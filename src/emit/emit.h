@@ -20,7 +20,9 @@
 //    graph byte-identical to the directive-stripped source.
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,7 +111,7 @@ struct EmitOptions {
   support::TaskPool* pool = nullptr;
 };
 
-/// Result of one Session::emitOpenMP pass.
+/// Result of one emission pass (emitDeck, Session::emitOpenMP).
 struct EmissionReport {
   bool ran = false;
   std::string error;
@@ -159,6 +161,27 @@ struct ProcedureContext {
 /// Render the directive payload ("PARALLEL DO DEFAULT(NONE) ...") from a
 /// clause set. Variables are listed sorted within each clause.
 [[nodiscard]] std::string renderPayload(const std::vector<Clause>& clauses);
+
+/// The round trip's re-analysis of a deck: the dependence snapshot
+/// (Session::dependenceSnapshot) of `text` analyzed at `threads` threads,
+/// or nothing when the text does not load.
+using Reanalyze = std::function<std::optional<std::string>(
+    const std::string& text, int threads)>;
+
+/// One emission pass over `program`, whose procedures `contexts` describe
+/// in unit order. Plans every context; runs the serial baseline and
+/// relative-validates every eligible loop under shuffled schedules with
+/// its directive's data-sharing clauses applied (a divergence, or a failed
+/// baseline, demotes the loop to refused); tallies; renders the deck; and,
+/// with opts.roundTrip, checks that the deck re-lexes to the emitted
+/// payloads, strips to the plain print, and re-analyzes through
+/// `reanalyze` to the stripped source's snapshot at every
+/// opts.roundTripThreads count. The program is only read, and the
+/// report's `deck` name is the caller's to set.
+[[nodiscard]] EmissionReport emitDeck(
+    const fortran::Program& program,
+    const std::vector<ProcedureContext>& contexts, const EmitOptions& opts,
+    const Reanalyze& reanalyze);
 
 }  // namespace ps::emit
 

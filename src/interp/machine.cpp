@@ -5,6 +5,7 @@
 #include <cstring>
 #include <random>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -107,9 +108,11 @@ struct Op {
   int var = -1;
   int lo = -1, hi = -1, step = -1;
   /// DoInit: the loop runs as a shuffled PARALLEL DO, with these clauses
-  /// (null = none supplied) and LASTPRIVATE slots in name order.
+  /// (null = none supplied), their privatized slots and their LASTPRIVATE
+  /// slots, each in name order.
   bool parallel = false;
   const LoopClauses* clauses = nullptr;
+  std::vector<int> privatized;
   std::vector<int> lastPrivate;
 };
 
@@ -357,6 +360,9 @@ class Compiler {
           auto itC = opts.parallelClauses.find(s.id);
           if (itC != opts.parallelClauses.end()) {
             init.clauses = &itC->second;
+            for (const std::string& name : itC->second.privatized) {
+              init.privatized.push_back(slotFor(name));
+            }
             for (const std::string& name : itC->second.lastPrivate) {
               init.lastPrivate.push_back(slotFor(name));
             }
@@ -480,19 +486,18 @@ struct Machine::Impl {
       /// another one.
       std::uint64_t firstLeft = 0;
       bool leftDiffer = false;
-      /// A later writer's first write named a variable the clauses do not
-      /// privatize: in another order it could be the first writer.
-      bool unprivatizedWriter = false;
     };
 
     const Stmt* loop = nullptr;
-    /// Directive clauses supplied for this loop (null = none): conflicts on
-    /// clause-privatized variables are resolved by the directive, like the
-    /// induction variable's.
-    const LoopClauses* clauses = nullptr;
     long long iteration = 0;
     std::unordered_map<CellRef::Address, Cell, AddressHash> cells;
+    /// Cells whose conflicts are resolved by privatization, whatever name
+    /// reaches them: the induction variables', and the cells the
+    /// directive's clause-privatized names hold in the loop's frame, as
+    /// (storage serial, first offset, end offset) runs.
     std::unordered_set<CellRef::Address, AddressHash> ivAddresses;
+    std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>>
+        clauseCells;
     /// The loop's own induction variable: its value after the loop is
     /// stored explicitly. Serial 0 names no storage.
     CellRef::Address ownIv{0, 0};
@@ -526,10 +531,6 @@ struct Machine::Impl {
         } else if (left != cell.firstLeft) {
           cell.leftDiffer = true;
         }
-        if (var != cell.var && *var != *cell.var &&
-            !(clauses && clauses->privatized.count(*var))) {
-          cell.unprivatizedWriter = true;
-        }
       }
       cell.lastWriter = iteration;
     }
@@ -538,7 +539,20 @@ struct Machine::Impl {
       copyOut.push_back(
           {c, it != cells.end() && it->second.lastWriter == iteration});
     }
-    /// Races in address order (the report order is part of the result).
+    [[nodiscard]] bool isPrivate(const CellRef::Address& a) const {
+      return ivAddresses.count(a) != 0 ||
+             std::any_of(clauseCells.begin(), clauseCells.end(),
+                         [&](const auto& run) {
+                           const auto& [serial, lo, hi] = run;
+                           return a.first == serial && a.second >= lo &&
+                                  a.second < hi;
+                         });
+    }
+    /// Races in address order (the report order is part of the result). A
+    /// flow race is an exposed read by one iteration of a cell another one
+    /// writes: a first exposed reader other than the first writer, or,
+    /// when the first writer read it first, a later iteration's exposed
+    /// read of the value it left.
     void finish(std::vector<Race>& races) const {
       std::vector<const std::pair<const CellRef::Address, Cell>*> order;
       for (const auto& entry : cells) {
@@ -550,14 +564,14 @@ struct Machine::Impl {
       std::set<std::string> reported;
       for (const auto* entry : order) {
         const Cell& cell = entry->second;
+        if (isPrivate(entry->first)) continue;
         const std::string& var = *cell.var;
-        if (ivAddresses.count(entry->first)) continue;  // implicitly private
-        if (clauses && clauses->privatized.count(var)) continue;
-        if (cell.exposedReader >= 0 &&
-            cell.exposedReader != cell.firstWriter) {
+        const long long reader = cell.exposedReader != cell.firstWriter
+                                     ? cell.exposedReader
+                                     : cell.otherReader;
+        if (cell.exposedReader >= 0 && reader >= 0) {
           if (reported.insert(var).second) {
-            races.push_back(
-                {loop->id, var, cell.firstWriter, cell.exposedReader, false});
+            races.push_back({loop->id, var, cell.firstWriter, reader, false});
           }
           continue;
         }
@@ -571,12 +585,11 @@ struct Machine::Impl {
     }
     /// The proof's verdict on this completed activation (see
     /// RunResult::orderIndependent). False when an iteration read a cell
-    /// before writing it that another iteration writes, or when another
-    /// order could make the race detector see a first writer it does not
-    /// privatize. Otherwise appends to `dependent` every cell whose value
-    /// after the loop and its copy-out depends on the order: one that
-    /// iterations left different values in, or a LASTPRIVATE target that
-    /// some iteration but not the sequentially-last one wrote.
+    /// before writing it that another iteration writes. Otherwise appends
+    /// to `dependent` every cell whose value after the loop and its
+    /// copy-out depends on the order: one that iterations left different
+    /// values in, or a LASTPRIVATE target that some iteration but not the
+    /// sequentially-last one wrote.
     bool orderIndependent(std::vector<CellRef>& dependent) const {
       auto copiedOut = [&](const CellRef::Address& a) {
         return std::any_of(copyOut.begin(), copyOut.end(), [&](const auto& t) {
@@ -591,7 +604,6 @@ struct Machine::Impl {
           return false;  // cross-iteration flow
         }
         if (cell.secondWriter < 0 || addr == ownIv) continue;
-        if (cell.unprivatizedWriter && !ivAddresses.count(addr)) return false;
         if (copiedOut(addr)) continue;
         if (cell.leftDiffer ||
             cellBits(*cell.storage, addr.second) != cell.firstLeft) {
@@ -1294,7 +1306,6 @@ struct Machine::Impl {
             // An earlier activation that never completed ends the proof; a
             // zero-trip one completes at once.
             if (activationOpen) proving = false;
-            activationOpen = proving && ls.trip > 0;
             // Drop a stale context for the same loop (GOTO exits).
             while (!parallelStack.empty() &&
                    parallelStack.back().loop == &s) {
@@ -1302,7 +1313,26 @@ struct Machine::Impl {
             }
             ParallelCtx ctx;
             ctx.loop = &s;
-            ctx.clauses = op.clauses;
+            // The clause-privatized names' cells, resolved before the
+            // activation opens: a scalar's cell, an array's from its base
+            // over its extent (to the end of its storage when assumed-size).
+            for (int slot : op.privatized) {
+              ArrayShape* shape = nullptr;
+              const CellRef base = baseOf(f, slot, &shape);
+              std::size_t end = base.offset + 1;
+              if (shape && !shape->extents.empty()) {
+                std::size_t total = 1;
+                bool assumed = false;
+                for (long long e : shape->extents) {
+                  assumed = assumed || e < 0;
+                  total *= static_cast<std::size_t>(e < 0 ? 1 : e);
+                }
+                end = assumed ? base.storage->size() : base.offset + total;
+              }
+              ctx.clauseCells.emplace_back(base.storage->serial, base.offset,
+                                           end);
+            }
+            activationOpen = proving && ls.trip > 0;
             ls.clauses = op.clauses;
             ls.lastPrivate = &op.lastPrivate;
             parallelStack.push_back(std::move(ctx));

@@ -92,6 +92,12 @@ std::vector<const CallSite*> CallGraph::callsTo(
   return sitesAt(sites_, byCallee_, callee);
 }
 
+std::set<std::string> CallGraph::calleesOf(const std::string& caller) const {
+  std::set<std::string> callees;
+  for (const CallSite* s : callsFrom(caller)) callees.insert(s->callee);
+  return callees;
+}
+
 bool CallGraph::refreshCaller(const Procedure& unit) {
   static const std::vector<std::size_t> kNone;
   auto it = byCaller_.find(unit.name);

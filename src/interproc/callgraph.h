@@ -35,6 +35,9 @@ class CallGraph {
       const std::string& caller) const;
   [[nodiscard]] std::vector<const CallSite*> callsTo(
       const std::string& callee) const;
+  /// The distinct direct callees of `caller`, sorted.
+  [[nodiscard]] std::set<std::string> calleesOf(
+      const std::string& caller) const;
 
   /// Re-point `unit`'s sites at its current statements after an edit
   /// replaced some of them. Succeeds only when the unit's callee sequence is

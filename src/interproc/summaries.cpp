@@ -574,14 +574,15 @@ std::map<std::string, std::vector<std::size_t>> SummaryBuilder::schedule(
   std::map<std::string, std::size_t> node;
   for (const std::string& name : callGraph_.bottomUpOrder()) {
     node[name] = graph.add([this, &name, source] {
-      Procedure* proc = program_.findUnit(name);
-      if (!proc) return;
+      auto units = unitsNamed_.find(name);
+      if (units == unitsNamed_.end()) return;
+      const std::size_t unit = units->second.front();
       std::optional<ProcSummary> stored =
-          source ? source(name) : std::nullopt;
+          source ? source(name, unit) : std::nullopt;
       if (stored) {
         summaries_.at(name) = std::move(*stored);
       } else {
-        summarize(*proc);
+        summarize(*program_.units[unit]);
       }
     });
   }

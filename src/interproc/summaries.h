@@ -78,11 +78,12 @@ class SummaryBuilder {
 
   /// Where the phase may take a bottom-up procedure's summary from instead
   /// of summarizing it: a verified stored summary, or nullopt to summarize
-  /// live. Called from the procedure's node, once its non-recursive
-  /// callees' summaries are final; concurrent calls name different
-  /// procedures.
-  using SummarySource =
-      std::function<std::optional<ProcSummary>(const std::string& name)>;
+  /// live. Called with the procedure's name and the index of its first
+  /// unit in the program, from the procedure's node, once its
+  /// non-recursive callees' summaries are final; concurrent calls name
+  /// different procedures.
+  using SummarySource = std::function<std::optional<ProcSummary>(
+      const std::string& name, std::size_t unit)>;
 
   /// Add the summary phase to `graph`, unless the summaries are already
   /// final (then nothing is added): one node per

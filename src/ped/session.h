@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -638,56 +637,10 @@ class Session {
   const interproc::InterproceduralOracle* oracleFor(
       const fortran::Procedure& proc);
 
-  /// What the per-procedure key materials of one save or open share,
-  /// computed once per pass rather than once per material: every unit's
-  /// normalized text (unit order) and, by procedure name, the xxh64
-  /// fingerprint of its final summary — the callee links of the Merkle key
-  /// chain (interproc::summaryFingerprint). savePdb sets every fingerprint
-  /// from the encodings it files anyway; a warm open sets a verified
-  /// hit's from its record body and takes any other from the final
-  /// summary on first use, once.
-  struct PdbKeyInputs {
-    /// One procedure's fingerprint, taken at most once even when pool
-    /// tasks ask for it concurrently.
-    struct Fingerprint {
-      mutable std::once_flag once;
-      mutable std::uint64_t value = 0;
-      /// The fingerprint; `fn` computes it unless it is already taken.
-      template <typename Fn>
-      std::uint64_t take(Fn fn) const {
-        std::call_once(once, [&] { value = fn(); });
-        return value;
-      }
-    };
-    std::vector<std::string> text;
-    /// One slot per unit name, all inserted before any task reads them.
-    std::map<std::string, Fingerprint> fingerprints;
-    /// The mark table in store terms (pdbMarksKey), every graph key's
-    /// MARKS section.
-    std::string marks;
+  /// The persistent program database's keys and record codecs
+  /// (ped/session_store.h) read the session's state.
+  friend class StorePass;
 
-    /// Append `callee`'s link to a key: its summary fingerprint, or EXTERN
-    /// when it has no summary (a library routine).
-    void appendCalleeLink(std::string& m, const interproc::SummaryBuilder& sb,
-                          const std::string& callee) const;
-  };
-
-  // Persistent-program-database content-key materials. Each renders every
-  // input the corresponding computation reads, so key equality implies the
-  // stored record equals what recomputation would produce. The two
-  // per-procedure ones take the unit's index in program_->units and only
-  // read the session, so pool tasks may render them concurrently.
-  [[nodiscard]] std::string pdbSummaryMaterial(std::size_t unit,
-                                               const PdbKeyInputs& in) const;
-  [[nodiscard]] std::string pdbGraphMaterial(std::size_t unit,
-                                             const PdbKeyInputs& in) const;
-  [[nodiscard]] std::string pdbMemoMaterial() const;
-  [[nodiscard]] std::string pdbMarksMaterial() const;
-  [[nodiscard]] std::string pdbEmissionMaterial() const;
-  /// The mark table as key material: each mark with its statements by
-  /// (unit, ordinal) and, with `full`, its reason and evidence, in the
-  /// order of that rendering. A mark whose statement is gone is left out.
-  [[nodiscard]] std::string pdbMarksKey(bool full) const;
   /// A fresh analysis context for `proc`: the session's facts, overrides,
   /// budget, memo and the builder's inherited facts. Pure, so pool tasks
   /// may call it; the oracle and stats sink are supplied by the caller.

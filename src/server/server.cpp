@@ -119,14 +119,6 @@ ServerSession::SettleReport ServerSession::settle() {
   return r;
 }
 
-emit::EmissionReport ServerSession::emitOpenMP(const emit::EmitOptions& opts) {
-  if (!queue_.empty()) (void)settle();
-  // Relative validation fans out on the server's shared pool.
-  emit::EmitOptions o = opts;
-  if (!o.pool) o.pool = &server_->pool();
-  return session_->emitOpenMP(o);
-}
-
 // ---------------------------------------------------------------------------
 // AnalysisServer
 // ---------------------------------------------------------------------------

@@ -85,14 +85,6 @@ class ServerSession {
   /// after every rewrite, as an interactive editor does).
   SettleReport settle();
 
-  /// Emit an OpenMP deck from this session's current PARALLEL markings:
-  /// settles any queued edits first (emission must see the post-edit
-  /// graphs), then runs Session::emitOpenMP. Per-session: emission reads
-  /// only this session's program and graphs, so concurrent sessions can
-  /// emit independently. Relative validation runs on the server's shared
-  /// pool unless `opts.pool` names another.
-  emit::EmissionReport emitOpenMP(const emit::EmitOptions& opts = {});
-
   /// The underlying session (read panes, query dependences, transform).
   /// Call settle() first if edits are queued — readers see the pre-batch
   /// state until then.

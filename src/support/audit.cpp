@@ -293,11 +293,4 @@ void auditRoundTrip(const Program& prog, Report& out) {
   }
 }
 
-Report auditAll(const Program& prog, Depth depth) {
-  Report out;
-  auditProgram(prog, out);
-  if (depth == Depth::Deep) auditRoundTrip(prog, out);
-  return out;
-}
-
 }  // namespace ps::audit

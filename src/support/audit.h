@@ -10,13 +10,6 @@
 
 namespace ps::audit {
 
-/// How much checking to pay for. Cheap covers the structural invariants
-/// that every edit/transform must preserve (id uniqueness, AST shape,
-/// loop-tree agreement, dependence-edge liveness) and is fast enough to run
-/// after every mutation. Deep adds the pretty-print -> re-parse round trip,
-/// intended for tests and the fuzz harness.
-enum class Depth { Cheap, Deep };
-
 /// One invariant violation: which check tripped and where.
 struct Violation {
   std::string check;   // "stmt-id-unique", "ast-shape", ...
@@ -64,10 +57,6 @@ void auditGraph(const dep::DependenceGraph& graph,
 /// kind sequence. Catches printer/parser drift that would corrupt the
 /// source pane's edit cycle.
 void auditRoundTrip(const fortran::Program& prog, Report& out);
-
-/// Convenience: the whole battery at the given depth. Model/graph checks
-/// are the caller's to add per workspace (they need the analysis state).
-[[nodiscard]] Report auditAll(const fortran::Program& prog, Depth depth);
 
 }  // namespace ps::audit
 

@@ -41,7 +41,6 @@ class DiagnosticEngine {
   void error(SourceLoc loc, std::string msg);
 
   [[nodiscard]] bool hasErrors() const { return errorCount_ > 0; }
-  [[nodiscard]] int errorCount() const { return errorCount_; }
   [[nodiscard]] const std::vector<Diagnostic>& all() const { return diags_; }
   void clear();
 

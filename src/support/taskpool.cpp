@@ -7,53 +7,6 @@
 namespace ps::support {
 
 // ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-void* Arena::allocate(std::size_t bytes, std::size_t align) {
-  if (bytes == 0) bytes = 1;
-  if (align == 0) align = 1;
-  for (;;) {
-    if (!chunks_.empty()) {
-      Chunk& c = chunks_[current_];
-      auto base = reinterpret_cast<std::uintptr_t>(c.data.get());
-      std::uintptr_t aligned = (base + c.used + (align - 1)) & ~(std::uintptr_t(align) - 1);
-      std::size_t offset = static_cast<std::size_t>(aligned - base);
-      if (offset + bytes <= c.size) {
-        c.used = offset + bytes;
-        totalAllocated_ += bytes;
-        return reinterpret_cast<void*>(aligned);
-      }
-      if (current_ + 1 < chunks_.size()) {
-        ++current_;
-        chunks_[current_].used = 0;
-        continue;
-      }
-    }
-    std::size_t size = std::max(chunkBytes_, bytes + align);
-    chunks_.push_back(Chunk{std::make_unique<char[]>(size), size, 0});
-    current_ = chunks_.size() - 1;
-  }
-}
-
-void Arena::rewind(Mark m) {
-  if (chunks_.empty()) return;
-  current_ = std::min(m.chunk, chunks_.size() - 1);
-  chunks_[current_].used = std::min(m.used, chunks_[current_].size);
-}
-
-std::size_t Arena::capacity() const {
-  std::size_t total = 0;
-  for (const Chunk& c : chunks_) total += c.size;
-  return total;
-}
-
-Arena& threadArena() {
-  thread_local Arena arena;
-  return arena;
-}
-
-// ---------------------------------------------------------------------------
 // TaskPool
 // ---------------------------------------------------------------------------
 

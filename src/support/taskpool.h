@@ -3,12 +3,7 @@
 
 // Parallel analysis engine primitives.
 //
-// Three layers, bottom up:
-//
-//  - Arena / ArenaAllocator: a chunked bump allocator so workers can churn
-//    transient subscript / Fourier-Motzkin scratch objects without touching
-//    the global heap (the malloc lock is the classic scaling killer for
-//    fine-grained analysis tasks). Every thread owns one via threadArena().
+// Two layers, bottom up:
 //
 //  - TaskPool: a fixed-size pool of workers, one mutex-guarded deque each.
 //    Scheduling is owner-first, the order of a work-stealing deque: a
@@ -41,89 +36,6 @@
 #include <vector>
 
 namespace ps::support {
-
-// ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-/// Chunked bump allocator. Allocation is a pointer increment; deallocation
-/// is a no-op. Callers bracket a burst of transient allocations with
-/// mark()/rewind() so the same chunk bytes are reused across bursts and the
-/// arena's footprint stays at the high-water mark of a single burst.
-class Arena {
- public:
-  explicit Arena(std::size_t chunkBytes = 64 * 1024) : chunkBytes_(chunkBytes) {}
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  void* allocate(std::size_t bytes, std::size_t align);
-
-  struct Mark {
-    std::size_t chunk = 0;
-    std::size_t used = 0;
-  };
-
-  [[nodiscard]] Mark mark() const { return {current_, currentUsed()}; }
-  void rewind(Mark m);
-  void reset() { rewind({0, 0}); }
-
-  /// Bytes handed out since construction (never decremented by rewind);
-  /// a cheap proxy for how much heap traffic the arena absorbed.
-  [[nodiscard]] std::uint64_t totalAllocated() const { return totalAllocated_; }
-  [[nodiscard]] std::size_t capacity() const;
-
- private:
-  struct Chunk {
-    std::unique_ptr<char[]> data;
-    std::size_t size = 0;
-    std::size_t used = 0;
-  };
-
-  [[nodiscard]] std::size_t currentUsed() const {
-    return chunks_.empty() ? 0 : chunks_[current_].used;
-  }
-
-  std::size_t chunkBytes_;
-  std::vector<Chunk> chunks_;
-  std::size_t current_ = 0;
-  std::uint64_t totalAllocated_ = 0;
-};
-
-/// The calling thread's scratch arena. Workers, the main thread, and any
-/// helper each lazily get an independent arena, so arena use is always
-/// contention-free.
-Arena& threadArena();
-
-/// Minimal std-allocator adapter over Arena, for scratch containers in hot
-/// loops (FM elimination vectors, subscript term lists).
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaAllocator(Arena* arena) : arena_(arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T*, std::size_t) {}  // reclaimed wholesale by rewind()
-
-  [[nodiscard]] Arena* arena() const { return arena_; }
-
-  template <typename U>
-  bool operator==(const ArenaAllocator<U>& o) const {
-    return arena_ == o.arena();
-  }
-  template <typename U>
-  bool operator!=(const ArenaAllocator<U>& o) const {
-    return arena_ != o.arena();
-  }
-
- private:
-  Arena* arena_;
-};
 
 // ---------------------------------------------------------------------------
 // TaskPool

@@ -53,16 +53,6 @@ bool startsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (toUpper(a[i]) != toUpper(b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string padRight(std::string_view s, std::size_t width) {
   std::string out(s);
   if (out.size() < width) out.append(width - out.size(), ' ');

@@ -35,7 +35,6 @@ namespace ps::text {
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s, char sep);
 
 [[nodiscard]] bool startsWith(std::string_view s, std::string_view prefix);
-[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 
 /// Left-pad / right-pad to a fixed width (for the pane renderer's columns).
 [[nodiscard]] std::string padRight(std::string_view s, std::size_t width);

@@ -12,17 +12,6 @@
 
 namespace ps::validate {
 
-const char* verdictName(Verdict v) {
-  switch (v) {
-    case Verdict::RefutedDeletion: return "refuted-deletion";
-    case Verdict::ConfirmedSafe: return "confirmed-safe";
-    case Verdict::WitnessFound: return "witness-found";
-    case Verdict::NoWitness: return "no-witness";
-    case Verdict::Unvalidated: return "unvalidated";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // TraceIndex
 // ---------------------------------------------------------------------------
@@ -281,17 +270,6 @@ void assemble(RelativeResult& rr, std::vector<ScheduleOutcome>& outcomes) {
 }
 
 }  // namespace
-
-RelativeResult relativeCheck(const fortran::Program& program,
-                             fortran::StmtId loop,
-                             const interp::RunOptions& base,
-                             const interp::RunResult& serial,
-                             int schedules) {
-  support::TaskPool callingThread(1);
-  return relativeCheckAll(program, {{loop, base}}, serial, schedules,
-                          &callingThread)
-      .front();
-}
 
 std::vector<RelativeResult> relativeCheckAll(
     const fortran::Program& program, const std::vector<RelativeJob>& jobs,

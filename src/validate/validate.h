@@ -70,8 +70,6 @@ enum class Verdict {
   Unvalidated,      // trace overflowed or edge shape unsupported
 };
 
-const char* verdictName(Verdict v);
-
 /// Everything the matcher needs to know about one questioned edge,
 /// decoupled from the live graph so validation can run against any
 /// procedure's edges uniformly.
@@ -142,21 +140,6 @@ struct RelativeResult {
   std::vector<std::string> raceVariables;
 };
 
-/// Run `loop` under `schedules` shuffled parallel schedules (every other
-/// loop sequential, so divergence localizes to THIS loop, whether or not
-/// it is PARALLEL-marked) and diff each run against the serial baseline,
-/// stopping at the first diverging schedule. Schedule k uses shuffle seed
-/// base.shuffleSeed + 0x9e3779b9 * (k + 1). When schedule 0 agrees and its
-/// run proves that any other schedule replays it
-/// (interp::RunResult::orderIndependent), the later schedules are not run:
-/// they would agree too. The program is only read, and the runs execute on
-/// the calling thread.
-[[nodiscard]] RelativeResult relativeCheck(const fortran::Program& program,
-                                           fortran::StmtId loop,
-                                           const interp::RunOptions& base,
-                                           const interp::RunResult& serial,
-                                           int schedules);
-
 /// One loop of a relative-execution batch and the options its schedules
 /// start from (input, step cap, directive clauses).
 struct RelativeJob {
@@ -164,14 +147,23 @@ struct RelativeJob {
   interp::RunOptions base;
 };
 
-/// relativeCheck for every job of a batch, its runs executed concurrently
-/// on `pool` (null = a private pool of hardware_concurrency workers) in two
-/// phases: schedule 0 of every job, then schedules 1.. of each job whose
-/// schedule 0 agreed without proving them redundant. Results come back in
-/// job order and each equals what relativeCheck returns for that job
-/// alone: every run is independent with its own seed, and results are
-/// assembled per job in schedule order up to the first divergence, so the
-/// batch answers the same at any pool width.
+/// Relative execution of every job of a batch. Each job's loop runs under
+/// `schedules` shuffled parallel schedules (every other loop sequential, so
+/// divergence localizes to THIS loop, whether or not it is PARALLEL-marked)
+/// and each run is diffed against the serial baseline, up to the first
+/// diverging schedule. Schedule k uses shuffle seed
+/// base.shuffleSeed + 0x9e3779b9 * (k + 1). When schedule 0 agrees and its
+/// run proves that any other schedule replays it
+/// (interp::RunResult::orderIndependent), the later schedules are not run:
+/// they would agree too. The program is only read.
+///
+/// The runs execute concurrently on `pool` (null = a private pool of
+/// hardware_concurrency workers) in two phases: schedule 0 of every job,
+/// then schedules 1.. of each job whose schedule 0 agreed without proving
+/// them redundant. Results come back in job order and each equals what a
+/// batch of that job alone returns: every run is independent with its own
+/// seed, and results are assembled per job in schedule order up to the
+/// first divergence, so the batch answers the same at any pool width.
 [[nodiscard]] std::vector<RelativeResult> relativeCheckAll(
     const fortran::Program& program, const std::vector<RelativeJob>& jobs,
     const interp::RunResult& serial, int schedules, support::TaskPool* pool);

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -612,6 +613,41 @@ TEST(EmissionFanOut, SerialExecutionsCountsActivations) {
   EXPECT_EQ(le.serialExecutions, 1);
   EXPECT_NE(le.evidence.find("loop executed 1x serially"), std::string::npos)
       << le.evidence;
+}
+
+// ---------------------------------------------------------------------------
+// emitDeck's re-analysis seam
+// ---------------------------------------------------------------------------
+
+// The round trip re-analyzes through its callback only: the stripped
+// source once at one thread, then the deck at each requested count, up to
+// the first snapshot that differs, which fails the round trip with the
+// count in its detail.
+TEST(EmitDeck, ReanalysisDisagreeingAtOneThreadCountFailsTheRoundTrip) {
+  auto s = loadSource(kReduction, "red-seam");
+  ASSERT_TRUE(s);
+  (void)markParallelLoops(*s, false);
+  std::vector<emit::ProcedureContext> contexts;
+  for (const std::string& proc : s->procedureNames()) {
+    ASSERT_TRUE(s->selectProcedure(proc));
+    transform::Workspace& ws = s->workspace();
+    contexts.push_back({&ws.proc, ws.model.get(), ws.graph.get(), nullptr});
+  }
+  std::vector<int> asked;
+  const emit::EmissionReport rep = emit::emitDeck(
+      s->program(), contexts, emit::EmitOptions(),
+      [&](const std::string&, int threads) -> std::optional<std::string> {
+        asked.push_back(threads);
+        return threads == 4 ? "== RED\n" : "";
+      });
+  ASSERT_TRUE(rep.ran);
+  EXPECT_GT(rep.loopsEmitted, 0);
+  EXPECT_TRUE(rep.roundTripChecked);
+  EXPECT_FALSE(rep.roundTripOk);
+  EXPECT_EQ(rep.roundTripDetail,
+            "dependence graph of the re-analyzed deck differs from the "
+            "stripped source at 4 thread(s)");
+  EXPECT_EQ(asked, (std::vector<int>{1, 1, 2, 4}));
 }
 
 // ---------------------------------------------------------------------------

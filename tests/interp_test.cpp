@@ -723,10 +723,10 @@ TEST(OrderProof, LastPrivateTheLastIterationSkipsIsNot) {
 }
 
 TEST(OrderProof, SecondExposedReaderIsNot) {
-  // Iteration 2 reads X and then writes it; the others only read it. The
-  // race detector keeps the first exposed reader of a cell, so on a
-  // schedule that runs iteration 2 first it reports nothing, while the
-  // other iterations read the value iteration 2 left.
+  // Iteration 2 reads X and then writes it; the others only read it. On a
+  // schedule that runs iteration 2 first, the other iterations read the
+  // value it left: the detector reports that flow as it reports the one
+  // every other schedule shows.
   auto prog = parse(
       "      PROGRAM MAIN\n"
       "      REAL A(3)\n"
@@ -737,14 +737,14 @@ TEST(OrderProof, SecondExposedReaderIsNot) {
       "      ENDDO\n"
       "      WRITE(6, *) A(1), A(3)\n"
       "      END\n");
-  int quiet = 0;
   for (unsigned seed = 1; seed <= 32; ++seed) {
     const RunResult r = runShuffled(*prog, {}, seed);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_FALSE(r.orderIndependent) << "seed " << seed;
-    if (r.races.empty()) ++quiet;
+    ASSERT_EQ(r.races.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(r.races.front().variable, "X") << "seed " << seed;
+    EXPECT_FALSE(r.races.front().outputOnly) << "seed " << seed;
   }
-  EXPECT_GT(quiet, 0);  // some schedule hides the flow from the detector
 }
 
 TEST(OrderProof, InnerBoundResetAfterTheLoopIsIndependent) {
@@ -786,10 +786,10 @@ TEST(OrderProof, RacyRunIsNot) {
   EXPECT_FALSE(r.orderIndependent);
 }
 
-TEST(OrderProof, WriterUnderAnUnprivatizedNameIsNot) {
-  // Odd iterations write T through SETT's formal X, which the clauses do
-  // not privatize: on a schedule whose first writer is an even iteration
-  // the detector skips T, on another it reports a race on X.
+TEST(OrderProof, WriterThroughAFormalOfAPrivateNameIsIndependent) {
+  // Odd iterations write T through SETT's formal X. The clause privatizes
+  // T's cell, whatever name reaches it, and each iteration reads only the
+  // T it wrote, so every schedule is race-free and proves the rest.
   auto prog = parse(
       "      PROGRAM MAIN\n"
       "      REAL A(6)\n"
@@ -806,15 +806,15 @@ TEST(OrderProof, WriterUnderAnUnprivatizedNameIsNot) {
       "      SUBROUTINE SETT(X, I)\n"
       "      X = FLOAT(I)\n"
       "      END\n");
-  int quiet = 0, racy = 0;
+  const LoopClauses clauses{{"T"}, {}};
   for (unsigned seed = 1; seed <= 32; ++seed) {
-    const RunResult r = runShuffled(*prog, {{"T"}, {}}, seed);
+    const RunResult r = runShuffled(*prog, clauses, seed);
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.orderIndependent) << "seed " << seed;
-    ++(r.races.empty() ? quiet : racy);
+    EXPECT_TRUE(r.races.empty()) << "seed " << seed;
+    EXPECT_TRUE(r.orderIndependent) << "seed " << seed;
   }
-  EXPECT_GT(quiet, 0);
-  EXPECT_GT(racy, 0);
+  const RunResult r = runShuffled(*prog, clauses, 12345);
+  expectReplays(*prog, clauses, r);
 }
 
 TEST(OrderProof, CommonFirstTouchedInsideTheLoopIsNot) {
@@ -1047,33 +1047,39 @@ DeckDigests digestDeck(const std::string& deck) {
 }
 
 // Recorded on the tree-walking interpreter that looked every variable up
-// by name, before slot resolution.
+// by name, before slot resolution. The shuffled digests of spec77, neoss,
+// dpmin, slab2d, slalom and arc3d were recorded again when the race
+// detector began to report the flow from a cell's first writer, when it
+// read the cell first, to a later iteration's exposed read: a sum
+// accumulator's race on a forced-marked loop now reads as read-write,
+// not write-write, and a hidden flow is reported first where its cell
+// comes first.
 const std::map<std::string, DeckDigests>& goldenDigests() {
   static const std::map<std::string, DeckDigests> kGolden = {
       {"spec77",
        {"50fe743ef0529261", "007998490deecfd0",
-        "2490a944d3abad2a", "f74a78e8d21b25fd"}},
+        "2490a944d3abad2a", "88c543cd4d89aaec"}},
       {"neoss",
        {"e2c19a539a761aad", "6ce27aa38dbb2977",
-        "918681bf0a6d73b2", "39b57ea86f19b0e2"}},
+        "918681bf0a6d73b2", "09250cb2b6f801fe"}},
       {"nxsns",
        {"5267fe52ae1ae6ac", "85562a53cd6d659c",
         "85562a53cd6d659c", "55abc60a83521c7f"}},
       {"dpmin",
        {"42fa6291e6f25845", "ae39b0c2a6fcc535",
-        "f676c329600bb4f2", "28bed4bc9236ce48"}},
+        "f676c329600bb4f2", "4acaca6dcaa44b4b"}},
       {"slab2d",
        {"73f2f994432e02fc", "24bc634dc630ec70",
-        "ef9b95b319a99e15", "1d22e3e3be00cd6e"}},
+        "ef9b95b319a99e15", "0a38433a6ced4b2d"}},
       {"slalom",
        {"8c221b0b198225c5", "a87f7be4ef156e20",
-        "c60c2e3b5efc191b", "42f67384b6a23e9c"}},
+        "c60c2e3b5efc191b", "27623a3b15876bbe"}},
       {"pueblo3d",
        {"6d4fe9e1121f8713", "9b616bb5191b04fb",
         "b0dacd14d8c62f71", "64053f32ca0e967c"}},
       {"arc3d",
        {"b2273c7ca85c9762", "9a7b97221e9a53bc",
-        "0deeaa321c2ab1e0", "f7880ac4c2c255be"}},
+        "0deeaa321c2ab1e0", "a56609683d0105b0"}},
   };
   return kGolden;
 }

@@ -8,8 +8,11 @@
 //  5–6. Session edits are incremental and match a scratch build.
 //  7. Edit transactions: live call graph, total rollback, targeted
 //     invalidation.
+//  8. Power steering's output oracle: an applicable and safe
+//     transformation does not change what a deck prints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <set>
@@ -744,6 +747,66 @@ TEST(EditTransactions, CalleeRewriteTakesTheStructureChangedPath) {
   const std::string settled = workloads::analysisSnapshot(*s);
   s->fullReanalysis();
   EXPECT_EQ(settled, workloads::analysisSnapshot(*s));
+}
+
+// ---------------------------------------------------------------------------
+// 8. Power steering's output oracle
+// ---------------------------------------------------------------------------
+
+/// The single applications that change a deck's printed output, as
+/// "deck/PROCEDURE/transformation". Loop Distribution separates a
+/// privatizable scalar's definition from its use: the dependence builder
+/// keeps no loop-independent edge for a scalar that is private to the loop,
+/// so the partition sees none (ROADMAP item 1). Its fix empties this list.
+const std::vector<std::string>& knownBreaks() {
+  static const std::vector<std::string> kBreaks = {
+      "arc3d/QINIT/Loop Distribution",   "dpmin/BONDED/Loop Distribution",
+      "nxsns/XSECT/Loop Distribution",   "pueblo3d/ACCUM/Loop Distribution",
+      "slalom/BACKSUB/Loop Distribution", "slalom/SETUP/Loop Distribution",
+      "spec77/FILTLAT/Loop Distribution", "spec77/GWATER/Loop Distribution",
+  };
+  return kBreaks;
+}
+
+// Every applicable and safe guidance entry on every loop of the 8 decks,
+// applied alone to a fresh load, must leave the interpreter's printed
+// output as the untransformed deck's. Fails on a new break and on a known
+// break that stops breaking.
+TEST(PowerSteering, SafeSinglesKeepThePrintedOutput) {
+  int offered = 0;
+  std::vector<std::string> breaks;
+  for (const std::string deck : {"spec77", "neoss", "nxsns", "dpmin",
+                                 "slab2d", "slalom", "pueblo3d", "arc3d"}) {
+    auto probe = workloads::loadDeck(deck);
+    ASSERT_NE(probe, nullptr) << deck;
+    interp::Machine original(probe->program());
+    const interp::RunResult want = original.run();
+    ASSERT_TRUE(want.ok) << deck << ": " << want.error;
+    for (const std::string& proc : probe->procedureNames()) {
+      ASSERT_TRUE(probe->selectProcedure(proc));
+      for (const auto& loop : probe->loops()) {
+        for (const auto& entry : probe->guidance(loop.id, /*safeOnly=*/false)) {
+          if (!entry.advice.applicable || !entry.advice.safe) continue;
+          ++offered;
+          auto s = workloads::loadDeck(deck);
+          ASSERT_TRUE(s->selectProcedure(proc));
+          std::string error;
+          if (!s->applyTransformation(entry.transformation, entry.target,
+                                      &error)) {
+            continue;
+          }
+          interp::Machine transformed(s->program());
+          const interp::RunResult got = transformed.run();
+          if (!got.ok || !want.outputEquals(got, 1e-6)) {
+            breaks.push_back(deck + "/" + proc + "/" + entry.transformation);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(offered, 502);
+  std::sort(breaks.begin(), breaks.end());
+  EXPECT_EQ(breaks, knownBreaks());
 }
 
 }  // namespace

@@ -326,8 +326,11 @@ TEST(RelativeExecution, RecurrenceLoopDivergesUnderShuffledSchedules) {
   interp::RunOptions base;
   interp::RunResult serial = s->profile(base);
   ASSERT_TRUE(serial.ok) << serial.error;
-  validate::RelativeResult rr = validate::relativeCheck(
-      s->program(), loops[0].id, base, serial, /*schedules=*/3);
+  support::TaskPool callingThread(1);
+  const validate::RelativeResult rr =
+      validate::relativeCheckAll(s->program(), {{loops[0].id, base}}, serial,
+                                 /*schedules=*/3, &callingThread)
+          .front();
   EXPECT_TRUE(rr.ran);
   EXPECT_TRUE(rr.diverged) << rr.detail;
   EXPECT_FALSE(rr.detail.empty());
@@ -556,9 +559,12 @@ TEST(RelativeExecution, ChecksLeaveProgramUntouchedAndBatchMatchesSingle) {
     const std::vector<validate::RelativeResult> batch =
         validate::relativeCheckAll(prog, jobs, serial, 3, &pool);
     ASSERT_EQ(batch.size(), jobs.size());
+    support::TaskPool callingThread(1);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const validate::RelativeResult one =
-          validate::relativeCheck(prog, jobs[i].loop, {}, serial, 3);
+          validate::relativeCheckAll(prog, {jobs[i]}, serial, 3,
+                                     &callingThread)
+              .front();
       EXPECT_EQ(batch[i].loop, one.loop);
       EXPECT_EQ(batch[i].ran, one.ran);
       EXPECT_EQ(batch[i].diverged, one.diverged) << deck << " " << one.loop;

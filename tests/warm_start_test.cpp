@@ -406,12 +406,14 @@ std::vector<std::string> deckNames() {
 INSTANTIATE_TEST_SUITE_P(AllDecks, WarmStart,
                          ::testing::ValuesIn(deckNames()));
 
-// xxh64 of each deck's store image (the eight workloads and the generated
-// decks) after analyzeParallel(1) + savePdb, header excluded (its build
-// stamp names the compiler). Recorded with the
+// xxh64 of each deck's store image (the eight workloads, the generated
+// decks and one marked deck) after analyzeParallel(1) + savePdb, header
+// excluded (its build stamp names the compiler). Recorded with the
 // save that filed records one at a time on the calling thread: a match
 // means the pooled save writes the same records in the same order, so
-// stores written before it still open warm.
+// stores written before it still open warm. The marked deck's digest was
+// recorded before the store moved out of session.cpp, and pins the Marks
+// and Emission records and their keys.
 const std::map<std::string, std::string>& goldenStoreDigests() {
   static const std::map<std::string, std::string> kGolden = {
       {"spec77", "459c154af24c5200"},
@@ -424,6 +426,7 @@ const std::map<std::string, std::string>& goldenStoreDigests() {
       {"arc3d", "2de9373fd2b54d9d"},
       {"generated_seed1", "8e5ada5e5585c1f8"},
       {"generated_seed2", "ce8b8798897a28aa"},
+      {"slab2d_marked", "cbf7fd17314daedd"},
   };
   return kGolden;
 }
@@ -431,6 +434,28 @@ const std::map<std::string, std::string>& goldenStoreDigests() {
 /// The generated decks the store digests also pin: 2,000-line
 /// psbench/gen.cpp decks, with call chains and COMMON blocks.
 constexpr unsigned kGeneratedSeeds[] = {1, 2};
+
+/// The marked deck's session state: every loop marked the way a workshop
+/// user would, one deletion (the first pending carried edge in unit
+/// order), one classification override (that edge's variable, private in
+/// its carrier loop) and an emitOpenMP pass.
+void markForStore(ped::Session& s) {
+  (void)markParallelLoops(s, /*forceAllLoops=*/false);
+  for (const std::string& proc : s.procedureNames()) {
+    ASSERT_TRUE(s.selectProcedure(proc));
+    for (const dep::Dependence& d : s.workspace().graph->all()) {
+      if (d.mark != dep::DepMark::Pending || !d.loopCarried()) continue;
+      const std::uint32_t id = d.id;
+      const std::string variable = d.variable;
+      ASSERT_TRUE(s.selectLoop(d.carrierLoop));
+      ASSERT_TRUE(s.markDependence(id, dep::DepMark::Rejected, "pinned"));
+      ASSERT_TRUE(s.classifyVariable(variable, /*asPrivate=*/true, "pinned"));
+      ASSERT_TRUE(s.emitOpenMP().ran);
+      return;
+    }
+  }
+  FAIL() << "no pending carried edge to delete";
+}
 
 TEST(StoreBytes, EveryDeckMatchesPinnedDigest) {
   const std::string header = pdb::StoreWriter().bytes();
@@ -440,6 +465,7 @@ TEST(StoreBytes, EveryDeckMatchesPinnedDigest) {
     decks.emplace_back("generated_seed" + std::to_string(seed),
                        psbench::generateDeck(seed, 2000).source);
   }
+  decks.emplace_back("slab2d_marked", byName("slab2d")->source);
   std::ostringstream table;
   bool allMatch = true;
   for (const auto& [name, source] : decks) {
@@ -449,11 +475,20 @@ TEST(StoreBytes, EveryDeckMatchesPinnedDigest) {
     ASSERT_FALSE(diags.hasErrors()) << name;
     cold->setDeckName(name);
     cold->analyzeParallel(1);
+    const bool marked = name == "slab2d_marked";
+    if (marked) {
+      ASSERT_NO_FATAL_FAILURE(markForStore(*cold)) << name;
+    }
     ScopedFile store(name + ".golden.pspdb");
     ASSERT_TRUE(cold->savePdb(store.path())) << name;
     std::string image;
     ASSERT_TRUE(support::readFile(store.path(), &image)) << name;
     ASSERT_EQ(image.compare(0, header.size(), header), 0) << name;
+    if (marked) {
+      const pdb::StoreReader reader(image);
+      EXPECT_TRUE(reader.holds(pdb::RecordType::Marks)) << name;
+      EXPECT_TRUE(reader.holds(pdb::RecordType::Emission)) << name;
+    }
     std::ostringstream hex;
     hex << std::hex << std::setw(16) << std::setfill('0')
         << support::xxh64(std::string_view(image).substr(header.size()));
